@@ -53,33 +53,35 @@ def _patch_descriptor(frame: np.ndarray, patch: int = 4) -> np.ndarray:
 class FrameCdf:
     """Piecewise-linear CDF with breakpoints at integer frame positions.
 
-    breakpoints[t] is F(t); pdf[t] is the mass of segment [t, t+1].  For a
-    single-frame video both arrays degenerate ([0.0] and empty) and every
-    quantile maps to frame 0.  mass keeps the unnormalized segment weights;
-    inversion runs on those so that integer-valued profiles invert without
-    the rounding noise a cumsum-then-divide would add (pdf is used when a
-    caller builds the dataclass by hand, which only costs that exactness).
+    breakpoints[t] is F(t); mass[t] is the unnormalized weight of segment
+    [t, t+1].  For a single-frame video both arrays degenerate ([0.0] and
+    empty) and every quantile maps to frame 0.  Inversion runs on mass, not
+    on the normalized pdf, so that integer-valued profiles invert without
+    the rounding noise a cumsum-then-divide would add.
     """
 
     breakpoints: np.ndarray
-    pdf: np.ndarray
-    mass: np.ndarray | None = None
+    mass: np.ndarray
 
     @property
     def m(self) -> int:
         return len(self.breakpoints)
 
-    def _segments(self) -> tuple[np.ndarray, np.ndarray, float, bool]:
-        """(mass, cumulative mass, total, is-uniform) for inversion."""
-        mass = self.pdf if self.mass is None else self.mass
-        cum = np.concatenate([[0.0], np.cumsum(mass)])
+    @property
+    def pdf(self) -> np.ndarray:
+        """Segment probabilities, mass normalized to sum to one."""
+        return self.mass / self.mass.sum()
+
+    def _segments(self) -> tuple[np.ndarray, float, bool]:
+        """(cumulative mass, total, is-uniform) for inversion."""
+        cum = np.concatenate([[0.0], np.cumsum(self.mass)])
         total = float(cum[-1])
         uniform = (
             self.m == 1
             or total == 0.0
-            or float(mass.max()) == float(mass.min())
+            or float(self.mass.max()) == float(self.mass.min())
         )
-        return mass, cum, total, uniform
+        return cum, total, uniform
 
 
 def build_cdf(d: np.ndarray, m: int) -> FrameCdf:
@@ -96,18 +98,16 @@ def build_cdf(d: np.ndarray, m: int) -> FrameCdf:
     if d.size and d.min() < 0:
         raise ValueError("negative dissimilarity")
     if m == 1:
-        return FrameCdf(breakpoints=np.zeros(1), pdf=np.zeros(0), mass=np.zeros(0))
+        return FrameCdf(breakpoints=np.zeros(1), mass=np.zeros(0))
     total = float(d.sum())
     if total == 0.0:
-        pdf = np.full(m - 1, 1.0 / (m - 1))
         breakpoints = np.arange(m, dtype=np.float64) / (m - 1)
-        mass = pdf.copy()
+        mass = np.ones(m - 1)
     else:
-        pdf = d / total
         breakpoints = np.concatenate([[0.0], np.cumsum(d) / total])
         mass = d.copy()
     breakpoints[-1] = 1.0
-    return FrameCdf(breakpoints=breakpoints, pdf=pdf, mass=mass)
+    return FrameCdf(breakpoints=breakpoints, mass=mass)
 
 
 def _invert_mass(u: float, cum: np.ndarray, mass: np.ndarray) -> float:
@@ -125,10 +125,10 @@ def inverse_cdf(cdf: FrameCdf, q: float) -> float:
         raise ValueError("quantile outside [0, 1]")
     if cdf.m == 1:
         return 0.0
-    mass, cum, total, uniform = cdf._segments()
+    cum, total, uniform = cdf._segments()
     if uniform:
         return float(q * (cdf.m - 1))
-    return _invert_mass(q * total, cum, mass)
+    return _invert_mass(q * total, cum, cdf.mass)
 
 
 def raw_positions(cdf: FrameCdf, n: int) -> np.ndarray:
@@ -143,10 +143,10 @@ def raw_positions(cdf: FrameCdf, n: int) -> np.ndarray:
         raise ValueError("need at least one frame")
     if cdf.m == 1:
         return np.zeros(n)
-    mass, cum, total, uniform = cdf._segments()
+    cum, total, uniform = cdf._segments()
     if uniform:
         return np.array([k * (cdf.m - 1) / n for k in range(n)])
-    return np.array([_invert_mass(k * total / n, cum, mass) for k in range(n)])
+    return np.array([_invert_mass(k * total / n, cum, cdf.mass) for k in range(n)])
 
 
 def _round_half_away(x: float) -> int:
@@ -176,10 +176,10 @@ def select_frames(cdf: FrameCdf, n: int, dedupe: bool = False) -> Selection:
 
     chosen = sorted(set(indices))
     if len(chosen) < n:
+        pdf = cdf.pdf
         mass = np.zeros(cdf.m)
-        if cdf.pdf.size:
-            mass[:-1] += cdf.pdf
-            mass[1:] += cdf.pdf
+        mass[:-1] += pdf
+        mass[1:] += pdf
         pool = [i for i in range(cdf.m) if i not in set(chosen)]
         pool.sort(key=lambda i: (-mass[i], i))
         for idx in pool:

@@ -250,9 +250,14 @@ def gelu(a: Tensor) -> Tensor:
     return _record("gelu", (a,), out, bwd)
 
 
+def _stable_sigmoid(z: np.ndarray) -> np.ndarray:
+    # exp only ever sees non-positive arguments, so it cannot overflow
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    z = a.data
-    s = np.where(z >= 0, 1.0 / (1.0 + np.exp(-np.abs(z))), np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))))
+    s = _stable_sigmoid(a.data)
 
     def bwd(g):
         return (g * s * (1.0 - s),)
@@ -485,7 +490,6 @@ def bce_with_logits(logits: Tensor, targets) -> Tensor:
     loss = float(elem.sum() / n)
 
     def bwd(g):
-        s = np.where(z >= 0, 1.0 / (1.0 + np.exp(-np.abs(z))), np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))))
-        return ((s - t) * (float(g) / n),)
+        return ((_stable_sigmoid(z) - t) * (float(g) / n),)
 
     return _record("bce_with_logits", (logits,), np.float64(loss), bwd)

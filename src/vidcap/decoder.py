@@ -4,8 +4,9 @@ probability vector.
 The concept vector is adapted to the hidden width and becomes the
 position-0 input in place of a start-of-sequence embedding, so every
 generated word is conditioned on it.  Each layer runs causal
-self-attention, cross-attention over the encoder tokens, and a feed
-forward block, all pre-norm with residuals.
+self-attention, cross-attention over the encoder tokens (both through the
+shared nn.Attention core), and a feed forward block, all pre-norm with
+residuals.
 
 Generation strategies: length-synchronous beam search (summed log
 probabilities, no length normalization, ties broken toward the
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .nn import Embedding, LayerNorm, Linear
+from .nn import Attention, Embedding, LayerNorm, Linear
 from .textproc import EOS_ID
 
 NEG_INF = -1e9
@@ -70,52 +71,13 @@ class DecoderConfig:
         )
 
 
-class _Attention:
-    """Multi-head attention between a query sequence and a key/value
-    sequence, with an optional additive mask on the score matrix."""
-
-    def __init__(self, rng, dim: int, heads: int, dropout: float):
-        self.heads = heads
-        self.head_dim = dim // heads
-        self.dropout = dropout
-        self.wq = Linear(rng, dim, dim)
-        self.wk = Linear(rng, dim, dim)
-        self.wv = Linear(rng, dim, dim)
-        self.wo = Linear(rng, dim, dim)
-
-    def _split(self, t: Tensor, length: int) -> Tensor:
-        t = ad.reshape(t, (length, self.heads, self.head_dim))
-        return ad.transpose(t, (1, 0, 2))
-
-    def __call__(self, q_seq: Tensor, kv_seq: Tensor, mask: np.ndarray | None, rng, training: bool) -> Tensor:
-        lq, lk = q_seq.shape[0], kv_seq.shape[0]
-        q = self._split(self.wq(q_seq), lq)
-        k = self._split(self.wk(kv_seq), lk)
-        v = self._split(self.wv(kv_seq), lk)
-        scores = ad.matmul(q, ad.transpose(k, (0, 2, 1)))
-        scores = ad.scale(scores, 1.0 / np.sqrt(self.head_dim))
-        if mask is not None:
-            scores = ad.add(scores, Tensor(np.broadcast_to(mask, (self.heads, lq, lk))))
-        probs = ad.softmax(scores, axis=-1)
-        probs = ad.dropout(probs, self.dropout, rng, training)
-        out = ad.matmul(probs, v)
-        out = ad.reshape(ad.transpose(out, (1, 0, 2)), (lq, self.heads * self.head_dim))
-        return self.wo(out)
-
-    def named_parameters(self, prefix: str):
-        yield from self.wq.named_parameters(prefix + ".wq")
-        yield from self.wk.named_parameters(prefix + ".wk")
-        yield from self.wv.named_parameters(prefix + ".wv")
-        yield from self.wo.named_parameters(prefix + ".wo")
-
-
 class _DecoderLayer:
     def __init__(self, rng, cfg: DecoderConfig):
         d = cfg.hidden
         self.ln1 = LayerNorm(d, cfg.layer_norm_eps)
-        self.self_attn = _Attention(rng, d, cfg.heads, cfg.dropout)
+        self.self_attn = Attention(rng, d, cfg.heads, qkv_bias=True, dropout=cfg.dropout)
         self.ln2 = LayerNorm(d, cfg.layer_norm_eps)
-        self.cross_attn = _Attention(rng, d, cfg.heads, cfg.dropout)
+        self.cross_attn = Attention(rng, d, cfg.heads, qkv_bias=True, dropout=cfg.dropout)
         self.ln3 = LayerNorm(d, cfg.layer_norm_eps)
         self.fc1 = Linear(rng, d, d * cfg.mlp_ratio)
         self.fc2 = Linear(rng, d * cfg.mlp_ratio, d)
@@ -123,8 +85,8 @@ class _DecoderLayer:
 
     def __call__(self, x: Tensor, enc: Tensor, causal: np.ndarray, rng, training: bool) -> Tensor:
         a = self.ln1(x)
-        x = ad.add(x, self.self_attn(a, a, causal, rng, training))
-        x = ad.add(x, self.cross_attn(self.ln2(x), enc, None, rng, training))
+        x = ad.add(x, self.self_attn(a, a, None, causal, rng, training))
+        x = ad.add(x, self.cross_attn(self.ln2(x), enc, None, None, rng, training))
         h = self.fc1(self.ln3(x))
         h = ad.dropout(ad.gelu(h), self.dropout, rng, training)
         return ad.add(x, self.fc2(h))
@@ -210,7 +172,6 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
 class Hypothesis:
     tokens: list[int]
     logprob: float
-    finished: bool
 
 
 @dataclass
@@ -263,7 +224,7 @@ def generate_beam(step: StepFn, max_len: int, width: int, eos_id: int = EOS_ID) 
             break
     completed.extend(live)
     tokens, score = min(completed, key=lambda c: (-c[1], c[0]))
-    return Hypothesis(tokens=tokens, logprob=score, finished=True)
+    return Hypothesis(tokens=tokens, logprob=score)
 
 
 def sample_token(logits: np.ndarray, strategy: str, k: int, p: float, temperature: float, rng) -> int:
@@ -311,9 +272,9 @@ def generate_sample(
         tok = sample_token(logprobs, strategy, k, p, temperature, rng)
         score += float(logprobs[tok])
         if tok == eos_id:
-            return Hypothesis(tokens=tokens, logprob=score, finished=True)
+            return Hypothesis(tokens=tokens, logprob=score)
         tokens.append(tok)
-    return Hypothesis(tokens=tokens, logprob=score, finished=True)
+    return Hypothesis(tokens=tokens, logprob=score)
 
 
 def generate(step: StepFn, request: GenerationRequest, eos_id: int = EOS_ID) -> Hypothesis:

@@ -9,18 +9,19 @@ region, which lets windows straddle the previous block's boundaries
 without attending across the wrap-around seam.  Between stages a merge
 step halves the spatial grid and doubles the channel width.  The final
 grid is pooled over space into one token per time slot and projected to
-the output width.
+the output width.  Window attention is the shared nn.Attention core plus a
+learned relative-position bias.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .nn import Embedding, LayerNorm, Linear
+from .nn import Attention, LayerNorm, Linear
 from .video import VideoClip
 
 NEG_INF = -1e9
@@ -57,10 +58,6 @@ class EncoderConfig:
     @property
     def stage_widths(self) -> list[int]:
         return [self.embed_dim * (2**s) for s in range(len(self.depths))]
-
-    @classmethod
-    def desk(cls, **overrides) -> "EncoderConfig":
-        return cls(**overrides)
 
     @classmethod
     def paper(cls) -> "EncoderConfig":
@@ -193,28 +190,16 @@ def crop_grid(x: Tensor, dims) -> Tensor:
 # layers
 
 
-class WindowAttention:
+class WindowAttention(Attention):
     """Multi-head self-attention inside 3D windows with a learned relative
     position bias shared across windows."""
 
     def __init__(self, rng, dim: int, heads: int, window, qkv_bias: bool, attn_dropout: float):
-        if dim % heads:
-            raise ValueError("attention width must divide into heads")
-        self.dim = dim
-        self.heads = heads
-        self.head_dim = dim // heads
-        self.window = tuple(window)
-        self.attn_dropout = attn_dropout
-        self.wq = Linear(rng, dim, dim, bias=qkv_bias)
-        self.wk = Linear(rng, dim, dim, bias=qkv_bias)
-        self.wv = Linear(rng, dim, dim, bias=qkv_bias)
-        self.wo = Linear(rng, dim, dim, bias=True)
-        wt, wh, ww = self.window
+        super().__init__(rng, dim, heads, qkv_bias, attn_dropout)
+        wt, wh, ww = window
         table_len = (2 * wt - 1) * (2 * wh - 1) * (2 * ww - 1)
         self.bias_table = Tensor(rng.normal(0.0, 0.02, size=(table_len, heads)), requires_grad=True)
         self._index_cache: dict[tuple, np.ndarray] = {}
-        self.capture_attention = False
-        self.last_attention: np.ndarray | None = None
 
     def _bias(self, window, num_windows: int, n: int) -> Tensor:
         idx = self._index_cache.get(window)
@@ -227,35 +212,12 @@ class WindowAttention:
         return ad.broadcast_to(b, (num_windows, self.heads, n, n))
 
     def __call__(self, windows: Tensor, window, mask: np.ndarray | None, rng, training: bool) -> Tensor:
-        nw, n, c = windows.shape
-
-        def split_heads(t: Tensor) -> Tensor:
-            t = ad.reshape(t, (nw, n, self.heads, self.head_dim))
-            return ad.transpose(t, (0, 2, 1, 3))
-
-        q = split_heads(self.wq(windows))
-        k = split_heads(self.wk(windows))
-        v = split_heads(self.wv(windows))
-        scores = ad.matmul(q, ad.transpose(k, (0, 1, 3, 2)))
-        scores = ad.scale(scores, 1.0 / np.sqrt(self.head_dim))
-        scores = ad.add(scores, self._bias(window, nw, n))
-        if mask is not None:
-            full = np.broadcast_to(mask[:, None, :, :], (nw, self.heads, n, n))
-            scores = ad.add(scores, Tensor(full))
-        probs = ad.softmax(scores, axis=-1)
-        if self.capture_attention:
-            self.last_attention = probs.data.copy()
-        probs = ad.dropout(probs, self.attn_dropout, rng, training)
-        out = ad.matmul(probs, v)
-        out = ad.transpose(out, (0, 2, 1, 3))
-        out = ad.reshape(out, (nw, n, c))
-        return self.wo(out)
+        """windows: (num_windows, n, dim); mask: additive (num_windows, n, n) or None."""
+        nw, n, _ = windows.data.shape
+        return super().__call__(windows, windows, self._bias(window, nw, n), mask, rng, training)
 
     def named_parameters(self, prefix: str):
-        yield from self.wq.named_parameters(prefix + ".wq")
-        yield from self.wk.named_parameters(prefix + ".wk")
-        yield from self.wv.named_parameters(prefix + ".wv")
-        yield from self.wo.named_parameters(prefix + ".wo")
+        yield from super().named_parameters(prefix)
         yield prefix + ".bias_table", self.bias_table
 
 

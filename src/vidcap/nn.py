@@ -1,4 +1,5 @@
-"""Small parameter-holding layers shared by the encoder and decoder.
+"""Small parameter-holding layers shared by the encoder and decoder,
+including the one multi-head attention core both transformers use.
 
 Each layer exposes named_parameters(prefix) so the full model can be
 flattened into a sorted name -> Tensor map for optimization and
@@ -62,5 +63,60 @@ class Embedding:
         yield prefix + ".table", self.table
 
 
-def collect_parameters(module, prefix: str) -> dict[str, Tensor]:
-    return dict(module.named_parameters(prefix))
+# (head split, key transpose) permutations by input rank: (L, dim) sequences
+# and (W, L, dim) window batches.  A head split swaps two axes, so it is also
+# the head merge.
+_PERMUTATIONS = {2: ((1, 0, 2), (0, 2, 1)), 3: ((0, 2, 1, 3), (0, 1, 3, 2))}
+
+
+class Attention:
+    """Multi-head attention from a query sequence to a key/value sequence.
+
+    Inputs are (L, dim), or (W, L, dim) for W independent windows.  bias is
+    an optional additive Tensor of the score shape (..., heads, Lq, Lk);
+    mask is an optional additive array of shape (..., Lq, Lk), shared by
+    all heads.  With capture_attention set, last_attention keeps a copy of
+    the post-softmax, pre-dropout weights of the latest call.
+    """
+
+    def __init__(self, rng: np.random.Generator, dim: int, heads: int, qkv_bias: bool, dropout: float):
+        if dim % heads:
+            raise ValueError("attention width must divide into heads")
+        self.dim = dim
+        self.heads = heads
+        self.head_dim = dim // heads
+        self.scale = 1.0 / np.sqrt(self.head_dim)
+        self.dropout = dropout
+        self.wq = Linear(rng, dim, dim, bias=qkv_bias)
+        self.wk = Linear(rng, dim, dim, bias=qkv_bias)
+        self.wv = Linear(rng, dim, dim, bias=qkv_bias)
+        self.wo = Linear(rng, dim, dim, bias=True)
+        self.capture_attention = False
+        self.last_attention: np.ndarray | None = None
+
+    def __call__(
+        self, q_seq: Tensor, kv_seq: Tensor, bias: Tensor | None, mask: np.ndarray | None, rng, training: bool
+    ) -> Tensor:
+        q_shape = q_seq.data.shape
+        lead, lq, lk = q_shape[:-2], q_shape[-2], kv_seq.data.shape[-2]
+        split, key_t = _PERMUTATIONS[q_seq.data.ndim]
+        q = ad.transpose(ad.reshape(self.wq(q_seq), lead + (lq, self.heads, self.head_dim)), split)
+        k = ad.transpose(ad.reshape(self.wk(kv_seq), lead + (lk, self.heads, self.head_dim)), split)
+        v = ad.transpose(ad.reshape(self.wv(kv_seq), lead + (lk, self.heads, self.head_dim)), split)
+        scores = ad.scale(ad.matmul(q, ad.transpose(k, key_t)), self.scale)
+        if bias is not None:
+            scores = ad.add(scores, bias)
+        if mask is not None:
+            scores = ad.add(scores, Tensor(np.broadcast_to(mask[..., None, :, :], scores.data.shape)))
+        probs = ad.softmax(scores, axis=-1)
+        if self.capture_attention:
+            self.last_attention = probs.data.copy()
+        probs = ad.dropout(probs, self.dropout, rng, training)
+        out = ad.transpose(ad.matmul(probs, v), split)
+        return self.wo(ad.reshape(out, lead + (lq, self.dim)))
+
+    def named_parameters(self, prefix: str):
+        yield from self.wq.named_parameters(prefix + ".wq")
+        yield from self.wk.named_parameters(prefix + ".wk")
+        yield from self.wv.named_parameters(prefix + ".wv")
+        yield from self.wo.named_parameters(prefix + ".wo")

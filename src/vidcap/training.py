@@ -133,6 +133,14 @@ def _prepare_samples(records, data_root: Path, vocab, concepts, n_frames: int, m
     return samples
 
 
+def _mean_of(terms: list[Tensor]) -> Tensor:
+    """Mean of scalar loss terms: summed left to right, then scaled."""
+    total = terms[0]
+    for term in terms[1:]:
+        total = ad.add(total, term)
+    return ad.scale(total, 1.0 / len(terms))
+
+
 def _finite_or_die(value: float, what: str, dump: dict, out_dir: Path | None):
     if np.isfinite(value):
         return
@@ -207,10 +215,7 @@ def train(
                 tokens = Tensor(token_cache[i].data, requires_grad=False)
                 logits = model.concept_head.logits(tokens, model.dropout_rng, training=True)
                 losses.append(ad.bce_with_logits(logits, samples[i].labels))
-            stacked = losses[0]
-            for extra in losses[1:]:
-                stacked = ad.add(stacked, extra)
-            mean = ad.scale(stacked, 1.0 / len(losses))
+            mean = _mean_of(losses)
             return mean, {"bce": float(mean.data)}
 
         for step in range(1, config.pretrain_steps + 1):
@@ -234,14 +239,8 @@ def train(
                 dec_logits = model.caption_logits(sem_probs, ids[:-1], tokens)
                 ce_terms.append(ad.cross_entropy_masked(dec_logits, ids, PAD_ID))
                 bce_terms.append(ad.bce_with_logits(sem_logits, s.labels))
-            ce = ce_terms[0]
-            for t in ce_terms[1:]:
-                ce = ad.add(ce, t)
-            ce = ad.scale(ce, 1.0 / len(ce_terms))
-            bce = bce_terms[0]
-            for t in bce_terms[1:]:
-                bce = ad.add(bce, t)
-            bce = ad.scale(bce, 1.0 / len(bce_terms))
+            ce = _mean_of(ce_terms)
+            bce = _mean_of(bce_terms)
             total = ad.add(ce, ad.scale(bce, config.lambda_bce))
             return total, {"ce": float(ce.data), "bce": float(bce.data)}
 

@@ -6,12 +6,16 @@ import math
 
 import numpy as np
 import pytest
+from test_autodiff import check_grads
 
+from vidcap import autodiff as ad
 from vidcap.autodiff import Tensor
 from vidcap.decoder import (
+    NEG_INF,
     CaptionDecoder,
     DecoderConfig,
     GenerationRequest,
+    _DecoderLayer,
     generate,
     generate_beam,
     generate_sample,
@@ -92,6 +96,29 @@ def test_forward_shapes_and_conditioning():
     enc2 = Tensor(rng.normal(size=(4, cfg.hidden)))
     l3 = dec(dec.embed_with_semantic_sos(Tensor(s1), []), enc2).data
     assert np.abs(l1 - l3).max() > 0.0
+
+
+def test_gradcheck_through_decoder_layer():
+    # causal self-attention plus cross-attention, checked with respect to
+    # the layer input, the encoder tokens and all eight attention weights
+    rng = np.random.default_rng(21)
+    cfg = DecoderConfig(vocab_size=5, hidden=6, heads=2, concept_dim=6, dropout=0.0)
+    layer = _DecoderLayer(rng, cfg)
+    attns = (layer.self_attn, layer.cross_attn)
+    projections = [proj for attn in attns for proj in (attn.wq, attn.wk, attn.wv, attn.wo)]
+    x = rng.normal(size=(4, cfg.hidden))
+    enc = rng.normal(size=(3, cfg.hidden))
+    weights = [rng.normal(scale=0.5, size=p.weight.shape) for p in projections]
+    mix = Tensor(rng.normal(size=(4, cfg.hidden)))
+    causal = np.triu(np.full((4, 4), NEG_INF), k=1)
+
+    def build(t):
+        for proj, w in zip(projections, t[2:]):
+            proj.weight = w
+        out = layer(t[0], t[1], causal, None, False)
+        return ad.sum_reduce(ad.mul(out, mix))
+
+    check_grads(build, [x, enc, *weights])
 
 
 def test_max_positions_error():
@@ -240,7 +267,7 @@ def test_logprobs_accumulate_nonpositive_terms():
         total += term
         assert total <= prev + 1e-15
         prev = total
-    if hyp.finished and len(hyp.tokens) < 4:
+    if len(hyp.tokens) < 4:
         total += float(step(hyp.tokens)[EOS_ID])
     assert abs(total - hyp.logprob) < 1e-12
 

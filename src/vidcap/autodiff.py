@@ -87,6 +87,10 @@ class Tensor:
         return transpose(self, axes)
 
 
+class NumericError(ValueError):
+    """A non-finite value where the computation needs a finite one."""
+
+
 def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
@@ -410,7 +414,7 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator | None, training: b
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     if not np.all(np.isfinite(a.data)):
-        raise ValueError("non-finite input")
+        raise NumericError("non-finite input")
     m = a.data.max(axis=axis, keepdims=True)
     e = np.exp(a.data - m)
     y = e / e.sum(axis=axis, keepdims=True)

@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 from .afs import build_cdf, frame_dissimilarity, select_frames
+from .autodiff import NumericError
 from .decoder import GenerationRequest
 from .evaluate import caption_video, evaluate_checkpoint
 from .metrics import compute_report
@@ -238,19 +239,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except TrainingDiverged as exc:
+    except (TrainingDiverged, NumericError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (DataError, FileNotFoundError, json.JSONDecodeError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ValueError as exc:
-        if "non-finite" in str(exc):
-            print(f"numeric failure: {exc}", file=sys.stderr)
-            return EXIT_NUMERIC
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (DataError, ValueError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

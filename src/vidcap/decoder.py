@@ -8,10 +8,14 @@ self-attention, cross-attention over the encoder tokens (both through the
 shared nn.Attention core), and a feed forward block, all pre-norm with
 residuals.
 
-Generation strategies: length-synchronous beam search (summed log
-probabilities, no length normalization, ties broken toward the
-lexicographically smallest token sequence) and ancestral sampling with
-greedy / top-k / top-p truncation and a temperature knob.
+Generation is incremental: step_fn computes each layer's cross-attention
+keys/values once per clip and keeps every seen prefix's self-attention
+keys/values, so a step runs one new position per prefix through the same
+layers as the teacher-forced forward.  Strategies: length-synchronous
+beam search (summed log probabilities, no length normalization, ties
+broken toward the lexicographically smallest token sequence, all live
+hypotheses in one batched step) and ancestral sampling with greedy /
+top-k / top-p truncation and a temperature knob.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import NumericError, Tensor
 from .nn import Attention, Embedding, LayerNorm, Linear
 from .textproc import EOS_ID
 
@@ -71,6 +75,16 @@ class DecoderConfig:
         )
 
 
+class LayerCache:
+    """Keys/values one layer attends to in an incremental step, each
+    (B, heads, L, head_dim): self-attention over the prefixes so far, which
+    the layer extends by the new position, and cross-attention over the
+    encoder tokens."""
+
+    def __init__(self, self_kv: tuple[Tensor, Tensor], cross_kv: tuple[Tensor, Tensor]):
+        self.self_kv, self.cross_kv = self_kv, cross_kv
+
+
 class _DecoderLayer:
     def __init__(self, rng, cfg: DecoderConfig):
         d = cfg.hidden
@@ -83,10 +97,18 @@ class _DecoderLayer:
         self.fc2 = Linear(rng, d * cfg.mlp_ratio, d)
         self.dropout = cfg.dropout
 
-    def __call__(self, x: Tensor, enc: Tensor, causal: np.ndarray, rng, training: bool) -> Tensor:
+    def __call__(
+        self, x: Tensor, enc: Tensor, causal: np.ndarray | None, rng, training: bool, cache: LayerCache | None = None
+    ) -> Tensor:
         a = self.ln1(x)
-        x = ad.add(x, self.self_attn(a, a, None, causal, rng, training))
-        x = ad.add(x, self.cross_attn(self.ln2(x), enc, None, None, rng, training))
+        self_kv = cross_kv = None
+        if cache is not None:
+            k, v = self.self_attn.keys_values(a)
+            past_k, past_v = cache.self_kv
+            cache.self_kv = self_kv = (ad.concat([past_k, k], axis=2), ad.concat([past_v, v], axis=2))
+            cross_kv = cache.cross_kv
+        x = ad.add(x, self.self_attn(a, a, None, causal, rng, training, kv=self_kv))
+        x = ad.add(x, self.cross_attn(self.ln2(x), enc, None, None, rng, training, kv=cross_kv))
         h = self.fc1(self.ln3(x))
         h = ad.dropout(ad.gelu(h), self.dropout, rng, training)
         return ad.add(x, self.fc2(h))
@@ -117,8 +139,7 @@ class CaptionDecoder:
         """Sequence of hidden inputs: adapted concept vector at position 0,
         then token embeddings, each plus its absolute position embedding."""
         length = len(tokens) + 1
-        if length > self.cfg.max_positions:
-            raise ValueError(f"sequence of {length} exceeds {self.cfg.max_positions} positions")
+        self._check_positions(length)
         sem = ad.reshape(semantic, (1, semantic.shape[-1]))
         if self.adapter is not None:
             sem = self.adapter(sem)
@@ -128,13 +149,25 @@ class CaptionDecoder:
         tok = self.tok_emb(np.asarray(tokens, dtype=np.intp))
         return ad.add(ad.concat([sem, tok], axis=0), pos)
 
-    def __call__(self, hidden: Tensor, enc_tokens: Tensor, rng=None, training: bool = False) -> Tensor:
-        """Logits (L, V) for every position of the embedded sequence."""
-        length = hidden.shape[0]
-        causal = np.triu(np.full((length, length), NEG_INF), k=1)
+    def _check_positions(self, length: int) -> None:
+        if length > self.cfg.max_positions:
+            raise ValueError(f"sequence of {length} exceeds {self.cfg.max_positions} positions")
+
+    def __call__(
+        self, hidden: Tensor, enc_tokens: Tensor, rng=None, training: bool = False, cache: list | None = None
+    ) -> Tensor:
+        """Logits (L, V) for every position of the embedded sequence, or,
+        with one LayerCache per layer, (B, 1, V) for B new positions of
+        shape (B, 1, hidden) that each follow their cached prefix."""
+        if cache is None:
+            length = hidden.shape[0]
+            causal = np.triu(np.full((length, length), NEG_INF), k=1)
+            cache = [None] * len(self.layers)
+        else:
+            causal = None
         x = hidden
-        for layer in self.layers:
-            x = layer(x, enc_tokens, causal, rng, training)
+        for layer, layer_cache in zip(self.layers, cache):
+            x = layer(x, enc_tokens, causal, rng, training, layer_cache)
         return self.out_proj(self.final_norm(x))
 
     def named_parameters(self, prefix: str = "decoder"):
@@ -148,24 +181,71 @@ class CaptionDecoder:
         yield from self.out_proj.named_parameters(prefix + ".out_proj")
 
     def step_fn(self, semantic: Tensor, enc_tokens: Tensor) -> "StepFn":
-        """Log-probabilities of the next token given a generated prefix.
-        Runs in eval mode; each call re-runs the forward pass."""
-
-        def step(prefix: Sequence[int]) -> np.ndarray:
-            hidden = self.embed_with_semantic_sos(semantic, list(prefix))
-            logits = self(hidden, enc_tokens)
-            return log_softmax(logits.data[-1])
-
-        return step
+        """Next-token log-probabilities (B, V) for B generated prefixes of
+        one length, in eval mode.  Cross-attention keys/values are computed
+        here, once; each seen prefix keeps its self-attention keys/values,
+        so a call runs one new position per prefix after filling any
+        ancestors never stepped."""
+        return _CachedStep(self, semantic, enc_tokens)
 
 
-StepFn = Callable[[Sequence[int]], np.ndarray]
+StepFn = Callable[[Sequence[Sequence[int]]], np.ndarray]
+
+
+class _CachedStep:
+    """The step returned by CaptionDecoder.step_fn.  Holds no reference
+    back to itself, so dropping it frees its cache without the cyclic GC."""
+
+    def __init__(self, decoder: CaptionDecoder, semantic: Tensor, enc_tokens: Tensor):
+        self.decoder = decoder
+        self.enc_tokens = enc_tokens
+        self.sos = decoder.embed_with_semantic_sos(semantic, []).data
+        self.cross_kv = [layer.cross_attn.keys_values(enc_tokens) for layer in decoder.layers]
+        # prefix -> per-layer self-attention (k, v), each (heads, len + 1, head_dim)
+        self.kv: dict[tuple[int, ...], list[tuple[np.ndarray, np.ndarray]]] = {}
+
+    def __call__(self, prefixes: Sequence[Sequence[int]]) -> np.ndarray:
+        keys = [tuple(p) for p in prefixes]
+        lengths = {len(k) for k in keys}
+        if len(lengths) != 1:
+            raise ValueError("a step takes one or more prefixes of one length")
+        n = lengths.pop()
+        self.decoder._check_positions(n + 1)
+        if any(k and k[:-1] not in self.kv for k in keys):
+            for length in range(n):
+                missing = list(dict.fromkeys(k[:length] for k in keys if k[:length] not in self.kv))
+                if missing:
+                    self._advance(missing)
+        return self._advance(keys)
+
+    def _advance(self, keys: list[tuple[int, ...]]) -> np.ndarray:
+        """Run position len(key) of every key, whose parent is cached."""
+        dec, cfg, rows, n = self.decoder, self.decoder.cfg, len(keys), len(keys[0])
+        if n:
+            x = ad.add(dec.tok_emb([k[-1] for k in keys]), dec.pos_emb(np.full(rows, n)))
+        else:
+            x = Tensor(np.broadcast_to(self.sos, (rows, cfg.hidden)))
+        caches = []
+        for i, cross_kv in enumerate(self.cross_kv):
+            if n:
+                past = tuple(Tensor(np.stack([self.kv[k[:-1]][i][j] for k in keys])) for j in (0, 1))
+            else:
+                past = (Tensor(np.zeros((rows, cfg.heads, 0, cfg.hidden // cfg.heads))),) * 2
+            cross = tuple(Tensor(np.broadcast_to(t.data, (rows,) + t.shape)) for t in cross_kv)
+            caches.append(LayerCache(self_kv=past, cross_kv=cross))
+        logits = dec(ad.reshape(x, (rows, 1, cfg.hidden)), self.enc_tokens, cache=caches).data[:, -1]
+        if not np.all(np.isfinite(logits)):
+            raise NumericError("non-finite logits")
+        for r, key in enumerate(keys):
+            self.kv[key] = [(c.self_kv[0].data[r], c.self_kv[1].data[r]) for c in caches]
+        return log_softmax(logits)
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
-    m = logits.max()
+    """Log-softmax over the last axis."""
+    m = logits.max(axis=-1, keepdims=True)
     z = logits - m
-    return z - np.log(np.exp(z).sum())
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
 @dataclass
@@ -199,30 +279,33 @@ def generate_beam(step: StepFn, max_len: int, width: int, eos_id: int = EOS_ID) 
     """Length-synchronous beam search.
 
     All live hypotheses share a length; each step expands every live
-    hypothesis over the whole vocabulary and keeps the `width` best
-    continuations by summed log-probability, ties going to the smaller
-    token sequence.  Continuations ending in EOS retire to a completed
-    pool with the EOS term included in their score; at the length limit
-    the survivors retire as they are.  The best retiree wins.
+    hypothesis over the whole vocabulary, in one step call for all of
+    them, and keeps the `width` best continuations by summed
+    log-probability, ties going to the smaller token sequence.
+    Continuations ending in EOS retire to a completed pool with the EOS
+    term included in their score; at the length limit the survivors
+    retire as they are.  The best retiree wins.
     """
-    live: list[tuple[list[int], float]] = [([], 0.0)]
+    live: list[tuple[tuple[int, ...], float]] = [((), 0.0)]  # sorted by tokens
     completed: list[tuple[list[int], float]] = []
     for _ in range(max_len):
-        candidates: list[tuple[list[int], float]] = []
-        for tokens, score in live:
-            logprobs = step(tokens)
-            for tok in range(len(logprobs)):
-                candidates.append((tokens + [tok], score + float(logprobs[tok])))
-        candidates.sort(key=lambda c: (-c[1], c[0]))
-        live = []
-        for tokens, score in candidates[:width]:
-            if tokens[-1] == eos_id:
-                completed.append((tokens[:-1], score))
+        scores = np.array([score for _, score in live])[:, None] + step([tokens for tokens, _ in live])
+        rows, vocab = scores.shape
+        # a live rank orders its hypothesis lexicographically, so (score
+        # desc, rank, token) orders the continuations as (score desc, tokens)
+        tok_key, rank_key = np.tile(np.arange(vocab), rows), np.repeat(np.arange(rows), vocab)
+        order = np.lexsort((tok_key, rank_key, -scores.ravel()))
+        kept = []
+        for rank, tok in (divmod(int(i), vocab) for i in order[:width]):
+            tokens, score = live[rank][0], float(scores[rank, tok])
+            if tok == eos_id:
+                completed.append((list(tokens), score))
             else:
-                live.append((tokens, score))
+                kept.append((tokens + (tok,), score))
+        live = sorted(kept)
         if not live:
             break
-    completed.extend(live)
+    completed.extend((list(tokens), score) for tokens, score in live)
     tokens, score = min(completed, key=lambda c: (-c[1], c[0]))
     return Hypothesis(tokens=tokens, logprob=score)
 
@@ -268,7 +351,7 @@ def generate_sample(
     tokens: list[int] = []
     score = 0.0
     for _ in range(max_len):
-        logprobs = step(tokens)
+        logprobs = step([tokens])[0]
         tok = sample_token(logprobs, strategy, k, p, temperature, rng)
         score += float(logprobs[tok])
         if tok == eos_id:

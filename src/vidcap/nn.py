@@ -94,15 +94,31 @@ class Attention:
         self.capture_attention = False
         self.last_attention: np.ndarray | None = None
 
+    def keys_values(self, kv_seq: Tensor) -> tuple[Tensor, Tensor]:
+        """Head-split keys and values of kv_seq, each (..., heads, Lk, head_dim)."""
+        split = _PERMUTATIONS[kv_seq.data.ndim][0]
+        heads_shape = kv_seq.data.shape[:-1] + (self.heads, self.head_dim)
+        k = ad.transpose(ad.reshape(self.wk(kv_seq), heads_shape), split)
+        v = ad.transpose(ad.reshape(self.wv(kv_seq), heads_shape), split)
+        return k, v
+
     def __call__(
-        self, q_seq: Tensor, kv_seq: Tensor, bias: Tensor | None, mask: np.ndarray | None, rng, training: bool
+        self,
+        q_seq: Tensor,
+        kv_seq: Tensor | None,
+        bias: Tensor | None,
+        mask: np.ndarray | None,
+        rng,
+        training: bool,
+        kv: tuple[Tensor, Tensor] | None = None,
     ) -> Tensor:
+        """Attend from q_seq to kv_seq, or to kv, its precomputed
+        keys_values() pair, when one is given."""
         q_shape = q_seq.data.shape
-        lead, lq, lk = q_shape[:-2], q_shape[-2], kv_seq.data.shape[-2]
+        lead, lq = q_shape[:-2], q_shape[-2]
         split, key_t = _PERMUTATIONS[q_seq.data.ndim]
         q = ad.transpose(ad.reshape(self.wq(q_seq), lead + (lq, self.heads, self.head_dim)), split)
-        k = ad.transpose(ad.reshape(self.wk(kv_seq), lead + (lk, self.heads, self.head_dim)), split)
-        v = ad.transpose(ad.reshape(self.wv(kv_seq), lead + (lk, self.heads, self.head_dim)), split)
+        k, v = self.keys_values(kv_seq) if kv is None else kv
         scores = ad.scale(ad.matmul(q, ad.transpose(k, key_t)), self.scale)
         if bias is not None:
             scores = ad.add(scores, bias)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import NumericError, Tensor
 
 
 def clip_global_norm(grads: dict, max_norm: float) -> tuple[dict, float]:
@@ -67,7 +67,7 @@ def adamw_step(
             continue
         g = np.asarray(g, dtype=np.float64)
         if not np.all(np.isfinite(g)):
-            raise ValueError("non-finite gradient")
+            raise NumericError("non-finite gradient")
         st = state.get(name)
         if st is None:
             st = state[name] = AdamWState(m=np.zeros_like(p.data), v=np.zeros_like(p.data))

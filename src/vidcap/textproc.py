@@ -222,7 +222,10 @@ def build_concept_vocabulary(captions: Iterable[str], tagger: PosTagger, k: int)
             counts[tok] = counts.get(tok, 0) + 1
     content = {w: c for w, c in counts.items() if tagger.tag(w) in CONCEPT_TAGS}
     if len(content) < k:
-        raise ValueError("concept vocabulary underflow")
+        raise ValueError(
+            f"concept vocabulary underflow: corpus has {len(content)} concept words, {k} needed"
+            " (add colours/shapes/motions or lower concept_count)"
+        )
     ranked = sorted(content, key=lambda w: (-content[w], w))[:k]
     return ConceptVocabulary(words=ranked, counts={w: content[w] for w in ranked})
 

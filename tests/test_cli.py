@@ -195,3 +195,21 @@ def test_numeric_failure_exits_3(env, tmp_path, monkeypatch, capsys):
                "--out", str(tmp_path / "run")])
     assert rc == 3
     assert "numeric failure" in capsys.readouterr().err
+
+
+def test_caption_with_nan_weight_exits_3(env, tmp_path, capsys):
+    import shutil
+
+    import numpy as np
+
+    ckpt = tmp_path / "ckpt"
+    shutil.copytree(env["ckpt"], ckpt)
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    entry = next(e for e in manifest["params"] if e["name"] == "decoder.out_proj.weight")
+    raw = np.frombuffer((ckpt / "params.bin").read_bytes(), dtype=np.float32).copy()
+    raw[entry["offset"]] = np.nan
+    (ckpt / "params.bin").write_bytes(raw.tobytes())
+
+    video = env["data"] / "videos" / "vid0001.vvid"
+    assert main(["caption", "--ckpt", str(ckpt), "--video", str(video), "--decode", "greedy"]) == 3
+    assert "numeric failure" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Decoder and generation-strategy tests, including the exhaustive beam
 search oracle and sampling frequency checks."""
 
+import gc
 import itertools
 import math
 
@@ -19,6 +20,7 @@ from vidcap.decoder import (
     generate,
     generate_beam,
     generate_sample,
+    log_softmax,
     sample_token,
 )
 from vidcap.textproc import EOS_ID
@@ -127,6 +129,62 @@ def test_max_positions_error():
         dec.embed_with_semantic_sos(Tensor(np.zeros(cfg.concept_dim)), [1, 2, 3, 4])
 
 
+def _desk_inputs(seed):
+    cfg = DecoderConfig(vocab_size=40, concept_dim=16, dropout=0.0)
+    dec = CaptionDecoder(cfg, np.random.default_rng(seed))
+    r = np.random.default_rng(seed + 1)
+    return dec, cfg, Tensor(r.random(cfg.concept_dim)), Tensor(r.normal(size=(24, cfg.hidden)))
+
+
+def test_cached_step_matches_full_forward():
+    dec, cfg, sem, enc = _desk_inputs(13)
+    rng = np.random.default_rng(14)
+
+    def full(prefix):
+        return log_softmax(dec(dec.embed_with_semantic_sos(sem, prefix), enc).data[-1])
+
+    def check(step, prefixes):
+        got = step(prefixes)
+        assert got.shape == (len(prefixes), cfg.vocab_size)
+        for row, prefix in zip(got, prefixes):
+            assert np.abs(row - full(list(prefix))).max() < 1e-12
+
+    # one growing prefix, and three at a time (all three start empty)
+    paths = rng.integers(0, cfg.vocab_size, size=(4, 20)).tolist()
+    step = dec.step_fn(sem, enc)
+    for n in range(21):
+        check(step, [paths[0][:n]])
+        check(step, [p[:n] for p in paths[1:]])
+    # cold prefixes: no ancestor was ever stepped, and two share ancestors
+    cold = dec.step_fn(sem, enc)
+    check(cold, [paths[0][:12], paths[0][:11] + [7]])
+    check(cold, [paths[1][:3]])
+
+
+def test_step_rejects_mixed_lengths_and_overlong_prefixes():
+    dec, cfg = _small_decoder(max_positions=4)
+    step = dec.step_fn(Tensor(np.zeros(cfg.concept_dim)), Tensor(np.ones((3, cfg.hidden))))
+    with pytest.raises(ValueError):
+        step([[1], [1, 2]])
+    with pytest.raises(ValueError, match="positions"):
+        step([[1, 2, 3, 4]])
+    assert step([[1, 2, 3]]).shape == (1, cfg.vocab_size)
+
+
+def test_step_leaves_no_reference_cycle():
+    dec, cfg, sem, enc = _desk_inputs(15)
+    gc.collect()
+    gc.disable()
+    try:
+        step = dec.step_fn(sem, enc)
+        generate(step, GenerationRequest(strategy="beam", beam_width=3, max_len=8))
+        generate(step, GenerationRequest(strategy="topp", p=0.9, max_len=8, seed=0))
+        del step
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_generation_request_validation():
     with pytest.raises(ValueError, match="strategy"):
         GenerationRequest(strategy="viterbi")
@@ -145,8 +203,8 @@ def test_generation_request_validation():
 def _table_step(tables):
     """StepFn backed by an explicit prefix -> probability table."""
 
-    def step(prefix):
-        return np.log(np.asarray(tables[tuple(prefix)], dtype=np.float64))
+    def step(prefixes):
+        return np.log(np.asarray([tables[tuple(p)] for p in prefixes], dtype=np.float64))
 
     return step
 
@@ -230,6 +288,21 @@ def test_full_width_beam_equals_exhaustive_search():
             assert abs(got.logprob - want_score) < 1e-9
 
 
+def test_beam_steps_once_per_length_and_breaks_ties_lexicographically():
+    # every non-EOS continuation ties and EOS never wins
+    probs = np.full(5, 0.25)
+    probs[EOS_ID] = 1e-300
+    calls = []
+
+    def step(prefixes):
+        calls.append({len(p) for p in prefixes})
+        return np.log(np.tile(probs, (len(prefixes), 1)))
+
+    hyp = generate_beam(step, max_len=4, width=3)
+    assert calls == [{0}, {1}, {2}, {3}]
+    assert hyp.tokens == [0, 0, 0, 0]
+
+
 def test_beam1_greedy_topk1_identical():
     rng = np.random.default_rng(4)
     for trial in range(10):
@@ -262,13 +335,13 @@ def test_logprobs_accumulate_nonpositive_terms():
     total = 0.0
     prev = 0.0
     for i, tok in enumerate(hyp.tokens):
-        term = float(step(hyp.tokens[:i])[tok])
+        term = float(step([hyp.tokens[:i]])[0][tok])
         assert term <= 0.0
         total += term
         assert total <= prev + 1e-15
         prev = total
     if len(hyp.tokens) < 4:
-        total += float(step(hyp.tokens)[EOS_ID])
+        total += float(step([hyp.tokens])[0][EOS_ID])
     assert abs(total - hyp.logprob) < 1e-12
 
 

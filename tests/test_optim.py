@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from vidcap.autodiff import Tensor
+from vidcap import autodiff as ad
+from vidcap.autodiff import NumericError, Tensor
 from vidcap.optim import AdamWHyper, adamw_step, clip_global_norm
 
 
@@ -112,6 +113,15 @@ def test_adamw_rejects_non_finite():
     p = Tensor(np.array([1.0]), requires_grad=True)
     with pytest.raises(ValueError, match="non-finite gradient"):
         _step({"p": p}, {"p": np.array([np.nan])}, {}, AdamWHyper())
+
+
+def test_non_finite_failures_are_numeric_errors():
+    # typed, so callers route them without matching message text
+    p = Tensor(np.array([1.0]), requires_grad=True)
+    with pytest.raises(NumericError):
+        _step({"p": p}, {"p": np.array([np.inf])}, {}, AdamWHyper())
+    with pytest.raises(NumericError):
+        ad.softmax(Tensor(np.array([np.nan, 0.0])))
 
 
 def test_adamw_skips_params_without_grads():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from vidcap.synth import SyntheticSpec, generate_synthetic_dataset
 from vidcap.textproc import (
     EOS_ID,
     PAD_ID,
@@ -93,6 +94,15 @@ def test_concept_vocabulary_examples():
 
     with pytest.raises(ValueError, match="concept vocabulary underflow"):
         build_concept_vocabulary(["a the an"], tagger, 1)
+
+
+def test_concept_vocabulary_underflow_states_counts(tmp_path):
+    # the default spec's captions hold 12 concept words, short of the desk 16
+    records = generate_synthetic_dataset(SyntheticSpec(), tmp_path)
+    captions = [c for r in records for c in r.captions]
+    with pytest.raises(ValueError, match="concept vocabulary underflow") as exc:
+        build_concept_vocabulary(captions, PosTagger.load_default(), 16)
+    assert "12 concept words" in str(exc.value) and "16 needed" in str(exc.value)
 
 
 def test_concept_vocabulary_order_invariance():

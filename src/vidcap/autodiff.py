@@ -229,6 +229,26 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record("matmul", (a, b), a.data @ b.data, bwd)
 
 
+def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+    """x @ weight (+ bias) for x of shape (..., in), weight (in, out) and
+    bias (out,), recorded as one op; the bias gradient sums over every
+    leading axis of x."""
+    if bias is None:
+        return matmul(x, weight)
+    if weight.ndim != 2 or x.shape[-1:] != weight.shape[:1] or bias.shape != weight.shape[1:]:
+        raise ValueError(f"linear: shapes {x.shape} @ {weight.shape} + {bias.shape}")
+    out = x.data @ weight.data
+    out += bias.data
+    k, m = weight.shape
+
+    def bwd(g):
+        g2 = g.reshape(-1, m)
+        gx = g @ weight.data.T if x.requires_grad else None
+        return gx, x.data.reshape(-1, k).T @ g2, g2.sum(axis=0)
+
+    return _record("linear", (x, weight, bias), out, bwd)
+
+
 def relu(a: Tensor) -> Tensor:
     def bwd(g):
         return (g * (a.data > 0),)
@@ -452,30 +472,34 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-12) -> Te
 
 
 def cross_entropy_masked(logits: Tensor, targets, ignore_id: int) -> Tensor:
-    """Mean token-level cross entropy over positions whose target is not
-    ignore_id.  Raises if every position is ignored."""
-    if logits.ndim != 2:
-        raise ValueError("cross_entropy_masked expects (L, V) logits")
+    """Token-level cross entropy of (..., L, V) logits against (..., L)
+    target ids: each row's mean over positions whose target is not
+    ignore_id, then the mean over rows.  Raises if a row has no position
+    left."""
     t = np.asarray(targets, dtype=np.intp)
-    if t.shape != (logits.shape[0],):
-        raise ValueError("targets must be one id per logit row")
+    if logits.ndim < 2 or t.shape != logits.shape[:-1]:
+        raise ValueError(f"cross_entropy_masked: targets {t.shape} do not match logits {logits.shape}")
+    vocab = logits.shape[-1]
+    z = logits.data.reshape(-1, t.shape[-1], vocab)
+    t = t.reshape(z.shape[:2])
     valid = t != ignore_id
-    n = int(valid.sum())
-    if n == 0:
+    counts = valid.sum(axis=1)
+    if counts.min() == 0:
         raise ValueError("empty loss")
-    if t[valid].min() < 0 or t[valid].max() >= logits.shape[1]:
+    if t[valid].min() < 0 or t[valid].max() >= vocab:
         raise ValueError("target id out of range")
-    z = logits.data
-    m = z.max(axis=1, keepdims=True)
-    lse = m[:, 0] + np.log(np.exp(z - m).sum(axis=1))
-    picked = z[np.arange(z.shape[0]), np.where(valid, t, 0)]
-    loss = float((lse[valid] - picked[valid]).sum() / n)
+    rows, cols = np.indices(t.shape)
+    safe = np.where(valid, t, 0)
+    m = z.max(axis=2, keepdims=True)
+    lse = m[..., 0] + np.log(np.exp(z - m).sum(axis=2))
+    row_means = np.where(valid, lse - z[rows, cols, safe], 0.0).sum(axis=1) / counts
+    loss = float(row_means.mean())
 
     def bwd(g):
-        p = np.exp(z - lse[:, None])
-        p[np.arange(z.shape[0]), np.where(valid, t, 0)] -= 1.0
-        p[~valid] = 0.0
-        return (p * (float(g) / n),)
+        p = np.exp(z - lse[..., None])
+        p[rows, cols, safe] -= 1.0
+        p *= (valid * (float(g) / (len(counts) * counts[:, None])))[..., None]
+        return (p.reshape(logits.shape),)
 
     return _record("cross_entropy_masked", (logits,), np.float64(loss), bwd)
 

@@ -6,7 +6,9 @@ position-0 input in place of a start-of-sequence embedding, so every
 generated word is conditioned on it.  Each layer runs causal
 self-attention, cross-attention over the encoder tokens (both through the
 shared nn.Attention core), and a feed forward block, all pre-norm with
-residuals.
+residuals.  Training runs B right-padded captions in one teacher-forced
+call: padding sits after every real position, so the causal mask already
+hides it from every real query.
 
 Generation is incremental: step_fn computes each layer's cross-attention
 keys/values once per clip and keeps every seen prefix's self-attention
@@ -135,19 +137,20 @@ class CaptionDecoder:
         self.final_norm = LayerNorm(cfg.hidden, cfg.layer_norm_eps)
         self.out_proj = Linear(rng, cfg.hidden, cfg.vocab_size)
 
-    def embed_with_semantic_sos(self, semantic: Tensor, tokens: Sequence[int]) -> Tensor:
-        """Sequence of hidden inputs: adapted concept vector at position 0,
-        then token embeddings, each plus its absolute position embedding."""
-        length = len(tokens) + 1
+    def embed_with_semantic_sos(self, semantic: Tensor, tokens) -> Tensor:
+        """Hidden inputs (B, n + 1, hidden) for B concept vectors (B,
+        concept_dim) and B rows of n token ids: the adapted concept vector
+        at position 0, then the token embeddings, each plus its absolute
+        position embedding."""
+        batch = semantic.shape[0]
+        ids = np.asarray(tokens, dtype=np.intp)
+        if ids.ndim != 2 or ids.shape[0] != batch:
+            raise ValueError(f"token ids {ids.shape} are not one row per concept vector")
+        length = ids.shape[1] + 1
         self._check_positions(length)
-        sem = ad.reshape(semantic, (1, semantic.shape[-1]))
-        if self.adapter is not None:
-            sem = self.adapter(sem)
-        pos = self.pos_emb(np.arange(length))
-        if not tokens:
-            return ad.add(sem, pos)
-        tok = self.tok_emb(np.asarray(tokens, dtype=np.intp))
-        return ad.add(ad.concat([sem, tok], axis=0), pos)
+        sem = semantic if self.adapter is None else self.adapter(semantic)
+        x = ad.concat([ad.reshape(sem, (batch, 1, self.cfg.hidden)), self.tok_emb(ids)], axis=1)
+        return ad.add(x, self.pos_emb(np.broadcast_to(np.arange(length), (batch, length))))
 
     def _check_positions(self, length: int) -> None:
         if length > self.cfg.max_positions:
@@ -156,11 +159,12 @@ class CaptionDecoder:
     def __call__(
         self, hidden: Tensor, enc_tokens: Tensor, rng=None, training: bool = False, cache: list | None = None
     ) -> Tensor:
-        """Logits (L, V) for every position of the embedded sequence, or,
+        """Logits (B, L, V) for every position of B embedded sequences
+        (B, L, hidden) attending to their clips' tokens (B, t, dim), or,
         with one LayerCache per layer, (B, 1, V) for B new positions of
         shape (B, 1, hidden) that each follow their cached prefix."""
         if cache is None:
-            length = hidden.shape[0]
+            length = hidden.shape[1]
             causal = np.triu(np.full((length, length), NEG_INF), k=1)
             cache = [None] * len(self.layers)
         else:
@@ -182,10 +186,11 @@ class CaptionDecoder:
 
     def step_fn(self, semantic: Tensor, enc_tokens: Tensor) -> "StepFn":
         """Next-token log-probabilities (B, V) for B generated prefixes of
-        one length, in eval mode.  Cross-attention keys/values are computed
-        here, once; each seen prefix keeps its self-attention keys/values,
-        so a call runs one new position per prefix after filling any
-        ancestors never stepped."""
+        one length, in eval mode, for one clip: semantic is (1,
+        concept_dim) and enc_tokens (1, t, dim).  Cross-attention
+        keys/values are computed here, once; each seen prefix keeps its
+        self-attention keys/values, so a call runs one new position per
+        prefix after filling any ancestors never stepped."""
         return _CachedStep(self, semantic, enc_tokens)
 
 
@@ -199,7 +204,7 @@ class _CachedStep:
     def __init__(self, decoder: CaptionDecoder, semantic: Tensor, enc_tokens: Tensor):
         self.decoder = decoder
         self.enc_tokens = enc_tokens
-        self.sos = decoder.embed_with_semantic_sos(semantic, []).data
+        self.sos = decoder.embed_with_semantic_sos(semantic, np.zeros((1, 0))).data[0]
         self.cross_kv = [layer.cross_attn.keys_values(enc_tokens) for layer in decoder.layers]
         # prefix -> per-layer self-attention (k, v), each (heads, len + 1, head_dim)
         self.kv: dict[tuple[int, ...], list[tuple[np.ndarray, np.ndarray]]] = {}
@@ -231,7 +236,7 @@ class _CachedStep:
                 past = tuple(Tensor(np.stack([self.kv[k[:-1]][i][j] for k in keys])) for j in (0, 1))
             else:
                 past = (Tensor(np.zeros((rows, cfg.heads, 0, cfg.hidden // cfg.heads))),) * 2
-            cross = tuple(Tensor(np.broadcast_to(t.data, (rows,) + t.shape)) for t in cross_kv)
+            cross = tuple(Tensor(np.broadcast_to(t.data, (rows,) + t.shape[1:])) for t in cross_kv)
             caches.append(LayerCache(self_kv=past, cross_kv=cross))
         logits = dec(ad.reshape(x, (rows, 1, cfg.hidden)), self.enc_tokens, cache=caches).data[:, -1]
         if not np.all(np.isfinite(logits)):

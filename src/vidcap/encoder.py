@@ -1,21 +1,25 @@
 """Windowed 3D attention over video patches, plus the concept head.
 
-A clip is cut into non-overlapping 3D patches, each linearly projected to
-a token on a (t, h, w) grid.  Stages of pre-norm attention blocks follow;
-within a stage, blocks alternate between plain and shifted windows.  A
-shifted block cyclically rolls the grid by half a window and masks
-attention so tokens only see tokens from the same contiguous pre-shift
-region, which lets windows straddle the previous block's boundaries
-without attending across the wrap-around seam.  Between stages a merge
-step halves the spatial grid and doubles the channel width.  The final
-grid is pooled over space into one token per time slot and projected to
-the output width.  Window attention is the shared nn.Attention core plus a
-learned relative-position bias.
+A batch of equally shaped clips is cut into non-overlapping 3D patches,
+each linearly projected to a token on a (t, h, w) grid per clip; every
+layer carries the leading batch axis.  Stages of pre-norm attention
+blocks follow; within a stage, blocks alternate between plain and
+shifted windows.  A shifted block cyclically rolls the grid by half a
+window and masks attention so tokens only see tokens from the same
+contiguous pre-shift region, which lets windows straddle the previous
+block's boundaries without attending across the wrap-around seam.
+Between stages a merge step halves the spatial grid and doubles the
+channel width.  The final grid is pooled over space into one token per
+time slot and projected to the output width, giving (B, t, token_dim).
+Window attention is the shared nn.Attention core plus a learned
+relative-position bias.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -77,12 +81,11 @@ class EncoderConfig:
 
 @dataclass
 class PatchGrid:
-    """Token grid: dims is (t, h, w); data holds (t, h, w, C) activations;
-    pad records how many replicated slots each axis gained at partition."""
+    """Token grids of a batch: dims is (t, h, w); data holds (B, t, h, w, C)
+    activations."""
 
     dims: tuple[int, int, int]
     data: Tensor
-    pad: tuple[int, int, int] = (0, 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -98,21 +101,23 @@ def shift_amounts(dims, window, shifted: bool) -> tuple[int, int, int]:
 
 
 def window_partition(x: Tensor, dims, window) -> Tensor:
+    """(B, t, h, w, C) grids -> (B, num_windows, n, C) windows."""
     t, h, w = dims
     wt, wh, ww = window
-    c = x.shape[-1]
-    x = ad.reshape(x, (t // wt, wt, h // wh, wh, w // ww, ww, c))
-    x = ad.transpose(x, (0, 2, 4, 1, 3, 5, 6))
-    return ad.reshape(x, ((t // wt) * (h // wh) * (w // ww), wt * wh * ww, c))
+    b, c = x.shape[0], x.shape[-1]
+    x = ad.reshape(x, (b, t // wt, wt, h // wh, wh, w // ww, ww, c))
+    x = ad.transpose(x, (0, 1, 3, 5, 2, 4, 6, 7))
+    return ad.reshape(x, (b, (t // wt) * (h // wh) * (w // ww), wt * wh * ww, c))
 
 
 def window_reverse(windows: Tensor, dims, window) -> Tensor:
+    """(B, num_windows, n, C) windows -> (B, t, h, w, C) grids."""
     t, h, w = dims
     wt, wh, ww = window
-    c = windows.shape[-1]
-    x = ad.reshape(windows, (t // wt, h // wh, w // ww, wt, wh, ww, c))
-    x = ad.transpose(x, (0, 3, 1, 4, 2, 5, 6))
-    return ad.reshape(x, (t, h, w, c))
+    b, c = windows.shape[0], windows.shape[-1]
+    x = ad.reshape(windows, (b, t // wt, h // wh, w // ww, wt, wh, ww, c))
+    x = ad.transpose(x, (0, 1, 4, 2, 5, 3, 6, 7))
+    return ad.reshape(x, (b, t, h, w, c))
 
 
 def _mask_slices(d: int, w: int, s: int):
@@ -128,13 +133,15 @@ def _np_window_partition(arr: np.ndarray, window) -> np.ndarray:
     return a.transpose(0, 2, 4, 1, 3, 5).reshape(-1, wt * wh * ww)
 
 
+@functools.lru_cache(maxsize=64)
 def shift_attention_mask(dims, window, shift) -> np.ndarray | None:
     """Additive (num_windows, n, n) mask for a cyclically shifted grid.
 
     Tokens are labelled by which contiguous pre-shift region they came
     from; pairs with different labels inside the same rolled window get
     NEG_INF so softmax zeroes them.  Without any shift there is nothing to
-    mask and None is returned.
+    mask and None is returned.  The mask is cached per (dims, window,
+    shift), all tuples, and read-only; every clip of a batch shares it.
     """
     if all(s == 0 for s in shift):
         return None
@@ -147,7 +154,9 @@ def shift_attention_mask(dims, window, shift) -> np.ndarray | None:
                 cnt += 1
     labels = _np_window_partition(img, window)
     diff = labels[:, :, None] != labels[:, None, :]
-    return np.where(diff, NEG_INF, 0.0)
+    mask = np.where(diff, NEG_INF, 0.0)
+    mask.flags.writeable = False
+    return mask
 
 
 def _relative_index(window) -> np.ndarray:
@@ -164,9 +173,10 @@ def _relative_index(window) -> np.ndarray:
 
 
 def pad_grid_edges(x: Tensor, dims, window) -> tuple[Tensor, tuple[int, int, int]]:
-    """Replicate trailing slices until every axis is a window multiple."""
+    """Replicate trailing slices of (B, t, h, w, C) grids until every grid
+    axis is a window multiple."""
     padded = list(dims)
-    for axis, (d, w) in enumerate(zip(dims, window)):
+    for axis, (d, w) in enumerate(zip(dims, window), start=1):
         if w > d:
             raise ValueError(f"window {window} larger than grid {tuple(dims)}")
         extra = (-d) % w
@@ -175,12 +185,13 @@ def pad_grid_edges(x: Tensor, dims, window) -> tuple[Tensor, tuple[int, int, int
             shape = list(last.shape)
             shape[axis] = extra
             x = ad.concat([x, ad.broadcast_to(last, shape)], axis)
-            padded[axis] = d + extra
+            padded[axis - 1] = d + extra
     return x, tuple(padded)
 
 
 def crop_grid(x: Tensor, dims) -> Tensor:
-    for axis, d in enumerate(dims):
+    """Cut (B, t, h, w, C) grids back to dims."""
+    for axis, d in enumerate(dims, start=1):
         if x.shape[axis] != d:
             x = ad.slice_axis(x, axis, 0, d)
     return x
@@ -201,20 +212,20 @@ class WindowAttention(Attention):
         self.bias_table = Tensor(rng.normal(0.0, 0.02, size=(table_len, heads)), requires_grad=True)
         self._index_cache: dict[tuple, np.ndarray] = {}
 
-    def _bias(self, window, num_windows: int, n: int) -> Tensor:
+    def _bias(self, window, lead: tuple[int, ...], n: int) -> Tensor:
         idx = self._index_cache.get(window)
         if idx is None:
             idx = self._index_cache[window] = _relative_index(window)
         b = ad.embedding(self.bias_table, idx.ravel())
         b = ad.reshape(b, (n, n, self.heads))
         b = ad.transpose(b, (2, 0, 1))
-        b = ad.reshape(b, (1, self.heads, n, n))
-        return ad.broadcast_to(b, (num_windows, self.heads, n, n))
+        b = ad.reshape(b, (1,) * len(lead) + (self.heads, n, n))
+        return ad.broadcast_to(b, lead + (self.heads, n, n))
 
     def __call__(self, windows: Tensor, window, mask: np.ndarray | None, rng, training: bool) -> Tensor:
-        """windows: (num_windows, n, dim); mask: additive (num_windows, n, n) or None."""
-        nw, n, _ = windows.data.shape
-        return super().__call__(windows, windows, self._bias(window, nw, n), mask, rng, training)
+        """windows: (B, num_windows, n, dim); mask: additive (num_windows, n, n) or None."""
+        lead, n = windows.data.shape[:-2], windows.data.shape[-2]
+        return super().__call__(windows, windows, self._bias(window, lead, n), mask, rng, training)
 
     def named_parameters(self, prefix: str):
         yield from super().named_parameters(prefix)
@@ -242,19 +253,19 @@ class WindowBlock:
         h = self.ln1(x)
         h, dims_p = pad_grid_edges(h, dims, self.window)
         if any(shifts):
-            h = ad.roll(h, tuple(-s for s in shifts), axes=(0, 1, 2))
+            h = ad.roll(h, tuple(-s for s in shifts), axes=(1, 2, 3))
         windows = window_partition(h, dims_p, self.window)
         mask = shift_attention_mask(dims_p, self.window, shifts)
         attn_out = self.attn(windows, self.window, mask, rng, training)
         h = window_reverse(attn_out, dims_p, self.window)
         if any(shifts):
-            h = ad.roll(h, shifts, axes=(0, 1, 2))
+            h = ad.roll(h, shifts, axes=(1, 2, 3))
         h = crop_grid(h, dims)
         x = ad.add(x, ad.dropout(h, self.hidden_dropout, rng, training))
 
         m = self.fc2(ad.gelu(self.fc1(self.ln2(x))))
         x = ad.add(x, ad.dropout(m, self.hidden_dropout, rng, training))
-        return PatchGrid(dims=dims, data=x, pad=grid.pad)
+        return PatchGrid(dims=dims, data=x)
 
     def named_parameters(self, prefix: str):
         yield from self.ln1.named_parameters(prefix + ".ln1")
@@ -266,22 +277,20 @@ class WindowBlock:
 
 class PatchMerge:
     """Concatenate 2x2 spatial neighborhoods, normalize, halve the width:
-    (t, h, w, c) -> (t, h/2, w/2, 2c).  Odd spatial dims are edge-padded."""
+    (B, t, h, w, c) -> (B, t, h/2, w/2, 2c).  Odd spatial dims are edge-padded."""
 
     def __init__(self, rng, dim: int, eps: float):
         self.norm = LayerNorm(4 * dim, eps)
         self.reduce = Linear(rng, 4 * dim, 2 * dim, bias=False)
 
     def __call__(self, grid: PatchGrid) -> PatchGrid:
-        t, h, w = grid.dims
-        c = grid.data.shape[-1]
-        x = grid.data
-        x, (t, h, w) = pad_grid_edges(x, (t, h, w), (1, 2, 2))
-        x = ad.reshape(x, (t, h // 2, 2, w // 2, 2, c))
-        x = ad.transpose(x, (0, 1, 3, 2, 4, 5))
-        x = ad.reshape(x, (t, h // 2, w // 2, 4 * c))
+        b, c = grid.data.shape[0], grid.data.shape[-1]
+        x, (t, h, w) = pad_grid_edges(grid.data, grid.dims, (1, 2, 2))
+        x = ad.reshape(x, (b, t, h // 2, 2, w // 2, 2, c))
+        x = ad.transpose(x, (0, 1, 2, 4, 3, 5, 6))
+        x = ad.reshape(x, (b, t, h // 2, w // 2, 4 * c))
         x = self.reduce(self.norm(x))
-        return PatchGrid(dims=(t, h // 2, w // 2), data=x, pad=grid.pad)
+        return PatchGrid(dims=(t, h // 2, w // 2), data=x)
 
     def named_parameters(self, prefix: str):
         yield from self.norm.named_parameters(prefix + ".norm")
@@ -306,30 +315,35 @@ class VideoEncoder:
         self.final_norm = LayerNorm(final_width, cfg.layer_norm_eps)
         self.out_proj = Linear(rng, final_width, cfg.token_dim)
 
-    def partition(self, clip: VideoClip) -> PatchGrid:
+    def partition(self, clips: Sequence[VideoClip]) -> PatchGrid:
+        """Stack equally shaped clips and embed their patches; trailing
+        frames, rows and columns are edge-replicated to patch multiples."""
         pt, ph, pw = self.cfg.patch
-        data = clip.data
+        if len({clip.data.shape for clip in clips}) != 1:
+            raise ValueError("an encoder call takes one or more clips of one shape")
+        data = np.stack([clip.data for clip in clips])
         if data.shape[-1] != self.cfg.in_channels:
             raise ValueError(f"clip has {data.shape[-1]} channels, config expects {self.cfg.in_channels}")
-        pads = [(-data.shape[i]) % p for i, p in enumerate((pt, ph, pw))]
+        pads = [(-data.shape[i]) % p for i, p in enumerate((pt, ph, pw), start=1)]
         if any(pads):
-            data = np.pad(data, [(0, pads[0]), (0, pads[1]), (0, pads[2]), (0, 0)], mode="edge")
-        t, h, w, c = data.shape
-        x = data.reshape(t // pt, pt, h // ph, ph, w // pw, pw, c)
-        x = x.transpose(0, 2, 4, 1, 3, 5, 6).reshape(t // pt, h // ph, w // pw, pt * ph * pw * c)
+            data = np.pad(data, [(0, 0), (0, pads[0]), (0, pads[1]), (0, pads[2]), (0, 0)], mode="edge")
+        b, t, h, w, c = data.shape
+        x = data.reshape(b, t // pt, pt, h // ph, ph, w // pw, pw, c)
+        x = x.transpose(0, 1, 3, 5, 2, 4, 6, 7).reshape(b, t // pt, h // ph, w // pw, pt * ph * pw * c)
         tokens = self.patch_proj(Tensor(x))
-        return PatchGrid(dims=(t // pt, h // ph, w // pw), data=tokens, pad=tuple(pads))
+        return PatchGrid(dims=(t // pt, h // ph, w // pw), data=tokens)
 
-    def __call__(self, clip: VideoClip, rng=None, training: bool = False) -> Tensor:
-        grid = self.partition(clip)
+    def __call__(self, clips: Sequence[VideoClip], rng=None, training: bool = False) -> Tensor:
+        """Tokens (B, t, token_dim) for B clips of one shape."""
+        grid = self.partition(clips)
         for s, blocks in enumerate(self.stages):
             for i, block in enumerate(blocks):
                 grid = block(grid, shifted=(i % 2 == 1), rng=rng, training=training)
             if s < len(self.merges):
                 grid = self.merges[s](grid)
         x = self.final_norm(grid.data)
+        x = ad.mean_reduce(x, axis=3)
         x = ad.mean_reduce(x, axis=2)
-        x = ad.mean_reduce(x, axis=1)
         return self.out_proj(x)
 
     def named_parameters(self, prefix: str = "encoder"):
@@ -361,13 +375,13 @@ class ConceptHead:
         self.dropout_rate = 0.1
 
     def logits(self, tokens: Tensor, rng=None, training: bool = False) -> Tensor:
+        """(B, t, token_dim) tokens -> (B, concept_count) logits."""
         h = ad.relu(self.fc1(tokens))
         h = ad.dropout(h, self.dropout_rate, rng, training)
-        pooled = ad.max_reduce(h, axis=0)
-        z = ad.relu(self.fc2(ad.reshape(pooled, (1, pooled.shape[0]))))
+        pooled = ad.max_reduce(h, axis=1)
+        z = ad.relu(self.fc2(pooled))
         z = ad.dropout(z, self.dropout_rate, rng, training)
-        out = self.fc3(z)
-        return ad.reshape(out, (out.shape[-1],))
+        return self.fc3(z)
 
     def __call__(self, tokens: Tensor, rng=None, training: bool = False) -> Tensor:
         return ad.sigmoid(self.logits(tokens, rng, training))

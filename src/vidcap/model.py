@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import asdict
+from typing import Sequence
 
 import numpy as np
 
@@ -17,7 +18,8 @@ class CaptionModel:
 
     The concept head's sigmoid output doubles as the decoder's
     start-of-sequence input, so end-to-end training sends gradient into
-    the head both through its own loss and through the captions.
+    the head both through its own loss and through the captions.  Every
+    part takes a leading batch axis; one clip is the batch of one.
     """
 
     def __init__(self, enc_cfg: EncoderConfig, dec_cfg: DecoderConfig, seed: int = 0):
@@ -40,8 +42,9 @@ class CaptionModel:
     def parameters(self) -> dict[str, Tensor]:
         return dict(self.named_parameters())
 
-    def video_tokens(self, clip: VideoClip) -> Tensor:
-        return self.encoder(clip, rng=self.dropout_rng, training=self.training)
+    def video_tokens(self, clips: Sequence[VideoClip]) -> Tensor:
+        """(B, t, token_dim) tokens for B clips of one shape."""
+        return self.encoder(clips, rng=self.dropout_rng, training=self.training)
 
     def concept_logits(self, tokens: Tensor) -> Tensor:
         return self.concept_head.logits(tokens, rng=self.dropout_rng, training=self.training)
@@ -50,7 +53,8 @@ class CaptionModel:
         return self.concept_head(tokens, rng=self.dropout_rng, training=self.training)
 
     def caption_logits(self, semantic: Tensor, token_ids, enc_tokens: Tensor) -> Tensor:
-        hidden = self.decoder.embed_with_semantic_sos(semantic, list(token_ids))
+        """(B, n + 1, V) teacher-forced logits for B rows of n input ids."""
+        hidden = self.decoder.embed_with_semantic_sos(semantic, token_ids)
         return self.decoder(hidden, enc_tokens, rng=self.dropout_rng, training=self.training)
 
     def generate_for_clip(self, clip: VideoClip, request: GenerationRequest) -> Hypothesis:
@@ -58,7 +62,7 @@ class CaptionModel:
         was_training = self.training
         self.training = False
         try:
-            tokens = self.video_tokens(clip)
+            tokens = self.video_tokens([clip])
             semantic = self.concept_probs(tokens)
             step = self.decoder.step_fn(semantic, tokens)
             return generate(step, request)

@@ -26,11 +26,7 @@ class Linear:
         self.bias = Tensor(np.zeros(out_dim), requires_grad=True) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        y = ad.matmul(x, self.weight)
-        if self.bias is not None:
-            b = ad.reshape(self.bias, (1,) * (y.ndim - 1) + (y.shape[-1],))
-            y = ad.add(y, ad.broadcast_to(b, y.shape))
-        return y
+        return ad.linear(x, self.weight, self.bias)
 
     def named_parameters(self, prefix: str):
         yield prefix + ".weight", self.weight
@@ -63,20 +59,23 @@ class Embedding:
         yield prefix + ".table", self.table
 
 
-# (head split, key transpose) permutations by input rank: (L, dim) sequences
-# and (W, L, dim) window batches.  A head split swaps two axes, so it is also
-# the head merge.
-_PERMUTATIONS = {2: ((1, 0, 2), (0, 2, 1)), 3: ((0, 2, 1, 3), (0, 1, 3, 2))}
+def _head_axes(ndim: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(head split, key transpose) permutations for a (..., L, heads,
+    head_dim) array of rank ndim.  A head split swaps two axes, so it is
+    also the head merge."""
+    lead = tuple(range(ndim - 3))
+    return lead + (ndim - 2, ndim - 3, ndim - 1), lead + (ndim - 3, ndim - 1, ndim - 2)
 
 
 class Attention:
     """Multi-head attention from a query sequence to a key/value sequence.
 
-    Inputs are (L, dim), or (W, L, dim) for W independent windows.  bias is
-    an optional additive Tensor of the score shape (..., heads, Lq, Lk);
-    mask is an optional additive array of shape (..., Lq, Lk), shared by
-    all heads.  With capture_attention set, last_attention keeps a copy of
-    the post-softmax, pre-dropout weights of the latest call.
+    Inputs are (..., L, dim): any leading axes (batch, windows) index
+    independent sequences.  bias is an optional additive Tensor of the
+    score shape (..., heads, Lq, Lk); mask is an optional additive array
+    that broadcasts to (..., Lq, Lk), shared by all heads.  With
+    capture_attention set, last_attention keeps a copy of the
+    post-softmax, pre-dropout weights of the latest call.
     """
 
     def __init__(self, rng: np.random.Generator, dim: int, heads: int, qkv_bias: bool, dropout: float):
@@ -96,7 +95,7 @@ class Attention:
 
     def keys_values(self, kv_seq: Tensor) -> tuple[Tensor, Tensor]:
         """Head-split keys and values of kv_seq, each (..., heads, Lk, head_dim)."""
-        split = _PERMUTATIONS[kv_seq.data.ndim][0]
+        split = _head_axes(kv_seq.data.ndim + 1)[0]
         heads_shape = kv_seq.data.shape[:-1] + (self.heads, self.head_dim)
         k = ad.transpose(ad.reshape(self.wk(kv_seq), heads_shape), split)
         v = ad.transpose(ad.reshape(self.wv(kv_seq), heads_shape), split)
@@ -116,7 +115,7 @@ class Attention:
         keys_values() pair, when one is given."""
         q_shape = q_seq.data.shape
         lead, lq = q_shape[:-2], q_shape[-2]
-        split, key_t = _PERMUTATIONS[q_seq.data.ndim]
+        split, key_t = _head_axes(q_seq.data.ndim + 1)
         q = ad.transpose(ad.reshape(self.wq(q_seq), lead + (lq, self.heads, self.head_dim)), split)
         k, v = self.keys_values(kv_seq) if kv is None else kv
         scores = ad.scale(ad.matmul(q, ad.transpose(k, key_t)), self.scale)

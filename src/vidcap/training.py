@@ -3,7 +3,8 @@
 Phase one fits only the concept head against multi-hot word labels while
 the encoder stays frozen (its outputs are cached per video, which is what
 makes the phase cheap).  Phase two unfreezes everything and optimizes
-caption cross-entropy plus a weighted concept term.
+caption cross-entropy plus a weighted concept term.  Either phase runs a
+whole batch as one graph on one tape.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import json
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -33,7 +35,7 @@ from .textproc import (
     encode_caption,
     load_corpus,
 )
-from .video import read_vvid
+from .video import VideoClip, read_vvid
 
 PHASES = ("semantic_pretrain", "end_to_end", "both")
 
@@ -104,9 +106,9 @@ def _resolve_config(value, cls, tuple_fields):
 @dataclass
 class _Sample:
     record_id: str
-    clip: object                  # AFS-selected VideoClip
+    clip: VideoClip               # AFS-selected
     labels: np.ndarray            # multi-hot concept vector
-    captions: list[tuple[np.ndarray, np.ndarray]]  # (ids, mask), PAD-trimmed
+    captions: list[np.ndarray]    # token ids ending in EOS, PAD-trimmed
 
 
 @dataclass
@@ -127,18 +129,56 @@ def _prepare_samples(records, data_root: Path, vocab, concepts, n_frames: int, m
         caps = []
         for text in rec.captions:
             ids, mask = encode_caption(vocab, text, max_len)
-            keep = int(mask.sum())
-            caps.append((ids[:keep], mask[:keep]))
+            caps.append(ids[: int(mask.sum())])
         samples.append(_Sample(rec.id, selected, labels, caps))
     return samples
 
 
-def _mean_of(terms: list[Tensor]) -> Tensor:
-    """Mean of scalar loss terms: summed left to right, then scaled."""
-    total = terms[0]
-    for term in terms[1:]:
-        total = ad.add(total, term)
-    return ad.scale(total, 1.0 / len(terms))
+def _shape_groups(clips: Sequence[VideoClip]) -> list[list[int]]:
+    """Positions of the clips grouped by clip shape, groups in order of
+    first appearance, since one encoder call takes clips of one shape."""
+    groups: dict[tuple, list[int]] = {}
+    for i, clip in enumerate(clips):
+        groups.setdefault(clip.data.shape, []).append(i)
+    return list(groups.values())
+
+
+def token_cache(model: CaptionModel, clips: Sequence[VideoClip], batch_size: int) -> np.ndarray:
+    """(N, t, token_dim) encoder tokens of N clips in the model's current
+    mode, encoded batch_size clips of one shape at a time."""
+    out: list[np.ndarray | None] = [None] * len(clips)
+    for group in _shape_groups(clips):
+        for start in range(0, len(group), batch_size):
+            chunk = group[start : start + batch_size]
+            for i, tokens in zip(chunk, model.video_tokens([clips[i] for i in chunk]).data):
+                out[i] = tokens
+    return np.stack(out)
+
+
+def joint_loss(
+    model: CaptionModel,
+    clips: Sequence[VideoClip],
+    captions: Sequence[np.ndarray],
+    labels: Sequence[np.ndarray],
+    lambda_bce: float,
+) -> tuple[Tensor, Tensor, Tensor]:
+    """(total, ce, bce) over one batch, on one graph: ce is the mean of the
+    per-sample caption cross entropies, bce the mean of the per-sample
+    concept terms and total = ce + lambda_bce * bce.  captions[i] holds
+    the target ids of clip i, ending in EOS.  Clips of one shape share an
+    encoder call; the calls' tokens are concatenated, one row per clip."""
+    groups = _shape_groups(clips)
+    rows = [i for group in groups for i in group]
+    parts = [model.video_tokens([clips[i] for i in group]) for group in groups]
+    tokens = parts[0] if len(parts) == 1 else ad.concat(parts, axis=0)
+    targets = np.full((len(rows), max(len(c) for c in captions)), PAD_ID, dtype=np.intp)
+    for row, i in enumerate(rows):
+        targets[row, : len(captions[i])] = captions[i]
+    sem_logits = model.concept_logits(tokens)
+    dec_logits = model.caption_logits(ad.sigmoid(sem_logits), targets[:, :-1], tokens)
+    ce = ad.cross_entropy_masked(dec_logits, targets, PAD_ID)
+    bce = ad.bce_with_logits(sem_logits, np.stack([labels[i] for i in rows]))
+    return ad.add(ce, ad.scale(bce, lambda_bce)), ce, bce
 
 
 def _finite_or_die(value: float, what: str, dump: dict, out_dir: Path | None):
@@ -204,19 +244,16 @@ def train(
     # phase one: concept head only, frozen encoder outputs cached once
     if config.phase in ("semantic_pretrain", "both") and config.pretrain_steps > 0:
         model.training = False
-        token_cache = [model.video_tokens(s.clip) for s in samples]
+        cache = token_cache(model, [s.clip for s in samples], config.batch_size)
+        all_labels = np.stack([s.labels for s in samples])
         model.training = True
         model.concept_head.dropout_rate = 0.5
         state: dict = {}
 
         def pretrain_loss(batch):
-            losses = []
-            for i in batch:
-                tokens = Tensor(token_cache[i].data, requires_grad=False)
-                logits = model.concept_head.logits(tokens, model.dropout_rng, training=True)
-                losses.append(ad.bce_with_logits(logits, samples[i].labels))
-            mean = _mean_of(losses)
-            return mean, {"bce": float(mean.data)}
+            logits = model.concept_logits(Tensor(cache[batch]))
+            bce = ad.bce_with_logits(logits, all_labels[batch])
+            return bce, {"bce": float(bce.data)}
 
         for step in range(1, config.pretrain_steps + 1):
             run_step(step, "semantic_pretrain", pretrain_loss, head_params, state, config.lr)
@@ -227,26 +264,17 @@ def train(
         model.concept_head.dropout_rate = 0.1
         state = {}
 
-        def joint_loss(batch):
-            ce_terms, bce_terms = [], []
-            for i in batch:
-                s = samples[i]
-                pick = int(caption_rng.integers(0, len(s.captions)))
-                ids, _ = s.captions[pick]
-                tokens = model.video_tokens(s.clip)
-                sem_logits = model.concept_head.logits(tokens, model.dropout_rng, training=True)
-                sem_probs = ad.sigmoid(sem_logits)
-                dec_logits = model.caption_logits(sem_probs, ids[:-1], tokens)
-                ce_terms.append(ad.cross_entropy_masked(dec_logits, ids, PAD_ID))
-                bce_terms.append(ad.bce_with_logits(sem_logits, s.labels))
-            ce = _mean_of(ce_terms)
-            bce = _mean_of(bce_terms)
-            total = ad.add(ce, ad.scale(bce, config.lambda_bce))
+        def batch_joint_loss(batch):
+            drawn = [samples[i] for i in batch]
+            captions = [s.captions[int(caption_rng.integers(0, len(s.captions)))] for s in drawn]
+            total, ce, bce = joint_loss(
+                model, [s.clip for s in drawn], captions, [s.labels for s in drawn], config.lambda_bce
+            )
             return total, {"ce": float(ce.data), "bce": float(bce.data)}
 
         start = config.pretrain_steps if config.phase == "both" else 0
         for step in range(start + 1, start + config.max_steps + 1):
-            run_step(step, "end_to_end", joint_loss, params, state, config.lr)
+            run_step(step, "end_to_end", batch_joint_loss, params, state, config.lr)
 
     log_file.close()
     ckpt_dir = out / "checkpoint"

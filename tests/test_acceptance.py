@@ -79,6 +79,9 @@ def test_01_gradient_suite():
     col = rng.normal(size=(3, 1))
     one = rng.normal(size=(1, 1))
     w = rng.normal(size=(4, 5))
+    bias5 = rng.normal(size=(5,))
+    x234 = rng.normal(size=(2, 3, 4))
+    mix235 = test_autodiff._weights(rng, (2, 3, 5))
     table = rng.normal(size=(7, 4))
     gamma = rng.normal(size=(4,))
     beta = rng.normal(size=(4,))
@@ -98,6 +101,7 @@ def test_01_gradient_suite():
         ("mul-scalar", [x, one], lambda t: s(ad.mul(ad.mul(t[0], t[1]), mix34))),
         ("scale", [x], lambda t: s(ad.mul(ad.scale(t[0], 1.7), mix34))),
         ("matmul", [x, w], lambda t: s(ad.mul(ad.matmul(t[0], t[1]), mix35))),
+        ("linear", [x234, w, bias5], lambda t: s(ad.mul(ad.linear(t[0], t[1], t[2]), mix235))),
         ("relu", [x_kink], lambda t: s(ad.mul(ad.relu(t[0]), mix34))),
         ("gelu", [x], lambda t: s(ad.mul(ad.gelu(t[0]), mix34))),
         ("sigmoid", [x], lambda t: s(ad.mul(ad.sigmoid(t[0]), mix34))),
@@ -198,7 +202,7 @@ def test_04_window_attention_oracle():
                 x = rng.normal(size=(t, h, w, 4))
                 for shifted in (False, True):
                     shifts = shift_amounts((t, h, w), window, shifted)
-                    got = test_encoder._impl_window_attention(x, attn, window, shifts)
+                    got = test_encoder._impl_window_attention(x[None], attn, window, shifts)[0]
                     want = test_encoder._oracle_window_attention(x, attn, window, shifts)
                     diff = float(np.abs(got - want).max())
                     worst = max(worst, diff)
@@ -212,11 +216,11 @@ def test_05_semantic_head(corpus16, tmp_path):
     cfg = EncoderConfig()
     rng = np.random.default_rng(7)
     head = ConceptHead(cfg, rng)
-    x = rng.normal(size=(10, cfg.token_dim))
+    x = rng.normal(size=(1, 10, cfg.token_dim))
     base = head.logits(Tensor(x), rng=None, training=False).data
     for _ in range(5):
         perm = rng.permutation(10)
-        permuted = head.logits(Tensor(x[perm]), rng=None, training=False).data
+        permuted = head.logits(Tensor(x[:, perm]), rng=None, training=False).data
         assert np.array_equal(base, permuted)
 
     # phase-1-only training recovers the ground-truth concept bits
@@ -231,7 +235,7 @@ def test_05_semantic_head(corpus16, tmp_path):
     for rec in load_corpus(corpus16 / "corpus.jsonl"):
         clip = read_vvid(corpus16 / rec.video)
         sel = apply_selection(clip, select_from_clip(clip, model.enc_cfg.frames))
-        probs = model.concept_probs(model.video_tokens(sel)).data
+        probs = model.concept_probs(model.video_tokens([sel])).data[0]
         labels = concept_label_vector(result.concepts, rec.captions)
         correct += int(((probs > 0.5).astype(float) == labels).sum())
         total += labels.size
@@ -286,10 +290,10 @@ def test_08_end_to_end_overfit(corpus16, overfit):
         ids, mask = encode_caption(vocab, rec.captions[0], 20)
         keep = int(mask.sum())
         ids = ids[:keep]
-        tokens = model.video_tokens(sel)
+        tokens = model.video_tokens([sel])
         sem = model.concept_probs(tokens)
-        logits = model.caption_logits(sem, ids[:-1], tokens)
-        ces.append(float(ad.cross_entropy_masked(logits, ids, PAD_ID).data))
+        logits = model.caption_logits(sem, [ids[:-1]], tokens)
+        ces.append(float(ad.cross_entropy_masked(logits, [ids], PAD_ID).data))
 
         text, _, _ = caption_video(model, vocab, clip, request)
         matches += int(text == rec.captions[0])

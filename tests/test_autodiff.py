@@ -106,6 +106,25 @@ def test_matmul_grads():
     check_grads(lambda t: ad.sum_reduce(ad.mul(ad.matmul(t[0], t[1]), w3)), [a3, b3])
 
 
+def test_linear_forward_and_grads():
+    rng = np.random.default_rng(13)
+    x = rng.normal(size=(2, 4, 3, 5))
+    w = rng.normal(size=(5, 6))
+    b = rng.normal(size=(6,))
+    # the forward is matmul plus the broadcast bias, bit for bit
+    out = ad.linear(Tensor(x), Tensor(w), Tensor(b))
+    assert np.array_equal(out.data, x @ w + b)
+    mix = _weights(rng, (2, 4, 3, 6))
+    check_grads(lambda t: ad.sum_reduce(ad.mul(ad.linear(t[0], t[1], t[2]), mix)), [x, w, b])
+    # one recorded op; without a bias it is a plain matmul
+    with Tape() as tape:
+        ad.linear(Tensor(x, requires_grad=True), Tensor(w), Tensor(b))
+        ad.linear(Tensor(x, requires_grad=True), Tensor(w))
+    assert [node.op for node in tape.nodes] == ["linear", "matmul"]
+    with pytest.raises(ValueError):
+        ad.linear(Tensor(x), Tensor(w), Tensor(np.zeros(5)))
+
+
 def test_elementwise_nonlinearities():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(4, 3))
@@ -242,6 +261,24 @@ def test_cross_entropy_values_and_grad():
         ad.cross_entropy_masked(Tensor(np.zeros((2, 3))), [1, 1], ignore_id=1)
     with pytest.raises(ValueError):
         ad.cross_entropy_masked(Tensor(np.zeros((1, 3))), [3], ignore_id=0)
+
+
+def test_batched_cross_entropy_is_mean_of_row_means():
+    rng = np.random.default_rng(14)
+    logits = rng.normal(size=(3, 5, 4))
+    # right-padded rows of 5, 2 and 4 real targets (0 is the pad id)
+    targets = np.array([[1, 2, 3, 1, 2], [3, 1, 0, 0, 0], [2, 2, 1, 3, 0]])
+    rows = [
+        float(ad.cross_entropy_masked(Tensor(logits[r]), targets[r], ignore_id=0).data) for r in range(3)
+    ]
+    got = float(ad.cross_entropy_masked(Tensor(logits), targets, ignore_id=0).data)
+    assert abs(got - np.mean(rows)) < 1e-15
+    check_grads(lambda t: ad.cross_entropy_masked(t[0], targets, ignore_id=0), [logits])
+
+    with pytest.raises(ValueError, match="do not match"):
+        ad.cross_entropy_masked(Tensor(logits), targets[:, :4], ignore_id=0)
+    with pytest.raises(ValueError, match="empty loss"):
+        ad.cross_entropy_masked(Tensor(logits), np.where(np.arange(3)[:, None] == 1, 0, targets), ignore_id=0)
 
 
 def test_bce_values_and_grad():

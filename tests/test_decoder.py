@@ -36,15 +36,15 @@ def _small_decoder(seed=0, **overrides):
 def test_causality_exact():
     dec, cfg = _small_decoder()
     rng = np.random.default_rng(1)
-    sem = Tensor(rng.normal(size=cfg.concept_dim))
-    enc = Tensor(rng.normal(size=(4, cfg.hidden)))
+    sem = Tensor(rng.normal(size=(1, cfg.concept_dim)))
+    enc = Tensor(rng.normal(size=(1, 4, cfg.hidden)))
     tokens = [4, 7, 1, 9, 3]
 
-    base = dec(dec.embed_with_semantic_sos(sem, tokens), enc).data
+    base = dec(dec.embed_with_semantic_sos(sem, [tokens]), enc).data[0]
     for j in range(len(tokens)):
         mutated = list(tokens)
         mutated[j] = (mutated[j] + 5) % cfg.vocab_size
-        out = dec(dec.embed_with_semantic_sos(sem, mutated), enc).data
+        out = dec(dec.embed_with_semantic_sos(sem, [mutated]), enc).data[0]
         # token j sits at position j+1; rows 0..j may not move at all
         assert np.array_equal(base[: j + 1], out[: j + 1]), j
         assert np.abs(base[j + 1 :] - out[j + 1 :]).max() > 0.0
@@ -54,18 +54,22 @@ def test_semantic_sos_embedding_rules():
     dec, cfg = _small_decoder(adapter="identity")
     pos0 = dec.pos_emb.table.data[0]
 
-    zero = dec.embed_with_semantic_sos(Tensor(np.zeros(cfg.hidden)), [])
-    assert zero.shape == (1, cfg.hidden)
-    assert np.abs(zero.data[0] - pos0).max() == 0.0
+    zero = dec.embed_with_semantic_sos(Tensor(np.zeros((1, cfg.hidden))), [[]])
+    assert zero.shape == (1, 1, cfg.hidden)
+    assert np.abs(zero.data[0, 0] - pos0).max() == 0.0
 
-    e1 = np.zeros(cfg.hidden)
-    e1[0] = 1.0
-    out = dec.embed_with_semantic_sos(Tensor(e1), [3, 5])
-    assert np.abs(out.data[0] - (e1 + pos0)).max() == 0.0
+    e1 = np.zeros((1, cfg.hidden))
+    e1[0, 0] = 1.0
+    out = dec.embed_with_semantic_sos(Tensor(e1), [[3, 5]])
+    assert np.abs(out.data[0, 0] - (e1[0] + pos0)).max() == 0.0
 
     # position-0 state ignores the token ids entirely
-    out2 = dec.embed_with_semantic_sos(Tensor(e1), [9, 1])
-    assert np.array_equal(out.data[0], out2.data[0])
+    out2 = dec.embed_with_semantic_sos(Tensor(e1), [[9, 1]])
+    assert np.array_equal(out.data[0, 0], out2.data[0, 0])
+
+    # a batch embeds each row as it would alone
+    both = dec.embed_with_semantic_sos(Tensor(np.concatenate([e1, -e1])), [[3, 5], [9, 1]])
+    assert np.array_equal(both.data[:1], out.data)
 
 
 def test_adapter_configuration():
@@ -76,27 +80,27 @@ def test_adapter_configuration():
     assert cfg.needs_adapter
     dec = CaptionDecoder(cfg, np.random.default_rng(0))
     assert dec.adapter is not None
-    out = dec.embed_with_semantic_sos(Tensor(np.zeros(16)), [1])
-    assert out.shape == (2, 32)
+    out = dec.embed_with_semantic_sos(Tensor(np.zeros((1, 16))), [[1]])
+    assert out.shape == (1, 2, 32)
 
 
 def test_forward_shapes_and_conditioning():
     dec, cfg = _small_decoder()
     rng = np.random.default_rng(2)
-    enc = Tensor(rng.normal(size=(4, cfg.hidden)))
+    enc = Tensor(rng.normal(size=(1, 4, cfg.hidden)))
 
-    one = dec(dec.embed_with_semantic_sos(Tensor(rng.normal(size=cfg.hidden)), []), enc)
-    assert one.shape == (1, cfg.vocab_size)
+    one = dec(dec.embed_with_semantic_sos(Tensor(rng.normal(size=(1, cfg.hidden))), [[]]), enc)
+    assert one.shape == (1, 1, cfg.vocab_size)
 
     # semantic conditioning reaches the first-step logits
-    s1, s2 = rng.normal(size=cfg.hidden), rng.normal(size=cfg.hidden)
-    l1 = dec(dec.embed_with_semantic_sos(Tensor(s1), []), enc).data
-    l2 = dec(dec.embed_with_semantic_sos(Tensor(s2), []), enc).data
+    s1, s2 = rng.normal(size=(1, cfg.hidden)), rng.normal(size=(1, cfg.hidden))
+    l1 = dec(dec.embed_with_semantic_sos(Tensor(s1), [[]]), enc).data
+    l2 = dec(dec.embed_with_semantic_sos(Tensor(s2), [[]]), enc).data
     assert np.abs(l1 - l2).max() > 0.0
 
     # cross-attention reaches the logits
-    enc2 = Tensor(rng.normal(size=(4, cfg.hidden)))
-    l3 = dec(dec.embed_with_semantic_sos(Tensor(s1), []), enc2).data
+    enc2 = Tensor(rng.normal(size=(1, 4, cfg.hidden)))
+    l3 = dec(dec.embed_with_semantic_sos(Tensor(s1), [[]]), enc2).data
     assert np.abs(l1 - l3).max() > 0.0
 
 
@@ -126,14 +130,14 @@ def test_gradcheck_through_decoder_layer():
 def test_max_positions_error():
     dec, cfg = _small_decoder(max_positions=4)
     with pytest.raises(ValueError, match="positions"):
-        dec.embed_with_semantic_sos(Tensor(np.zeros(cfg.concept_dim)), [1, 2, 3, 4])
+        dec.embed_with_semantic_sos(Tensor(np.zeros((1, cfg.concept_dim))), [[1, 2, 3, 4]])
 
 
 def _desk_inputs(seed):
     cfg = DecoderConfig(vocab_size=40, concept_dim=16, dropout=0.0)
     dec = CaptionDecoder(cfg, np.random.default_rng(seed))
     r = np.random.default_rng(seed + 1)
-    return dec, cfg, Tensor(r.random(cfg.concept_dim)), Tensor(r.normal(size=(24, cfg.hidden)))
+    return dec, cfg, Tensor(r.random((1, cfg.concept_dim))), Tensor(r.normal(size=(1, 24, cfg.hidden)))
 
 
 def test_cached_step_matches_full_forward():
@@ -141,7 +145,7 @@ def test_cached_step_matches_full_forward():
     rng = np.random.default_rng(14)
 
     def full(prefix):
-        return log_softmax(dec(dec.embed_with_semantic_sos(sem, prefix), enc).data[-1])
+        return log_softmax(dec(dec.embed_with_semantic_sos(sem, [prefix]), enc).data[0, -1])
 
     def check(step, prefixes):
         got = step(prefixes)
@@ -163,7 +167,7 @@ def test_cached_step_matches_full_forward():
 
 def test_step_rejects_mixed_lengths_and_overlong_prefixes():
     dec, cfg = _small_decoder(max_positions=4)
-    step = dec.step_fn(Tensor(np.zeros(cfg.concept_dim)), Tensor(np.ones((3, cfg.hidden))))
+    step = dec.step_fn(Tensor(np.zeros((1, cfg.concept_dim))), Tensor(np.ones((1, 3, cfg.hidden))))
     with pytest.raises(ValueError):
         step([[1], [1, 2]])
     with pytest.raises(ValueError, match="positions"):
@@ -318,7 +322,7 @@ def test_beam1_greedy_topk1_identical():
     # and end-to-end through a real decoder
     dec, cfg = _small_decoder(seed=5)
     r = np.random.default_rng(6)
-    step = dec.step_fn(Tensor(r.normal(size=cfg.concept_dim)), Tensor(r.normal(size=(3, cfg.hidden))))
+    step = dec.step_fn(Tensor(r.normal(size=(1, cfg.concept_dim))), Tensor(r.normal(size=(1, 3, cfg.hidden))))
     g = generate(step, GenerationRequest(strategy="greedy", max_len=6))
     b = generate(step, GenerationRequest(strategy="beam", beam_width=1, max_len=6))
     t = generate(step, GenerationRequest(strategy="topk", k=1, max_len=6, seed=0))
@@ -385,8 +389,8 @@ def test_topp_cut_is_minimal_prefix():
 def test_seeded_sampling_is_reproducible():
     dec, cfg = _small_decoder(seed=11)
     r = np.random.default_rng(12)
-    sem = Tensor(r.normal(size=cfg.concept_dim))
-    enc = Tensor(r.normal(size=(3, cfg.hidden)))
+    sem = Tensor(r.normal(size=(1, cfg.concept_dim)))
+    enc = Tensor(r.normal(size=(1, 3, cfg.hidden)))
     step = dec.step_fn(sem, enc)
     req = GenerationRequest(strategy="topp", p=0.9, max_len=8, seed=123)
     a = generate(step, req)

@@ -3,7 +3,8 @@
 The window-attention oracle computes full token-space attention with an
 explicit pair mask (same rolled window AND same contiguous pre-shift
 region) and compares against the windowed implementation path on every
-grid up to (4,6,6) with window (2,2,2), shifted and not.
+grid up to (4,6,6) with window (2,2,2), shifted and not, one clip at a
+time and as a batch of two.
 """
 
 import numpy as np
@@ -93,13 +94,14 @@ def _oracle_window_attention(x: np.ndarray, attn: WindowAttention, window, shift
 
 
 def _impl_window_attention(x: np.ndarray, attn: WindowAttention, window, shifts):
-    dims = x.shape[:3]
-    xs = np.roll(x, tuple(-s for s in shifts), axis=(0, 1, 2))
+    """The windowed path on a (B, t, h, w, C) batch of grids."""
+    dims = x.shape[1:4]
+    xs = np.roll(x, tuple(-s for s in shifts), axis=(1, 2, 3))
     windows = window_partition(Tensor(xs), dims, window)
     mask = shift_attention_mask(dims, window, shifts)
     out = attn(windows, window, mask, rng=None, training=False)
     rev = window_reverse(out, dims, window).data
-    return np.roll(rev, shifts, axis=(0, 1, 2))
+    return np.roll(rev, shifts, axis=(1, 2, 3))
 
 
 def test_window_attention_matches_bruteforce_oracle():
@@ -113,9 +115,28 @@ def test_window_attention_matches_bruteforce_oracle():
                 x = rng.normal(size=(t, h, w, c))
                 for shifted in (False, True):
                     shifts = shift_amounts((t, h, w), window, shifted)
-                    got = _impl_window_attention(x, attn, window, shifts)
+                    got = _impl_window_attention(x[None], attn, window, shifts)[0]
                     want = _oracle_window_attention(x, attn, window, shifts)
                     assert np.abs(got - want).max() < 1e-10, (t, h, w, shifted)
+
+
+def test_batched_window_attention_matches_oracle_per_clip():
+    # a B=2 batch: each clip matches the brute-force oracle and its own
+    # single-clip result
+    window = (2, 2, 2)
+    rng = np.random.default_rng(20)
+    c, heads = 4, 2
+    attn = WindowAttention(rng, c, heads, window, qkv_bias=True, attn_dropout=0.0)
+    for dims in ((2, 2, 2), (2, 4, 6), (4, 6, 4)):
+        xb = rng.normal(size=(2, *dims, c))
+        for shifted in (False, True):
+            shifts = shift_amounts(dims, window, shifted)
+            got = _impl_window_attention(xb, attn, window, shifts)
+            for b in range(2):
+                want = _oracle_window_attention(xb[b], attn, window, shifts)
+                assert np.abs(got[b] - want).max() < 1e-10, (dims, shifted, b)
+                single = _impl_window_attention(xb[b : b + 1], attn, window, shifts)[0]
+                assert np.array_equal(got[b], single), (dims, shifted, b)
 
 
 def test_single_window_no_shift_is_full_attention():
@@ -124,7 +145,7 @@ def test_single_window_no_shift_is_full_attention():
     rng = np.random.default_rng(1)
     attn = WindowAttention(rng, 6, 3, window, qkv_bias=True, attn_dropout=0.0)
     x = rng.normal(size=(2, 2, 2, 6))
-    got = _impl_window_attention(x, attn, window, (0, 0, 0))
+    got = _impl_window_attention(x[None], attn, window, (0, 0, 0))[0]
     want = _oracle_window_attention(x, attn, window, (0, 0, 0))
     assert np.abs(got - want).max() < 1e-10
     # and the mask helper agrees there is nothing to mask
@@ -137,6 +158,8 @@ def test_shift_mask_matches_exhaustive_labeling():
         shifts = shift_amounts(dims, window, True)
         mask = shift_attention_mask(dims, window, shifts)
         assert mask is not None
+        assert not mask.flags.writeable
+        assert shift_attention_mask(dims, window, shifts) is mask  # cached
         nw = mask.shape[0]
 
         # independent labeling: for each token, (rolled window id, region id)
@@ -164,7 +187,7 @@ def test_shift_mask_matches_exhaustive_labeling():
 
 def test_window_larger_than_grid_errors():
     with pytest.raises(ValueError, match="larger than grid"):
-        pad_grid_edges(Tensor(np.zeros((1, 2, 2, 4))), (1, 2, 2), (2, 2, 2))
+        pad_grid_edges(Tensor(np.zeros((1, 1, 2, 2, 4))), (1, 2, 2), (2, 2, 2))
 
 
 def test_attention_rows_sum_to_one():
@@ -172,7 +195,7 @@ def test_attention_rows_sum_to_one():
     window = (2, 2, 2)
     attn = WindowAttention(rng, 4, 2, window, qkv_bias=True, attn_dropout=0.0)
     attn.capture_attention = True
-    x = rng.normal(size=(2, 4, 4, 4))
+    x = rng.normal(size=(1, 2, 4, 4, 4))
     _impl_window_attention(x, attn, window, (0, 2 // 2, 1))
     rows = attn.last_attention.sum(axis=-1)
     assert np.abs(rows - 1.0).max() < 1e-12
@@ -183,20 +206,19 @@ def test_patch_partition_shapes_and_linearity():
     rng = np.random.default_rng(3)
     enc = VideoEncoder(cfg, np.random.default_rng(0))
 
-    grid = enc.partition(VideoClip(rng.random((8, 16, 16, 3))))
+    grid = enc.partition([VideoClip(rng.random((8, 16, 16, 3)))])
     assert grid.dims == (4, 4, 4)
-    assert grid.data.shape == (4, 4, 4, cfg.embed_dim)
-    assert grid.pad == (0, 0, 0)
+    assert grid.data.shape == (1, 4, 4, 4, cfg.embed_dim)
 
     # zero clip: every token equals the projection bias
-    zgrid = enc.partition(VideoClip(np.zeros((8, 16, 16, 3))))
+    zgrid = enc.partition([VideoClip(np.zeros((8, 16, 16, 3)))])
     assert np.abs(zgrid.data.data - enc.patch_proj.bias.data).max() == 0.0
 
     # single-patch clip equals the projection of the flattened clip
     cfg1 = EncoderConfig(in_channels=1, depths=(1,), heads=(2,))
     enc1 = VideoEncoder(cfg1, np.random.default_rng(4))
     clip = VideoClip(rng.random((2, 4, 4, 1)))
-    g = enc1.partition(clip)
+    g = enc1.partition([clip])
     assert g.dims == (1, 1, 1)
     flat = clip.data.reshape(1, -1)
     want = flat @ enc1.patch_proj.weight.data + enc1.patch_proj.bias.data
@@ -208,9 +230,12 @@ def test_patch_partition_pad_by_replication():
     enc = VideoEncoder(cfg, np.random.default_rng(5))
     # 7 frames, 15x14 pixels: pad to 8, 16, 16 by edge replication
     clip = VideoClip(np.random.default_rng(6).random((7, 15, 14, 3)))
-    grid = enc.partition(clip)
+    grid = enc.partition([clip])
     assert grid.dims == (4, 4, 4)
-    assert grid.pad == (1, 1, 2)
+
+    # a batch of clips of different shapes is refused
+    with pytest.raises(ValueError, match="one shape"):
+        enc.partition([clip, VideoClip(np.zeros((8, 16, 16, 3)))])
 
 
 def test_patch_merge():
@@ -218,21 +243,22 @@ def test_patch_merge():
     c = 8
     merge = PatchMerge(rng, c, eps=1e-12)
 
-    grid = PatchGrid(dims=(4, 4, 4), data=Tensor(rng.normal(size=(4, 4, 4, c))))
+    grid = PatchGrid(dims=(4, 4, 4), data=Tensor(rng.normal(size=(1, 4, 4, 4, c))))
     out = merge(grid)
     assert out.dims == (4, 2, 2)
-    assert out.data.shape == (4, 2, 2, 2 * c)
+    assert out.data.shape == (1, 4, 2, 2, 2 * c)
 
     # identical tokens everywhere stay identical after merging
     tok = rng.normal(size=c)
-    same = PatchGrid(dims=(2, 4, 4), data=Tensor(np.tile(tok, (2, 4, 4, 1))))
+    same = PatchGrid(dims=(2, 4, 4), data=Tensor(np.tile(tok, (1, 2, 4, 4, 1))))
     mo = merge(same).data.data
-    assert np.abs(mo - mo[0, 0, 0]).max() == 0.0
+    assert np.abs(mo - mo[0, 0, 0, 0]).max() == 0.0
 
     # hand evaluation on a single 2x2 spatial group
-    g = PatchGrid(dims=(1, 2, 2), data=Tensor(rng.normal(size=(1, 2, 2, c))))
+    g = PatchGrid(dims=(1, 2, 2), data=Tensor(rng.normal(size=(1, 1, 2, 2, c))))
     got = merge(g).data.data.reshape(2 * c)
-    v = np.concatenate([g.data.data[0, 0, 0], g.data.data[0, 0, 1], g.data.data[0, 1, 0], g.data.data[0, 1, 1]])
+    x = g.data.data[0]
+    v = np.concatenate([x[0, 0, 0], x[0, 0, 1], x[0, 1, 0], x[0, 1, 1]])
     mu, var = v.mean(), v.var()
     normed = (v - mu) / np.sqrt(var + 1e-12)
     want = normed @ merge.reduce.weight.data
@@ -245,17 +271,23 @@ def test_encoder_output_contract():
     rng = np.random.default_rng(9)
     clip = VideoClip(rng.random((8, 16, 16, 3)))
 
-    tokens = enc(clip)
-    assert tokens.shape == (4, cfg.token_dim)
+    tokens = enc([clip])
+    assert tokens.shape == (1, 4, cfg.token_dim)
     assert np.isfinite(tokens.data).all()
 
     # eval-mode determinism is bitwise
-    again = enc(clip)
+    again = enc([clip])
     assert np.array_equal(tokens.data, again.data)
 
     # temporal sensitivity: frame reversal must change the output
-    rev = enc(VideoClip(clip.data[::-1].copy()))
-    assert np.abs(tokens.data - rev.data).max() > 0.0
+    rev = VideoClip(clip.data[::-1].copy())
+    assert np.abs(tokens.data - enc([rev]).data).max() > 0.0
+
+    # a batch gives every clip its single-clip tokens
+    both = enc([clip, rev]).data
+    assert both.shape == (2, 4, cfg.token_dim)
+    assert np.array_equal(both[0], tokens.data[0])
+    assert np.array_equal(both[1], enc([rev]).data[0])
 
 
 def test_stage_width_schedule():
@@ -269,16 +301,16 @@ def test_concept_head_permutation_invariance_exact():
     cfg = EncoderConfig()
     head = ConceptHead(cfg, np.random.default_rng(10))
     rng = np.random.default_rng(11)
-    tokens = rng.normal(size=(5, cfg.token_dim))
+    tokens = rng.normal(size=(1, 5, cfg.token_dim))
     base = head(Tensor(tokens)).data
     for seed in range(5):
         perm = np.random.default_rng(seed).permutation(5)
-        out = head(Tensor(tokens[perm])).data
+        out = head(Tensor(tokens[:, perm])).data
         assert np.array_equal(base, out)
 
     # all-identical tokens equal the single-token evaluation
-    one = rng.normal(size=(1, cfg.token_dim))
-    rep = np.tile(one, (4, 1))
+    one = rng.normal(size=(1, 1, cfg.token_dim))
+    rep = np.tile(one, (1, 4, 1))
     assert np.array_equal(head(Tensor(one)).data, head(Tensor(rep)).data)
 
 
@@ -294,7 +326,7 @@ def test_concept_head_matches_hand_forward():
     logits = z @ head.fc3.weight.data + head.fc3.bias.data
     want = 1.0 / (1.0 + np.exp(-logits))
 
-    got = head(Tensor(tokens)).data
+    got = head(Tensor(tokens[None])).data[0]
     assert got.shape == (cfg.concept_count,)
     assert np.abs(got - want).max() < 1e-12
     assert ((got > 0.0) & (got < 1.0)).all()
@@ -304,8 +336,8 @@ def test_gradcheck_through_window_block():
     cfg = EncoderConfig(embed_dim=4, depths=(2,), heads=(2,))
     rng = np.random.default_rng(14)
     block = WindowBlock(rng, 4, 2, cfg)
-    x = rng.normal(size=(2, 2, 4, 4))
-    mix = rng.normal(size=(2, 2, 4, 4))
+    x = rng.normal(size=(1, 2, 2, 4, 4))
+    mix = rng.normal(size=(1, 2, 2, 4, 4))
 
     params = dict(block.named_parameters("blk"))
     probe = {name: rng.normal(size=p.data.shape) for name, p in params.items()}

@@ -8,6 +8,7 @@ import pytest
 
 import vidcap.autodiff
 import vidcap.training
+from vidcap.autodiff import Tape, backward
 from vidcap.decoder import DecoderConfig
 from vidcap.encoder import EncoderConfig
 from vidcap.model import CaptionModel
@@ -16,12 +17,15 @@ from vidcap.training import (
     TrainConfig,
     TrainingDiverged,
     _finite_or_die,
+    joint_loss,
     load_checkpoint,
     load_vocab_and_concepts,
     save_checkpoint,
     select_best,
+    token_cache,
     train,
 )
+from vidcap.video import VideoClip
 
 SMALL_ENCODER = {
     "frames": 8,
@@ -100,6 +104,48 @@ def test_checkpoint_round_trip_bitwise(run):
     vocab, concepts = load_vocab_and_concepts(result.checkpoint_dir)
     assert len(vocab) == len(result.vocab)
     assert concepts.words == result.concepts.words
+
+
+def _small_model(seed=0):
+    enc = EncoderConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in SMALL_ENCODER.items()})
+    dec = DecoderConfig(vocab_size=12, hidden=SMALL_ENCODER["token_dim"], concept_dim=8)
+    return CaptionModel(enc, dec, seed=seed)
+
+
+def _loss_and_grads(model, clips, captions, labels):
+    params = model.parameters()
+    with Tape() as tape:
+        total, _, _ = joint_loss(model, clips, captions, labels, 0.1)
+        grads = backward(total, tape)
+    return float(total.data), {name: grads.get(p, np.zeros_like(p.data)) for name, p in params.items()}
+
+
+def test_batched_joint_loss_equals_mean_of_per_sample_losses():
+    # eval mode, so dropout is off: one graph over the batch must give the
+    # mean of the per-sample losses, and of their gradients
+    model = _small_model()
+    rng = np.random.default_rng(30)
+    clips = [VideoClip(rng.random(shape)) for shape in ((8, 12, 12, 3), (8, 12, 16, 3), (8, 12, 12, 3))]
+    captions = [np.array([4, 5, 6, 2]), np.array([7, 2]), np.array([8, 9, 10, 11, 4, 2])]
+    labels = [(rng.random(8) > 0.5).astype(np.float64) for _ in clips]
+    singles = [_loss_and_grads(model, clips[i : i + 1], captions[i : i + 1], labels[i : i + 1]) for i in range(3)]
+    for b in (1, 3):
+        loss, grads = _loss_and_grads(model, clips[:b], captions[:b], labels[:b])
+        assert abs(loss - np.mean([single[0] for single in singles[:b]])) < 1e-12, b
+        scale = max(float(np.abs(g).max()) for g in grads.values())
+        for name, g in grads.items():
+            want = np.mean([single[1][name] for single in singles[:b]], axis=0)
+            assert np.abs(g - want).max() <= 1e-10 * scale, (b, name)
+
+
+def test_token_cache_matches_per_clip_encoding():
+    model = _small_model()
+    rng = np.random.default_rng(31)
+    clips = [VideoClip(rng.random(shape)) for shape in ((8, 12, 12, 3), (8, 12, 16, 3)) * 3]
+    cache = token_cache(model, clips, batch_size=2)
+    assert cache.shape == (6, 4, SMALL_ENCODER["token_dim"])
+    for clip, tokens in zip(clips, cache):
+        assert np.array_equal(tokens, model.video_tokens([clip]).data[0])
 
 
 def test_checkpoint_errors(tmp_path):

@@ -30,8 +30,8 @@ def frame_dissimilarity(clip: VideoClip, metric: str = "mad") -> np.ndarray:
     if frames.shape[0] < 1:
         raise ValueError("empty video")
     if metric == "mad":
-        diffs = np.abs(np.diff(frames, axis=0))
-        return diffs.mean(axis=(1, 2, 3))
+        diffs = np.diff(frames, axis=0)
+        return np.abs(diffs, out=diffs).mean(axis=(1, 2, 3))
     if metric == "patch":
         desc = np.stack([_patch_descriptor(f) for f in frames])
         return np.sqrt(((np.diff(desc, axis=0)) ** 2).sum(axis=1))

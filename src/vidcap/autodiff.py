@@ -263,7 +263,10 @@ def gelu(a: Tensor) -> Tensor:
     # tanh form; exact-erf and tanh-form differ by <1e-3 and the tanh form
     # keeps the derivative closed-form
     x = a.data
-    u = _GELU_C * (x + 0.044715 * x**3)
+    # x * x * x rather than x**3, which numpy hands to libm pow
+    x3 = x * x
+    x3 *= x
+    u = _GELU_C * (x + 0.044715 * x3)
     t = np.tanh(u)
     out = 0.5 * x * (1.0 + t)
 
@@ -454,9 +457,10 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-12) -> Te
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ValueError("layer_norm affine params must match last axis")
     mu = a.data.mean(axis=-1, keepdims=True)
-    var = a.data.var(axis=-1, keepdims=True)
+    xc = a.data - mu
+    var = (xc * xc).sum(axis=-1, keepdims=True) / c  # np.var's own steps, a - mu taken once
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (a.data - mu) * inv
+    xhat = xc * inv
 
     def bwd(g):
         lead = tuple(range(g.ndim - 1))

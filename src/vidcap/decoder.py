@@ -10,14 +10,17 @@ residuals.  Training runs B right-padded captions in one teacher-forced
 call: padding sits after every real position, so the causal mask already
 hides it from every real query.
 
-Generation is incremental: step_fn computes each layer's cross-attention
-keys/values once per clip and keeps every seen prefix's self-attention
-keys/values, so a step runs one new position per prefix through the same
-layers as the teacher-forced forward.  Strategies: length-synchronous
-beam search (summed log probabilities, no length normalization, ties
-broken toward the lexicographically smallest token sequence, all live
-hypotheses in one batched step) and ancestral sampling with greedy /
-top-k / top-p truncation and a temperature knob.
+Generation is incremental and runs many clips in lockstep: step_fn
+computes each layer's cross-attention keys/values once per clip, and a
+step maps rows of (clip, prefix) pairs, every prefix one length, to
+next-token log-probabilities, running one new position per row through
+the same layers as the teacher-forced forward on the cached
+self-attention keys/values of its parent.  Strategies, each advancing
+every clip by one length per step call: length-synchronous beam search
+(summed log probabilities, no length normalization, ties broken toward
+the lexicographically smallest token sequence) and ancestral sampling
+with greedy / top-k / top-p truncation and a temperature knob, one
+generator per clip.  One clip is the batch of one.
 """
 
 from __future__ import annotations
@@ -161,8 +164,9 @@ class CaptionDecoder:
     ) -> Tensor:
         """Logits (B, L, V) for every position of B embedded sequences
         (B, L, hidden) attending to their clips' tokens (B, t, dim), or,
-        with one LayerCache per layer, (B, 1, V) for B new positions of
-        shape (B, 1, hidden) that each follow their cached prefix."""
+        with one LayerCache per layer (enc_tokens is then unused), (B, 1,
+        V) for B new positions of shape (B, 1, hidden) that each follow
+        their cached prefix."""
         if cache is None:
             length = hidden.shape[1]
             causal = np.triu(np.full((length, length), NEG_INF), k=1)
@@ -185,16 +189,18 @@ class CaptionDecoder:
         yield from self.out_proj.named_parameters(prefix + ".out_proj")
 
     def step_fn(self, semantic: Tensor, enc_tokens: Tensor) -> "StepFn":
-        """Next-token log-probabilities (B, V) for B generated prefixes of
-        one length, in eval mode, for one clip: semantic is (1,
-        concept_dim) and enc_tokens (1, t, dim).  Cross-attention
-        keys/values are computed here, once; each seen prefix keeps its
-        self-attention keys/values, so a call runs one new position per
-        prefix after filling any ancestors never stepped."""
+        """Next-token log-probabilities (R, V) for R rows in eval mode, each
+        row a (clip, prefix) pair over N clips: semantic is (N,
+        concept_dim) and enc_tokens (N, t, dim).  Every prefix of one call
+        has one length.  Cross-attention keys/values are computed here,
+        once per clip, and gathered per row; the prefixes of the latest
+        call keep their self-attention keys/values, so a call whose
+        parents were the latest call's prefixes runs one new position per
+        row, and any other call first recomputes its ancestors."""
         return _CachedStep(self, semantic, enc_tokens)
 
 
-StepFn = Callable[[Sequence[Sequence[int]]], np.ndarray]
+StepFn = Callable[[Sequence[tuple[int, Sequence[int]]]], np.ndarray]
 
 
 class _CachedStep:
@@ -203,46 +209,48 @@ class _CachedStep:
 
     def __init__(self, decoder: CaptionDecoder, semantic: Tensor, enc_tokens: Tensor):
         self.decoder = decoder
-        self.enc_tokens = enc_tokens
-        self.sos = decoder.embed_with_semantic_sos(semantic, np.zeros((1, 0))).data[0]
-        self.cross_kv = [layer.cross_attn.keys_values(enc_tokens) for layer in decoder.layers]
-        # prefix -> per-layer self-attention (k, v), each (heads, len + 1, head_dim)
-        self.kv: dict[tuple[int, ...], list[tuple[np.ndarray, np.ndarray]]] = {}
+        clips = semantic.shape[0]
+        self.sos = decoder.embed_with_semantic_sos(semantic, np.zeros((clips, 0))).data[:, 0]
+        self.cross_kv = [tuple(t.data for t in layer.cross_attn.keys_values(enc_tokens)) for layer in decoder.layers]
+        # the latest call's rows: (clip, prefix) -> row, and per layer the
+        # self-attention (k, v), each (rows, heads, len + 1, head_dim)
+        self.rows: dict[tuple[int, tuple[int, ...]], int] = {}
+        self.kv: list[tuple[np.ndarray, np.ndarray]] = []
 
-    def __call__(self, prefixes: Sequence[Sequence[int]]) -> np.ndarray:
-        keys = [tuple(p) for p in prefixes]
-        lengths = {len(k) for k in keys}
+    def __call__(self, rows: Sequence[tuple[int, Sequence[int]]]) -> np.ndarray:
+        keys = [(int(clip), tuple(prefix)) for clip, prefix in rows]
+        lengths = {len(prefix) for _, prefix in keys}
         if len(lengths) != 1:
             raise ValueError("a step takes one or more prefixes of one length")
         n = lengths.pop()
         self.decoder._check_positions(n + 1)
-        if any(k and k[:-1] not in self.kv for k in keys):
+        if n and any((clip, prefix[:-1]) not in self.rows for clip, prefix in keys):
             for length in range(n):
-                missing = list(dict.fromkeys(k[:length] for k in keys if k[:length] not in self.kv))
-                if missing:
-                    self._advance(missing)
+                self._advance(list(dict.fromkeys((clip, prefix[:length]) for clip, prefix in keys)))
         return self._advance(keys)
 
-    def _advance(self, keys: list[tuple[int, ...]]) -> np.ndarray:
-        """Run position len(key) of every key, whose parent is cached."""
-        dec, cfg, rows, n = self.decoder, self.decoder.cfg, len(keys), len(keys[0])
+    def _advance(self, keys: list[tuple[int, tuple[int, ...]]]) -> np.ndarray:
+        """Run position len(prefix) of every key, whose parent the latest
+        call ran, and keep only these keys' keys/values."""
+        dec, cfg, n = self.decoder, self.decoder.cfg, len(keys[0][1])
+        clips = np.array([clip for clip, _ in keys], dtype=np.intp)
         if n:
-            x = ad.add(dec.tok_emb([k[-1] for k in keys]), dec.pos_emb(np.full(rows, n)))
+            x = ad.add(dec.tok_emb([prefix[-1] for _, prefix in keys]), dec.pos_emb(np.full(len(keys), n)))
+            parents = np.array([self.rows[clip, prefix[:-1]] for clip, prefix in keys], dtype=np.intp)
         else:
-            x = Tensor(np.broadcast_to(self.sos, (rows, cfg.hidden)))
+            x = Tensor(self.sos[clips])
         caches = []
         for i, cross_kv in enumerate(self.cross_kv):
             if n:
-                past = tuple(Tensor(np.stack([self.kv[k[:-1]][i][j] for k in keys])) for j in (0, 1))
+                past = tuple(Tensor(t[parents]) for t in self.kv[i])
             else:
-                past = (Tensor(np.zeros((rows, cfg.heads, 0, cfg.hidden // cfg.heads))),) * 2
-            cross = tuple(Tensor(np.broadcast_to(t.data, (rows,) + t.shape[1:])) for t in cross_kv)
-            caches.append(LayerCache(self_kv=past, cross_kv=cross))
-        logits = dec(ad.reshape(x, (rows, 1, cfg.hidden)), self.enc_tokens, cache=caches).data[:, -1]
+                past = (Tensor(np.zeros((len(keys), cfg.heads, 0, cfg.hidden // cfg.heads))),) * 2
+            caches.append(LayerCache(self_kv=past, cross_kv=tuple(Tensor(t[clips]) for t in cross_kv)))
+        logits = dec(ad.reshape(x, (len(keys), 1, cfg.hidden)), None, cache=caches).data[:, -1]
         if not np.all(np.isfinite(logits)):
             raise NumericError("non-finite logits")
-        for r, key in enumerate(keys):
-            self.kv[key] = [(c.self_kv[0].data[r], c.self_kv[1].data[r]) for c in caches]
+        self.rows = {key: r for r, key in enumerate(keys)}
+        self.kv = [(c.self_kv[0].data, c.self_kv[1].data) for c in caches]
         return log_softmax(logits)
 
 
@@ -280,39 +288,49 @@ class GenerationRequest:
             raise ValueError("temperature must be positive")
 
 
-def generate_beam(step: StepFn, max_len: int, width: int, eos_id: int = EOS_ID) -> Hypothesis:
-    """Length-synchronous beam search.
+def generate_beam(step: StepFn, max_len: int, width: int, eos_id: int = EOS_ID, clips: int = 1) -> list[Hypothesis]:
+    """Length-synchronous beam search for each of `clips` clips, in lockstep.
 
     All live hypotheses share a length; each step expands every live
-    hypothesis over the whole vocabulary, in one step call for all of
-    them, and keeps the `width` best continuations by summed
-    log-probability, ties going to the smaller token sequence.
-    Continuations ending in EOS retire to a completed pool with the EOS
-    term included in their score; at the length limit the survivors
-    retire as they are.  The best retiree wins.
+    hypothesis of every clip over the whole vocabulary, in one step call
+    for all of them, and keeps per clip the `width` best continuations by
+    summed log-probability, ties going to the smaller token sequence.
+    Continuations ending in EOS retire to the clip's completed pool with
+    the EOS term included in their score; at the length limit the
+    survivors retire as they are.  The best retiree of each clip wins.
     """
-    live: list[tuple[tuple[int, ...], float]] = [((), 0.0)]  # sorted by tokens
-    completed: list[tuple[list[int], float]] = []
+    # per clip: live hypotheses sorted by tokens, and the retired ones
+    live: list[list[tuple[tuple[int, ...], float]]] = [[((), 0.0)] for _ in range(clips)]
+    completed: list[list[tuple[list[int], float]]] = [[] for _ in range(clips)]
     for _ in range(max_len):
-        scores = np.array([score for _, score in live])[:, None] + step([tokens for tokens, _ in live])
-        rows, vocab = scores.shape
-        # a live rank orders its hypothesis lexicographically, so (score
-        # desc, rank, token) orders the continuations as (score desc, tokens)
-        tok_key, rank_key = np.tile(np.arange(vocab), rows), np.repeat(np.arange(rows), vocab)
-        order = np.lexsort((tok_key, rank_key, -scores.ravel()))
-        kept = []
-        for rank, tok in (divmod(int(i), vocab) for i in order[:width]):
-            tokens, score = live[rank][0], float(scores[rank, tok])
-            if tok == eos_id:
-                completed.append((list(tokens), score))
-            else:
-                kept.append((tokens + (tok,), score))
-        live = sorted(kept)
-        if not live:
+        active = [c for c in range(clips) if live[c]]
+        if not active:
             break
-    completed.extend((list(tokens), score) for tokens, score in live)
-    tokens, score = min(completed, key=lambda c: (-c[1], c[0]))
-    return Hypothesis(tokens=tokens, logprob=score)
+        logprobs = step([(c, tokens) for c in active for tokens, _ in live[c]])
+        start = 0
+        for c in active:
+            rows = len(live[c])
+            scores = np.array([score for _, score in live[c]])[:, None] + logprobs[start : start + rows]
+            start += rows
+            vocab = scores.shape[1]
+            # a live rank orders its hypothesis lexicographically, so (score
+            # desc, rank, token) orders the continuations as (score desc, tokens)
+            tok_key, rank_key = np.tile(np.arange(vocab), rows), np.repeat(np.arange(rows), vocab)
+            order = np.lexsort((tok_key, rank_key, -scores.ravel()))
+            kept = []
+            for rank, tok in (divmod(int(i), vocab) for i in order[:width]):
+                tokens, score = live[c][rank][0], float(scores[rank, tok])
+                if tok == eos_id:
+                    completed[c].append((list(tokens), score))
+                else:
+                    kept.append((tokens + (tok,), score))
+            live[c] = sorted(kept)
+    best = []
+    for pool, survivors in zip(completed, live):
+        pool.extend((list(tokens), score) for tokens, score in survivors)
+        tokens, score = min(pool, key=lambda c: (-c[1], c[0]))
+        best.append(Hypothesis(tokens=tokens, logprob=score))
+    return best
 
 
 def sample_token(logits: np.ndarray, strategy: str, k: int, p: float, temperature: float, rng) -> int:
@@ -346,29 +364,41 @@ def generate_sample(
     k: int = 20,
     p: float = 0.95,
     temperature: float = 1.0,
-    rng: np.random.Generator | None = None,
+    rngs: Sequence[np.random.Generator] | None = None,
     eos_id: int = EOS_ID,
-) -> Hypothesis:
-    """Ancestral decoding; the reported log-prob accumulates the full
-    (untruncated, temperature-free) distribution's terms."""
-    if strategy != "greedy" and rng is None:
-        raise ValueError("stochastic decoding needs an rng")
-    tokens: list[int] = []
-    score = 0.0
+    clips: int = 1,
+) -> list[Hypothesis]:
+    """Ancestral decoding of each of `clips` clips, in lockstep: one step
+    call per length for every clip still running, clip c drawing from
+    rngs[c].  The reported log-prob accumulates the full (untruncated,
+    temperature-free) distribution's terms."""
+    if strategy != "greedy" and (rngs is None or len(rngs) != clips):
+        raise ValueError("stochastic decoding needs one rng per clip")
+    tokens: list[list[int]] = [[] for _ in range(clips)]
+    scores = [0.0] * clips
+    running = list(range(clips))
     for _ in range(max_len):
-        logprobs = step([tokens])[0]
-        tok = sample_token(logprobs, strategy, k, p, temperature, rng)
-        score += float(logprobs[tok])
-        if tok == eos_id:
-            return Hypothesis(tokens=tokens, logprob=score)
-        tokens.append(tok)
-    return Hypothesis(tokens=tokens, logprob=score)
+        if not running:
+            break
+        logprobs = step([(c, tokens[c]) for c in running])
+        still = []
+        for c, row in zip(running, logprobs):
+            tok = sample_token(row, strategy, k, p, temperature, rngs[c] if rngs else None)
+            scores[c] += float(row[tok])
+            if tok != eos_id:
+                tokens[c].append(tok)
+                still.append(c)
+        running = still
+    return [Hypothesis(tokens=t, logprob=s) for t, s in zip(tokens, scores)]
 
 
-def generate(step: StepFn, request: GenerationRequest, eos_id: int = EOS_ID) -> Hypothesis:
+def generate(step: StepFn, request: GenerationRequest, eos_id: int = EOS_ID, clips: int = 1) -> list[Hypothesis]:
+    """One hypothesis per clip.  Sampling gives every clip its own
+    generator seeded with request.seed, so a clip draws what it would
+    draw decoded alone."""
     if request.strategy == "beam":
-        return generate_beam(step, request.max_len, request.beam_width, eos_id)
-    rng = np.random.default_rng(request.seed)
+        return generate_beam(step, request.max_len, request.beam_width, eos_id, clips)
+    rngs = None if request.strategy == "greedy" else [np.random.default_rng(request.seed) for _ in range(clips)]
     return generate_sample(
         step,
         request.strategy,
@@ -376,6 +406,7 @@ def generate(step: StepFn, request: GenerationRequest, eos_id: int = EOS_ID) -> 
         k=request.k,
         p=request.p,
         temperature=request.temperature,
-        rng=rng,
+        rngs=rngs,
         eos_id=eos_id,
+        clips=clips,
     )

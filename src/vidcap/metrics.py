@@ -10,6 +10,7 @@ POS pattern histogram.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -169,47 +170,64 @@ def cider_d(preds: Sequence[str], refs: Sequence[Sequence[str]], sigma: float = 
     return float(np.mean(item_scores))
 
 
-def _sentence_bleu4(ptoks: Sequence[str], ref_list: Sequence[Sequence[str]]) -> float:
-    """Sentence BLEU-4 in [0, 1] for the Self-BLEU loop.
-
-    Orders the candidate is too short to produce are left out of the
-    geometric mean; produced-but-unmatched orders contribute a 1e-9 floor
-    instead of zeroing everything.
-    """
-    if not ptoks or not ref_list:
-        return 0.0
-    logs = []
-    for n in range(1, 5):
-        pc = _ngrams(ptoks, n)
-        total = sum(pc.values())
-        if total == 0:
-            continue
-        best = Counter()
-        for r in ref_list:
-            for g, cnt in _ngrams(r, n).items():
-                if cnt > best[g]:
-                    best[g] = cnt
-        clipped = sum(min(cnt, best[g]) for g, cnt in pc.items())
-        p = clipped / total
-        logs.append(np.log(p if p > 0.0 else EPS_PRECISION))
-    if not logs:
-        return 0.0
-    c = len(ptoks)
-    r = _closest_ref_length(c, [len(x) for x in ref_list])
-    bp = 1.0 if c > r else float(np.exp(1.0 - r / c))
-    return bp * float(np.exp(np.mean(logs)))
+def _top_counts(counters: Sequence[Counter]) -> dict[tuple, tuple[int, int, int]]:
+    """Per n-gram over the counters: (top count, how many counters reach
+    it, the largest count below it, 0 if none)."""
+    tops: dict[tuple, tuple[int, int, int]] = {}
+    for counter in counters:
+        for g, cnt in counter.items():
+            top, reach, second = tops.get(g, (0, 0, 0))
+            if cnt > top:
+                tops[g] = (cnt, 1, top)
+            elif cnt == top:
+                tops[g] = (top, reach + 1, second)
+            elif cnt > second:
+                tops[g] = (top, reach, cnt)
+    return tops
 
 
 def self_bleu(preds: Sequence[str]) -> float:
     """Mean sentence BLEU-4 of each prediction against all the others, on
-    a 0-100 scale.  Needs at least two predictions."""
+    a 0-100 scale.  Needs at least two predictions.
+
+    Sentence BLEU-4 leaves out the orders a candidate is too short to
+    produce; a produced but unmatched order contributes a 1e-9 floor
+    instead of zeroing everything, and an empty candidate scores 0.  The
+    best count of an n-gram among the other predictions and the closest
+    other length are lookups in corpus-wide tables (each n-gram's top two
+    counts, the sorted lengths), so the whole set costs one pass.
+    """
     toks = [normalize_and_tokenize(p) for p in preds]
     if len(toks) < 2:
         raise ValueError("need at least two predictions")
+    counts = [[_ngrams(t, n) for t in toks] for n in range(1, 5)]
+    tops = [_top_counts(per_n) for per_n in counts]
+    lengths = sorted(len(t) for t in toks)
     scores = []
-    for i, p in enumerate(toks):
-        others = toks[:i] + toks[i + 1 :]
-        scores.append(_sentence_bleu4(p, others))
+    for i, ptoks in enumerate(toks):
+        c = len(ptoks)
+        if not c:
+            scores.append(0.0)
+            continue
+        logs = []
+        for per_n, top in zip(counts, tops):
+            pc = per_n[i]
+            total = sum(pc.values())
+            if total == 0:
+                continue
+            clipped = 0
+            for g, cnt in pc.items():
+                most, reach, second = top[g]
+                clipped += min(cnt, most if cnt < most or reach > 1 else second)
+            p = clipped / total
+            logs.append(np.log(p if p > 0.0 else EPS_PRECISION))
+        # the other lengths are the sorted lengths less one copy of c; the
+        # closest lies next to that copy
+        lo = bisect_left(lengths, c)
+        others = lengths[max(lo - 1, 0) : lo] + lengths[lo + 1 : lo + 2]
+        r = _closest_ref_length(c, others)
+        bp = 1.0 if c > r else float(np.exp(1.0 - r / c))
+        scores.append(bp * float(np.exp(np.mean(logs))))
     return 100.0 * float(np.mean(scores))
 
 

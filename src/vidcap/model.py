@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import asdict
 from typing import Sequence
 
@@ -57,17 +58,27 @@ class CaptionModel:
         hidden = self.decoder.embed_with_semantic_sos(semantic, token_ids)
         return self.decoder(hidden, enc_tokens, rng=self.dropout_rng, training=self.training)
 
-    def generate_for_clip(self, clip: VideoClip, request: GenerationRequest) -> Hypothesis:
-        """Eval-mode generation for an already frame-selected clip."""
-        was_training = self.training
-        self.training = False
+    @contextmanager
+    def _eval_mode(self):
+        was_training, self.training = self.training, False
         try:
-            tokens = self.video_tokens([clip])
-            semantic = self.concept_probs(tokens)
-            step = self.decoder.step_fn(semantic, tokens)
-            return generate(step, request)
+            yield
         finally:
             self.training = was_training
+
+    def generate_for_tokens(self, tokens: np.ndarray, request: GenerationRequest) -> list[Hypothesis]:
+        """Eval-mode generation for N clips from their (N, t, token_dim)
+        encoder tokens, all N decoded in lockstep, one hypothesis each."""
+        with self._eval_mode():
+            enc_tokens = Tensor(tokens)
+            step = self.decoder.step_fn(self.concept_probs(enc_tokens), enc_tokens)
+            return generate(step, request, clips=len(tokens))
+
+    def generate_for_clip(self, clip: VideoClip, request: GenerationRequest) -> Hypothesis:
+        """Eval-mode generation for an already frame-selected clip: the
+        batch of one."""
+        with self._eval_mode():
+            return self.generate_for_tokens(self.video_tokens([clip]).data, request)[0]
 
     def config_blob(self) -> dict:
         return {"encoder": asdict(self.enc_cfg), "decoder": asdict(self.dec_cfg)}

@@ -13,7 +13,7 @@ import json
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -143,15 +143,26 @@ def _shape_groups(clips: Sequence[VideoClip]) -> list[list[int]]:
     return list(groups.values())
 
 
-def token_cache(model: CaptionModel, clips: Sequence[VideoClip], batch_size: int) -> np.ndarray:
-    """(N, t, token_dim) encoder tokens of N clips in the model's current
-    mode, encoded batch_size clips of one shape at a time."""
-    out: list[np.ndarray | None] = [None] * len(clips)
-    for group in _shape_groups(clips):
-        for start in range(0, len(group), batch_size):
-            chunk = group[start : start + batch_size]
-            for i, tokens in zip(chunk, model.video_tokens([clips[i] for i in chunk]).data):
-                out[i] = tokens
+def token_cache(model: CaptionModel, clips: Iterable[VideoClip], batch_size: int) -> np.ndarray:
+    """(N, t, token_dim) encoder tokens of the N clips an iterable yields,
+    in the model's current mode.  Clips wait in a bucket per shape and a
+    full bucket of batch_size is encoded at once, the rest at the end, so
+    at most batch_size clips of each shape are held at a time."""
+    out: list[np.ndarray] = []
+    buckets: dict[tuple, list[tuple[int, VideoClip]]] = {}
+
+    def encode(bucket):
+        for (i, _), tokens in zip(bucket, model.video_tokens([clip for _, clip in bucket]).data):
+            out[i] = tokens
+
+    for i, clip in enumerate(clips):
+        out.append(None)
+        bucket = buckets.setdefault(clip.data.shape, [])
+        bucket.append((i, clip))
+        if len(bucket) == batch_size:
+            encode(buckets.pop(clip.data.shape))
+    for bucket in buckets.values():
+        encode(bucket)
     return np.stack(out)
 
 
@@ -360,21 +371,3 @@ def load_checkpoint(ckpt_dir: str | Path, seed: int = 0) -> tuple[CaptionModel, 
 def load_vocab_and_concepts(ckpt_dir: str | Path) -> tuple[Vocab, ConceptVocabulary]:
     ckpt = Path(ckpt_dir)
     return Vocab.load(ckpt / "vocab.json"), ConceptVocabulary.load(ckpt / "concepts.json")
-
-
-def select_best(evals: list[dict]) -> dict:
-    """Pick the eval row maximizing the harmonic mean of BLEU-4 and CIDEr-D*10.
-
-    Ties keep the earliest row.
-    """
-    if not evals:
-        raise ValueError("no evaluations to choose from")
-    best = None
-    best_score = -1.0
-    for row in evals:
-        a = row["bleu4"]
-        b = row["cider_d"] * 10.0
-        score = 0.0 if a + b == 0 else 2.0 * a * b / (a + b)
-        if score > best_score:
-            best, best_score = row, score
-    return best

@@ -61,8 +61,8 @@ def read_vvid(path: str | Path) -> VideoClip:
     if version != VERSION:
         raise ValueError(f"{path}: unsupported version {version}")
     expect = t * h * w * c * 4
-    body = raw[_HEADER.size :]
-    if len(body) != expect:
-        raise ValueError(f"{path}: payload is {len(body)} bytes, expected {expect}")
-    data = np.frombuffer(body, dtype="<f4").astype(np.float64).reshape(t, h, w, c)
+    size = len(raw) - _HEADER.size
+    if size != expect:
+        raise ValueError(f"{path}: payload is {size} bytes, expected {expect}")
+    data = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size).astype(np.float64).reshape(t, h, w, c)
     return VideoClip(data)

@@ -148,7 +148,7 @@ def test_cached_step_matches_full_forward():
         return log_softmax(dec(dec.embed_with_semantic_sos(sem, [prefix]), enc).data[0, -1])
 
     def check(step, prefixes):
-        got = step(prefixes)
+        got = step([(0, p) for p in prefixes])
         assert got.shape == (len(prefixes), cfg.vocab_size)
         for row, prefix in zip(got, prefixes):
             assert np.abs(row - full(list(prefix))).max() < 1e-12
@@ -169,10 +169,10 @@ def test_step_rejects_mixed_lengths_and_overlong_prefixes():
     dec, cfg = _small_decoder(max_positions=4)
     step = dec.step_fn(Tensor(np.zeros((1, cfg.concept_dim))), Tensor(np.ones((1, 3, cfg.hidden))))
     with pytest.raises(ValueError):
-        step([[1], [1, 2]])
+        step([(0, [1]), (0, [1, 2])])
     with pytest.raises(ValueError, match="positions"):
-        step([[1, 2, 3, 4]])
-    assert step([[1, 2, 3]]).shape == (1, cfg.vocab_size)
+        step([(0, [1, 2, 3, 4])])
+    assert step([(0, [1, 2, 3])]).shape == (1, cfg.vocab_size)
 
 
 def test_step_leaves_no_reference_cycle():
@@ -205,10 +205,11 @@ def test_generation_request_validation():
 
 
 def _table_step(tables):
-    """StepFn backed by an explicit prefix -> probability table."""
+    """StepFn backed by an explicit prefix -> probability table, the same
+    for every clip."""
 
-    def step(prefixes):
-        return np.log(np.asarray([tables[tuple(p)] for p in prefixes], dtype=np.float64))
+    def step(rows):
+        return np.log(np.asarray([tables[tuple(p)] for _, p in rows], dtype=np.float64))
 
     return step
 
@@ -225,16 +226,16 @@ def test_beam_beats_greedy_on_two_step_toy():
     }
     step = _table_step(tables)
 
-    greedy = generate_sample(step, "greedy", max_len=2, eos_id=2)
+    (greedy,) = generate_sample(step, "greedy", max_len=2, eos_id=2)
     assert greedy.tokens == [0, 0]
     assert abs(greedy.logprob - math.log(0.6 * 0.4)) < 1e-9
 
-    beam = generate_beam(step, max_len=2, width=2, eos_id=2)
+    (beam,) = generate_beam(step, max_len=2, width=2, eos_id=2)
     assert beam.tokens == [1, 0]
     assert abs(beam.logprob - math.log(0.4 * 0.9)) < 1e-9
 
     # width 1 degenerates to greedy
-    b1 = generate_beam(step, max_len=2, width=1, eos_id=2)
+    (b1,) = generate_beam(step, max_len=2, width=1, eos_id=2)
     assert b1.tokens == greedy.tokens
     assert abs(b1.logprob - greedy.logprob) < 1e-12
 
@@ -287,7 +288,7 @@ def test_full_width_beam_equals_exhaustive_search():
             tables = _random_tables(v, max_len, rng)
             step = _table_step(tables)
             want_tokens, want_score = _exhaustive_best(tables, v, max_len)
-            got = generate_beam(step, max_len=max_len, width=v**max_len)
+            (got,) = generate_beam(step, max_len=max_len, width=v**max_len)
             assert got.tokens == want_tokens
             assert abs(got.logprob - want_score) < 1e-9
 
@@ -298,11 +299,11 @@ def test_beam_steps_once_per_length_and_breaks_ties_lexicographically():
     probs[EOS_ID] = 1e-300
     calls = []
 
-    def step(prefixes):
-        calls.append({len(p) for p in prefixes})
-        return np.log(np.tile(probs, (len(prefixes), 1)))
+    def step(rows):
+        calls.append({len(p) for _, p in rows})
+        return np.log(np.tile(probs, (len(rows), 1)))
 
-    hyp = generate_beam(step, max_len=4, width=3)
+    (hyp,) = generate_beam(step, max_len=4, width=3)
     assert calls == [{0}, {1}, {2}, {3}]
     assert hyp.tokens == [0, 0, 0, 0]
 
@@ -312,9 +313,9 @@ def test_beam1_greedy_topk1_identical():
     for trial in range(10):
         tables = _random_tables(4, 3, rng)
         step = _table_step(tables)
-        g = generate(step, GenerationRequest(strategy="greedy", max_len=3))
-        b = generate(step, GenerationRequest(strategy="beam", beam_width=1, max_len=3))
-        t = generate(step, GenerationRequest(strategy="topk", k=1, max_len=3, seed=trial))
+        (g,) = generate(step, GenerationRequest(strategy="greedy", max_len=3))
+        (b,) = generate(step, GenerationRequest(strategy="beam", beam_width=1, max_len=3))
+        (t,) = generate(step, GenerationRequest(strategy="topk", k=1, max_len=3, seed=trial))
         assert g.tokens == b.tokens == t.tokens
         assert abs(g.logprob - b.logprob) < 1e-12
         assert abs(g.logprob - t.logprob) < 1e-12
@@ -323,29 +324,56 @@ def test_beam1_greedy_topk1_identical():
     dec, cfg = _small_decoder(seed=5)
     r = np.random.default_rng(6)
     step = dec.step_fn(Tensor(r.normal(size=(1, cfg.concept_dim))), Tensor(r.normal(size=(1, 3, cfg.hidden))))
-    g = generate(step, GenerationRequest(strategy="greedy", max_len=6))
-    b = generate(step, GenerationRequest(strategy="beam", beam_width=1, max_len=6))
-    t = generate(step, GenerationRequest(strategy="topk", k=1, max_len=6, seed=0))
+    (g,) = generate(step, GenerationRequest(strategy="greedy", max_len=6))
+    (b,) = generate(step, GenerationRequest(strategy="beam", beam_width=1, max_len=6))
+    (t,) = generate(step, GenerationRequest(strategy="topk", k=1, max_len=6, seed=0))
     assert g.tokens == b.tokens == t.tokens
+
+
+def test_lockstep_generation_equals_one_clip_at_a_time():
+    # clips with their own tables stop at their own lengths; each strategy
+    # must give every clip what it gives that clip decoded alone, with one
+    # step call per length for all clips still running
+    rng = np.random.default_rng(17)
+    tables = [_random_tables(4, 4, rng) for _ in range(6)]
+    calls = []
+
+    def step(rows):
+        calls.append({len(p) for _, p in rows})
+        return np.log(np.asarray([tables[c][tuple(p)] for c, p in rows], dtype=np.float64))
+
+    for request in (
+        GenerationRequest(strategy="greedy", max_len=4),
+        GenerationRequest(strategy="beam", beam_width=3, max_len=4),
+        GenerationRequest(strategy="topk", k=2, max_len=4, seed=5),
+        GenerationRequest(strategy="topp", p=0.8, max_len=4, seed=5),
+    ):
+        calls.clear()
+        together = generate(step, request, clips=len(tables))
+        assert all(len(lengths) == 1 for lengths in calls) and len(calls) <= 4
+        for table, hyp in zip(tables, together):
+            (alone,) = generate(_table_step(table), request)
+            assert (hyp.tokens, hyp.logprob) == (alone.tokens, alone.logprob)
+        assert len({len(h.tokens) for h in together}) > 1, request.strategy
 
 
 def test_logprobs_accumulate_nonpositive_terms():
     rng = np.random.default_rng(7)
     tables = _random_tables(4, 4, rng)
     step = _table_step(tables)
-    hyp = generate_sample(step, "greedy", max_len=4)
+    (hyp,) = generate_sample(step, "greedy", max_len=4)
     # replay the path: every per-step term is a log-probability <= 0,
     # so the running total is non-increasing
     total = 0.0
     prev = 0.0
     for i, tok in enumerate(hyp.tokens):
-        term = float(step([hyp.tokens[:i]])[0][tok])
+        term = float(step([(0, hyp.tokens[:i])])[0][tok])
         assert term <= 0.0
         total += term
         assert total <= prev + 1e-15
         prev = total
     if len(hyp.tokens) < 4:
-        total += float(step([hyp.tokens])[0][EOS_ID])
+        total += float(step([(0, hyp.tokens)])[0][EOS_ID])
     assert abs(total - hyp.logprob) < 1e-12
 
 
@@ -393,6 +421,6 @@ def test_seeded_sampling_is_reproducible():
     enc = Tensor(r.normal(size=(1, 3, cfg.hidden)))
     step = dec.step_fn(sem, enc)
     req = GenerationRequest(strategy="topp", p=0.9, max_len=8, seed=123)
-    a = generate(step, req)
-    b = generate(step, req)
+    (a,) = generate(step, req)
+    (b,) = generate(step, req)
     assert a.tokens == b.tokens and a.logprob == b.logprob

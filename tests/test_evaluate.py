@@ -1,0 +1,133 @@
+"""Corpus-batched evaluation against the per-clip captioning path: the
+same captions and log-probs, the same order and skipped records, with
+clips encoded in small chunks as they are read and every clip decoded in
+lockstep."""
+
+import pytest
+
+from vidcap import evaluate
+from vidcap.decoder import CaptionDecoder, DecoderConfig, GenerationRequest
+from vidcap.encoder import EncoderConfig, VideoEncoder
+from vidcap.model import CaptionModel
+from vidcap.synth import SyntheticSpec, generate_synthetic_dataset
+from vidcap.textproc import EOS_ID, PosTagger, build_concept_vocabulary, build_vocab
+from vidcap.training import load_checkpoint, save_checkpoint
+from vidcap.video import VideoClip, read_vvid, write_vvid
+
+MAX_LEN = 6
+UNREADABLE = 4  # record index whose video is overwritten with junk
+
+REQUESTS = {
+    "greedy": GenerationRequest(strategy="greedy", max_len=MAX_LEN),
+    "beam3": GenerationRequest(strategy="beam", beam_width=3, max_len=MAX_LEN),
+    "topk": GenerationRequest(strategy="topk", k=5, max_len=MAX_LEN, seed=7),
+    "topp": GenerationRequest(strategy="topp", p=0.9, max_len=MAX_LEN, seed=7),
+}
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    """Eleven records in three clip shapes (one not a patch multiple),
+    one of them unreadable."""
+    data = tmp_path_factory.mktemp("eval") / "data"
+    records = generate_synthetic_dataset(SyntheticSpec(videos=11, frames=12, height=24, width=24, seed=5), data)
+    for i, rec in enumerate(records):
+        frames = read_vvid(data / rec.video).data
+        if i % 3 == 1:
+            write_vvid(data / rec.video, VideoClip(frames[:10, :18, :22]))
+        elif i % 3 == 2:
+            write_vvid(data / rec.video, VideoClip(frames[:, :16]))
+    (data / records[UNREADABLE].video).write_bytes(b"junk")
+    return data, records
+
+
+def _checkpoint(records, path, eos_bias: float):
+    """An untrained model with every weight matrix scaled up, so that its
+    captions depend on the clip, and an EOS logit bias that sets how
+    early they stop."""
+    captions = [c for r in records for c in r.captions]
+    vocab = build_vocab(captions)
+    concepts = build_concept_vocabulary(captions, PosTagger.load_default(), 8)
+    model = CaptionModel(EncoderConfig(concept_count=8), DecoderConfig(vocab_size=len(vocab), concept_dim=8), seed=3)
+    for name, param in model.parameters().items():
+        if name.endswith(".weight"):
+            param.data *= 5.0
+    model.parameters()["decoder.out_proj.bias"].data[EOS_ID] = eos_bias
+    save_checkpoint(path, model)
+    vocab.save(path / "vocab.json")
+    concepts.save(path / "concepts.json")
+    return load_checkpoint(path)[0], vocab  # the float32 weights evaluation loads
+
+
+@pytest.mark.parametrize("strategy", sorted(REQUESTS))
+def test_batched_evaluation_equals_per_clip_captioning(corpus, tmp_path, strategy):
+    data, records = corpus
+    model, vocab = _checkpoint(records, tmp_path / "ckpt", eos_bias=0.0)
+    request = REQUESTS[strategy]
+    outcome = evaluate.evaluate_checkpoint(tmp_path / "ckpt", data / "corpus.jsonl", request)
+
+    readable = [r for i, r in enumerate(records) if i != UNREADABLE]
+    assert [p["id"] for p in outcome.predictions] == [r.id for r in readable]
+    assert [e["id"] for e in outcome.errors] == [records[UNREADABLE].id]
+    for rec, pred in zip(readable, outcome.predictions):
+        text, tokens, logprob = evaluate.caption_video(model, vocab, read_vvid(data / rec.video), request)
+        assert pred["tokens"] == tokens, rec.id
+        assert pred["caption"] == text
+        assert abs(pred["logprob"] - logprob) <= 1e-12
+    # clips stop at different lengths and mostly differ, so a clip dropping
+    # out of the lockstep or a swapped row would show
+    assert len({len(p["tokens"]) for p in outcome.predictions}) > 1
+    assert len({tuple(p["tokens"]) for p in outcome.predictions}) > len(readable) // 2
+
+
+def test_greedy_steps_once_per_length_for_the_whole_corpus(corpus, tmp_path, monkeypatch):
+    data, records = corpus
+    _checkpoint(records, tmp_path / "ckpt", eos_bias=-50.0)  # every caption runs to MAX_LEN
+    steps, rows, events = [], [], []
+    step_fn, encode, read = CaptionDecoder.step_fn, VideoEncoder.__call__, evaluate.read_vvid
+
+    def counting_step_fn(self, semantic, enc_tokens):
+        step = step_fn(self, semantic, enc_tokens)
+        steps.append(0)
+
+        def counted(batch):
+            steps[-1] += 1
+            rows.append(len(batch))
+            return step(batch)
+
+        return counted
+
+    def logged_encode(self, clips, *args, **kwargs):
+        events.append(("encode", len(clips), {c.data.shape for c in clips}))
+        return encode(self, clips, *args, **kwargs)
+
+    def logged_read(path):
+        events.append(("read",))
+        return read(path)
+
+    monkeypatch.setattr(CaptionDecoder, "step_fn", counting_step_fn)
+    monkeypatch.setattr(VideoEncoder, "__call__", logged_encode)
+    monkeypatch.setattr(evaluate, "read_vvid", logged_read)
+    outcome = evaluate.evaluate_checkpoint(tmp_path / "ckpt", data / "corpus.jsonl", REQUESTS["greedy"])
+
+    assert all(len(p["tokens"]) == MAX_LEN for p in outcome.predictions)
+    # all selected clips share one token shape, so one step per length serves every clip
+    assert steps == [MAX_LEN]
+    assert rows == [len(records) - 1] * MAX_LEN
+    # chunks of at most ENCODE_CHUNK same-shape clips, the first encoded
+    # before the corpus is read to the end
+    encodes = [e for e in events if e[0] == "encode"]
+    assert all(n <= evaluate.ENCODE_CHUNK and len(shapes) == 1 for _, n, shapes in encodes)
+    assert sum(n for _, n, _ in encodes) == len(records) - 1
+    assert events.index(encodes[0]) < max(i for i, e in enumerate(events) if e[0] == "read")
+
+
+def test_corpus_without_a_readable_video_is_a_value_error(corpus, tmp_path):
+    data, records = corpus
+    _checkpoint(records, tmp_path / "ckpt", eos_bias=0.0)
+    (tmp_path / "videos").mkdir()
+    for rec in records:
+        (tmp_path / rec.video).write_bytes(b"junk")
+    (tmp_path / "corpus.jsonl").write_bytes((data / "corpus.jsonl").read_bytes())
+    with pytest.raises(ValueError, match="no readable video"):
+        evaluate.evaluate_checkpoint(tmp_path / "ckpt", tmp_path / "corpus.jsonl", REQUESTS["greedy"])

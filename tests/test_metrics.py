@@ -219,6 +219,61 @@ def test_self_bleu_errors():
         self_bleu(["only one"])
 
 
+def _pairwise_self_bleu(preds):
+    """Brute-force Self-BLEU oracle: every prediction's sentence BLEU-4
+    recounted against the n-grams of all the others."""
+
+    def ngrams(toks, n):
+        return Counter(tuple(toks[i : i + n]) for i in range(len(toks) - n + 1))
+
+    def sentence_bleu4(ptoks, ref_list):
+        if not ptoks or not ref_list:
+            return 0.0
+        logs = []
+        for n in range(1, 5):
+            pc = ngrams(ptoks, n)
+            total = sum(pc.values())
+            if total == 0:
+                continue
+            best = Counter()
+            for r in ref_list:
+                for g, cnt in ngrams(r, n).items():
+                    if cnt > best[g]:
+                        best[g] = cnt
+            clipped = sum(min(cnt, best[g]) for g, cnt in pc.items())
+            p = clipped / total
+            logs.append(np.log(p if p > 0.0 else 1e-9))
+        if not logs:
+            return 0.0
+        c = len(ptoks)
+        r = min((len(x) for x in ref_list), key=lambda r: (abs(r - c), r))
+        bp = 1.0 if c > r else float(np.exp(1.0 - r / c))
+        return bp * float(np.exp(np.mean(logs)))
+
+    toks = [normalize_and_tokenize(p) for p in preds]
+    scores = [sentence_bleu4(p, toks[:i] + toks[i + 1 :]) for i, p in enumerate(toks)]
+    return 100.0 * float(np.mean(scores))
+
+
+def test_self_bleu_equals_pairwise_oracle_exactly():
+    # a small vocabulary makes repeated n-grams, shared top counts and
+    # equally close lengths on both sides common
+    rng = np.random.default_rng(31)
+    words = ["a", "dog", "cat", "runs", "red", "ball"]
+    fixed = [
+        ["", "a", "a dog"],  # an empty prediction, lengths 0/1/2 tie around 1
+        ["a dog runs"] * 3 + ["a dog"],  # duplicates share the top count
+        ["a a a", "a a", "a a a", "dog"],  # one top count, the second count decides
+        ["", ""],  # nothing but empty predictions
+    ]
+    corpora = fixed + [
+        [" ".join(rng.choice(words, size=rng.integers(0, 7))) for _ in range(rng.integers(2, 12))]
+        for _ in range(300)
+    ]
+    for preds in corpora:
+        assert self_bleu(preds) == _pairwise_self_bleu(preds), preds
+
+
 def test_diversity_stats_examples():
     d = diversity_stats(["a dog runs", "a cat sits"], ["a dog runs"], 50)
     assert d["novel_pct"] == 50.0

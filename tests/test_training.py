@@ -21,7 +21,6 @@ from vidcap.training import (
     load_checkpoint,
     load_vocab_and_concepts,
     save_checkpoint,
-    select_best,
     token_cache,
     train,
 )
@@ -261,27 +260,3 @@ def test_config_resolution():
         TrainConfig(encoder={"frames": 8, "fps": 30}).resolve_encoder()
     with pytest.raises(ValueError, match="config must be"):
         TrainConfig(encoder=42).resolve_encoder()
-
-
-def test_select_best_harmonic_mean():
-    only = {"bleu4": 10.0, "cider_d": 1.0}
-    assert select_best([only]) is only
-
-    rows = [
-        {"bleu4": 100.0, "cider_d": 0.0},   # harmonic mean 0
-        {"bleu4": 50.0, "cider_d": 5.0},    # harmonic mean 50
-    ]
-    assert select_best(rows) is rows[1]
-
-    rows = [
-        {"bleu4": 45.0, "cider_d": 4.5},    # harmonic mean 45
-        {"bleu4": 40.0, "cider_d": 6.0},    # harmonic mean 48
-    ]
-    assert select_best(rows) is rows[1]
-
-    a = {"bleu4": 30.0, "cider_d": 3.0}
-    b = {"bleu4": 30.0, "cider_d": 3.0}
-    assert select_best([a, b]) is a  # ties keep the earliest
-
-    with pytest.raises(ValueError, match="no evaluations"):
-        select_best([])

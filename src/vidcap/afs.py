@@ -9,8 +9,6 @@ degrades to uniform sampling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .video import VideoClip
@@ -25,14 +23,21 @@ def frame_dissimilarity(clip: VideoClip, metric: str = "mad") -> np.ndarray:
     through per-channel mean descriptors of non-overlapping 4x4 patches
     (partial patches at the edges are averaged over the pixels they have)
     and takes the L2 distance between consecutive descriptors.
+
+    Both compute in float64: a float32 clip gives bitwise the values of
+    the same clip widened to float64.
     """
     frames = clip.data
     if frames.shape[0] < 1:
         raise ValueError("empty video")
     if metric == "mad":
-        diffs = np.diff(frames, axis=0)
+        # float32 widens exactly, so subtracting in float64 equals np.diff
+        # of the widened clip without widening all of it first
+        diffs = np.subtract(frames[1:], frames[:-1], dtype=np.float64)
         return np.abs(diffs, out=diffs).mean(axis=(1, 2, 3))
     if metric == "patch":
+        # widened first: a float32 mean would accumulate in float32
+        frames = frames.astype(np.float64, copy=False)
         desc = np.stack([_patch_descriptor(f) for f in frames])
         return np.sqrt(((np.diff(desc, axis=0)) ** 2).sum(axis=1))
     raise ValueError(f"unknown dissimilarity metric {metric!r}")
@@ -49,7 +54,6 @@ def _patch_descriptor(frame: np.ndarray, patch: int = 4) -> np.ndarray:
     return out.ravel()
 
 
-@dataclass
 class FrameCdf:
     """Piecewise-linear CDF with breakpoints at integer frame positions.
 
@@ -60,8 +64,11 @@ class FrameCdf:
     the rounding noise a cumsum-then-divide would add.
     """
 
-    breakpoints: np.ndarray
-    mass: np.ndarray
+    __slots__ = ("breakpoints", "mass")
+
+    def __init__(self, breakpoints: np.ndarray, mass: np.ndarray):
+        self.breakpoints = breakpoints
+        self.mass = mass
 
     @property
     def m(self) -> int:
@@ -154,11 +161,13 @@ def _round_half_away(x: float) -> int:
     return int(np.floor(x + 0.5))
 
 
-@dataclass
 class Selection:
     """indices: n frame indices in [0, m-1], non-decreasing."""
 
-    indices: list[int]
+    __slots__ = ("indices",)
+
+    def __init__(self, indices: list[int]):
+        self.indices = indices
 
 
 def select_frames(cdf: FrameCdf, n: int, dedupe: bool = False) -> Selection:
@@ -193,11 +202,12 @@ def select_frames(cdf: FrameCdf, n: int, dedupe: bool = False) -> Selection:
 
 
 def apply_selection(clip: VideoClip, selection: Selection) -> VideoClip:
-    """Gather the selected frames into a new clip, pixel data copied verbatim."""
+    """Gather the selected frames into a new clip of the source's dtype,
+    pixel data copied verbatim (fancy indexing returns a fresh array)."""
     bad = [i for i in selection.indices if not 0 <= i < clip.frames]
     if bad:
         raise ValueError(f"selection indices {bad} outside [0, {clip.frames - 1}]")
-    return VideoClip(clip.data[np.asarray(selection.indices, dtype=np.intp)].copy())
+    return VideoClip(clip.data[np.asarray(selection.indices, dtype=np.intp)])
 
 
 def select_from_clip(clip: VideoClip, n: int, metric: str = "mad", dedupe: bool = False) -> Selection:

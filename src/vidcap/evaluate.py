@@ -66,14 +66,14 @@ def evaluate_checkpoint(
     vocab, _concepts = load_vocab_and_concepts(ckpt_dir)
 
     corpus_path = Path(corpus_path)
-    records = load_corpus(corpus_path)
-    if split != "all":
-        records = [r for r in records if r.split == split]
+    corpus = load_corpus(corpus_path)
+    records = corpus if split == "all" else [r for r in corpus if r.split == split]
     if not records:
         raise ValueError(f"no records for split {split!r}")
 
-    train_path = Path(train_corpus_path) if train_corpus_path else corpus_path
-    train_caps = [c for r in load_corpus(train_path) if r.split == "train" for c in r.captions]
+    if train_corpus_path and Path(train_corpus_path).resolve() != corpus_path.resolve():
+        corpus = load_corpus(train_corpus_path)
+    train_caps = [c for r in corpus if r.split == "train" for c in r.captions]
     if not train_caps:
         # nothing marked train anywhere: fall back to the references themselves
         train_caps = [c for r in records for c in r.captions]

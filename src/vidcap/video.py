@@ -3,12 +3,17 @@
 A clip is a (T, H, W, C) float array with values in [0, 1].  On disk the
 same layout is stored as float32 little-endian after a 21-byte header:
 magic 'VVID', version byte 1, then T, H, W, C as uint32 little-endian.
+
+Clip data is float32 or float64.  A float32 array is kept as given, so a
+clip read from a .vvid file holds a read-only float32 view of the file's
+payload; anything else is converted to float64.  Float32 pixels widen to
+float64 exactly, so code that computes in float64 (frame dissimilarity,
+the encoder's patch embedding) sees the same numbers either way.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -18,19 +23,27 @@ VERSION = 1
 _HEADER = struct.Struct("<4sB4I")
 
 
-@dataclass
 class VideoClip:
-    """Frames in THWC order, float64, pixel values in [0, 1]."""
+    """Frames in THWC order, pixel values in [0, 1].
 
-    data: np.ndarray
+    data is a float32 array kept as given (no copy; read-only when read
+    from a file) or, for any other input, a float64 array.  NaN pixels
+    are rejected along with out-of-range ones.
+    """
 
-    def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.float64)
+    __slots__ = ("data",)
+
+    def __init__(self, data):
+        if isinstance(data, np.ndarray) and data.dtype == np.float32:
+            arr = data
+        else:
+            arr = np.asarray(data, dtype=np.float64)
         if arr.ndim != 4:
             raise ValueError("clip must be (T, H, W, C)")
         if arr.shape[0] < 1:
             raise ValueError("empty video")
-        if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
+        # written so that NaN, which fails every comparison, is rejected too
+        if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
             raise ValueError("pixel values must lie in [0, 1]")
         self.data = arr
 
@@ -52,6 +65,8 @@ def write_vvid(path: str | Path, clip: VideoClip) -> None:
 
 
 def read_vvid(path: str | Path) -> VideoClip:
+    """The clip stored at path; its data is a read-only float32 view of
+    the file's bytes, not a copy."""
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER.size:
         raise ValueError(f"{path}: truncated header")
@@ -64,5 +79,4 @@ def read_vvid(path: str | Path) -> VideoClip:
     size = len(raw) - _HEADER.size
     if size != expect:
         raise ValueError(f"{path}: payload is {size} bytes, expected {expect}")
-    data = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size).astype(np.float64).reshape(t, h, w, c)
-    return VideoClip(data)
+    return VideoClip(np.frombuffer(raw, dtype="<f4", offset=_HEADER.size).reshape(t, h, w, c))

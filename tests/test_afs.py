@@ -73,6 +73,40 @@ def test_patch_metric_basics():
     assert np.allclose(frame_dissimilarity(same, metric="patch"), [0.0])
 
 
+def _float32_clips():
+    rng = np.random.default_rng(2)
+    edges = rng.random((6, 5, 7, 3)).astype(np.float32)
+    edges[::2, :2] = 0.0
+    edges[1::2, 2:4] = 1.0
+    tiny = (rng.random((5, 4, 4, 2)) * 1e-30).astype(np.float32)
+    tiny[2] = np.float32(1e-45)  # float32 subnormals
+    return {
+        "random": rng.random((4, 9, 6, 3)).astype(np.float32),
+        "exact_0_1": edges,
+        "tiny": tiny,
+        "one_frame": rng.random((1, 4, 4, 3)).astype(np.float32),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_float32_clips()))
+@pytest.mark.parametrize("metric", ["mad", "patch"])
+def test_float32_dissimilarity_is_bitwise_the_float64_oracle(name, metric):
+    clip = VideoClip(_float32_clips()[name])
+    assert clip.data.dtype == np.float32
+    wide = clip.data.astype(np.float64)
+    if metric == "mad":
+        want = np.abs(np.diff(wide, axis=0)).mean(axis=(1, 2, 3))
+    else:
+        # per-channel means of 4x4 patches, then L2 between consecutive frames
+        patches = [(r, c) for r in range(0, wide.shape[1], 4) for c in range(0, wide.shape[2], 4)]
+        desc = np.stack([np.concatenate([f[r : r + 4, c : c + 4].mean(axis=(0, 1)) for r, c in patches]) for f in wide])
+        want = np.sqrt((np.diff(desc, axis=0) ** 2).sum(axis=1))
+    got = frame_dissimilarity(clip, metric=metric)
+    assert got.dtype == np.float64 and got.shape == (clip.frames - 1,)
+    assert got.tobytes() == want.tobytes()
+    assert got.tobytes() == frame_dissimilarity(VideoClip(wide), metric=metric).tobytes()
+
+
 def test_build_cdf_examples():
     cdf = build_cdf(np.array([1.0, 1.0, 1.0, 1.0]), 5)
     assert np.allclose(cdf.breakpoints, [0.0, 0.25, 0.5, 0.75, 1.0], atol=1e-15)
@@ -223,6 +257,17 @@ def test_apply_selection():
 
     with pytest.raises(ValueError):
         apply_selection(clip, Selection(indices=[5]))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_apply_selection_gathers_a_fresh_array_of_the_source_dtype(dtype):
+    from vidcap.afs import Selection
+
+    clip = VideoClip(np.random.default_rng(13).random((6, 3, 3, 2)).astype(dtype))
+    out = apply_selection(clip, Selection(indices=[1, 1, 4]))
+    assert out.data.dtype == dtype
+    assert not np.shares_memory(out.data, clip.data)
+    assert np.array_equal(out.data, clip.data[[1, 1, 4]])
 
 
 def test_motion_segment_attracts_selection():

@@ -4,10 +4,13 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import vidcap.autodiff
+from vidcap.afs import build_cdf, frame_dissimilarity, select_frames
 from vidcap.cli import main
+from vidcap.video import VideoClip, read_vvid
 
 SMALL_ENCODER = {
     "frames": 8,
@@ -79,6 +82,24 @@ def test_gen_data_and_afs(env, capsys, tmp_path):
     assert main(["afs", "--video", str(video), "--frames", "4", "--dedupe", "--out", str(out_file)]) == 0
     saved = json.loads(out_file.read_text())
     assert sorted(set(saved["indices"])) == saved["indices"]
+
+
+@pytest.mark.parametrize("metric", ["mad", "patch"])
+def test_afs_json_equals_the_widened_clip_json(env, capsys, metric):
+    video = env["data"] / "videos" / "vid0001.vvid"
+    assert main(["afs", "--video", str(video), "--frames", "5", "--metric", metric]) == 0
+    got = capsys.readouterr().out
+
+    wide = VideoClip(read_vvid(video).data.astype(np.float64))
+    cdf = build_cdf(frame_dissimilarity(wide, metric=metric), wide.frames)
+    want = {
+        "m": cdf.m,
+        "n": 5,
+        "indices": list(select_frames(cdf, 5).indices),
+        "pdf": [float(x) for x in cdf.pdf],
+        "cdf": [float(x) for x in cdf.breakpoints],
+    }
+    assert got == json.dumps(want, indent=2) + "\n"
 
 
 def test_missing_and_invalid_inputs_exit_2(env, tmp_path, capsys):

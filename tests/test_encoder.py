@@ -238,6 +238,19 @@ def test_patch_partition_pad_by_replication():
         enc.partition([clip, VideoClip(np.zeros((8, 16, 16, 3)))])
 
 
+def test_float32_clip_tokens_equal_widened_clip_tokens():
+    from vidcap.decoder import DecoderConfig
+    from vidcap.model import CaptionModel
+
+    model = CaptionModel(EncoderConfig(concept_count=8), DecoderConfig(vocab_size=20, concept_dim=8), seed=2)
+    # not a patch multiple, so the float32 frames are edge-padded too
+    f32 = np.random.default_rng(8).random((7, 15, 14, 3)).astype(np.float32)
+    tokens = model.video_tokens([VideoClip(f32)]).data
+    wide = model.video_tokens([VideoClip(f32.astype(np.float64))]).data
+    assert tokens.dtype == np.float64
+    assert tokens.tobytes() == wide.tobytes()
+
+
 def test_patch_merge():
     rng = np.random.default_rng(7)
     c = 8

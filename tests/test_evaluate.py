@@ -3,6 +3,9 @@ same captions and log-probs, the same order and skipped records, with
 clips encoded in small chunks as they are read and every clip decoded in
 lockstep."""
 
+import struct
+from pathlib import Path
+
 import pytest
 
 from vidcap import evaluate
@@ -10,7 +13,7 @@ from vidcap.decoder import CaptionDecoder, DecoderConfig, GenerationRequest
 from vidcap.encoder import EncoderConfig, VideoEncoder
 from vidcap.model import CaptionModel
 from vidcap.synth import SyntheticSpec, generate_synthetic_dataset
-from vidcap.textproc import EOS_ID, PosTagger, build_concept_vocabulary, build_vocab
+from vidcap.textproc import EOS_ID, PosTagger, build_concept_vocabulary, build_vocab, load_corpus
 from vidcap.training import load_checkpoint, save_checkpoint
 from vidcap.video import VideoClip, read_vvid, write_vvid
 
@@ -131,3 +134,49 @@ def test_corpus_without_a_readable_video_is_a_value_error(corpus, tmp_path):
     (tmp_path / "corpus.jsonl").write_bytes((data / "corpus.jsonl").read_bytes())
     with pytest.raises(ValueError, match="no readable video"):
         evaluate.evaluate_checkpoint(tmp_path / "ckpt", tmp_path / "corpus.jsonl", REQUESTS["greedy"])
+
+
+def test_nan_clip_is_a_logged_partial_error(corpus, tmp_path):
+    data, records = corpus
+    _checkpoint(records, tmp_path / "ckpt", eos_bias=0.0)
+    (tmp_path / "videos").mkdir()
+    for rec in records:
+        (tmp_path / rec.video).write_bytes((data / rec.video).read_bytes())
+    (tmp_path / "corpus.jsonl").write_bytes((data / "corpus.jsonl").read_bytes())
+    nan_clip = tmp_path / records[0].video
+    raw = bytearray(nan_clip.read_bytes())
+    raw[-4:] = struct.pack("<f", float("nan"))  # one NaN pixel in the payload
+    nan_clip.write_bytes(bytes(raw))
+
+    outcome = evaluate.evaluate_checkpoint(tmp_path / "ckpt", tmp_path / "corpus.jsonl", REQUESTS["greedy"])
+    assert outcome.partial
+    assert [e["id"] for e in outcome.errors] == [records[0].id, records[UNREADABLE].id]
+    assert "[0, 1]" in outcome.errors[0]["error"]
+    assert len(outcome.predictions) == len(records) - 2
+
+
+def test_corpus_is_parsed_once_unless_train_corpus_is_another_file(corpus, tmp_path, monkeypatch):
+    data, records = corpus
+    _checkpoint(records, tmp_path / "ckpt", eos_bias=50.0)  # every caption stops at once
+    other = tmp_path / "train.jsonl"
+    other.write_bytes((data / "corpus.jsonl").read_bytes())
+    parsed = []
+
+    def counting_load_corpus(path):
+        parsed.append(Path(path).resolve())
+        return load_corpus(path)
+
+    monkeypatch.setattr(evaluate, "load_corpus", counting_load_corpus)
+    corpus_path = data / "corpus.jsonl"
+    for train_path, want in [
+        (None, [corpus_path]),
+        (corpus_path, [corpus_path]),
+        (data / "videos" / ".." / "corpus.jsonl", [corpus_path]),
+        (other, [corpus_path, other]),
+    ]:
+        parsed.clear()
+        outcome = evaluate.evaluate_checkpoint(
+            tmp_path / "ckpt", corpus_path, REQUESTS["greedy"], train_corpus_path=train_path
+        )
+        assert parsed == [p.resolve() for p in want]
+        assert len(outcome.predictions) == len(records) - 1

@@ -70,3 +70,44 @@ def test_vvid_read_errors(tmp_path):
     p.write_bytes(short)
     with pytest.raises(ValueError, match="payload"):
         read_vvid(p)
+
+
+def _raw_vvid(path, payload):
+    """A .vvid file holding payload, a float32 array, bypassing VideoClip."""
+    path.write_bytes(struct.pack("<4sB4I", b"VVID", 1, *payload.shape) + payload.astype("<f4").tobytes())
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_clip_rejects_nan_pixels(dtype, tmp_path):
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        VideoClip(np.full((2, 2, 2, 1), np.nan, dtype=dtype))
+    one = np.full((2, 2, 2, 1), 0.5, dtype=dtype)
+    one[1, 0, 1, 0] = np.nan
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        VideoClip(one)
+
+    p = tmp_path / "nan.vvid"
+    _raw_vvid(p, one)
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        read_vvid(p)
+
+
+def test_dtype_contract():
+    f32 = np.random.default_rng(1).random((3, 2, 2, 1)).astype(np.float32)
+    assert VideoClip(f32).data is f32  # kept as given, no copy
+
+    for other in (f32.astype(np.float16), np.zeros((1, 1, 1, 1), dtype=np.uint8), [[[[0.25]]]]):
+        assert VideoClip(other).data.dtype == np.float64
+    f64 = np.zeros((1, 2, 2, 1))
+    assert VideoClip(f64).data is f64
+
+
+def test_read_vvid_is_a_read_only_float32_view(tmp_path):
+    clip = VideoClip(np.random.default_rng(2).random((4, 3, 5, 2)))
+    p = tmp_path / "clip.vvid"
+    write_vvid(p, clip)
+    data = read_vvid(p).data
+    assert data.dtype == np.float32
+    assert not data.flags.writeable
+    assert not data.flags.owndata  # a view of the file's bytes, no payload copy
+    assert np.array_equal(data, clip.data.astype(np.float32))

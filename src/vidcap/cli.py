@@ -11,13 +11,13 @@ import json
 import sys
 from pathlib import Path
 
-from .afs import build_cdf, frame_dissimilarity, select_frames
+from .afs import DISSIMILARITY_METRICS, build_cdf, frame_dissimilarity, select_frames
 from .autodiff import NumericError
 from .decoder import GenerationRequest
 from .evaluate import caption_video, evaluate_checkpoint
 from .metrics import compute_report
 from .synth import SyntheticSpec, generate_synthetic_dataset
-from .textproc import PosTagger, build_concept_vocabulary, build_vocab, load_corpus
+from .textproc import PosTagger, build_concept_vocabulary, build_vocab, config_from_table, load_corpus
 from .training import TrainConfig, TrainingDiverged, load_checkpoint, load_vocab_and_concepts, train
 from .video import read_vvid
 
@@ -81,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("afs", help="adaptive frame selection for one video")
     p.add_argument("--video", required=True)
     p.add_argument("--frames", type=int, required=True)
-    p.add_argument("--metric", default="mad", choices=["mad", "patch"])
+    p.add_argument("--metric", default="mad", choices=DISSIMILARITY_METRICS)
     p.add_argument("--dedupe", action="store_true")
     p.add_argument("--out", help="write the JSON here instead of stdout")
 
@@ -118,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen_data(args) -> int:
-    spec = SyntheticSpec() if not args.spec else SyntheticSpec.from_json(_read_json(args.spec))
+    spec = config_from_table(SyntheticSpec, _read_json(args.spec) if args.spec else {}, "synthetic spec")
     records = generate_synthetic_dataset(spec, args.out)
     print(f"wrote {len(records)} videos under {args.out}")
     return EXIT_OK
@@ -161,7 +161,7 @@ def _cmd_build_vocab(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    cfg = TrainConfig() if not args.config else TrainConfig.from_json(_read_json(args.config))
+    cfg = config_from_table(TrainConfig, _read_json(args.config) if args.config else {}, "training config")
     result = train(cfg, args.data, args.out, log_every=args.log_every, quiet=False)
     print(f"checkpoint at {result.checkpoint_dir}")
     return EXIT_OK

@@ -1,14 +1,15 @@
 """Causal transformer decoder conditioned on video tokens and a concept
 probability vector.
 
-The concept vector is adapted to the hidden width and becomes the
-position-0 input in place of a start-of-sequence embedding, so every
-generated word is conditioned on it.  Each layer runs causal
-self-attention, cross-attention over the encoder tokens (both through the
-shared nn.Attention core), and a feed forward block, all pre-norm with
-residuals.  Training runs B right-padded captions in one teacher-forced
-call: padding sits after every real position, so the causal mask already
-hides it from every real query.
+The concept vector, projected to the hidden width when its own width
+differs (the adapter), becomes the position-0 input in place of a
+start-of-sequence embedding, so every generated word is conditioned on
+it.  Each layer runs causal self-attention, cross-attention over the
+encoder tokens (both through the shared nn.Attention core), and a feed
+forward block, all pre-norm with residuals.  Training runs B
+right-padded captions in one teacher-forced call: padding sits after
+every real position, so the causal mask already hides it from every
+real query.
 
 Generation is incremental and runs many clips in lockstep: step_fn
 computes each layer's cross-attention keys/values once per clip, and a
@@ -48,24 +49,11 @@ class DecoderConfig:
     max_positions: int = 32
     dropout: float = 0.3
     concept_dim: int = 16
-    adapter: str = "auto"  # auto | linear | identity
     layer_norm_eps: float = 1e-12
 
     def __post_init__(self):
         if self.hidden % self.heads:
             raise ValueError("hidden width must divide into heads")
-        if self.adapter not in ("auto", "linear", "identity"):
-            raise ValueError(f"unknown adapter mode {self.adapter!r}")
-        if self.adapter == "identity" and self.concept_dim != self.hidden:
-            raise ValueError("identity adapter needs concept width equal to hidden width")
-
-    @property
-    def needs_adapter(self) -> bool:
-        if self.adapter == "linear":
-            return True
-        if self.adapter == "identity":
-            return False
-        return self.concept_dim != self.hidden
 
     @classmethod
     def paper(cls, vocab_size: int = 30522) -> "DecoderConfig":
@@ -133,9 +121,7 @@ class CaptionDecoder:
         self.cfg = cfg
         self.tok_emb = Embedding(rng, cfg.vocab_size, cfg.hidden)
         self.pos_emb = Embedding(rng, cfg.max_positions, cfg.hidden)
-        self.adapter = Linear(rng, cfg.concept_dim, cfg.hidden) if cfg.needs_adapter else None
-        if self.adapter is None and cfg.concept_dim != cfg.hidden:
-            raise ValueError("concept width differs from hidden width and no adapter is configured")
+        self.adapter = Linear(rng, cfg.concept_dim, cfg.hidden) if cfg.concept_dim != cfg.hidden else None
         self.layers = [_DecoderLayer(rng, cfg) for _ in range(cfg.layers)]
         self.final_norm = LayerNorm(cfg.hidden, cfg.layer_norm_eps)
         self.out_proj = Linear(rng, cfg.hidden, cfg.vocab_size)

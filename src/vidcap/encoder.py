@@ -54,8 +54,7 @@ class EncoderConfig:
             raise ValueError("depths and heads must pair up stage by stage")
         if any(d < 1 for d in self.depths):
             raise ValueError("every stage needs at least one block")
-        for s, h in enumerate(self.heads):
-            width = self.embed_dim * (2**s)
+        for s, (width, h) in enumerate(zip(self.stage_widths, self.heads)):
             if width % h != 0:
                 raise ValueError(f"stage {s} width {width} not divisible by {h} heads")
 
@@ -77,15 +76,6 @@ class EncoderConfig:
             concept_count=768,
             concept_hidden=(1024, 2048),
         )
-
-
-@dataclass
-class PatchGrid:
-    """Token grids of a batch: dims is (t, h, w); data holds (B, t, h, w, C)
-    activations."""
-
-    dims: tuple[int, int, int]
-    data: Tensor
 
 
 # ---------------------------------------------------------------------------
@@ -202,30 +192,27 @@ def crop_grid(x: Tensor, dims) -> Tensor:
 
 
 class WindowAttention(Attention):
-    """Multi-head self-attention inside 3D windows with a learned relative
-    position bias shared across windows."""
+    """Multi-head self-attention inside the 3D windows it is built for,
+    with a learned relative position bias shared across windows."""
 
     def __init__(self, rng, dim: int, heads: int, window, qkv_bias: bool, attn_dropout: float):
         super().__init__(rng, dim, heads, qkv_bias, attn_dropout)
         wt, wh, ww = window
         table_len = (2 * wt - 1) * (2 * wh - 1) * (2 * ww - 1)
         self.bias_table = Tensor(rng.normal(0.0, 0.02, size=(table_len, heads)), requires_grad=True)
-        self._index_cache: dict[tuple, np.ndarray] = {}
+        self.relative_index = _relative_index(window).ravel()
 
-    def _bias(self, window, lead: tuple[int, ...], n: int) -> Tensor:
-        idx = self._index_cache.get(window)
-        if idx is None:
-            idx = self._index_cache[window] = _relative_index(window)
-        b = ad.embedding(self.bias_table, idx.ravel())
+    def _bias(self, lead: tuple[int, ...], n: int) -> Tensor:
+        b = ad.embedding(self.bias_table, self.relative_index)
         b = ad.reshape(b, (n, n, self.heads))
         b = ad.transpose(b, (2, 0, 1))
         b = ad.reshape(b, (1,) * len(lead) + (self.heads, n, n))
         return ad.broadcast_to(b, lead + (self.heads, n, n))
 
-    def __call__(self, windows: Tensor, window, mask: np.ndarray | None, rng, training: bool) -> Tensor:
+    def __call__(self, windows: Tensor, mask: np.ndarray | None, rng, training: bool) -> Tensor:
         """windows: (B, num_windows, n, dim); mask: additive (num_windows, n, n) or None."""
         lead, n = windows.data.shape[:-2], windows.data.shape[-2]
-        return super().__call__(windows, windows, self._bias(window, lead, n), mask, rng, training)
+        return super().__call__(windows, windows, self._bias(lead, n), mask, rng, training)
 
     def named_parameters(self, prefix: str):
         yield from super().named_parameters(prefix)
@@ -245,10 +232,10 @@ class WindowBlock:
         self.fc2 = Linear(rng, dim * cfg.mlp_ratio, dim)
         self.hidden_dropout = cfg.hidden_dropout
 
-    def __call__(self, grid: PatchGrid, shifted: bool, rng, training: bool) -> PatchGrid:
-        dims = grid.dims
+    def __call__(self, x: Tensor, shifted: bool, rng, training: bool) -> Tensor:
+        """(B, t, h, w, C) grids in and out."""
+        dims = x.shape[1:4]
         shifts = shift_amounts(dims, self.window, shifted)
-        x = grid.data
 
         h = self.ln1(x)
         h, dims_p = pad_grid_edges(h, dims, self.window)
@@ -256,7 +243,7 @@ class WindowBlock:
             h = ad.roll(h, tuple(-s for s in shifts), axes=(1, 2, 3))
         windows = window_partition(h, dims_p, self.window)
         mask = shift_attention_mask(dims_p, self.window, shifts)
-        attn_out = self.attn(windows, self.window, mask, rng, training)
+        attn_out = self.attn(windows, mask, rng, training)
         h = window_reverse(attn_out, dims_p, self.window)
         if any(shifts):
             h = ad.roll(h, shifts, axes=(1, 2, 3))
@@ -264,8 +251,7 @@ class WindowBlock:
         x = ad.add(x, ad.dropout(h, self.hidden_dropout, rng, training))
 
         m = self.fc2(ad.gelu(self.fc1(self.ln2(x))))
-        x = ad.add(x, ad.dropout(m, self.hidden_dropout, rng, training))
-        return PatchGrid(dims=dims, data=x)
+        return ad.add(x, ad.dropout(m, self.hidden_dropout, rng, training))
 
     def named_parameters(self, prefix: str):
         yield from self.ln1.named_parameters(prefix + ".ln1")
@@ -283,14 +269,13 @@ class PatchMerge:
         self.norm = LayerNorm(4 * dim, eps)
         self.reduce = Linear(rng, 4 * dim, 2 * dim, bias=False)
 
-    def __call__(self, grid: PatchGrid) -> PatchGrid:
-        b, c = grid.data.shape[0], grid.data.shape[-1]
-        x, (t, h, w) = pad_grid_edges(grid.data, grid.dims, (1, 2, 2))
+    def __call__(self, x: Tensor) -> Tensor:
+        b, c = x.shape[0], x.shape[-1]
+        x, (t, h, w) = pad_grid_edges(x, x.shape[1:4], (1, 2, 2))
         x = ad.reshape(x, (b, t, h // 2, 2, w // 2, 2, c))
         x = ad.transpose(x, (0, 1, 2, 4, 3, 5, 6))
         x = ad.reshape(x, (b, t, h // 2, w // 2, 4 * c))
-        x = self.reduce(self.norm(x))
-        return PatchGrid(dims=(t, h // 2, w // 2), data=x)
+        return self.reduce(self.norm(x))
 
     def named_parameters(self, prefix: str):
         yield from self.norm.named_parameters(prefix + ".norm")
@@ -306,18 +291,19 @@ class VideoEncoder:
         self.patch_proj = Linear(rng, pt * ph * pw * cfg.in_channels, cfg.embed_dim)
         self.stages: list[list[WindowBlock]] = []
         self.merges: list[PatchMerge] = []
-        for s, (depth, heads) in enumerate(zip(cfg.depths, cfg.heads)):
-            width = cfg.embed_dim * (2**s)
+        widths = cfg.stage_widths
+        for s, (width, depth, heads) in enumerate(zip(widths, cfg.depths, cfg.heads)):
             self.stages.append([WindowBlock(rng, width, heads, cfg) for _ in range(depth)])
             if s + 1 < len(cfg.depths):
                 self.merges.append(PatchMerge(rng, width, cfg.layer_norm_eps))
-        final_width = cfg.embed_dim * (2 ** (len(cfg.depths) - 1))
+        final_width = widths[-1]
         self.final_norm = LayerNorm(final_width, cfg.layer_norm_eps)
         self.out_proj = Linear(rng, final_width, cfg.token_dim)
 
-    def partition(self, clips: Sequence[VideoClip]) -> PatchGrid:
-        """Stack equally shaped clips and embed their patches; trailing
-        frames, rows and columns are edge-replicated to patch multiples."""
+    def partition(self, clips: Sequence[VideoClip]) -> Tensor:
+        """(B, t, h, w, embed_dim) patch tokens of B equally shaped clips;
+        trailing frames, rows and columns are edge-replicated to patch
+        multiples."""
         pt, ph, pw = self.cfg.patch
         if len({clip.data.shape for clip in clips}) != 1:
             raise ValueError("an encoder call takes one or more clips of one shape")
@@ -330,18 +316,17 @@ class VideoEncoder:
         b, t, h, w, c = data.shape
         x = data.reshape(b, t // pt, pt, h // ph, ph, w // pw, pw, c)
         x = x.transpose(0, 1, 3, 5, 2, 4, 6, 7).reshape(b, t // pt, h // ph, w // pw, pt * ph * pw * c)
-        tokens = self.patch_proj(Tensor(x))
-        return PatchGrid(dims=(t // pt, h // ph, w // pw), data=tokens)
+        return self.patch_proj(Tensor(x))
 
     def __call__(self, clips: Sequence[VideoClip], rng=None, training: bool = False) -> Tensor:
         """Tokens (B, t, token_dim) for B clips of one shape."""
-        grid = self.partition(clips)
+        x = self.partition(clips)
         for s, blocks in enumerate(self.stages):
             for i, block in enumerate(blocks):
-                grid = block(grid, shifted=(i % 2 == 1), rng=rng, training=training)
+                x = block(x, shifted=(i % 2 == 1), rng=rng, training=training)
             if s < len(self.merges):
-                grid = self.merges[s](grid)
-        x = self.final_norm(grid.data)
+                x = self.merges[s](x)
+        x = self.final_norm(x)
         x = ad.mean_reduce(x, axis=3)
         x = ad.mean_reduce(x, axis=2)
         return self.out_proj(x)

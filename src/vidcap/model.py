@@ -11,6 +11,7 @@ import numpy as np
 from .autodiff import Tensor
 from .decoder import CaptionDecoder, DecoderConfig, GenerationRequest, Hypothesis, generate
 from .encoder import ConceptHead, EncoderConfig, VideoEncoder
+from .textproc import config_from_table
 from .video import VideoClip
 
 
@@ -26,6 +27,8 @@ class CaptionModel:
     def __init__(self, enc_cfg: EncoderConfig, dec_cfg: DecoderConfig, seed: int = 0):
         if dec_cfg.concept_dim != enc_cfg.concept_count:
             raise ValueError("decoder concept width must match the concept head")
+        if dec_cfg.hidden != enc_cfg.token_dim:
+            raise ValueError(f"decoder hidden {dec_cfg.hidden} must match encoder token_dim {enc_cfg.token_dim}")
         init_rng = np.random.default_rng(seed)
         self.enc_cfg = enc_cfg
         self.dec_cfg = dec_cfg
@@ -85,7 +88,12 @@ class CaptionModel:
 
 
 def model_from_config_blob(blob: dict, seed: int = 0) -> CaptionModel:
-    enc = dict(blob["encoder"])
-    for key in ("patch", "window", "depths", "heads", "concept_hidden"):
-        enc[key] = tuple(enc[key])
-    return CaptionModel(EncoderConfig(**enc), DecoderConfig(**blob["decoder"]), seed=seed)
+    """The model of a checkpoint's "model" table.  Its decoder table may hold the
+    removed "adapter" setting: "auto", what every decoder now does, or nothing."""
+    dec = blob["decoder"]
+    if isinstance(dec, dict) and "adapter" in dec:
+        if dec["adapter"] != "auto":
+            raise ValueError(f"checkpoint decoder adapter mode {dec['adapter']!r} is no longer supported")
+        dec = {k: v for k, v in dec.items() if k != "adapter"}
+    enc = config_from_table(EncoderConfig, blob["encoder"], "checkpoint EncoderConfig")
+    return CaptionModel(enc, config_from_table(DecoderConfig, dec, "checkpoint DecoderConfig"), seed=seed)

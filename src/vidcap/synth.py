@@ -86,18 +86,6 @@ class SyntheticSpec:
             if mo not in MOTION_STEPS:
                 raise ValueError(f"unknown motion {mo!r}")
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "SyntheticSpec":
-        allowed = set(cls.__dataclass_fields__)
-        unknown = set(obj) - allowed
-        if unknown:
-            raise ValueError(f"unknown synthetic spec keys: {sorted(unknown)}")
-        kwargs = dict(obj)
-        for key in ("shapes", "colors", "motions"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs)
-
 
 def _draw_shape(frame: np.ndarray, shape: str, center: tuple[int, int], size: int, rgb) -> None:
     h, w, _ = frame.shape

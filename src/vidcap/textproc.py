@@ -4,14 +4,15 @@ Captions are lowercased, punctuation is stripped (intra-word apostrophes
 survive), and tokens are whitespace-separated words.  The word vocabulary
 reserves ids 0..3 for <pad>, <sos>, <eos>, <unk>; learned words follow in
 (frequency desc, word asc) order.  The concept vocabulary is the top-K
-content words (nouns, verbs, adverbs) by corpus token frequency.
+content words (nouns, verbs, adverbs) by corpus token frequency.  The
+JSON read from outside (corpus files, config tables) is parsed here too.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -61,9 +62,6 @@ class Vocab:
 
     def id_of(self, word: str) -> int:
         return self.index.get(word, UNK_ID)
-
-    def word_of(self, idx: int) -> str:
-        return self.words[idx]
 
     def encode_tokens(self, tokens: Sequence[str]) -> list[int]:
         return [self.id_of(w) for w in tokens]
@@ -272,6 +270,37 @@ def load_corpus(path: str | Path) -> list[CaptionRecord]:
             raise ValueError(f"{path}:{line_no}: record has no captions")
         records.append(rec)
     return records
+
+
+# the JSON values a config field takes, by the type of its default; a
+# bool is not a number here, though Python counts it as an int
+_JSON_TYPES = {bool: (bool, "a boolean"), int: (int, "an integer"),
+               float: ((int, float), "a number"), tuple: (list, "a list")}
+
+
+def config_from_table(cls, table, what: str):
+    """The dataclass cls built from a JSON object of its fields.  Unknown
+    keys, a value whose JSON type does not fit its field's default and a
+    TypeError while building are ValueErrors naming ``what``; the list
+    given for a tuple field becomes a tuple."""
+    if not isinstance(table, dict):
+        raise ValueError(f"{what} must be a JSON object, got {table!r}")
+    defaults = {f.name: f.default for f in fields(cls)}
+    unknown = set(table) - set(defaults)
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+    kwargs = {}
+    for key, value in table.items():
+        kind = type(defaults[key])
+        if kind in _JSON_TYPES:
+            accepted, name = _JSON_TYPES[kind]
+            if not isinstance(value, accepted) or isinstance(value, bool) != (kind is bool):
+                raise ValueError(f"{what} key {key!r} must be {name}, got {value!r}")
+        kwargs[key] = tuple(value) if kind is tuple else value
+    try:
+        return cls(**kwargs)
+    except TypeError as exc:
+        raise ValueError(f"bad {what}: {exc}") from None
 
 
 def save_corpus(path: str | Path, records: Sequence[CaptionRecord]) -> None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -32,6 +32,7 @@ from .textproc import (
     build_concept_vocabulary,
     build_vocab,
     concept_label_vector,
+    config_from_table,
     encode_caption,
     load_corpus,
 )
@@ -66,46 +67,27 @@ class TrainConfig:
         if self.lambda_bce < 0 or self.lr <= 0 or self.clip_norm <= 0:
             raise ValueError("bad optimizer hyperparameters")
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "TrainConfig":
-        allowed = set(cls.__dataclass_fields__)
-        unknown = set(obj) - allowed
-        if unknown:
-            raise ValueError(f"unknown training config keys: {sorted(unknown)}")
-        return cls(**obj)
-
     def resolve_encoder(self) -> EncoderConfig:
-        return _resolve_config(self.encoder, EncoderConfig, ("patch", "window", "depths", "heads", "concept_hidden"))
+        return _resolve_config(self.encoder, EncoderConfig)
 
     def resolve_decoder(self, vocab_size: int, concept_dim: int) -> DecoderConfig:
-        if self.decoder == "paper":
-            return DecoderConfig.paper(vocab_size)
-        overrides = {} if self.decoder == "desk" else dict(self.decoder)
-        overrides.setdefault("vocab_size", vocab_size)
-        overrides.setdefault("concept_dim", concept_dim)
-        return DecoderConfig(**overrides)
+        return _resolve_config(self.decoder, DecoderConfig, vocab_size=vocab_size, concept_dim=concept_dim)
 
 
-def _resolve_config(value, cls, tuple_fields):
-    if value == "desk":
-        return cls()
+def _resolve_config(value, cls, **defaults):
+    """cls from "desk" (its field defaults), "paper" (cls.paper) or a table
+    of fields; ``defaults`` go over the presets and under a table."""
     if value == "paper":
-        return cls.paper()
+        return replace(cls.paper(), **defaults)
+    if value == "desk":
+        value = {}
     if not isinstance(value, dict):
         raise ValueError(f"config must be 'desk', 'paper' or a field table, got {value!r}")
-    unknown = set(value) - set(cls.__dataclass_fields__)
-    if unknown:
-        raise ValueError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
-    kwargs = dict(value)
-    for key in tuple_fields:
-        if key in kwargs:
-            kwargs[key] = tuple(kwargs[key])
-    return cls(**kwargs)
+    return config_from_table(cls, {**defaults, **value}, cls.__name__)
 
 
 @dataclass
 class _Sample:
-    record_id: str
     clip: VideoClip               # AFS-selected
     labels: np.ndarray            # multi-hot concept vector
     captions: list[np.ndarray]    # token ids ending in EOS, PAD-trimmed
@@ -130,7 +112,7 @@ def _prepare_samples(records, data_root: Path, vocab, concepts, n_frames: int, m
         for text in rec.captions:
             ids, mask = encode_caption(vocab, text, max_len)
             caps.append(ids[: int(mask.sum())])
-        samples.append(_Sample(rec.id, selected, labels, caps))
+        samples.append(_Sample(selected, labels, caps))
     return samples
 
 
@@ -232,8 +214,6 @@ def train(
     model.dropout_rng = np.random.default_rng(config.seed + 202)
 
     history: list[dict] = []
-    log_path = out / "train_log.jsonl"
-    log_file = log_path.open("w")
     t0 = time.time()
 
     def run_step(step: int, phase: str, loss_fn, trainable, state, lr: float):
@@ -252,42 +232,42 @@ def train(
         if not quiet and (step % log_every == 0 or step == 1):
             print(f"[{phase}] step {step} loss {value:.4f} norm {norm:.4f}")
 
-    # phase one: concept head only, frozen encoder outputs cached once
-    if config.phase in ("semantic_pretrain", "both") and config.pretrain_steps > 0:
-        model.training = False
-        cache = token_cache(model, [s.clip for s in samples], config.batch_size)
-        all_labels = np.stack([s.labels for s in samples])
-        model.training = True
-        model.concept_head.dropout_rate = 0.5
-        state: dict = {}
+    with (out / "train_log.jsonl").open("w") as log_file:
+        # phase one: concept head only, frozen encoder outputs cached once
+        if config.phase in ("semantic_pretrain", "both") and config.pretrain_steps > 0:
+            model.training = False
+            cache = token_cache(model, [s.clip for s in samples], config.batch_size)
+            all_labels = np.stack([s.labels for s in samples])
+            model.training = True
+            model.concept_head.dropout_rate = 0.5
+            state: dict = {}
 
-        def pretrain_loss(batch):
-            logits = model.concept_logits(Tensor(cache[batch]))
-            bce = ad.bce_with_logits(logits, all_labels[batch])
-            return bce, {"bce": float(bce.data)}
+            def pretrain_loss(batch):
+                logits = model.concept_logits(Tensor(cache[batch]))
+                bce = ad.bce_with_logits(logits, all_labels[batch])
+                return bce, {"bce": float(bce.data)}
 
-        for step in range(1, config.pretrain_steps + 1):
-            run_step(step, "semantic_pretrain", pretrain_loss, head_params, state, config.lr)
+            for step in range(1, config.pretrain_steps + 1):
+                run_step(step, "semantic_pretrain", pretrain_loss, head_params, state, config.lr)
 
-    # phase two: everything trains, caption CE plus weighted concept BCE
-    if config.phase in ("end_to_end", "both") and config.max_steps > 0:
-        model.training = True
-        model.concept_head.dropout_rate = 0.1
-        state = {}
+        # phase two: everything trains, caption CE plus weighted concept BCE
+        if config.phase in ("end_to_end", "both") and config.max_steps > 0:
+            model.training = True
+            model.concept_head.dropout_rate = 0.1
+            state = {}
 
-        def batch_joint_loss(batch):
-            drawn = [samples[i] for i in batch]
-            captions = [s.captions[int(caption_rng.integers(0, len(s.captions)))] for s in drawn]
-            total, ce, bce = joint_loss(
-                model, [s.clip for s in drawn], captions, [s.labels for s in drawn], config.lambda_bce
-            )
-            return total, {"ce": float(ce.data), "bce": float(bce.data)}
+            def batch_joint_loss(batch):
+                drawn = [samples[i] for i in batch]
+                captions = [s.captions[int(caption_rng.integers(0, len(s.captions)))] for s in drawn]
+                total, ce, bce = joint_loss(
+                    model, [s.clip for s in drawn], captions, [s.labels for s in drawn], config.lambda_bce
+                )
+                return total, {"ce": float(ce.data), "bce": float(bce.data)}
 
-        start = config.pretrain_steps if config.phase == "both" else 0
-        for step in range(start + 1, start + config.max_steps + 1):
-            run_step(step, "end_to_end", batch_joint_loss, params, state, config.lr)
+            start = config.pretrain_steps if config.phase == "both" else 0
+            for step in range(start + 1, start + config.max_steps + 1):
+                run_step(step, "end_to_end", batch_joint_loss, params, state, config.lr)
 
-    log_file.close()
     ckpt_dir = out / "checkpoint"
     save_checkpoint(
         ckpt_dir,

@@ -79,4 +79,7 @@ def read_vvid(path: str | Path) -> VideoClip:
     size = len(raw) - _HEADER.size
     if size != expect:
         raise ValueError(f"{path}: payload is {size} bytes, expected {expect}")
-    return VideoClip(np.frombuffer(raw, dtype="<f4", offset=_HEADER.size).reshape(t, h, w, c))
+    try:
+        return VideoClip(np.frombuffer(raw, dtype="<f4", offset=_HEADER.size).reshape(t, h, w, c))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -344,17 +344,6 @@ def test_random_compositions():
     check_grads(plumb, [a, b])
 
 
-def test_tensor_operator_sugar():
-    rng = np.random.default_rng(12)
-    a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-    b = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-    with Tape() as tape:
-        out = (a + b) * b - a
-        grads = backward(ad.sum_reduce(out), tape)
-    assert np.allclose(grads[a], b.data - 1.0)
-    assert np.allclose(grads[b], a.data + 2 * b.data)
-
-
 def test_no_tape_means_no_recording():
     a = Tensor(np.ones((2, 2)), requires_grad=True)
     out = ad.add(a, a)  # no active tape: plain evaluation

@@ -117,6 +117,41 @@ def test_missing_and_invalid_inputs_exit_2(env, tmp_path, capsys):
     assert main(["caption", "--ckpt", str(tmp_path / "none"), "--video", str(tmp_path / "v.vvid")]) == 2
 
 
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"decoder": {"hiddn": 8}}, "unknown DecoderConfig keys: ['hiddn']"),
+        ({"encoder": {"patch": 2}}, "EncoderConfig key 'patch' must be a list"),
+        ({"lr": "x"}, "training config key 'lr' must be a number"),
+        ({"decoder": "big"}, "config must be 'desk', 'paper' or a field table, got 'big'"),
+        ({"decoder": {"hidden": 16, "heads": 2}}, "decoder hidden 16 must match encoder token_dim 32"),
+    ],
+)
+def test_bad_train_config_exits_2_before_training(env, tmp_path, capsys, config, message):
+    cfg = tmp_path / "train.json"
+    cfg.write_text(json.dumps({"encoder": SMALL_ENCODER, "max_steps": 2, "pretrain_steps": 2, **config}))
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--data", str(env["data"]), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and message in err
+    assert "Traceback" not in err
+    assert not (out / "train_log.jsonl").exists()
+
+
+def test_caption_refuses_a_stored_adapter_mode(env, tmp_path, capsys):
+    import shutil
+
+    ckpt = tmp_path / "ckpt"
+    shutil.copytree(env["ckpt"], ckpt)
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    manifest["model"]["decoder"]["adapter"] = "linear"
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+    video = env["data"] / "videos" / "vid0001.vvid"
+    assert main(["caption", "--ckpt", str(ckpt), "--video", str(video), "--decode", "greedy"]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "'linear'" in err
+
+
 def test_build_vocab(env, tmp_path, capsys):
     out = tmp_path / "vocab.json"
     corpus = env["data"] / "corpus.jsonl"

@@ -51,7 +51,7 @@ def test_causality_exact():
 
 
 def test_semantic_sos_embedding_rules():
-    dec, cfg = _small_decoder(adapter="identity")
+    dec, cfg = _small_decoder()
     pos0 = dec.pos_emb.table.data[0]
 
     zero = dec.embed_with_semantic_sos(Tensor(np.zeros((1, cfg.hidden))), [[]])
@@ -73,13 +73,16 @@ def test_semantic_sos_embedding_rules():
 
 
 def test_adapter_configuration():
-    with pytest.raises(ValueError, match="identity adapter"):
-        DecoderConfig(vocab_size=11, hidden=32, concept_dim=16, adapter="identity")
+    # the decoder has an adapter exactly when the concept and hidden widths differ
+    same, cfg = _small_decoder()
+    assert cfg.concept_dim == cfg.hidden
+    assert same.adapter is None
+    assert not any(".adapter." in name for name, _ in same.named_parameters())
 
     cfg = DecoderConfig(vocab_size=11, hidden=32, concept_dim=16)
-    assert cfg.needs_adapter
     dec = CaptionDecoder(cfg, np.random.default_rng(0))
     assert dec.adapter is not None
+    assert dec.adapter.weight.data.shape == (16, 32)
     out = dec.embed_with_semantic_sos(Tensor(np.zeros((1, 16))), [[1]])
     assert out.shape == (1, 2, 32)
 

@@ -15,7 +15,6 @@ from vidcap.autodiff import Tape, Tensor, backward
 from vidcap.encoder import (
     ConceptHead,
     EncoderConfig,
-    PatchGrid,
     PatchMerge,
     VideoEncoder,
     WindowAttention,
@@ -99,7 +98,7 @@ def _impl_window_attention(x: np.ndarray, attn: WindowAttention, window, shifts)
     xs = np.roll(x, tuple(-s for s in shifts), axis=(1, 2, 3))
     windows = window_partition(Tensor(xs), dims, window)
     mask = shift_attention_mask(dims, window, shifts)
-    out = attn(windows, window, mask, rng=None, training=False)
+    out = attn(windows, mask, rng=None, training=False)
     rev = window_reverse(out, dims, window).data
     return np.roll(rev, shifts, axis=(1, 2, 3))
 
@@ -207,22 +206,22 @@ def test_patch_partition_shapes_and_linearity():
     enc = VideoEncoder(cfg, np.random.default_rng(0))
 
     grid = enc.partition([VideoClip(rng.random((8, 16, 16, 3)))])
-    assert grid.dims == (4, 4, 4)
-    assert grid.data.shape == (1, 4, 4, 4, cfg.embed_dim)
+    assert grid.shape[1:4] == (4, 4, 4)
+    assert grid.shape == (1, 4, 4, 4, cfg.embed_dim)
 
     # zero clip: every token equals the projection bias
     zgrid = enc.partition([VideoClip(np.zeros((8, 16, 16, 3)))])
-    assert np.abs(zgrid.data.data - enc.patch_proj.bias.data).max() == 0.0
+    assert np.abs(zgrid.data - enc.patch_proj.bias.data).max() == 0.0
 
     # single-patch clip equals the projection of the flattened clip
     cfg1 = EncoderConfig(in_channels=1, depths=(1,), heads=(2,))
     enc1 = VideoEncoder(cfg1, np.random.default_rng(4))
     clip = VideoClip(rng.random((2, 4, 4, 1)))
     g = enc1.partition([clip])
-    assert g.dims == (1, 1, 1)
+    assert g.shape[1:4] == (1, 1, 1)
     flat = clip.data.reshape(1, -1)
     want = flat @ enc1.patch_proj.weight.data + enc1.patch_proj.bias.data
-    assert np.abs(g.data.data.reshape(1, -1) - want).max() < 1e-12
+    assert np.abs(g.data.reshape(1, -1) - want).max() < 1e-12
 
 
 def test_patch_partition_pad_by_replication():
@@ -231,7 +230,7 @@ def test_patch_partition_pad_by_replication():
     # 7 frames, 15x14 pixels: pad to 8, 16, 16 by edge replication
     clip = VideoClip(np.random.default_rng(6).random((7, 15, 14, 3)))
     grid = enc.partition([clip])
-    assert grid.dims == (4, 4, 4)
+    assert grid.shape[1:4] == (4, 4, 4)
 
     # a batch of clips of different shapes is refused
     with pytest.raises(ValueError, match="one shape"):
@@ -256,21 +255,21 @@ def test_patch_merge():
     c = 8
     merge = PatchMerge(rng, c, eps=1e-12)
 
-    grid = PatchGrid(dims=(4, 4, 4), data=Tensor(rng.normal(size=(1, 4, 4, 4, c))))
+    grid = Tensor(rng.normal(size=(1, 4, 4, 4, c)))
     out = merge(grid)
-    assert out.dims == (4, 2, 2)
-    assert out.data.shape == (1, 4, 2, 2, 2 * c)
+    assert out.shape[1:4] == (4, 2, 2)
+    assert out.shape == (1, 4, 2, 2, 2 * c)
 
     # identical tokens everywhere stay identical after merging
     tok = rng.normal(size=c)
-    same = PatchGrid(dims=(2, 4, 4), data=Tensor(np.tile(tok, (1, 2, 4, 4, 1))))
-    mo = merge(same).data.data
+    same = Tensor(np.tile(tok, (1, 2, 4, 4, 1)))
+    mo = merge(same).data
     assert np.abs(mo - mo[0, 0, 0, 0]).max() == 0.0
 
     # hand evaluation on a single 2x2 spatial group
-    g = PatchGrid(dims=(1, 2, 2), data=Tensor(rng.normal(size=(1, 1, 2, 2, c))))
-    got = merge(g).data.data.reshape(2 * c)
-    x = g.data.data[0]
+    g = Tensor(rng.normal(size=(1, 1, 2, 2, c)))
+    got = merge(g).data.reshape(2 * c)
+    x = g.data[0]
     v = np.concatenate([x[0, 0, 0], x[0, 0, 1], x[0, 1, 0], x[0, 1, 1]])
     mu, var = v.mean(), v.var()
     normed = (v - mu) / np.sqrt(var + 1e-12)
@@ -356,14 +355,14 @@ def test_gradcheck_through_window_block():
     probe = {name: rng.normal(size=p.data.shape) for name, p in params.items()}
 
     def forward() -> float:
-        grid = PatchGrid(dims=(2, 2, 4), data=Tensor(x))
+        grid = Tensor(x)
         out = block(grid, shifted=True, rng=None, training=False)
-        return float((out.data.data * mix).sum())
+        return float((out.data * mix).sum())
 
     with Tape() as tape:
-        grid = PatchGrid(dims=(2, 2, 4), data=Tensor(x))
+        grid = Tensor(x)
         out = block(grid, shifted=True, rng=None, training=False)
-        loss = ad.sum_reduce(ad.mul(out.data, Tensor(mix)))
+        loss = ad.sum_reduce(ad.mul(out, Tensor(mix)))
         grads = backward(loss, tape)
 
     h = 1e-5

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from vidcap.synth import SyntheticSpec, captions_for, generate_synthetic_dataset, render_video
-from vidcap.textproc import load_corpus
+from vidcap.textproc import config_from_table, load_corpus
 from vidcap.video import read_vvid
 
 
@@ -76,12 +76,12 @@ def test_dataset_layout_and_coverage(tmp_path):
 
 def test_spec_validation():
     with pytest.raises(ValueError, match="unknown synthetic spec keys"):
-        SyntheticSpec.from_json({"videos": 2, "fps": 30})
+        config_from_table(SyntheticSpec, {"videos": 2, "fps": 30}, "synthetic spec")
     with pytest.raises(ValueError, match="unknown color"):
         SyntheticSpec(colors=("chartreuse",))
     with pytest.raises(ValueError, match="static prefix"):
         SyntheticSpec(static_prefix=1.0)
     with pytest.raises(ValueError, match="paraphrases"):
         SyntheticSpec(paraphrases=9)
-    round_trip = SyntheticSpec.from_json({"videos": 3, "colors": ["red", "cyan"]})
+    round_trip = config_from_table(SyntheticSpec, {"videos": 3, "colors": ["red", "cyan"]}, "synthetic spec")
     assert round_trip.colors == ("red", "cyan")

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from vidcap.decoder import DecoderConfig
+from vidcap.encoder import EncoderConfig
 from vidcap.synth import SyntheticSpec, generate_synthetic_dataset
 from vidcap.textproc import (
     EOS_ID,
@@ -15,12 +17,14 @@ from vidcap.textproc import (
     build_concept_vocabulary,
     build_vocab,
     concept_label_vector,
+    config_from_table,
     detokenize,
     encode_caption,
     load_corpus,
     normalize_and_tokenize,
     save_corpus,
 )
+from vidcap.training import TrainConfig
 
 
 def test_tokenize_examples():
@@ -186,3 +190,35 @@ def test_corpus_validation(tmp_path):
     p.write_text('{"id": "v0", "captions": ["hi"], "split": "train"}\n')
     with pytest.raises(ValueError, match="missing corpus field"):
         load_corpus(p)
+
+
+@pytest.mark.parametrize(
+    "cls, table, message",
+    [
+        (EncoderConfig, [2, 4, 4], "EncoderConfig must be a JSON object"),
+        (DecoderConfig, {"vocab_size": 9, "hiddn": 8}, "unknown DecoderConfig keys: ['hiddn']"),
+        (EncoderConfig, {"patch": 2}, "EncoderConfig key 'patch' must be a list"),
+        (SyntheticSpec, {"colors": "red"}, "SyntheticSpec key 'colors' must be a list"),
+        (TrainConfig, {"lr": "x"}, "TrainConfig key 'lr' must be a number"),
+        (TrainConfig, {"seed": True}, "TrainConfig key 'seed' must be an integer"),
+        (DecoderConfig, {"vocab_size": 9, "hidden": 8.0}, "DecoderConfig key 'hidden' must be an integer"),
+        (EncoderConfig, {"qkv_bias": 1}, "EncoderConfig key 'qkv_bias' must be a boolean"),
+        # a TypeError while building, here from the stage width check
+        (EncoderConfig, {"heads": ["2", "4"]}, "bad EncoderConfig: unsupported operand"),
+    ],
+)
+def test_config_from_table_rejects(cls, table, message):
+    with pytest.raises(ValueError) as err:
+        config_from_table(cls, table, cls.__name__)
+    assert message in str(err.value)
+
+
+def test_config_from_table_builds_tuples_and_numbers():
+    enc = config_from_table(EncoderConfig, {"window": [1, 2, 2], "concept_hidden": [8, 16]}, "EncoderConfig")
+    assert enc == EncoderConfig(window=(1, 2, 2), concept_hidden=(8, 16))
+    assert isinstance(enc.window, tuple) and isinstance(enc.concept_hidden, tuple)
+    spec = config_from_table(SyntheticSpec, {"videos": 3, "colors": ["red", "cyan"]}, "SyntheticSpec")
+    assert spec.colors == ("red", "cyan")
+    # an integer is a number; a field without a default takes any value
+    assert config_from_table(TrainConfig, {"lr": 1}, "TrainConfig").lr == 1
+    assert config_from_table(DecoderConfig, {"vocab_size": 9}, "DecoderConfig").vocab_size == 9

@@ -13,6 +13,7 @@ from vidcap.decoder import DecoderConfig
 from vidcap.encoder import EncoderConfig
 from vidcap.model import CaptionModel
 from vidcap.synth import SyntheticSpec, generate_synthetic_dataset
+from vidcap.textproc import config_from_table
 from vidcap.training import (
     TrainConfig,
     TrainingDiverged,
@@ -149,7 +150,7 @@ def test_token_cache_matches_per_clip_encoding():
 
 def test_checkpoint_errors(tmp_path):
     enc = EncoderConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in SMALL_ENCODER.items()})
-    dec = DecoderConfig(vocab_size=12, hidden=16, layers=1, heads=2, concept_dim=8)
+    dec = DecoderConfig(vocab_size=12, hidden=SMALL_ENCODER["token_dim"], layers=1, heads=2, concept_dim=8)
     model = CaptionModel(enc, dec, seed=0)
     ckpt = save_checkpoint(tmp_path / "ck", model)
 
@@ -245,7 +246,7 @@ def test_config_validation():
     with pytest.raises(ValueError, match="hyperparameters"):
         TrainConfig(lr=0.0)
     with pytest.raises(ValueError, match="unknown training config keys"):
-        TrainConfig.from_json({"lr": 0.1, "momentum": 0.9})
+        config_from_table(TrainConfig, {"lr": 0.1, "momentum": 0.9}, "training config")
 
 
 def test_config_resolution():
@@ -260,3 +261,36 @@ def test_config_resolution():
         TrainConfig(encoder={"frames": 8, "fps": 30}).resolve_encoder()
     with pytest.raises(ValueError, match="config must be"):
         TrainConfig(encoder=42).resolve_encoder()
+    with pytest.raises(ValueError, match="config must be 'desk', 'paper' or a field table"):
+        TrainConfig(decoder="big").resolve_decoder(vocab_size=30, concept_dim=16)
+    with pytest.raises(ValueError, match="unknown DecoderConfig keys"):
+        TrainConfig(decoder={"hiddn": 8}).resolve_decoder(vocab_size=30, concept_dim=16)
+    paper = TrainConfig(decoder="paper").resolve_decoder(vocab_size=30, concept_dim=768)
+    assert paper == DecoderConfig.paper(30)
+
+
+def test_checkpoint_blob_and_stored_adapter_mode(tmp_path):
+    model = _small_model(seed=4)
+    assert model.decoder.adapter is not None  # concept width 8, hidden 32
+    ckpt = save_checkpoint(tmp_path / "ck", model)
+    plain, _ = load_checkpoint(ckpt)
+    # the JSON lists of the manifest come back as the tuples of the configs
+    assert plain.enc_cfg == model.enc_cfg and plain.dec_cfg == model.dec_cfg
+    assert isinstance(plain.enc_cfg.patch, tuple)
+
+    # a manifest written while the adapter mode was a setting
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    manifest["model"]["decoder"]["adapter"] = "auto"
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+    auto, _ = load_checkpoint(ckpt)
+    assert auto.dec_cfg == model.dec_cfg
+    want = dict(plain.named_parameters())
+    got = dict(auto.named_parameters())
+    assert set(got) == set(want)
+    for name, p in got.items():
+        assert p.data.tobytes() == want[name].data.tobytes(), name
+
+    manifest["model"]["decoder"]["adapter"] = "linear"
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="adapter mode 'linear' is no longer supported"):
+        load_checkpoint(ckpt)

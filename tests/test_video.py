@@ -88,8 +88,9 @@ def test_clip_rejects_nan_pixels(dtype, tmp_path):
 
     p = tmp_path / "nan.vvid"
     _raw_vvid(p, one)
-    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+    with pytest.raises(ValueError, match=r"\[0, 1\]") as err:
         read_vvid(p)
+    assert str(p) in str(err.value)
 
 
 def test_dtype_contract():

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .afs import DISSIMILARITY_METRICS, build_cdf, frame_dissimilarity, select_frames
 from .autodiff import NumericError
-from .decoder import GenerationRequest
+from .decoder import STRATEGIES, GenerationRequest
 from .evaluate import caption_video, evaluate_checkpoint
 from .metrics import compute_report
 from .synth import SyntheticSpec, generate_synthetic_dataset
@@ -61,7 +61,7 @@ def _decode_request(args) -> GenerationRequest:
 
 
 def _add_decode_flags(p):
-    p.add_argument("--decode", default="beam", choices=["beam", "greedy", "topk", "topp"])
+    p.add_argument("--decode", default="beam", choices=STRATEGIES)
     p.add_argument("--beam", type=int, default=3)
     p.add_argument("--topk", type=int, default=20)
     p.add_argument("--topp", type=float, default=0.95)
@@ -202,7 +202,7 @@ def _cmd_score(args) -> int:
         if not line.strip():
             continue
         row = json.loads(line)
-        if "id" not in row or "caption" not in row:
+        if not isinstance(row, dict) or "id" not in row or "caption" not in row:
             raise DataError(f"{pred_path}:{line_no}: prediction rows need id and caption")
         if row["id"] not in refs_by_id:
             raise DataError(f"{pred_path}:{line_no}: no references for id {row['id']!r}")

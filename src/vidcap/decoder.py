@@ -16,10 +16,11 @@ computes each layer's cross-attention keys/values once per clip, and a
 step maps rows of (clip, prefix) pairs, every prefix one length, to
 next-token log-probabilities, running one new position per row through
 the same layers as the teacher-forced forward on the cached
-self-attention keys/values of its parent.  Strategies, each advancing
-every clip by one length per step call: length-synchronous beam search
+self-attention keys/values of its parent.  One length-synchronous search
+serves every strategy, advancing every clip by one length per step call;
+the strategies differ only in how continuations are picked: beam search
 (summed log probabilities, no length normalization, ties broken toward
-the lexicographically smallest token sequence) and ancestral sampling
+the lexicographically smallest token sequence) or ancestral sampling
 with greedy / top-k / top-p truncation and a temperature knob, one
 generator per clip.  One clip is the batch of one.
 """
@@ -253,9 +254,12 @@ class Hypothesis:
     logprob: float
 
 
+STRATEGIES = ("beam", "greedy", "topk", "topp")
+
+
 @dataclass
 class GenerationRequest:
-    strategy: str = "beam"  # beam | greedy | topk | topp
+    strategy: str = "beam"  # one of STRATEGIES
     beam_width: int = 3
     k: int = 20
     p: float = 0.95
@@ -264,7 +268,7 @@ class GenerationRequest:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.strategy not in ("beam", "greedy", "topk", "topp"):
+        if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown decode strategy {self.strategy!r}")
         if self.beam_width < 1 or self.k < 1 or self.max_len < 1:
             raise ValueError("beam width, k and max length must be positive")
@@ -272,51 +276,6 @@ class GenerationRequest:
             raise ValueError("top-p mass must be in (0, 1]")
         if self.temperature <= 0.0:
             raise ValueError("temperature must be positive")
-
-
-def generate_beam(step: StepFn, max_len: int, width: int, eos_id: int = EOS_ID, clips: int = 1) -> list[Hypothesis]:
-    """Length-synchronous beam search for each of `clips` clips, in lockstep.
-
-    All live hypotheses share a length; each step expands every live
-    hypothesis of every clip over the whole vocabulary, in one step call
-    for all of them, and keeps per clip the `width` best continuations by
-    summed log-probability, ties going to the smaller token sequence.
-    Continuations ending in EOS retire to the clip's completed pool with
-    the EOS term included in their score; at the length limit the
-    survivors retire as they are.  The best retiree of each clip wins.
-    """
-    # per clip: live hypotheses sorted by tokens, and the retired ones
-    live: list[list[tuple[tuple[int, ...], float]]] = [[((), 0.0)] for _ in range(clips)]
-    completed: list[list[tuple[list[int], float]]] = [[] for _ in range(clips)]
-    for _ in range(max_len):
-        active = [c for c in range(clips) if live[c]]
-        if not active:
-            break
-        logprobs = step([(c, tokens) for c in active for tokens, _ in live[c]])
-        start = 0
-        for c in active:
-            rows = len(live[c])
-            scores = np.array([score for _, score in live[c]])[:, None] + logprobs[start : start + rows]
-            start += rows
-            vocab = scores.shape[1]
-            # a live rank orders its hypothesis lexicographically, so (score
-            # desc, rank, token) orders the continuations as (score desc, tokens)
-            tok_key, rank_key = np.tile(np.arange(vocab), rows), np.repeat(np.arange(rows), vocab)
-            order = np.lexsort((tok_key, rank_key, -scores.ravel()))
-            kept = []
-            for rank, tok in (divmod(int(i), vocab) for i in order[:width]):
-                tokens, score = live[c][rank][0], float(scores[rank, tok])
-                if tok == eos_id:
-                    completed[c].append((list(tokens), score))
-                else:
-                    kept.append((tokens + (tok,), score))
-            live[c] = sorted(kept)
-    best = []
-    for pool, survivors in zip(completed, live):
-        pool.extend((list(tokens), score) for tokens, score in survivors)
-        tokens, score = min(pool, key=lambda c: (-c[1], c[0]))
-        best.append(Hypothesis(tokens=tokens, logprob=score))
-    return best
 
 
 def sample_token(logits: np.ndarray, strategy: str, k: int, p: float, temperature: float, rng) -> int:
@@ -343,56 +302,56 @@ def sample_token(logits: np.ndarray, strategy: str, k: int, p: float, temperatur
     return int(pool[min(idx, len(pool) - 1)])
 
 
-def generate_sample(
-    step: StepFn,
-    strategy: str,
-    max_len: int,
-    k: int = 20,
-    p: float = 0.95,
-    temperature: float = 1.0,
-    rngs: Sequence[np.random.Generator] | None = None,
-    eos_id: int = EOS_ID,
-    clips: int = 1,
-) -> list[Hypothesis]:
-    """Ancestral decoding of each of `clips` clips, in lockstep: one step
-    call per length for every clip still running, clip c drawing from
-    rngs[c].  The reported log-prob accumulates the full (untruncated,
-    temperature-free) distribution's terms."""
-    if strategy != "greedy" and (rngs is None or len(rngs) != clips):
-        raise ValueError("stochastic decoding needs one rng per clip")
-    tokens: list[list[int]] = [[] for _ in range(clips)]
-    scores = [0.0] * clips
-    running = list(range(clips))
-    for _ in range(max_len):
-        if not running:
+def generate(step: StepFn, request: GenerationRequest, clips: int = 1) -> list[Hypothesis]:
+    """One hypothesis per clip, the clips advanced in lockstep.
+
+    All live hypotheses share a length; each step call expands every live
+    hypothesis of every clip still running.  Beam search keeps per clip
+    the `beam_width` best continuations by summed log-probability, ties
+    going to the smaller token sequence.  Greedy, top-k and top-p keep one
+    hypothesis per clip and pick its continuation with sample_token, clip
+    c drawing from its own generator seeded with request.seed, so a clip
+    draws what it would draw decoded alone.  Scores sum the full
+    (untruncated, temperature-free) distribution's terms.  Continuations
+    ending in EOS retire to the clip's completed pool with the EOS term
+    included in their score; at max_len the survivors retire as they are.
+    The best retiree of each clip wins.
+    """
+    r = request
+    beam, sampling = r.strategy == "beam", r.strategy in ("topk", "topp")
+    rngs = [np.random.default_rng(r.seed) if sampling else None for _ in range(clips)]
+    # per clip: live hypotheses sorted by tokens, and the retired ones
+    live: list[list[tuple[tuple[int, ...], float]]] = [[((), 0.0)] for _ in range(clips)]
+    completed: list[list[tuple[list[int], float]]] = [[] for _ in range(clips)]
+    for _ in range(r.max_len):
+        active = [c for c in range(clips) if live[c]]
+        if not active:
             break
-        logprobs = step([(c, tokens[c]) for c in running])
-        still = []
-        for c, row in zip(running, logprobs):
-            tok = sample_token(row, strategy, k, p, temperature, rngs[c] if rngs else None)
-            scores[c] += float(row[tok])
-            if tok != eos_id:
-                tokens[c].append(tok)
-                still.append(c)
-        running = still
-    return [Hypothesis(tokens=t, logprob=s) for t, s in zip(tokens, scores)]
-
-
-def generate(step: StepFn, request: GenerationRequest, eos_id: int = EOS_ID, clips: int = 1) -> list[Hypothesis]:
-    """One hypothesis per clip.  Sampling gives every clip its own
-    generator seeded with request.seed, so a clip draws what it would
-    draw decoded alone."""
-    if request.strategy == "beam":
-        return generate_beam(step, request.max_len, request.beam_width, eos_id, clips)
-    rngs = None if request.strategy == "greedy" else [np.random.default_rng(request.seed) for _ in range(clips)]
-    return generate_sample(
-        step,
-        request.strategy,
-        request.max_len,
-        k=request.k,
-        p=request.p,
-        temperature=request.temperature,
-        rngs=rngs,
-        eos_id=eos_id,
-        clips=clips,
-    )
+        logprobs = step([(c, tokens) for c in active for tokens, _ in live[c]])
+        start = 0
+        for c in active:
+            n = len(live[c])
+            if beam:
+                # a live rank orders its hypothesis lexicographically, so (score
+                # desc, rank, token) orders the continuations as (score desc, tokens)
+                scores = np.array([score for _, score in live[c]])[:, None] + logprobs[start : start + n]
+                vocab = scores.shape[1]
+                order = np.lexsort((np.tile(np.arange(vocab), n), np.repeat(np.arange(n), vocab), -scores.ravel()))
+                picks = [divmod(int(i), vocab) for i in order[: r.beam_width]]
+            else:
+                picks = [(0, sample_token(logprobs[start], r.strategy, r.k, r.p, r.temperature, rngs[c]))]
+            kept = []
+            for rank, tok in picks:
+                tokens, score = live[c][rank][0], live[c][rank][1] + float(logprobs[start + rank, tok])
+                if tok == EOS_ID:
+                    completed[c].append((list(tokens), score))
+                else:
+                    kept.append((tokens + (tok,), score))
+            live[c] = sorted(kept)
+            start += n
+    best = []
+    for pool, survivors in zip(completed, live):
+        pool.extend((list(tokens), score) for tokens, score in survivors)
+        tokens, score = min(pool, key=lambda h: (-h[1], h[0]))
+        best.append(Hypothesis(tokens=tokens, logprob=score))
+    return best

@@ -116,13 +116,6 @@ def _mask_slices(d: int, w: int, s: int):
     return [slice(0, d - w), slice(d - w, d - s), slice(d - s, d)]
 
 
-def _np_window_partition(arr: np.ndarray, window) -> np.ndarray:
-    t, h, w = arr.shape
-    wt, wh, ww = window
-    a = arr.reshape(t // wt, wt, h // wh, wh, w // ww, ww)
-    return a.transpose(0, 2, 4, 1, 3, 5).reshape(-1, wt * wh * ww)
-
-
 @functools.lru_cache(maxsize=64)
 def shift_attention_mask(dims, window, shift) -> np.ndarray | None:
     """Additive (num_windows, n, n) mask for a cyclically shifted grid.
@@ -142,7 +135,7 @@ def shift_attention_mask(dims, window, shift) -> np.ndarray | None:
             for sl_w in _mask_slices(dims[2], window[2], shift[2]):
                 img[sl_t, sl_h, sl_w] = cnt
                 cnt += 1
-    labels = _np_window_partition(img, window)
+    labels = window_partition(Tensor(img[None, ..., None]), dims, window).data[0, ..., 0]
     diff = labels[:, :, None] != labels[:, None, :]
     mask = np.where(diff, NEG_INF, 0.0)
     mask.flags.writeable = False

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -279,18 +279,7 @@ class EvalReport:
     counts: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "bleu4": self.bleu4,
-            "rouge_l": self.rouge_l,
-            "cider_d": self.cider_d,
-            "self_bleu": self.self_bleu,
-            "novel_pct": self.novel_pct,
-            "unique_pct": self.unique_pct,
-            "vocab_usage_pct": self.vocab_usage_pct,
-            "pos_histogram": [[p, c] for p, c in self.pos_histogram],
-            "pos_distinct": self.pos_distinct,
-            "counts": self.counts,
-        }
+        return asdict(self)
 
 
 def compute_report(

@@ -255,6 +255,8 @@ def load_corpus(path: str | Path) -> list[CaptionRecord]:
         if not line:
             continue
         obj = json.loads(line)
+        if not isinstance(obj, dict):
+            raise ValueError(f"{path}:{line_no}: corpus line is not a JSON object")
         try:
             rec = CaptionRecord(
                 id=str(obj["id"]),

@@ -329,19 +329,22 @@ def load_checkpoint(ckpt_dir: str | Path, seed: int = 0) -> tuple[CaptionModel, 
     manifest = json.loads((ckpt / "manifest.json").read_text())
     if manifest.get("format") != "vidcap-checkpoint" or manifest.get("version") != CKPT_VERSION:
         raise ValueError("not a recognized checkpoint directory")
-    model = model_from_config_blob(manifest["model"], seed=seed)
-    raw = np.frombuffer((ckpt / "params.bin").read_bytes(), dtype=np.float32)
-    params = dict(model.named_parameters())
-    seen = set()
-    for entry in manifest["params"]:
-        name = entry["name"]
-        if name not in params:
-            raise ValueError(f"checkpoint parameter {name!r} not in model")
-        chunk = raw[entry["offset"] : entry["offset"] + entry["count"]]
-        if chunk.size != entry["count"]:
-            raise ValueError("params.bin shorter than manifest promises")
-        params[name].data = chunk.astype(np.float64).reshape(entry["shape"])
-        seen.add(name)
+    try:
+        model = model_from_config_blob(manifest["model"], seed=seed)
+        raw = np.frombuffer((ckpt / "params.bin").read_bytes(), dtype=np.float32)
+        params = dict(model.named_parameters())
+        seen = set()
+        for entry in manifest["params"]:
+            name = entry["name"]
+            if name not in params:
+                raise ValueError(f"checkpoint parameter {name!r} not in model")
+            chunk = raw[entry["offset"] : entry["offset"] + entry["count"]]
+            if chunk.size != entry["count"]:
+                raise ValueError("params.bin shorter than manifest promises")
+            params[name].data = chunk.astype(np.float64).reshape(entry["shape"])
+            seen.add(name)
+    except KeyError as e:
+        raise ValueError(f"checkpoint manifest lacks key {e}") from None
     missing = set(params) - seen
     if missing:
         raise ValueError(f"checkpoint missing parameters: {sorted(missing)[:3]}")

@@ -152,6 +152,40 @@ def test_caption_refuses_a_stored_adapter_mode(env, tmp_path, capsys):
     assert "data error" in err and "'linear'" in err
 
 
+def _one_data_error(capsys) -> str:
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("data error: "), lines
+    return lines[0]
+
+
+def test_corpus_line_that_is_not_an_object_exits_2(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("[1, 2]\n")
+    assert main(["build-vocab", "--corpus", str(corpus), "--out", str(tmp_path / "v.json")]) == 2
+    assert f"{corpus}:1:" in _one_data_error(capsys)
+
+
+@pytest.mark.parametrize("drop", ["model", "params"])
+def test_checkpoint_manifest_missing_a_key_exits_2(env, tmp_path, capsys, drop):
+    import shutil
+
+    ckpt = tmp_path / "ckpt"
+    shutil.copytree(env["ckpt"], ckpt)
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    del manifest[drop]
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+    video = env["data"] / "videos" / "vid0001.vvid"
+    assert main(["caption", "--ckpt", str(ckpt), "--video", str(video), "--decode", "greedy"]) == 2
+    assert f"'{drop}'" in _one_data_error(capsys)
+
+
+def test_prediction_line_that_is_not_an_object_exits_2(env, tmp_path, capsys):
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text("5\n")
+    assert main(["score", "--preds", str(preds), "--refs", str(env["data"] / "corpus.jsonl")]) == 2
+    assert f"{preds}:1:" in _one_data_error(capsys)
+
+
 def test_build_vocab(env, tmp_path, capsys):
     out = tmp_path / "vocab.json"
     corpus = env["data"] / "corpus.jsonl"

@@ -18,8 +18,6 @@ from vidcap.decoder import (
     GenerationRequest,
     _DecoderLayer,
     generate,
-    generate_beam,
-    generate_sample,
     log_softmax,
     sample_token,
 )
@@ -229,16 +227,16 @@ def test_beam_beats_greedy_on_two_step_toy():
     }
     step = _table_step(tables)
 
-    (greedy,) = generate_sample(step, "greedy", max_len=2, eos_id=2)
+    (greedy,) = generate(step, GenerationRequest(strategy="greedy", max_len=2))
     assert greedy.tokens == [0, 0]
     assert abs(greedy.logprob - math.log(0.6 * 0.4)) < 1e-9
 
-    (beam,) = generate_beam(step, max_len=2, width=2, eos_id=2)
+    (beam,) = generate(step, GenerationRequest(strategy="beam", beam_width=2, max_len=2))
     assert beam.tokens == [1, 0]
     assert abs(beam.logprob - math.log(0.4 * 0.9)) < 1e-9
 
     # width 1 degenerates to greedy
-    (b1,) = generate_beam(step, max_len=2, width=1, eos_id=2)
+    (b1,) = generate(step, GenerationRequest(strategy="beam", beam_width=1, max_len=2))
     assert b1.tokens == greedy.tokens
     assert abs(b1.logprob - greedy.logprob) < 1e-12
 
@@ -291,7 +289,7 @@ def test_full_width_beam_equals_exhaustive_search():
             tables = _random_tables(v, max_len, rng)
             step = _table_step(tables)
             want_tokens, want_score = _exhaustive_best(tables, v, max_len)
-            (got,) = generate_beam(step, max_len=max_len, width=v**max_len)
+            (got,) = generate(step, GenerationRequest(strategy="beam", beam_width=v**max_len, max_len=max_len))
             assert got.tokens == want_tokens
             assert abs(got.logprob - want_score) < 1e-9
 
@@ -306,7 +304,7 @@ def test_beam_steps_once_per_length_and_breaks_ties_lexicographically():
         calls.append({len(p) for _, p in rows})
         return np.log(np.tile(probs, (len(rows), 1)))
 
-    (hyp,) = generate_beam(step, max_len=4, width=3)
+    (hyp,) = generate(step, GenerationRequest(strategy="beam", beam_width=3, max_len=4))
     assert calls == [{0}, {1}, {2}, {3}]
     assert hyp.tokens == [0, 0, 0, 0]
 
@@ -360,11 +358,40 @@ def test_lockstep_generation_equals_one_clip_at_a_time():
         assert len({len(h.tokens) for h in together}) > 1, request.strategy
 
 
+def test_every_strategy_matches_recorded_hypotheses():
+    # recorded tokens and log-probs of four clips that stop at different
+    # lengths; a change in pick order, draw order or score summation shows
+    # here as a changed number
+    rng = np.random.default_rng(23)
+    tables = [_random_tables(5, 4, rng) for _ in range(4)]
+
+    def step(rows):
+        return np.log(np.asarray([tables[c][tuple(p)] for c, p in rows], dtype=np.float64))
+
+    recorded = [
+        (GenerationRequest(strategy="greedy", max_len=4), [
+            ([4], -0.8516933497700189), ([1, 0, 0], -3.1114910468050287),
+            ([], -0.470652320224719), ([3], -2.3098985825099225)]),
+        (GenerationRequest(strategy="beam", beam_width=3, max_len=4), [
+            ([4], -0.8516933497700189), ([], -1.4178308334441643),
+            ([], -0.470652320224719), ([], -1.3862076671311954)]),
+        (GenerationRequest(strategy="topk", k=2, max_len=4, seed=5), [
+            ([3, 4, 3, 4], -4.472223232415541), ([], -1.4178308334441643),
+            ([1, 4, 3, 0], -3.8718256832683524), ([4], -2.8098783887111045)]),
+        (GenerationRequest(strategy="topp", p=0.8, max_len=4, seed=5), [
+            ([3, 0, 1], -5.109265308470291), ([], -1.4178308334441643),
+            ([1, 4, 3, 0], -3.8718256832683524), ([1, 1, 4, 1], -4.448527974862811)]),
+    ]
+    for request, want in recorded:
+        got = [(h.tokens, h.logprob) for h in generate(step, request, clips=4)]
+        assert got == want, request.strategy
+
+
 def test_logprobs_accumulate_nonpositive_terms():
     rng = np.random.default_rng(7)
     tables = _random_tables(4, 4, rng)
     step = _table_step(tables)
-    (hyp,) = generate_sample(step, "greedy", max_len=4)
+    (hyp,) = generate(step, GenerationRequest(strategy="greedy", max_len=4))
     # replay the path: every per-step term is a log-probability <= 0,
     # so the running total is non-increasing
     total = 0.0

@@ -1,6 +1,7 @@
 """Metric tests: pinned hand values, brute-force CIDEr-D oracle, and the
 invariance properties the metric suite guarantees."""
 
+import json
 import math
 from collections import Counter
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from vidcap.metrics import (
+    EvalReport,
     bleu4_corpus,
     cider_d,
     compute_report,
@@ -314,3 +316,18 @@ def test_compute_report_fields_and_determinism():
     assert r1.cider_d >= 0.0
     assert r1.counts == {"items": 3, "references": 3}
     assert r1.pos_distinct == len(r1.pos_histogram)
+
+
+def test_report_json_text_is_unchanged():
+    # the text the field-by-field to_json wrote: histogram pairs as lists
+    report = EvalReport(
+        bleu4=41.25, rouge_l=0.1 + 0.2, cider_d=1 / 3, self_bleu=88.0, novel_pct=50.0,
+        unique_pct=66.66666666666667, vocab_usage_pct=12.5,
+        pos_histogram=[("DET-NOUN-VERB", 2), ("", 1)], pos_distinct=2, counts={"items": 3, "references": 4},
+    )
+    assert json.dumps(report.to_json()) == (
+        '{"bleu4": 41.25, "rouge_l": 0.30000000000000004, "cider_d": 0.3333333333333333, '
+        '"self_bleu": 88.0, "novel_pct": 50.0, "unique_pct": 66.66666666666667, "vocab_usage_pct": 12.5, '
+        '"pos_histogram": [["DET-NOUN-VERB", 2], ["", 1]], "pos_distinct": 2, '
+        '"counts": {"items": 3, "references": 4}}'
+    )

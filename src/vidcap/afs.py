@@ -14,6 +14,7 @@ import numpy as np
 from .video import VideoClip
 
 DISSIMILARITY_METRICS = ("mad", "patch")
+MAD_CHUNK = 16  # frames widened and differenced at a time by the 'mad' metric
 
 
 def frame_dissimilarity(clip: VideoClip, metric: str = "mad") -> np.ndarray:
@@ -32,9 +33,20 @@ def frame_dissimilarity(clip: VideoClip, metric: str = "mad") -> np.ndarray:
         raise ValueError("empty video")
     if metric == "mad":
         # float32 widens exactly, so subtracting in float64 equals np.diff
-        # of the widened clip without widening all of it first
-        diffs = np.subtract(frames[1:], frames[:-1], dtype=np.float64)
-        return np.abs(diffs, out=diffs).mean(axis=(1, 2, 3))
+        # of the widened clip without widening all of it first; each
+        # frame's sum is its own reduction, so a chunk of MAD_CHUNK frames
+        # at a time gives the same bits with a bounded float64 buffer, and
+        # one division by the pixel count ends the mean as np.mean does
+        segments = frames.shape[0] - 1
+        out = np.empty(segments)
+        buf = np.empty((min(segments, MAD_CHUNK),) + frames.shape[1:])
+        for start in range(0, segments, MAD_CHUNK):
+            stop = min(start + MAD_CHUNK, segments)
+            diffs = buf[: stop - start]
+            np.subtract(frames[start + 1 : stop + 1], frames[start:stop], out=diffs, dtype=np.float64)
+            np.add.reduce(np.abs(diffs, out=diffs), axis=(1, 2, 3), out=out[start:stop])
+        out /= frames[0].size
+        return out
     if metric == "patch":
         # widened first: a float32 mean would accumulate in float32
         frames = frames.astype(np.float64, copy=False)

@@ -4,7 +4,15 @@ Every operation is a plain numpy computation plus a closure that maps the
 output gradient back to input gradients.  Operations executed while a Tape
 is active are recorded in execution order, which is already a valid
 topological order for the reverse sweep.  With no active tape the same
-functions run as ordinary numpy code (inference mode).
+functions run as ordinary numpy code (inference mode): _record wraps the
+output at once and nothing is recorded, so a tape-free op returns a Tensor
+with requires_grad False and its closure is dropped unrun.
+
+Kernels may compute in place (``out=``, ``*=``) to save temporaries, as
+long as each step keeps the operands and order of operations of the plain
+formula, so the bits do not change.  They never write into an op's input,
+into an incoming gradient (one array may be the gradient of two inputs),
+or into an array that a backward closure still reads.
 
 Broadcasting in binary ops is deliberately restricted: shapes must match
 exactly, or one operand must be a single element.  Any other expansion has
@@ -18,24 +26,24 @@ from typing import Callable, Sequence
 import numpy as np
 
 _TAPE_STACK: list["Tape"] = []
-
-
-def active_tape() -> "Tape | None":
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
+_F64 = np.dtype(np.float64)
 
 
 class Tensor:
     """A numpy float64 array plus a requires_grad flag.
 
-    Tensors are value holders only; the graph lives on the tape.  Data is
-    treated as immutable once wrapped, except for explicit optimizer
-    updates which build replacement arrays.
+    Tensors are value holders only; the graph lives on the tape.  A float64
+    ndarray is wrapped as it is, without a copy; anything else is converted
+    with np.asarray.  Data is treated as immutable once wrapped, except for
+    explicit optimizer updates which build replacement arrays.
     """
 
     __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        if type(data) is not np.ndarray or data.dtype is not _F64:
+            data = np.asarray(data, dtype=np.float64)
+        self.data = data
         self.requires_grad = bool(requires_grad)
 
     @property
@@ -59,7 +67,7 @@ class NumericError(ValueError):
 
 
 def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 class _Node:
@@ -91,8 +99,10 @@ class Tape:
 
 
 def _record(op: str, inputs: tuple, out_data: np.ndarray, backward: Callable) -> Tensor:
-    tape = active_tape()
-    grad_needed = tape is not None and any(t.requires_grad for t in inputs)
+    if not _TAPE_STACK:
+        return Tensor(out_data)
+    tape = _TAPE_STACK[-1]
+    grad_needed = any(t.requires_grad for t in inputs)
     out = Tensor(out_data, requires_grad=grad_needed)
     if grad_needed:
         for t in inputs:
@@ -129,8 +139,9 @@ def backward(loss: Tensor, tape: Tape) -> dict[Tensor, np.ndarray]:
 
 
 def _binary_check(a: Tensor, b: Tensor, op: str) -> None:
-    if a.shape != b.shape and a.size != 1 and b.size != 1:
-        raise ValueError(f"{op}: shapes {a.shape} and {b.shape} neither match nor are scalar")
+    x, y = a.data, b.data
+    if x.shape != y.shape and x.size != 1 and y.size != 1:
+        raise ValueError(f"{op}: shapes {x.shape} and {y.shape} neither match nor are scalar")
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -172,21 +183,22 @@ def scale(a: Tensor, c: float) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product.  Either b is 2-D (shared weight applied to any stack
     of row blocks) or a and b carry identical leading batch dims."""
-    if a.ndim < 2 or b.ndim < 2:
+    sa, sb = a.data.shape, b.data.shape
+    if len(sa) < 2 or len(sb) < 2:
         raise ValueError("matmul requires at least 2-D operands")
-    if b.ndim == 2:
-        if a.shape[-1] != b.shape[0]:
-            raise ValueError(f"matmul: inner dims {a.shape} @ {b.shape}")
+    if len(sb) == 2:
+        if sa[-1] != sb[0]:
+            raise ValueError(f"matmul: inner dims {sa} @ {sb}")
 
         def bwd(g):
             ga = g @ b.data.T
-            k, m = b.shape
+            k, m = sb
             gb = a.data.reshape(-1, k).T @ g.reshape(-1, m)
             return ga, gb
 
     else:
-        if a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
-            raise ValueError(f"matmul: incompatible batched shapes {a.shape} @ {b.shape}")
+        if len(sa) != len(sb) or sa[:-2] != sb[:-2] or sa[-1] != sb[-2]:
+            raise ValueError(f"matmul: incompatible batched shapes {sa} @ {sb}")
 
         def bwd(g):
             ga = g @ np.swapaxes(b.data, -1, -2)
@@ -202,16 +214,17 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     leading axis of x."""
     if bias is None:
         return matmul(x, weight)
-    if weight.ndim != 2 or x.shape[-1:] != weight.shape[:1] or bias.shape != weight.shape[1:]:
-        raise ValueError(f"linear: shapes {x.shape} @ {weight.shape} + {bias.shape}")
+    sx, sw, sb = x.data.shape, weight.data.shape, bias.data.shape
+    if len(sw) != 2 or sx[-1:] != sw[:1] or sb != sw[1:]:
+        raise ValueError(f"linear: shapes {sx} @ {sw} + {sb}")
     out = x.data @ weight.data
     out += bias.data
-    k, m = weight.shape
+    k, m = sw
 
     def bwd(g):
         g2 = g.reshape(-1, m)
         gx = g @ weight.data.T if x.requires_grad else None
-        return gx, x.data.reshape(-1, k).T @ g2, g2.sum(axis=0)
+        return gx, x.data.reshape(-1, k).T @ g2, np.add.reduce(g2, 0)
 
     return _record("linear", (x, weight, bias), out, bwd)
 
@@ -228,18 +241,36 @@ _GELU_C = np.sqrt(2.0 / np.pi)
 
 def gelu(a: Tensor) -> Tensor:
     # tanh form; exact-erf and tanh-form differ by <1e-3 and the tanh form
-    # keeps the derivative closed-form
-    x = a.data
+    # keeps the derivative closed-form.  In place, the steps of
+    # t = tanh(_GELU_C * (x + 0.044715 * x**3)) and out = 0.5 * x * (1.0 + t);
     # x * x * x rather than x**3, which numpy hands to libm pow
-    x3 = x * x
-    x3 *= x
-    u = _GELU_C * (x + 0.044715 * x3)
-    t = np.tanh(u)
-    out = 0.5 * x * (1.0 + t)
+    x = a.data
+    t = x * x
+    t *= x
+    t *= 0.044715
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out = np.multiply(x, 0.5)
+    out *= np.add(t, 1.0)
 
     def bwd(g):
-        du = _GELU_C * (1.0 + 3 * 0.044715 * x**2)
-        return (g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * du),)
+        # g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * du) with
+        # du = _GELU_C * (1.0 + 3 * 0.044715 * x**2), step by step
+        du = x * x
+        du *= 3 * 0.044715
+        du += 1.0
+        du *= _GELU_C
+        rest = np.multiply(t, t)
+        np.subtract(1.0, rest, out=rest)
+        da = np.multiply(x, 0.5)
+        da *= rest
+        da *= du
+        np.add(t, 1.0, out=rest)
+        rest *= 0.5
+        rest += da
+        rest *= g
+        return (rest,)
 
     return _record("gelu", (a,), out, bwd)
 
@@ -279,10 +310,9 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     ts = tuple(tensors)
     if not ts:
         raise ValueError("concat of zero tensors")
-    sizes = [t.shape[axis] for t in ts]
-    splits = np.cumsum(sizes)[:-1]
 
     def bwd(g):
+        splits = np.cumsum([t.data.shape[axis] for t in ts])[:-1]
         return tuple(np.split(g, splits, axis=axis))
 
     return _record("concat", ts, np.concatenate([t.data for t in ts], axis=axis), bwd)
@@ -299,10 +329,9 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 def transpose(a: Tensor, axes) -> Tensor:
     axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
 
     def bwd(g):
-        return (g.transpose(inv),)
+        return (g.transpose(np.argsort(axes)),)
 
     return _record("transpose", (a,), a.data.transpose(axes), bwd)
 
@@ -403,11 +432,13 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator | None, training: b
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    if not np.all(np.isfinite(a.data)):
+    x = a.data
+    if not np.logical_and.reduce(np.isfinite(x), axis=None):
         raise NumericError("non-finite input")
-    m = a.data.max(axis=axis, keepdims=True)
-    e = np.exp(a.data - m)
-    y = e / e.sum(axis=axis, keepdims=True)
+    # y = exp(x - max) / sum(exp(x - max)), in one buffer
+    y = np.subtract(x, np.maximum.reduce(x, axis, keepdims=True))
+    np.exp(y, out=y)
+    y /= np.add.reduce(y, axis, keepdims=True)
 
     def bwd(g):
         dot = (g * y).sum(axis=axis, keepdims=True)
@@ -418,28 +449,46 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 
 def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-12) -> Tensor:
     """Normalize over the last axis with population variance, then affine."""
-    c = a.shape[-1] if a.ndim else 0
+    x = a.data
+    shape = x.shape
+    c = shape[-1] if shape else 0
     if c == 0:
         raise ValueError("layer_norm over zero-length axis")
-    if gamma.shape != (c,) or beta.shape != (c,):
+    if gamma.data.shape != (c,) or beta.data.shape != (c,):
         raise ValueError("layer_norm affine params must match last axis")
-    mu = a.data.mean(axis=-1, keepdims=True)
-    xc = a.data - mu
-    var = (xc * xc).sum(axis=-1, keepdims=True) / c  # np.var's own steps, a - mu taken once
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
+    # the steps of np.mean and np.var, x - mu taken once:
+    # xhat = (x - mu) * (1.0 / sqrt(mean((x - mu)**2) + eps))
+    mu = np.add.reduce(x, -1, keepdims=True)
+    mu /= c
+    xhat = x - mu
+    out = np.multiply(xhat, xhat)
+    inv = np.add.reduce(out, -1, keepdims=True)
+    inv /= c
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
+    np.multiply(xhat, gamma.data, out=out)
+    out += beta.data
 
     def bwd(g):
+        # dxhat = g * gamma; da = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
         lead = tuple(range(g.ndim - 1))
-        dgamma = (g * xhat).sum(axis=lead)
-        dbeta = g.sum(axis=lead)
-        dxhat = g * gamma.data
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        da = inv * (dxhat - m1 - xhat * m2)
+        tmp = np.multiply(g, xhat)
+        dgamma = np.add.reduce(tmp, lead)
+        dbeta = np.add.reduce(g, lead)
+        da = np.multiply(g, gamma.data)
+        m1 = np.add.reduce(da, -1, keepdims=True)
+        m1 /= c
+        np.multiply(da, xhat, out=tmp)
+        m2 = np.add.reduce(tmp, -1, keepdims=True)
+        m2 /= c
+        da -= m1
+        da -= np.multiply(xhat, m2, out=tmp)
+        da *= inv
         return da, dgamma, dbeta
 
-    return _record("layer_norm", (a, gamma, beta), xhat * gamma.data + beta.data, bwd)
+    return _record("layer_norm", (a, gamma, beta), out, bwd)
 
 
 def cross_entropy_masked(logits: Tensor, targets, ignore_id: int) -> Tensor:

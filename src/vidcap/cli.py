@@ -206,6 +206,8 @@ def _cmd_score(args) -> int:
             raise DataError(f"{pred_path}:{line_no}: prediction rows need id and caption")
         if row["id"] not in refs_by_id:
             raise DataError(f"{pred_path}:{line_no}: no references for id {row['id']!r}")
+        if not isinstance(row["caption"], str):
+            raise DataError(f"{pred_path}:{line_no}: caption must be a string, got {row['caption']!r}")
         preds.append(row["caption"])
         refs.append(refs_by_id[row["id"]])
     if not preds:

@@ -198,7 +198,10 @@ class _CachedStep:
         self.decoder = decoder
         clips = semantic.shape[0]
         self.sos = decoder.embed_with_semantic_sos(semantic, np.zeros((clips, 0))).data[:, 0]
-        self.cross_kv = [tuple(t.data for t in layer.cross_attn.keys_values(enc_tokens)) for layer in decoder.layers]
+        self.clips = clips
+        self.cross_kv = [
+            tuple(Tensor(t.data) for t in layer.cross_attn.keys_values(enc_tokens)) for layer in decoder.layers
+        ]
         # the latest call's rows: (clip, prefix) -> row, and per layer the
         # self-attention (k, v), each (rows, heads, len + 1, head_dim)
         self.rows: dict[tuple[int, tuple[int, ...]], int] = {}
@@ -226,13 +229,17 @@ class _CachedStep:
             parents = np.array([self.rows[clip, prefix[:-1]] for clip, prefix in keys], dtype=np.intp)
         else:
             x = Tensor(self.sos[clips])
+        # rows that are the clips in order attend to the clips' keys/values as they are
+        gather = len(keys) != self.clips or clips.tolist() != list(range(self.clips))
         caches = []
         for i, cross_kv in enumerate(self.cross_kv):
             if n:
                 past = tuple(Tensor(t[parents]) for t in self.kv[i])
             else:
                 past = (Tensor(np.zeros((len(keys), cfg.heads, 0, cfg.hidden // cfg.heads))),) * 2
-            caches.append(LayerCache(self_kv=past, cross_kv=tuple(Tensor(t[clips]) for t in cross_kv)))
+            if gather:
+                cross_kv = tuple(Tensor(t.data[clips]) for t in cross_kv)
+            caches.append(LayerCache(self_kv=past, cross_kv=cross_kv))
         logits = dec(ad.reshape(x, (len(keys), 1, cfg.hidden)), None, cache=caches).data[:, -1]
         if not np.all(np.isfinite(logits)):
             raise NumericError("non-finite logits")

@@ -8,6 +8,8 @@ checkpointing.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from . import autodiff as ad
@@ -59,6 +61,7 @@ class Embedding:
         yield prefix + ".table", self.table
 
 
+@lru_cache(maxsize=None)
 def _head_axes(ndim: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(head split, key transpose) permutations for a (..., L, heads,
     head_dim) array of rank ndim.  A head split swaps two axes, so it is
@@ -84,6 +87,7 @@ class Attention:
         self.dim = dim
         self.heads = heads
         self.head_dim = dim // heads
+        self._split_tail = (heads, self.head_dim)  # (..., L, dim) -> (..., L, heads, head_dim)
         self.scale = 1.0 / np.sqrt(self.head_dim)
         self.dropout = dropout
         self.wq = Linear(rng, dim, dim, bias=qkv_bias)
@@ -95,8 +99,9 @@ class Attention:
 
     def keys_values(self, kv_seq: Tensor) -> tuple[Tensor, Tensor]:
         """Head-split keys and values of kv_seq, each (..., heads, Lk, head_dim)."""
-        split = _head_axes(kv_seq.data.ndim + 1)[0]
-        heads_shape = kv_seq.data.shape[:-1] + (self.heads, self.head_dim)
+        shape = kv_seq.data.shape
+        split = _head_axes(len(shape) + 1)[0]
+        heads_shape = shape[:-1] + self._split_tail
         k = ad.transpose(ad.reshape(self.wk(kv_seq), heads_shape), split)
         v = ad.transpose(ad.reshape(self.wv(kv_seq), heads_shape), split)
         return k, v
@@ -113,10 +118,9 @@ class Attention:
     ) -> Tensor:
         """Attend from q_seq to kv_seq, or to kv, its precomputed
         keys_values() pair, when one is given."""
-        q_shape = q_seq.data.shape
-        lead, lq = q_shape[:-2], q_shape[-2]
-        split, key_t = _head_axes(q_seq.data.ndim + 1)
-        q = ad.transpose(ad.reshape(self.wq(q_seq), lead + (lq, self.heads, self.head_dim)), split)
+        rows = q_seq.data.shape[:-1]
+        split, key_t = _head_axes(len(rows) + 2)
+        q = ad.transpose(ad.reshape(self.wq(q_seq), rows + self._split_tail), split)
         k, v = self.keys_values(kv_seq) if kv is None else kv
         scores = ad.scale(ad.matmul(q, ad.transpose(k, key_t)), self.scale)
         if bias is not None:
@@ -128,7 +132,7 @@ class Attention:
             self.last_attention = probs.data.copy()
         probs = ad.dropout(probs, self.dropout, rng, training)
         out = ad.transpose(ad.matmul(probs, v), split)
-        return self.wo(ad.reshape(out, lead + (lq, self.dim)))
+        return self.wo(ad.reshape(out, rows + (self.dim,)))
 
     def named_parameters(self, prefix: str):
         yield from self.wq.named_parameters(prefix + ".wq")

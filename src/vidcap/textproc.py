@@ -261,11 +261,13 @@ def load_corpus(path: str | Path) -> list[CaptionRecord]:
             rec = CaptionRecord(
                 id=str(obj["id"]),
                 video=str(obj["video"]),
-                captions=[str(c) for c in obj["captions"]],
+                captions=obj["captions"],
                 split=str(obj["split"]),
             )
         except KeyError as e:
             raise ValueError(f"{path}:{line_no}: missing corpus field {e}") from None
+        if not isinstance(rec.captions, list) or not all(isinstance(c, str) for c in rec.captions):
+            raise ValueError(f"{path}:{line_no}: captions must be a list of strings, got {rec.captions!r}")
         if rec.split not in SPLITS:
             raise ValueError(f"{path}:{line_no}: bad split {rec.split!r}")
         if not rec.captions:

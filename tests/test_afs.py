@@ -107,6 +107,18 @@ def test_float32_dissimilarity_is_bitwise_the_float64_oracle(name, metric):
     assert got.tobytes() == frame_dissimilarity(VideoClip(wide), metric=metric).tobytes()
 
 
+@pytest.mark.parametrize("frames", [1, 2, 16, 17, 33, 96])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_mad_in_frame_chunks_is_bitwise_the_whole_clip_diff(frames, dtype):
+    # chunk edges at 16 frames: one short chunk, exactly one, one plus a
+    # single frame, several, and the evaluation clip length
+    data = np.random.default_rng(frames).random((frames, 32, 32, 3)).astype(dtype)
+    want = np.abs(np.diff(data.astype(np.float64), axis=0)).mean(axis=(1, 2, 3))
+    got = frame_dissimilarity(VideoClip(data), metric="mad")
+    assert got.shape == (frames - 1,)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_build_cdf_examples():
     cdf = build_cdf(np.array([1.0, 1.0, 1.0, 1.0]), 5)
     assert np.allclose(cdf.breakpoints, [0.0, 0.25, 0.5, 0.75, 1.0], atol=1e-15)

@@ -348,7 +348,151 @@ def test_no_tape_means_no_recording():
     a = Tensor(np.ones((2, 2)), requires_grad=True)
     out = ad.add(a, a)  # no active tape: plain evaluation
     assert np.array_equal(out.data, 2 * np.ones((2, 2)))
+    assert out.requires_grad is False
+    w = Tensor(np.ones(2), requires_grad=True)
+    for op in (ad.gelu, ad.softmax, lambda t: ad.layer_norm(t, w, w), lambda t: ad.transpose(t, (1, 0))):
+        assert op(a).requires_grad is False
     with Tape() as tape:
         loss = ad.sum_reduce(ad.mul(a, a))
         grads = backward(loss, tape)
     assert np.allclose(grads[a], 2 * a.data)
+
+
+def test_float64_array_is_wrapped_without_a_copy():
+    x = np.arange(6.0).reshape(2, 3)
+    assert Tensor(x).data is x
+    assert Tensor(np.arange(6)).data.dtype == np.float64
+    assert type(Tensor(np.float64(2.0)).data) is np.ndarray
+
+
+@pytest.mark.parametrize(
+    "shape, shifted, nodes", [((2, 4, 4, 4, 16), False, 36), ((2, 4, 4, 4, 16), True, 39), ((1, 3, 5, 5, 16), True, 51)]
+)
+def test_window_block_records_the_same_node_count(shape, shifted, nodes):
+    # counts recorded before the kernel pass: tape-free shortcuts must not
+    # drop or add a recorded op
+    from vidcap.encoder import EncoderConfig, WindowBlock
+
+    rng = np.random.default_rng(3)
+    block = WindowBlock(rng, 16, 2, EncoderConfig())
+    with Tape() as tape:
+        block(Tensor(rng.normal(size=shape)), shifted=shifted, rng=None, training=False)
+    assert len(tape.nodes) == nodes
+
+
+# ---------------------------------------------------------------------------
+# bitwise oracles: the kernels before they were rewritten in place
+
+
+def _gelu_oracle(x):
+    x3 = x * x
+    x3 *= x
+    u = np.sqrt(2.0 / np.pi) * (x + 0.044715 * x3)
+    t = np.tanh(u)
+    return 0.5 * x * (1.0 + t), t
+
+
+def _gelu_bwd_oracle(g, x, t):
+    du = np.sqrt(2.0 / np.pi) * (1.0 + 3 * 0.044715 * x**2)
+    return g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * du)
+
+
+def _layer_norm_oracle(x, gamma, beta, eps):
+    c = x.shape[-1]
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).sum(axis=-1, keepdims=True) / c
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    return xhat * gamma + beta, xhat, inv
+
+
+def _layer_norm_bwd_oracle(g, xhat, inv, gamma):
+    lead = tuple(range(g.ndim - 1))
+    dgamma = (g * xhat).sum(axis=lead)
+    dbeta = g.sum(axis=lead)
+    dxhat = g * gamma
+    m1 = dxhat.mean(axis=-1, keepdims=True)
+    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    return inv * (dxhat - m1 - xhat * m2), dgamma, dbeta
+
+
+def _softmax_oracle(x, axis=-1):
+    m = x.max(axis=axis, keepdims=True)
+    e = np.exp(x - m)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+# the shapes each kernel meets in the train_desk, caption_stream and
+# evaluate_corpus benchmark workloads, plus a 1-D and a 2-D case
+GELU_SHAPES = [(1, 1, 128), (3, 1, 128), (8, 4, 2, 2, 128), (8, 4, 4, 4, 64), (8, 6, 128), (4, 4, 8, 8, 64),
+               (128, 1, 128), (7,), (4, 6)]
+NORM_SHAPES = [(1, 1, 32), (3, 1, 32), (8, 4, 2, 2, 32), (8, 4, 4, 4, 16), (8, 6, 32), (4, 4, 4, 4, 64),
+               (128, 1, 32), (7,), (4, 6)]
+SOFTMAX_SHAPES = [(1, 4, 1, 20), (3, 4, 1, 7), (8, 2, 4, 8, 8), (8, 4, 6, 6), (4, 32, 2, 8, 8), (128, 4, 1, 8),
+                  (1, 4, 1, 1), (7,), (4, 6)]
+EDGES = np.array([0.0, -0.0, 1e3, -1e3, 5e-324, -5e-324, 2.2e-310, -1e-308, 1.0, -1.0])
+
+
+def _inputs(shape, seed):
+    """Normal draws, then the same shape filled from the edge values, then
+    normal draws with every third entry an edge value."""
+    rng = np.random.default_rng(seed)
+    size = int(np.prod(shape))
+    mixed = rng.normal(size=size)
+    mixed[::3] = EDGES[np.arange(size)[::3] % len(EDGES)]
+    return [rng.normal(size=shape) * 3.0, np.resize(EDGES, shape), mixed.reshape(shape)]
+
+
+def _kernel(op, arrays):
+    """Output and backward closure of one recorded op."""
+    inputs = [Tensor(a, requires_grad=True) for a in arrays]
+    with Tape() as tape:
+        out = op(*inputs)
+    (node,) = tape.nodes
+    return out.data, node.backward
+
+
+@pytest.mark.parametrize("shape", GELU_SHAPES)
+def test_gelu_is_bitwise_the_oracle(shape):
+    for i, x in enumerate(_inputs(shape, 20)):
+        g = np.random.default_rng(i).normal(size=shape)
+        before = (x.copy(), g.copy())
+        want, t = _gelu_oracle(x)
+        out, bwd = _kernel(ad.gelu, [x])
+        assert np.array_equal(out, want)
+        (dx,) = bwd(g)
+        assert np.array_equal(dx, _gelu_bwd_oracle(g, x, t))
+        assert np.array_equal(bwd(g)[0], dx)  # a second sweep reads unchanged state
+        assert np.array_equal(x, before[0]) and np.array_equal(g, before[1])
+
+
+@pytest.mark.parametrize("eps", [1e-12, 1e-5])
+@pytest.mark.parametrize("shape", NORM_SHAPES)
+def test_layer_norm_is_bitwise_the_oracle(shape, eps):
+    c = shape[-1]
+    rng = np.random.default_rng(21)
+    gamma, beta = rng.normal(size=c), rng.normal(size=c)
+    for i, x in enumerate(_inputs(shape, 22)):
+        g = np.random.default_rng(i).normal(size=shape)
+        before = (x.copy(), g.copy(), gamma.copy(), beta.copy())
+        want, xhat, inv = _layer_norm_oracle(x, gamma, beta, eps)
+        out, bwd = _kernel(lambda a, w, b: ad.layer_norm(a, w, b, eps), [x, gamma, beta])
+        assert np.array_equal(out, want)
+        got = bwd(g)
+        for a, b in zip(got, _layer_norm_bwd_oracle(g, xhat, inv, gamma)):
+            assert np.array_equal(a, b)
+        for a, b in zip(bwd(g), got):
+            assert np.array_equal(a, b)
+        for a, b in zip((x, g, gamma, beta), before):
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("shape", SOFTMAX_SHAPES)
+def test_softmax_is_bitwise_the_oracle(shape):
+    for x in _inputs(shape, 23):
+        before = x.copy()
+        for axis in (-1, 0):
+            out, _ = _kernel(lambda a: ad.softmax(a, axis=axis), [x])
+            assert np.array_equal(out, _softmax_oracle(x, axis))
+        assert np.array_equal(x, before)

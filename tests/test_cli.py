@@ -165,6 +165,15 @@ def test_corpus_line_that_is_not_an_object_exits_2(tmp_path, capsys):
     assert f"{corpus}:1:" in _one_data_error(capsys)
 
 
+@pytest.mark.parametrize("captions", [5, "a red ball", ["a red ball", 7], None])
+def test_corpus_captions_that_are_not_a_list_of_strings_exit_2(tmp_path, capsys, captions):
+    corpus = tmp_path / "corpus.jsonl"
+    row = {"id": "a", "video": "v", "captions": ["a red ball"], "split": "train"}
+    corpus.write_text(json.dumps(row) + "\n" + json.dumps(dict(row, captions=captions)) + "\n")
+    assert main(["build-vocab", "--corpus", str(corpus), "--out", str(tmp_path / "v.json")]) == 2
+    assert f"{corpus}:2: captions must be a list of strings" in _one_data_error(capsys)
+
+
 @pytest.mark.parametrize("drop", ["model", "params"])
 def test_checkpoint_manifest_missing_a_key_exits_2(env, tmp_path, capsys, drop):
     import shutil
@@ -184,6 +193,17 @@ def test_prediction_line_that_is_not_an_object_exits_2(env, tmp_path, capsys):
     preds.write_text("5\n")
     assert main(["score", "--preds", str(preds), "--refs", str(env["data"] / "corpus.jsonl")]) == 2
     assert f"{preds}:1:" in _one_data_error(capsys)
+
+
+@pytest.mark.parametrize("caption", [5, None, ["a", "red", "ball"]])
+def test_prediction_caption_that_is_not_a_string_exits_2(env, tmp_path, capsys, caption):
+    corpus = env["data"] / "corpus.jsonl"
+    ref_id = json.loads(corpus.read_text().splitlines()[0])["id"]
+    preds = tmp_path / "preds.jsonl"
+    rows = [{"id": ref_id, "caption": "a red ball"}, {"id": ref_id, "caption": caption}]
+    preds.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    assert main(["score", "--preds", str(preds), "--refs", str(corpus)]) == 2
+    assert f"{preds}:2: caption must be a string" in _one_data_error(capsys)
 
 
 def test_build_vocab(env, tmp_path, capsys):

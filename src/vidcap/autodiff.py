@@ -245,7 +245,7 @@ def gelu(a: Tensor) -> Tensor:
     # t = tanh(_GELU_C * (x + 0.044715 * x**3)) and out = 0.5 * x * (1.0 + t);
     # x * x * x rather than x**3, which numpy hands to libm pow
     x = a.data
-    t = x * x
+    t = np.multiply(x, x, out=np.empty_like(x))  # an array even when x is 0-d
     t *= x
     t *= 0.044715
     t += x
@@ -261,7 +261,7 @@ def gelu(a: Tensor) -> Tensor:
         du *= 3 * 0.044715
         du += 1.0
         du *= _GELU_C
-        rest = np.multiply(t, t)
+        rest = np.multiply(t, t, out=np.empty_like(t))
         np.subtract(1.0, rest, out=rest)
         da = np.multiply(x, 0.5)
         da *= rest

@@ -424,9 +424,10 @@ def _softmax_oracle(x, axis=-1):
 
 
 # the shapes each kernel meets in the train_desk, caption_stream and
-# evaluate_corpus benchmark workloads, plus a 1-D and a 2-D case
+# evaluate_corpus benchmark workloads, plus a 1-D and a 2-D case (and a
+# 0-d one for the elementwise gelu)
 GELU_SHAPES = [(1, 1, 128), (3, 1, 128), (8, 4, 2, 2, 128), (8, 4, 4, 4, 64), (8, 6, 128), (4, 4, 8, 8, 64),
-               (128, 1, 128), (7,), (4, 6)]
+               (128, 1, 128), (7,), (4, 6), ()]
 NORM_SHAPES = [(1, 1, 32), (3, 1, 32), (8, 4, 2, 2, 32), (8, 4, 4, 4, 16), (8, 6, 32), (4, 4, 4, 4, 64),
                (128, 1, 32), (7,), (4, 6)]
 SOFTMAX_SHAPES = [(1, 4, 1, 20), (3, 4, 1, 7), (8, 2, 4, 8, 8), (8, 4, 6, 6), (4, 32, 2, 8, 8), (128, 4, 1, 8),

@@ -450,8 +450,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-12) -> Tensor:
     """Normalize over the last axis with population variance, then affine."""
     x = a.data
-    shape = x.shape
-    c = shape[-1] if shape else 0
+    c = x.shape[-1] if x.ndim else 0
     if c == 0:
         raise ValueError("layer_norm over zero-length axis")
     if gamma.data.shape != (c,) or beta.data.shape != (c,):

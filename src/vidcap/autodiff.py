@@ -16,11 +16,14 @@ or into an array that a backward closure still reads.
 
 Broadcasting in binary ops is deliberately restricted: shapes must match
 exactly, or one operand must be a single element.  Any other expansion has
-to go through broadcast_to() so the backward rule is explicit.
+to go through broadcast_to() so the backward rule is explicit; it returns
+numpy's read-only broadcast view, not a copy.  take() is the one gather,
+behind embedding lookups and the encoder's window layouts.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -291,19 +294,28 @@ def sigmoid(a: Tensor) -> Tensor:
 
 
 def embedding(table: Tensor, ids) -> Tensor:
-    """Row lookup into a (V, D) table; gradient scatter-adds into rows."""
-    idx = np.asarray(ids, dtype=np.intp)
+    """Row lookup into a (V, D) table."""
     if table.ndim != 2:
         raise ValueError("embedding table must be 2-D")
-    if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
-        raise ValueError("embedding id out of range")
+    return take(table, ids, 0)
+
+
+def take(a: Tensor, index, axis: int) -> Tensor:
+    """np.take(a, index, axis) for an integer index array of any shape.
+    Backward is one np.bincount over the flat source position of each entry
+    of g, which adds repeated reads in index order, as np.add.at does."""
+    idx = np.asarray(index, dtype=np.intp)
+    axis %= a.ndim
+    size = a.shape[axis]
+    if idx.size and (idx.min() < 0 or idx.max() >= size):
+        raise ValueError(f"take index out of range for axis of length {size}")
 
     def bwd(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, idx.ravel(), g.reshape(-1, table.shape[1]))
-        return (gt,)
+        outer, inner = math.prod(a.shape[:axis]), math.prod(a.shape[axis + 1 :])
+        pos = (np.arange(outer)[:, None, None] * size + idx.reshape(1, -1, 1)) * inner + np.arange(inner)
+        return (np.bincount(pos.ravel(), g.ravel(), a.data.size).reshape(a.shape),)
 
-    return _record("embedding", (table,), table.data[idx], bwd)
+    return _record("take", (a,), np.take(a.data, idx, axis), bwd)
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
@@ -337,9 +349,8 @@ def transpose(a: Tensor, axes) -> Tensor:
 
 
 def broadcast_to(a: Tensor, shape) -> Tensor:
-    """Explicit expansion; backward sums over the expanded axes."""
-    shape = tuple(shape)
-    out = np.broadcast_to(a.data, shape)
+    """Explicit expansion to numpy's read-only broadcast view; backward
+    sums over the expanded axes."""
 
     def bwd(g):
         lead = g.ndim - a.ndim
@@ -350,7 +361,7 @@ def broadcast_to(a: Tensor, shape) -> Tensor:
             g = g.sum(axis=keep, keepdims=True)
         return (g,)
 
-    return _record("broadcast_to", (a,), np.ascontiguousarray(out), bwd)
+    return _record("broadcast_to", (a,), np.broadcast_to(a.data, tuple(shape)), bwd)
 
 
 def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:

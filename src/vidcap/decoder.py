@@ -53,6 +53,8 @@ class DecoderConfig:
     layer_norm_eps: float = 1e-12
 
     def __post_init__(self):
+        if self.heads < 1:
+            raise ValueError(f"decoder heads must be at least 1, got {self.heads}")
         if self.hidden % self.heads:
             raise ValueError("hidden width must divide into heads")
 

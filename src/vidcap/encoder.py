@@ -13,11 +13,19 @@ channel width.  The final grid is pooled over space into one token per
 time slot and projected to the output width, giving (B, t, token_dim).
 Window attention is the shared nn.Attention core plus a learned
 relative-position bias.
+
+Which grid position sits in which window slot is decided once per
+(dims, window, shift) by window_layout and cached as read-only index
+arrays.  The roll is a shifted slot coordinate, and a grid that is not a
+window multiple is edge-replicated by clamping that coordinate to the last
+slice, so a block moves tokens with one ad.take into windows and one
+back; a merge is the take into (1, 2, 2) windows.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -50,6 +58,12 @@ class EncoderConfig:
     concept_hidden: tuple[int, int] = (48, 96)
 
     def __post_init__(self):
+        for name in ("patch", "window"):
+            sizes = getattr(self, name)
+            if len(sizes) != 3 or not all(isinstance(k, int) and k >= 1 for k in sizes):
+                raise ValueError(f"encoder {name} must be three positive integers, got {list(sizes)}")
+        if any(isinstance(h, (int, float)) and h < 1 for h in self.heads):
+            raise ValueError(f"encoder heads must be positive, got {list(self.heads)}")
         if len(self.depths) != len(self.heads):
             raise ValueError("depths and heads must pair up stage by stage")
         if any(d < 1 for d in self.depths):
@@ -90,94 +104,56 @@ def shift_amounts(dims, window, shifted: bool) -> tuple[int, int, int]:
     return tuple(w // 2 if d > w else 0 for d, w in zip(dims, window))
 
 
-def window_partition(x: Tensor, dims, window) -> Tensor:
-    """(B, t, h, w, C) grids -> (B, num_windows, n, C) windows."""
-    t, h, w = dims
-    wt, wh, ww = window
-    b, c = x.shape[0], x.shape[-1]
-    x = ad.reshape(x, (b, t // wt, wt, h // wh, wh, w // ww, ww, c))
-    x = ad.transpose(x, (0, 1, 3, 5, 2, 4, 6, 7))
-    return ad.reshape(x, (b, (t // wt) * (h // wh) * (w // ww), wt * wh * ww, c))
-
-
-def window_reverse(windows: Tensor, dims, window) -> Tensor:
-    """(B, num_windows, n, C) windows -> (B, t, h, w, C) grids."""
-    t, h, w = dims
-    wt, wh, ww = window
-    b, c = windows.shape[0], windows.shape[-1]
-    x = ad.reshape(windows, (b, t // wt, h // wh, w // ww, wt, wh, ww, c))
-    x = ad.transpose(x, (0, 1, 4, 2, 5, 3, 6, 7))
-    return ad.reshape(x, (b, t, h, w, c))
-
-
-def _mask_slices(d: int, w: int, s: int):
-    if s == 0:
-        return [slice(0, d)]
-    return [slice(0, d - w), slice(d - w, d - s), slice(d - s, d)]
+def _windows(grid: np.ndarray, window) -> np.ndarray:
+    """(T, H, W) window multiples -> (num_windows, n), both row-major."""
+    (t, h, w), (wt, wh, ww) = grid.shape, window
+    x = grid.reshape(t // wt, wt, h // wh, wh, w // ww, ww).transpose(0, 2, 4, 1, 3, 5)
+    return x.reshape(-1, wt * wh * ww)
 
 
 @functools.lru_cache(maxsize=64)
-def shift_attention_mask(dims, window, shift) -> np.ndarray | None:
-    """Additive (num_windows, n, n) mask for a cyclically shifted grid.
+def window_layout(dims, window, shift):
+    """(slots, back, mask) for (t, h, w) grids in windows shifted by shift.
 
-    Tokens are labelled by which contiguous pre-shift region they came
-    from; pairs with different labels inside the same rolled window get
-    NEG_INF so softmax zeroes them.  Without any shift there is nothing to
-    mask and None is returned.  The mask is cached per (dims, window,
-    shift), all tuples, and read-only; every clip of a batch shares it.
+    slots (num_windows, n) is the row-major grid position each slot reads:
+    per axis, slot coordinate r of P = ceil(d / w) * w reads grid
+    coordinate min((r + s) % P, d - 1).  back (t, h, w) indexes
+    slots.ravel() at the slot reading each position itself.  mask is the
+    additive (num_windows, n, n) NEG_INF between slots of different
+    pre-shift regions, or None without a shift.  Cached and read-only.
     """
-    if all(s == 0 for s in shift):
-        return None
-    img = np.zeros(dims)
-    cnt = 0
-    for sl_t in _mask_slices(dims[0], window[0], shift[0]):
-        for sl_h in _mask_slices(dims[1], window[1], shift[1]):
-            for sl_w in _mask_slices(dims[2], window[2], shift[2]):
-                img[sl_t, sl_h, sl_w] = cnt
-                cnt += 1
-    labels = window_partition(Tensor(img[None, ..., None]), dims, window).data[0, ..., 0]
-    diff = labels[:, :, None] != labels[:, None, :]
-    mask = np.where(diff, NEG_INF, 0.0)
-    mask.flags.writeable = False
-    return mask
+    src, regions, home = [], [], []
+    for d, w, s in zip(dims, window, shift):
+        if w > d:
+            raise ValueError(f"window {window} larger than grid {tuple(dims)}")
+        r = np.arange(-(-d // w) * w)
+        src.append(np.minimum((r + s) % r.size, d - 1))
+        # rolled coordinates [0, P-w), [P-w, P-s) and [P-s, P) come from
+        # different stretches of the grid; without a shift each window
+        # lies inside one label
+        regions.append(np.digitize(r, (r.size - w, r.size - s)))
+        home.append((np.arange(d) - s) % r.size)
+    padded = tuple(len(r) for r in src)
+    slots = _windows(np.ravel_multi_index(np.ix_(*src), dims), window)
+    slot_of = np.argsort(_windows(np.arange(slots.size).reshape(padded), window), axis=None)
+    back = slot_of.reshape(padded)[np.ix_(*home)]
+    labels = _windows(np.ravel_multi_index(np.ix_(*regions), (3, 3, 3)), window)
+    mask = np.where(labels[:, :, None] != labels[:, None, :], NEG_INF, 0.0)
+    for a in (slots, back, mask):
+        a.flags.writeable = False
+    return slots, back, mask if any(shift) else None
+
+
+def shift_attention_mask(dims, window, shift) -> np.ndarray | None:
+    """The additive mask of window_layout(dims, window, shift)."""
+    return window_layout(dims, window, shift)[2]
 
 
 def _relative_index(window) -> np.ndarray:
-    """(n, n) lookup into the bias table of pairwise offsets, offsets
-    clipped into the table's (2w-1) range per axis."""
-    wt, wh, ww = window
-    coords = np.stack(np.meshgrid(np.arange(wt), np.arange(wh), np.arange(ww), indexing="ij"), axis=-1)
-    coords = coords.reshape(-1, 3)
-    rel = coords[:, None, :] - coords[None, :, :]
-    spans = np.array([wt, wh, ww])
-    rel = np.clip(rel, -(spans - 1), spans - 1) + (spans - 1)
-    strides = np.array([(2 * wh - 1) * (2 * ww - 1), 2 * ww - 1, 1])
-    return (rel * strides).sum(axis=-1)
-
-
-def pad_grid_edges(x: Tensor, dims, window) -> tuple[Tensor, tuple[int, int, int]]:
-    """Replicate trailing slices of (B, t, h, w, C) grids until every grid
-    axis is a window multiple."""
-    padded = list(dims)
-    for axis, (d, w) in enumerate(zip(dims, window), start=1):
-        if w > d:
-            raise ValueError(f"window {window} larger than grid {tuple(dims)}")
-        extra = (-d) % w
-        if extra:
-            last = ad.slice_axis(x, axis, d - 1, d)
-            shape = list(last.shape)
-            shape[axis] = extra
-            x = ad.concat([x, ad.broadcast_to(last, shape)], axis)
-            padded[axis - 1] = d + extra
-    return x, tuple(padded)
-
-
-def crop_grid(x: Tensor, dims) -> Tensor:
-    """Cut (B, t, h, w, C) grids back to dims."""
-    for axis, d in enumerate(dims, start=1):
-        if x.shape[axis] != d:
-            x = ad.slice_axis(x, axis, 0, d)
-    return x
+    """(n, n) lookup into the bias table of pairwise in-window offsets."""
+    coords = np.indices(window).reshape(3, -1)
+    rel = coords[:, :, None] - coords[:, None, :] + (np.array(window) - 1)[:, None, None]
+    return np.ravel_multi_index(tuple(rel), tuple(2 * w - 1 for w in window))
 
 
 # ---------------------------------------------------------------------------
@@ -190,22 +166,22 @@ class WindowAttention(Attention):
 
     def __init__(self, rng, dim: int, heads: int, window, qkv_bias: bool, attn_dropout: float):
         super().__init__(rng, dim, heads, qkv_bias, attn_dropout)
-        wt, wh, ww = window
-        table_len = (2 * wt - 1) * (2 * wh - 1) * (2 * ww - 1)
+        self.window = tuple(window)
+        table_len = math.prod(2 * w - 1 for w in window)
         self.bias_table = Tensor(rng.normal(0.0, 0.02, size=(table_len, heads)), requires_grad=True)
-        self.relative_index = _relative_index(window).ravel()
+        self.relative_index = _relative_index(window)
 
-    def _bias(self, lead: tuple[int, ...], n: int) -> Tensor:
-        b = ad.embedding(self.bias_table, self.relative_index)
-        b = ad.reshape(b, (n, n, self.heads))
-        b = ad.transpose(b, (2, 0, 1))
-        b = ad.reshape(b, (1,) * len(lead) + (self.heads, n, n))
-        return ad.broadcast_to(b, lead + (self.heads, n, n))
+    def _bias(self, lead: tuple[int, ...]) -> Tensor:
+        b = ad.transpose(ad.take(self.bias_table, self.relative_index, 0), (2, 0, 1))
+        return ad.broadcast_to(b, lead + b.data.shape)
 
-    def __call__(self, windows: Tensor, mask: np.ndarray | None, rng, training: bool) -> Tensor:
-        """windows: (B, num_windows, n, dim); mask: additive (num_windows, n, n) or None."""
-        lead, n = windows.data.shape[:-2], windows.data.shape[-2]
-        return super().__call__(windows, windows, self._bias(lead, n), mask, rng, training)
+    def __call__(self, grid: Tensor, shift, rng, training: bool) -> Tensor:
+        """(B, t, h, w, dim) grids in and out, windows shifted by shift."""
+        b, c = grid.data.shape[0], grid.data.shape[-1]
+        slots, back, mask = window_layout(grid.data.shape[1:4], self.window, shift)
+        windows = ad.take(ad.reshape(grid, (b, -1, c)), slots, 1)
+        out = super().__call__(windows, windows, self._bias((b, len(slots))), mask, rng, training)
+        return ad.take(ad.reshape(out, (b, -1, c)), back, 1)
 
     def named_parameters(self, prefix: str):
         yield from super().named_parameters(prefix)
@@ -217,7 +193,6 @@ class WindowBlock:
     then x + MLP(LN(x))."""
 
     def __init__(self, rng, dim: int, heads: int, cfg: EncoderConfig):
-        self.window = tuple(cfg.window)
         self.ln1 = LayerNorm(dim, cfg.layer_norm_eps)
         self.attn = WindowAttention(rng, dim, heads, cfg.window, cfg.qkv_bias, cfg.attn_dropout)
         self.ln2 = LayerNorm(dim, cfg.layer_norm_eps)
@@ -227,20 +202,8 @@ class WindowBlock:
 
     def __call__(self, x: Tensor, shifted: bool, rng, training: bool) -> Tensor:
         """(B, t, h, w, C) grids in and out."""
-        dims = x.shape[1:4]
-        shifts = shift_amounts(dims, self.window, shifted)
-
-        h = self.ln1(x)
-        h, dims_p = pad_grid_edges(h, dims, self.window)
-        if any(shifts):
-            h = ad.roll(h, tuple(-s for s in shifts), axes=(1, 2, 3))
-        windows = window_partition(h, dims_p, self.window)
-        mask = shift_attention_mask(dims_p, self.window, shifts)
-        attn_out = self.attn(windows, mask, rng, training)
-        h = window_reverse(attn_out, dims_p, self.window)
-        if any(shifts):
-            h = ad.roll(h, shifts, axes=(1, 2, 3))
-        h = crop_grid(h, dims)
+        shift = shift_amounts(x.data.shape[1:4], self.attn.window, shifted)
+        h = self.attn(self.ln1(x), shift, rng, training)
         x = ad.add(x, ad.dropout(h, self.hidden_dropout, rng, training))
 
         m = self.fc2(ad.gelu(self.fc1(self.ln2(x))))
@@ -256,18 +219,19 @@ class WindowBlock:
 
 class PatchMerge:
     """Concatenate 2x2 spatial neighborhoods, normalize, halve the width:
-    (B, t, h, w, c) -> (B, t, h/2, w/2, 2c).  Odd spatial dims are edge-padded."""
+    (B, t, h, w, c) -> (B, t, ceil(h/2), ceil(w/2), 2c).  The neighborhoods
+    are the (1, 2, 2) windows of window_layout, so odd sides are
+    edge-replicated."""
 
     def __init__(self, rng, dim: int, eps: float):
         self.norm = LayerNorm(4 * dim, eps)
         self.reduce = Linear(rng, 4 * dim, 2 * dim, bias=False)
 
     def __call__(self, x: Tensor) -> Tensor:
-        b, c = x.shape[0], x.shape[-1]
-        x, (t, h, w) = pad_grid_edges(x, x.shape[1:4], (1, 2, 2))
-        x = ad.reshape(x, (b, t, h // 2, 2, w // 2, 2, c))
-        x = ad.transpose(x, (0, 1, 2, 4, 3, 5, 6))
-        x = ad.reshape(x, (b, t, h // 2, w // 2, 4 * c))
+        b, t, h, w, c = x.data.shape
+        slots = window_layout((t, h, w), (1, 2, 2), (0, 0, 0))[0]
+        x = ad.take(ad.reshape(x, (b, -1, c)), slots, 1)
+        x = ad.reshape(x, (b, t, (h + 1) // 2, (w + 1) // 2, 4 * c))
         return self.reduce(self.norm(x))
 
     def named_parameters(self, prefix: str):

@@ -138,6 +138,25 @@ def test_bad_train_config_exits_2_before_training(env, tmp_path, capsys, config,
     assert not (out / "train_log.jsonl").exists()
 
 
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"encoder": {**SMALL_ENCODER, "heads": [0, 4]}}, "encoder heads must be positive, got [0, 4]"),
+        ({"decoder": {"heads": 0}}, "decoder heads must be at least 1, got 0"),
+        ({"encoder": {**SMALL_ENCODER, "patch": [0, 4, 4]}}, "encoder patch must be three positive integers, got [0, 4, 4]"),
+        ({"encoder": {**SMALL_ENCODER, "window": [2, 2]}}, "encoder window must be three positive integers, got [2, 2]"),
+        ({"encoder": {**SMALL_ENCODER, "window": [0, 2, 2]}}, "encoder window must be three positive integers, got [0, 2, 2]"),
+    ],
+)
+def test_zero_heads_patch_or_window_is_a_data_error(env, tmp_path, capsys, config, message):
+    cfg = tmp_path / "train.json"
+    cfg.write_text(json.dumps({"encoder": SMALL_ENCODER, "max_steps": 2, "pretrain_steps": 2, **config}))
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--data", str(env["data"]), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"data error: {message}"]
+    assert not (out / "train_log.jsonl").exists()
+
+
 def test_caption_refuses_a_stored_adapter_mode(env, tmp_path, capsys):
     import shutil
 

@@ -4,8 +4,12 @@ The window-attention oracle computes full token-space attention with an
 explicit pair mask (same rolled window AND same contiguous pre-shift
 region) and compares against the windowed implementation path on every
 grid up to (4,6,6) with window (2,2,2), shifted and not, one clip at a
-time and as a batch of two.
+time and as a batch of two.  A numpy copy of the layout that window_layout
+replaced (pad, roll, partition, reverse, crop) checks WindowBlock and
+PatchMerge on grids that are not window multiples.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -13,18 +17,18 @@ import pytest
 from vidcap import autodiff as ad
 from vidcap.autodiff import Tape, Tensor, backward
 from vidcap.encoder import (
+    NEG_INF,
     ConceptHead,
     EncoderConfig,
     PatchMerge,
     VideoEncoder,
     WindowAttention,
     WindowBlock,
-    pad_grid_edges,
     shift_amounts,
     shift_attention_mask,
-    window_partition,
-    window_reverse,
+    window_layout,
 )
+from vidcap.nn import Attention
 from vidcap.video import VideoClip
 
 
@@ -94,13 +98,135 @@ def _oracle_window_attention(x: np.ndarray, attn: WindowAttention, window, shift
 
 def _impl_window_attention(x: np.ndarray, attn: WindowAttention, window, shifts):
     """The windowed path on a (B, t, h, w, C) batch of grids."""
-    dims = x.shape[1:4]
-    xs = np.roll(x, tuple(-s for s in shifts), axis=(1, 2, 3))
-    windows = window_partition(Tensor(xs), dims, window)
-    mask = shift_attention_mask(dims, window, shifts)
-    out = attn(windows, mask, rng=None, training=False)
-    rev = window_reverse(out, dims, window).data
-    return np.roll(rev, shifts, axis=(1, 2, 3))
+    return attn(Tensor(x), shifts, rng=None, training=False).data
+
+
+# The layout before window_layout, kept as a numpy oracle: edge pad, roll,
+# partition into windows; then reverse, roll back and crop.  Each step and
+# its adjoint is recorded on the tape so gradients can be compared too.
+
+
+def _old_partition(x, window, shift):
+    """(B, T, H, W, C) window-multiple grids -> rolled (B, nw, n, C) windows."""
+    x = np.roll(x, tuple(-s for s in shift), axis=(1, 2, 3))
+    b, t, h, w, c = x.shape
+    wt, wh, ww = window
+    x = x.reshape(b, t // wt, wt, h // wh, wh, w // ww, ww, c).transpose(0, 1, 3, 5, 2, 4, 6, 7)
+    return x.reshape(b, -1, wt * wh * ww, c)
+
+
+def _old_reverse(windows, padded, window, shift):
+    """Inverse of _old_partition."""
+    b, c = windows.shape[0], windows.shape[-1]
+    (t, h, w), (wt, wh, ww) = padded, window
+    x = windows.reshape(b, t // wt, h // wh, w // ww, wt, wh, ww, c).transpose(0, 1, 4, 2, 5, 3, 6, 7)
+    return np.roll(x.reshape(b, t, h, w, c), shift, axis=(1, 2, 3))
+
+
+def _pad_widths(dims, window):
+    return [(0, 0)] + [(0, -d % w) for d, w in zip(dims, window)] + [(0, 0)]
+
+
+def _fold_edges(g, dims):
+    """Adjoint of edge padding: add the replicated slices into the last
+    slice of each grid axis and crop."""
+    for axis, d in enumerate(dims, start=1):
+        g, extra = np.split(g, [d], axis)
+        g = g.copy()
+        last = [slice(None)] * g.ndim
+        last[axis] = slice(d - 1, d)
+        g[tuple(last)] += extra.sum(axis, keepdims=True)
+    return g
+
+
+def _old_mask(padded, window, shift):
+    if not any(shift):
+        return None
+
+    def regions(d, w, s):
+        return [slice(0, d)] if s == 0 else [slice(0, d - w), slice(d - w, d - s), slice(d - s, d)]
+
+    img = np.zeros(padded)
+    for label, region in enumerate(itertools.product(*map(regions, padded, window, shift))):
+        img[region] = label
+    labels = _old_partition(img[None, ..., None], window, (0, 0, 0))[0, ..., 0]
+    return np.where(labels[:, :, None] != labels[:, None, :], NEG_INF, 0.0)
+
+
+def _old_window_attention(grid: Tensor, attn: WindowAttention, shift) -> Tensor:
+    dims, window = grid.shape[1:4], attn.window
+    pads = _pad_widths(dims, window)
+    padded = tuple(d + extra for d, (_, extra) in zip(dims, pads[1:4]))
+    crop = (slice(None),) + tuple(slice(0, d) for d in dims)
+    windows = ad._record(
+        "old_layout",
+        (grid,),
+        _old_partition(np.pad(grid.data, pads, mode="edge"), window, shift),
+        lambda g: (_fold_edges(_old_reverse(g, padded, window, shift), dims),),
+    )
+    mask = _old_mask(padded, window, shift)
+    out = Attention.__call__(attn, windows, windows, attn._bias(windows.shape[:2]), mask, None, False)
+    return ad._record(
+        "old_reverse",
+        (out,),
+        _old_reverse(out.data, padded, window, shift)[crop],
+        lambda g: (_old_partition(np.pad(g, pads), window, shift),),
+    )
+
+
+def _old_block(block: WindowBlock, x: Tensor, shifted: bool) -> Tensor:
+    shift = shift_amounts(x.shape[1:4], block.attn.window, shifted)
+    x = ad.add(x, _old_window_attention(block.ln1(x), block.attn, shift))
+    return ad.add(x, block.fc2(ad.gelu(block.fc1(block.ln2(x)))))
+
+
+def _old_merge(merge: PatchMerge, x: Tensor) -> Tensor:
+    b, t, h, w, c = x.shape
+    pads = _pad_widths((t, h, w), (1, 2, 2))
+    h2, w2 = (h + 1) // 2, (w + 1) // 2
+
+    def fwd(a):
+        a = np.pad(a, pads, mode="edge").reshape(b, t, h2, 2, w2, 2, c)
+        return a.transpose(0, 1, 2, 4, 3, 5, 6).reshape(b, t, h2, w2, 4 * c)
+
+    def bwd(g):
+        g = g.reshape(b, t, h2, w2, 2, 2, c).transpose(0, 1, 2, 4, 3, 5, 6)
+        return (_fold_edges(g.reshape(b, t, 2 * h2, 2 * w2, c), (t, h, w)),)
+
+    return merge.reduce(merge.norm(ad._record("old_merge", (x,), fwd(x.data), bwd)))
+
+
+@pytest.mark.parametrize("dims, window", [((3, 5, 5), (2, 2, 2)), ((5, 3, 7), (2, 2, 2)), ((1, 5, 3), (1, 2, 2))])
+@pytest.mark.parametrize("shifted", [False, True])
+def test_padded_grids_match_the_old_layout(dims, window, shifted):
+    # forwards bitwise; gradients within 1e-14 of each array's largest
+    # entry, since replicated edges now sum in another order
+    rng = np.random.default_rng(40)
+    block = WindowBlock(rng, 8, 2, EncoderConfig(window=window))
+    merge = PatchMerge(rng, 8, 1e-12)
+    params = [p for _, p in [*block.named_parameters("b"), *merge.named_parameters("m")]]
+    x = rng.normal(size=(2, *dims, 8))
+    new = (lambda g: block(g, shifted, None, False), merge)
+    old = (lambda g: _old_block(block, g, shifted), lambda y: _old_merge(merge, y))
+    runs = []
+    for run_block, run_merge in (new, old):
+        grid = Tensor(x, requires_grad=True)
+        with Tape() as tape:
+            y = run_block(grid)
+            z = run_merge(y)
+            mix = np.random.default_rng(41)
+            loss = ad.add(
+                ad.sum_reduce(ad.mul(y, Tensor(mix.normal(size=y.shape)))),
+                ad.sum_reduce(ad.mul(z, Tensor(mix.normal(size=z.shape)))),
+            )
+            grads = backward(loss, tape)
+        # the key bias cannot move a softmax, so its gradient is rounding noise
+        runs.append((y.data, z.data, [grads[t] for t in [grid, *params] if t is not block.attn.wk.bias]))
+    (y, z, g), (y_old, z_old, g_old) = runs
+    assert y.tobytes() == y_old.tobytes()
+    assert z.tobytes() == z_old.tobytes()
+    for got, want in zip(g, g_old):
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_window_attention_matches_bruteforce_oracle():
@@ -186,7 +312,7 @@ def test_shift_mask_matches_exhaustive_labeling():
 
 def test_window_larger_than_grid_errors():
     with pytest.raises(ValueError, match="larger than grid"):
-        pad_grid_edges(Tensor(np.zeros((1, 1, 2, 2, 4))), (1, 2, 2), (2, 2, 2))
+        window_layout((1, 2, 2), (2, 2, 2), (0, 0, 0))
 
 
 def test_attention_rows_sum_to_one():

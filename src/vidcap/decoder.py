@@ -34,7 +34,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import NumericError, Tensor
-from .nn import Attention, Embedding, LayerNorm, Linear
+from .nn import Attention, Embedding, LayerNorm, Linear, Module
 from .textproc import EOS_ID
 
 NEG_INF = -1e9
@@ -81,7 +81,7 @@ class LayerCache:
         self.self_kv, self.cross_kv = self_kv, cross_kv
 
 
-class _DecoderLayer:
+class _DecoderLayer(Module):
     def __init__(self, rng, cfg: DecoderConfig):
         d = cfg.hidden
         self.ln1 = LayerNorm(d, cfg.layer_norm_eps)
@@ -109,17 +109,8 @@ class _DecoderLayer:
         h = ad.dropout(ad.gelu(h), self.dropout, rng, training)
         return ad.add(x, self.fc2(h))
 
-    def named_parameters(self, prefix: str):
-        yield from self.ln1.named_parameters(prefix + ".ln1")
-        yield from self.self_attn.named_parameters(prefix + ".self_attn")
-        yield from self.ln2.named_parameters(prefix + ".ln2")
-        yield from self.cross_attn.named_parameters(prefix + ".cross_attn")
-        yield from self.ln3.named_parameters(prefix + ".ln3")
-        yield from self.fc1.named_parameters(prefix + ".fc1")
-        yield from self.fc2.named_parameters(prefix + ".fc2")
 
-
-class CaptionDecoder:
+class CaptionDecoder(Module):
     def __init__(self, cfg: DecoderConfig, rng: np.random.Generator):
         self.cfg = cfg
         self.tok_emb = Embedding(rng, cfg.vocab_size, cfg.hidden)
@@ -166,16 +157,6 @@ class CaptionDecoder:
         for layer, layer_cache in zip(self.layers, cache):
             x = layer(x, enc_tokens, causal, rng, training, layer_cache)
         return self.out_proj(self.final_norm(x))
-
-    def named_parameters(self, prefix: str = "decoder"):
-        yield from self.tok_emb.named_parameters(prefix + ".tok_emb")
-        yield from self.pos_emb.named_parameters(prefix + ".pos_emb")
-        if self.adapter is not None:
-            yield from self.adapter.named_parameters(prefix + ".adapter")
-        for i, layer in enumerate(self.layers):
-            yield from layer.named_parameters(f"{prefix}.layer{i}")
-        yield from self.final_norm.named_parameters(prefix + ".final_norm")
-        yield from self.out_proj.named_parameters(prefix + ".out_proj")
 
     def step_fn(self, semantic: Tensor, enc_tokens: Tensor) -> "StepFn":
         """Next-token log-probabilities (R, V) for R rows in eval mode, each

@@ -19,7 +19,9 @@ Which grid position sits in which window slot is decided once per
 arrays.  The roll is a shifted slot coordinate, and a grid that is not a
 window multiple is edge-replicated by clamping that coordinate to the last
 slice, so a block moves tokens with one ad.take into windows and one
-back; a merge is the take into (1, 2, 2) windows.
+back; a merge is the take into (1, 2, 2) windows and the patch partition a
+np.take into patch-sized ones.  Only WindowAttention refuses a window
+larger than its grid.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .nn import Attention, LayerNorm, Linear
+from .nn import Attention, LayerNorm, Linear, Module
 from .video import VideoClip
 
 NEG_INF = -1e9
@@ -62,7 +64,7 @@ class EncoderConfig:
             sizes = getattr(self, name)
             if len(sizes) != 3 or not all(isinstance(k, int) and k >= 1 for k in sizes):
                 raise ValueError(f"encoder {name} must be three positive integers, got {list(sizes)}")
-        if any(isinstance(h, (int, float)) and h < 1 for h in self.heads):
+        if any(h < 1 for h in self.heads):
             raise ValueError(f"encoder heads must be positive, got {list(self.heads)}")
         if len(self.depths) != len(self.heads):
             raise ValueError("depths and heads must pair up stage by stage")
@@ -124,8 +126,6 @@ def window_layout(dims, window, shift):
     """
     src, regions, home = [], [], []
     for d, w, s in zip(dims, window, shift):
-        if w > d:
-            raise ValueError(f"window {window} larger than grid {tuple(dims)}")
         r = np.arange(-(-d // w) * w)
         src.append(np.minimum((r + s) % r.size, d - 1))
         # rolled coordinates [0, P-w), [P-w, P-s) and [P-s, P) come from
@@ -177,18 +177,16 @@ class WindowAttention(Attention):
 
     def __call__(self, grid: Tensor, shift, rng, training: bool) -> Tensor:
         """(B, t, h, w, dim) grids in and out, windows shifted by shift."""
-        b, c = grid.data.shape[0], grid.data.shape[-1]
-        slots, back, mask = window_layout(grid.data.shape[1:4], self.window, shift)
+        b, *dims, c = grid.data.shape
+        if any(w > d for w, d in zip(self.window, dims)):
+            raise ValueError(f"window {self.window} larger than grid {tuple(dims)}")
+        slots, back, mask = window_layout(tuple(dims), self.window, shift)
         windows = ad.take(ad.reshape(grid, (b, -1, c)), slots, 1)
         out = super().__call__(windows, windows, self._bias((b, len(slots))), mask, rng, training)
         return ad.take(ad.reshape(out, (b, -1, c)), back, 1)
 
-    def named_parameters(self, prefix: str):
-        yield from super().named_parameters(prefix)
-        yield prefix + ".bias_table", self.bias_table
 
-
-class WindowBlock:
+class WindowBlock(Module):
     """Pre-norm block: x + attn(LN(x)) inside (possibly shifted) windows,
     then x + MLP(LN(x))."""
 
@@ -209,15 +207,20 @@ class WindowBlock:
         m = self.fc2(ad.gelu(self.fc1(self.ln2(x))))
         return ad.add(x, ad.dropout(m, self.hidden_dropout, rng, training))
 
-    def named_parameters(self, prefix: str):
-        yield from self.ln1.named_parameters(prefix + ".ln1")
-        yield from self.attn.named_parameters(prefix + ".attn")
-        yield from self.ln2.named_parameters(prefix + ".ln2")
-        yield from self.fc1.named_parameters(prefix + ".fc1")
-        yield from self.fc2.named_parameters(prefix + ".fc2")
+
+class Stage(Module):
+    """A stage's blocks, alternating plain and shifted windows."""
+
+    def __init__(self, rng, dim: int, heads: int, depth: int, cfg: EncoderConfig):
+        self.blocks = [WindowBlock(rng, dim, heads, cfg) for _ in range(depth)]
+
+    def __call__(self, x: Tensor, rng, training: bool) -> Tensor:
+        for i, block in enumerate(self.blocks):
+            x = block(x, shifted=(i % 2 == 1), rng=rng, training=training)
+        return x
 
 
-class PatchMerge:
+class PatchMerge(Module):
     """Concatenate 2x2 spatial neighborhoods, normalize, halve the width:
     (B, t, h, w, c) -> (B, t, ceil(h/2), ceil(w/2), 2c).  The neighborhoods
     are the (1, 2, 2) windows of window_layout, so odd sides are
@@ -234,23 +237,19 @@ class PatchMerge:
         x = ad.reshape(x, (b, t, (h + 1) // 2, (w + 1) // 2, 4 * c))
         return self.reduce(self.norm(x))
 
-    def named_parameters(self, prefix: str):
-        yield from self.norm.named_parameters(prefix + ".norm")
-        yield from self.reduce.named_parameters(prefix + ".reduce")
 
-
-class VideoEncoder:
+class VideoEncoder(Module):
     """Patch partition -> windowed attention stages -> per-time tokens."""
 
     def __init__(self, cfg: EncoderConfig, rng: np.random.Generator):
         self.cfg = cfg
         pt, ph, pw = cfg.patch
         self.patch_proj = Linear(rng, pt * ph * pw * cfg.in_channels, cfg.embed_dim)
-        self.stages: list[list[WindowBlock]] = []
+        self.stages: list[Stage] = []
         self.merges: list[PatchMerge] = []
         widths = cfg.stage_widths
         for s, (width, depth, heads) in enumerate(zip(widths, cfg.depths, cfg.heads)):
-            self.stages.append([WindowBlock(rng, width, heads, cfg) for _ in range(depth)])
+            self.stages.append(Stage(rng, width, heads, depth, cfg))
             if s + 1 < len(cfg.depths):
                 self.merges.append(PatchMerge(rng, width, cfg.layer_norm_eps))
         final_width = widths[-1]
@@ -258,29 +257,23 @@ class VideoEncoder:
         self.out_proj = Linear(rng, final_width, cfg.token_dim)
 
     def partition(self, clips: Sequence[VideoClip]) -> Tensor:
-        """(B, t, h, w, embed_dim) patch tokens of B equally shaped clips;
-        trailing frames, rows and columns are edge-replicated to patch
-        multiples."""
-        pt, ph, pw = self.cfg.patch
+        """(B, t, h, w, embed_dim) patch tokens of B equally shaped clips, cut
+        by window_layout, which edge-replicates trailing frames, rows and columns."""
         if len({clip.data.shape for clip in clips}) != 1:
             raise ValueError("an encoder call takes one or more clips of one shape")
         data = np.stack([clip.data for clip in clips])
-        if data.shape[-1] != self.cfg.in_channels:
-            raise ValueError(f"clip has {data.shape[-1]} channels, config expects {self.cfg.in_channels}")
-        pads = [(-data.shape[i]) % p for i, p in enumerate((pt, ph, pw), start=1)]
-        if any(pads):
-            data = np.pad(data, [(0, 0), (0, pads[0]), (0, pads[1]), (0, pads[2]), (0, 0)], mode="edge")
-        b, t, h, w, c = data.shape
-        x = data.reshape(b, t // pt, pt, h // ph, ph, w // pw, pw, c)
-        x = x.transpose(0, 1, 3, 5, 2, 4, 6, 7).reshape(b, t // pt, h // ph, w // pw, pt * ph * pw * c)
-        return self.patch_proj(Tensor(x))
+        b, *dims, c = data.shape
+        if c != self.cfg.in_channels:
+            raise ValueError(f"clip has {c} channels, config expects {self.cfg.in_channels}")
+        slots = window_layout(tuple(dims), self.cfg.patch, (0, 0, 0))[0]
+        grid = [-(-d // p) for d, p in zip(dims, self.cfg.patch)]
+        return self.patch_proj(Tensor(np.take(data.reshape(b, -1, c), slots, axis=1).reshape(b, *grid, -1)))
 
     def __call__(self, clips: Sequence[VideoClip], rng=None, training: bool = False) -> Tensor:
         """Tokens (B, t, token_dim) for B clips of one shape."""
         x = self.partition(clips)
-        for s, blocks in enumerate(self.stages):
-            for i, block in enumerate(blocks):
-                x = block(x, shifted=(i % 2 == 1), rng=rng, training=training)
+        for s, stage in enumerate(self.stages):
+            x = stage(x, rng, training)
             if s < len(self.merges):
                 x = self.merges[s](x)
         x = self.final_norm(x)
@@ -288,18 +281,8 @@ class VideoEncoder:
         x = ad.mean_reduce(x, axis=2)
         return self.out_proj(x)
 
-    def named_parameters(self, prefix: str = "encoder"):
-        yield from self.patch_proj.named_parameters(prefix + ".patch_proj")
-        for s, blocks in enumerate(self.stages):
-            for i, block in enumerate(blocks):
-                yield from block.named_parameters(f"{prefix}.stage{s}.block{i}")
-        for s, merge in enumerate(self.merges):
-            yield from merge.named_parameters(f"{prefix}.merge{s}")
-        yield from self.final_norm.named_parameters(prefix + ".final_norm")
-        yield from self.out_proj.named_parameters(prefix + ".out_proj")
 
-
-class ConceptHead:
+class ConceptHead(Module):
     """Order-invariant multi-label head over the encoder tokens.
 
     A shared MLP lifts each token to h1, an elementwise max over the token
@@ -327,8 +310,3 @@ class ConceptHead:
 
     def __call__(self, tokens: Tensor, rng=None, training: bool = False) -> Tensor:
         return ad.sigmoid(self.logits(tokens, rng, training))
-
-    def named_parameters(self, prefix: str = "concept_head"):
-        yield from self.fc1.named_parameters(prefix + ".fc1")
-        yield from self.fc2.named_parameters(prefix + ".fc2")
-        yield from self.fc3.named_parameters(prefix + ".fc3")

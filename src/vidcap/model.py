@@ -11,11 +11,12 @@ import numpy as np
 from .autodiff import Tensor
 from .decoder import CaptionDecoder, DecoderConfig, GenerationRequest, Hypothesis, generate
 from .encoder import ConceptHead, EncoderConfig, VideoEncoder
+from .nn import Module
 from .textproc import config_from_table
 from .video import VideoClip
 
 
-class CaptionModel:
+class CaptionModel(Module):
     """Holds the three trainable parts and a shared dropout stream.
 
     The concept head's sigmoid output doubles as the decoder's
@@ -37,11 +38,6 @@ class CaptionModel:
         self.decoder = CaptionDecoder(dec_cfg, init_rng)
         self.training = False
         self.dropout_rng = np.random.default_rng(seed + 1)
-
-    def named_parameters(self):
-        yield from self.encoder.named_parameters("encoder")
-        yield from self.concept_head.named_parameters("concept_head")
-        yield from self.decoder.named_parameters("decoder")
 
     def parameters(self) -> dict[str, Tensor]:
         return dict(self.named_parameters())

@@ -1,9 +1,13 @@
 """Small parameter-holding layers shared by the encoder and decoder,
 including the one multi-head attention core both transformers use.
 
-Each layer exposes named_parameters(prefix) so the full model can be
-flattened into a sorted name -> Tensor map for optimization and
-checkpointing.
+Every layer is a Module, whose one named_parameters walk names each
+trainable Tensor by the attributes that lead to it, in assignment order:
+a Tensor with requires_grad is named by its attribute, a sub-Module adds
+its attribute to the prefix, and the items of a list attribute xs are
+x0, x1 and so on.  These dotted names (encoder.stage0.block1.attn.wq.weight)
+are the keys of the optimizer state and the checkpoint format, so a
+renamed attribute is a checkpoint format change.
 """
 
 from __future__ import annotations
@@ -22,7 +26,22 @@ def normal_param(rng: np.random.Generator, shape, std: float = INIT_STD) -> Tens
     return Tensor(rng.normal(0.0, std, size=shape), requires_grad=True)
 
 
-class Linear:
+class Module:
+    """A layer whose parameters are found by walking its attributes."""
+
+    def named_parameters(self, prefix: str = ""):
+        for attr, value in vars(self).items():
+            name = f"{prefix}.{attr}" if prefix else attr
+            if isinstance(value, Tensor) and value.requires_grad:
+                yield name, value
+            elif isinstance(value, Module):
+                yield from value.named_parameters(name)
+            elif isinstance(value, list):
+                for i, item in enumerate(value):
+                    yield from item.named_parameters(f"{name[:-1]}{i}")
+
+
+class Linear(Module):
     def __init__(self, rng: np.random.Generator, in_dim: int, out_dim: int, bias: bool = True):
         self.weight = normal_param(rng, (in_dim, out_dim))
         self.bias = Tensor(np.zeros(out_dim), requires_grad=True) if bias else None
@@ -30,13 +49,8 @@ class Linear:
     def __call__(self, x: Tensor) -> Tensor:
         return ad.linear(x, self.weight, self.bias)
 
-    def named_parameters(self, prefix: str):
-        yield prefix + ".weight", self.weight
-        if self.bias is not None:
-            yield prefix + ".bias", self.bias
 
-
-class LayerNorm:
+class LayerNorm(Module):
     def __init__(self, dim: int, eps: float = 1e-12):
         self.gamma = Tensor(np.ones(dim), requires_grad=True)
         self.beta = Tensor(np.zeros(dim), requires_grad=True)
@@ -45,20 +59,13 @@ class LayerNorm:
     def __call__(self, x: Tensor) -> Tensor:
         return ad.layer_norm(x, self.gamma, self.beta, self.eps)
 
-    def named_parameters(self, prefix: str):
-        yield prefix + ".gamma", self.gamma
-        yield prefix + ".beta", self.beta
 
-
-class Embedding:
+class Embedding(Module):
     def __init__(self, rng: np.random.Generator, count: int, dim: int):
         self.table = normal_param(rng, (count, dim))
 
     def __call__(self, ids) -> Tensor:
         return ad.embedding(self.table, ids)
-
-    def named_parameters(self, prefix: str):
-        yield prefix + ".table", self.table
 
 
 @lru_cache(maxsize=None)
@@ -70,7 +77,7 @@ def _head_axes(ndim: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return lead + (ndim - 2, ndim - 3, ndim - 1), lead + (ndim - 3, ndim - 1, ndim - 2)
 
 
-class Attention:
+class Attention(Module):
     """Multi-head attention from a query sequence to a key/value sequence.
 
     Inputs are (..., L, dim): any leading axes (batch, windows) index
@@ -133,9 +140,3 @@ class Attention:
         probs = ad.dropout(probs, self.dropout, rng, training)
         out = ad.transpose(ad.matmul(probs, v), split)
         return self.wo(ad.reshape(out, rows + (self.dim,)))
-
-    def named_parameters(self, prefix: str):
-        yield from self.wq.named_parameters(prefix + ".wq")
-        yield from self.wk.named_parameters(prefix + ".wk")
-        yield from self.wv.named_parameters(prefix + ".wv")
-        yield from self.wo.named_parameters(prefix + ".wo")

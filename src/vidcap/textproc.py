@@ -276,17 +276,29 @@ def load_corpus(path: str | Path) -> list[CaptionRecord]:
     return records
 
 
-# the JSON values a config field takes, by the type of its default; a
+# the JSON values a config field takes, by the type of its default, and
+# the entries of a list field, by the type of its default's entries; a
 # bool is not a number here, though Python counts it as an int
 _JSON_TYPES = {bool: (bool, "a boolean"), int: (int, "an integer"),
                float: ((int, float), "a number"), tuple: (list, "a list")}
 
 
+def _check_json_type(value, like, what: str) -> None:
+    kind = type(like)
+    if kind in _JSON_TYPES:
+        accepted, name = _JSON_TYPES[kind]
+        if not isinstance(value, accepted) or isinstance(value, bool) != (kind is bool):
+            raise ValueError(f"{what} must be {name}, got {value!r}")
+    if kind is tuple:
+        for item in value:
+            _check_json_type(item, like[0], what + " entry")
+
+
 def config_from_table(cls, table, what: str):
     """The dataclass cls built from a JSON object of its fields.  Unknown
-    keys, a value whose JSON type does not fit its field's default and a
-    TypeError while building are ValueErrors naming ``what``; the list
-    given for a tuple field becomes a tuple."""
+    keys, a value or list entry whose JSON type does not fit its field's
+    default and a TypeError while building are ValueErrors naming
+    ``what``; the list given for a tuple field becomes a tuple."""
     if not isinstance(table, dict):
         raise ValueError(f"{what} must be a JSON object, got {table!r}")
     defaults = {f.name: f.default for f in fields(cls)}
@@ -295,12 +307,8 @@ def config_from_table(cls, table, what: str):
         raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
     kwargs = {}
     for key, value in table.items():
-        kind = type(defaults[key])
-        if kind in _JSON_TYPES:
-            accepted, name = _JSON_TYPES[kind]
-            if not isinstance(value, accepted) or isinstance(value, bool) != (kind is bool):
-                raise ValueError(f"{what} key {key!r} must be {name}, got {value!r}")
-        kwargs[key] = tuple(value) if kind is tuple else value
+        _check_json_type(value, defaults[key], f"{what} key {key!r}")
+        kwargs[key] = tuple(value) if type(defaults[key]) is tuple else value
     try:
         return cls(**kwargs)
     except TypeError as exc:

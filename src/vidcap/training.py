@@ -338,6 +338,9 @@ def load_checkpoint(ckpt_dir: str | Path, seed: int = 0) -> tuple[CaptionModel, 
             name = entry["name"]
             if name not in params:
                 raise ValueError(f"checkpoint parameter {name!r} not in model")
+            shape = list(params[name].data.shape)
+            if entry["shape"] != shape:
+                raise ValueError(f"checkpoint parameter {name!r} has shape {entry['shape']}, model expects {shape}")
             chunk = raw[entry["offset"] : entry["offset"] + entry["count"]]
             if chunk.size != entry["count"]:
                 raise ValueError("params.bin shorter than manifest promises")

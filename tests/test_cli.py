@@ -207,6 +207,20 @@ def test_checkpoint_manifest_missing_a_key_exits_2(env, tmp_path, capsys, drop):
     assert f"'{drop}'" in _one_data_error(capsys)
 
 
+def test_checkpoint_entry_of_the_wrong_shape_exits_2(env, tmp_path, capsys):
+    import shutil
+
+    ckpt = tmp_path / "ckpt"
+    shutil.copytree(env["ckpt"], ckpt)
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    entry = next(e for e in manifest["params"] if e["name"] == "decoder.final_norm.gamma")
+    entry["shape"] = [4, 8]
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+    video = env["data"] / "videos" / "vid0001.vvid"
+    assert main(["caption", "--ckpt", str(ckpt), "--video", str(video), "--decode", "greedy"]) == 2
+    assert "'decoder.final_norm.gamma' has shape [4, 8], model expects [32]" in _one_data_error(capsys)
+
+
 def test_prediction_line_that_is_not_an_object_exits_2(env, tmp_path, capsys):
     preds = tmp_path / "preds.jsonl"
     preds.write_text("5\n")

@@ -75,7 +75,7 @@ def test_adapter_configuration():
     same, cfg = _small_decoder()
     assert cfg.concept_dim == cfg.hidden
     assert same.adapter is None
-    assert not any(".adapter." in name for name, _ in same.named_parameters())
+    assert not any(".adapter." in name for name, _ in same.named_parameters("decoder"))
 
     cfg = DecoderConfig(vocab_size=11, hidden=32, concept_dim=16)
     dec = CaptionDecoder(cfg, np.random.default_rng(0))

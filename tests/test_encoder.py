@@ -311,8 +311,21 @@ def test_shift_mask_matches_exhaustive_labeling():
 
 
 def test_window_larger_than_grid_errors():
+    attn = WindowAttention(np.random.default_rng(0), 4, 2, (2, 2, 2), qkv_bias=True, attn_dropout=0.0)
     with pytest.raises(ValueError, match="larger than grid"):
-        window_layout((1, 2, 2), (2, 2, 2), (0, 0, 0))
+        attn(Tensor(np.zeros((1, 1, 2, 2, 4))), (0, 0, 0), None, False)
+
+
+def test_merge_on_a_one_wide_grid():
+    # a (t, 1, 1) grid is edge-replicated into all four slots of its merge
+    rng = np.random.default_rng(41)
+    merge = PatchMerge(rng, 8, 1e-12)
+    x = rng.normal(size=(2, 3, 1, 1, 8))
+    want = merge.reduce(merge.norm(Tensor(np.tile(x, 4)))).data
+    assert np.array_equal(merge(Tensor(x)).data, want)
+    # so an encoder whose 4x4 clips leave a one-wide grid before its merge runs
+    enc = VideoEncoder(EncoderConfig(window=(2, 1, 1)), rng)
+    assert enc([VideoClip(rng.random((8, 4, 4, 3)))]).shape == (1, 4, 32)
 
 
 def test_attention_rows_sum_to_one():
@@ -361,6 +374,29 @@ def test_patch_partition_pad_by_replication():
     # a batch of clips of different shapes is refused
     with pytest.raises(ValueError, match="one shape"):
         enc.partition([clip, VideoClip(np.zeros((8, 16, 16, 3)))])
+
+
+def _old_patches(data, patch):
+    """The partition before window_layout, kept as a numpy oracle: edge pad
+    (B, T, H, W, C) clips to patch multiples, then reshape and transpose
+    to (B, t, h, w, patch volume * C)."""
+    data = np.pad(data, _pad_widths(data.shape[1:4], patch), mode="edge")
+    b, t, h, w, c = data.shape
+    pt, ph, pw = patch
+    x = data.reshape(b, t // pt, pt, h // ph, ph, w // pw, pw, c).transpose(0, 1, 3, 5, 2, 4, 6, 7)
+    return x.reshape(b, t // pt, h // ph, w // pw, pt * ph * pw * c)
+
+
+@pytest.mark.parametrize(
+    "shape, patch",
+    [((8, 16, 16, 3), (2, 4, 4)), ((7, 15, 14, 3), (2, 4, 4)), ((1, 5, 3, 3), (2, 4, 4)), ((3, 9, 10, 1), (3, 2, 5))],
+)
+def test_patch_partition_matches_the_old_layout(shape, patch):
+    enc = VideoEncoder(EncoderConfig(in_channels=shape[-1], patch=patch), np.random.default_rng(7))
+    rng = np.random.default_rng(8)
+    clips = [VideoClip(rng.random(shape)) for _ in range(2)]
+    want = enc.patch_proj(Tensor(_old_patches(np.stack([c.data for c in clips]), patch))).data
+    assert np.array_equal(enc.partition(clips).data, want)
 
 
 def test_float32_clip_tokens_equal_widened_clip_tokens():

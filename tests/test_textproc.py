@@ -203,11 +203,25 @@ def test_corpus_validation(tmp_path):
         (TrainConfig, {"seed": True}, "TrainConfig key 'seed' must be an integer"),
         (DecoderConfig, {"vocab_size": 9, "hidden": 8.0}, "DecoderConfig key 'hidden' must be an integer"),
         (EncoderConfig, {"qkv_bias": 1}, "EncoderConfig key 'qkv_bias' must be a boolean"),
-        # a TypeError while building, here from the stage width check
-        (EncoderConfig, {"heads": ["2", "4"]}, "bad EncoderConfig: unsupported operand"),
+        # a list entry that does not fit the default's entries
+        (EncoderConfig, {"heads": ["2", "4"]}, "EncoderConfig key 'heads' entry must be an integer, got '2'"),
     ],
 )
 def test_config_from_table_rejects(cls, table, message):
+    with pytest.raises(ValueError) as err:
+        config_from_table(cls, table, cls.__name__)
+    assert message in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "cls, table, message",
+    [
+        (EncoderConfig, {"depths": [2, True]}, "EncoderConfig key 'depths' entry must be an integer, got True"),
+        (EncoderConfig, {"patch": [2, 4.0, 4]}, "EncoderConfig key 'patch' entry must be an integer, got 4.0"),
+        (EncoderConfig, {"concept_hidden": [48, None]}, "EncoderConfig key 'concept_hidden' entry must be an integer"),
+    ],
+)
+def test_config_list_entries_must_fit_the_default_entries(cls, table, message):
     with pytest.raises(ValueError) as err:
         config_from_table(cls, table, cls.__name__)
     assert message in str(err.value)

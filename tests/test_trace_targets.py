@@ -1,12 +1,23 @@
 """The benchmark's traced run patches vidcap names listed in
 perfbench/tracing.py TARGETS; a target that no longer resolves is skipped
-there and its per-layer metrics silently read 0.  This guard resolves each
-target the way the tracer does, so a refactor that renames one fails here.
+there and its per-layer metrics silently read 0.  These guards resolve
+each target the way the tracer does, and install the tracer's patches
+around one caption, so a refactor that renames a target or stops calling
+it fails here.
 """
 
 import importlib
 import runpy
 from pathlib import Path
+
+import numpy as np
+
+import vidcap.evaluate
+from vidcap.decoder import DecoderConfig, GenerationRequest
+from vidcap.encoder import EncoderConfig
+from vidcap.model import CaptionModel
+from vidcap.textproc import build_vocab
+from vidcap.video import VideoClip
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -28,3 +39,29 @@ def test_every_trace_target_resolves():
     targets = runpy.run_path(str(TRACING))["TARGETS"]
     absent = {(module, path) for _, module, path, _ in targets if not _resolves(module, path)}
     assert absent == KNOWN_ABSENT
+
+
+def test_traced_spans_fire_in_one_caption():
+    tracing = runpy.run_path(str(TRACING))
+    tracer = tracing["Tracer"]()
+    patches = tracing["Patches"](tracer)
+    vocab = build_vocab(["a red ball moves left"])
+    model = CaptionModel(EncoderConfig(concept_count=8), DecoderConfig(vocab_size=len(vocab), concept_dim=8))
+    clip = VideoClip(np.random.default_rng(0).random((12, 16, 16, 3)))
+    patches.install()
+    try:
+        tracer.on = True
+        vidcap.evaluate.caption_video(model, vocab, clip, GenerationRequest(strategy="greedy", max_len=3))
+    finally:
+        patches.restore()
+    recorded = {span["name"] for span in tracer.spans}
+    for name in (
+        "encoder.forward",
+        "encoder.window_block",
+        "encoder.patch_merge",
+        "encoder.concept_head",
+        "decoder.forward",
+        "decoder.step",
+        "caption",
+    ):
+        assert name in recorded, name

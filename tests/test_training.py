@@ -1,5 +1,6 @@
 """Training-loop tests: loss composition, clipping, checkpoints, model pick."""
 
+import hashlib
 import json
 import math
 
@@ -9,7 +10,7 @@ import pytest
 import vidcap.autodiff
 import vidcap.training
 from vidcap.autodiff import Tape, backward
-from vidcap.decoder import DecoderConfig
+from vidcap.decoder import DecoderConfig, GenerationRequest
 from vidcap.encoder import EncoderConfig
 from vidcap.model import CaptionModel
 from vidcap.synth import SyntheticSpec, generate_synthetic_dataset
@@ -294,3 +295,61 @@ def test_checkpoint_blob_and_stored_adapter_mode(tmp_path):
     (ckpt / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(ValueError, match="adapter mode 'linear' is no longer supported"):
         load_checkpoint(ckpt)
+
+
+# sha256 of the sorted (name, shape) list of each config, recorded while
+# every layer still listed its parameters by hand; the names are the
+# checkpoint format
+@pytest.mark.parametrize(
+    "enc, dec, count, digest",
+    [
+        ({}, {}, 143, "50434c00b4ac572d43e3f8f8ac4a2b4fba911bcd0b58efe4ffa8e4b95f4f02e9"),
+        (
+            {"qkv_bias": False, "concept_count": 32},
+            {"concept_dim": 32},
+            129,
+            "5de6e771b69c5818bf2bffa0538ccca53a8094843187cfae08fe1c8acf92d647",
+        ),
+        (
+            {"depths": (2, 2, 2), "heads": (2, 4, 8)},
+            {"layers": 3},
+            206,
+            "c67e0de7ccd080a3d3e72972f8b56d2e69b56ff84077133bc3d0a736b0eec4a5",
+        ),
+    ],
+)
+def test_parameter_names_and_shapes_are_pinned(enc, dec, count, digest):
+    model = CaptionModel(EncoderConfig(**enc), DecoderConfig(vocab_size=40, **dec))
+    pairs = sorted((name, list(p.data.shape)) for name, p in model.named_parameters())
+    assert len(pairs) == count
+    assert hashlib.sha256(json.dumps(pairs).encode()).hexdigest() == digest
+
+
+def test_joint_step_trains_exactly_the_named_parameters():
+    # a layer the walk misses would still get a gradient here, but no
+    # optimizer update and no checkpoint entry
+    model = _small_model()
+    model.training = True
+    rng = np.random.default_rng(31)
+    clips = [VideoClip(rng.random((8, 12, 12, 3))) for _ in range(2)]
+    labels = [(rng.random(8) > 0.5).astype(np.float64) for _ in clips]
+    with Tape() as tape:
+        total, _, _ = joint_loss(model, clips, [np.array([4, 5, 2]), np.array([6, 2])], labels, 0.1)
+        grads = backward(total, tape)
+    params = model.parameters()
+    assert len({id(p) for p in params.values()}) == len(params)
+    assert {id(t) for t in grads} == {id(p) for p in params.values()}
+
+
+def test_forward_and_generation_leave_the_parameter_list_unchanged():
+    model = _small_model()
+    before = [(name, p.data.shape) for name, p in model.named_parameters()]
+    attentions = [block.attn for stage in model.encoder.stages for block in stage.blocks]
+    attentions += [a for layer in model.decoder.layers for a in (layer.self_attn, layer.cross_attn)]
+    for attn in attentions:
+        attn.capture_attention = True
+    clip = VideoClip(np.random.default_rng(32).random((8, 12, 12, 3)))
+    model.video_tokens([clip])
+    model.generate_for_clip(clip, GenerationRequest(strategy="beam", max_len=4))
+    assert all(attn.last_attention is not None for attn in attentions)
+    assert [(name, p.data.shape) for name, p in model.named_parameters()] == before

@@ -38,7 +38,8 @@ class Tensor:
     Tensors are value holders only; the graph lives on the tape.  A float64
     ndarray is wrapped as it is, without a copy; anything else is converted
     with np.asarray.  Data is treated as immutable once wrapped, except for
-    explicit optimizer updates which build replacement arrays.
+    optimizer updates, which write in place into the flat parameter vector
+    that a trained Tensor's data is a view of (optim.flatten).
     """
 
     __slots__ = ("data", "requires_grad")

@@ -17,7 +17,7 @@ from .decoder import STRATEGIES, GenerationRequest
 from .evaluate import caption_video, evaluate_checkpoint
 from .metrics import compute_report
 from .synth import SyntheticSpec, generate_synthetic_dataset
-from .textproc import PosTagger, build_concept_vocabulary, build_vocab, config_from_table, load_corpus
+from .textproc import PosTagger, build_concept_vocabulary, build_vocab, config_from_table, load_corpus, parse_json
 from .training import TrainConfig, TrainingDiverged, load_checkpoint, load_vocab_and_concepts, train
 from .video import read_vvid
 
@@ -42,10 +42,7 @@ def _read_json(path: str | Path):
     p = Path(path)
     if not p.exists():
         raise DataError(f"no such file: {p}")
-    try:
-        return json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise DataError(f"invalid JSON in {p}: {exc}") from exc
+    return parse_json(p.read_text(), p)
 
 
 def _decode_request(args) -> GenerationRequest:
@@ -201,7 +198,7 @@ def _cmd_score(args) -> int:
     for line_no, line in enumerate(pred_path.read_text().splitlines(), 1):
         if not line.strip():
             continue
-        row = json.loads(line)
+        row = parse_json(line, pred_path, line_no)
         if not isinstance(row, dict) or "id" not in row or "caption" not in row:
             raise DataError(f"{pred_path}:{line_no}: prediction rows need id and caption")
         if row["id"] not in refs_by_id:

@@ -124,29 +124,26 @@ def window_layout(dims, window, shift):
     additive (num_windows, n, n) NEG_INF between slots of different
     pre-shift regions, or None without a shift.  Cached and read-only.
     """
-    src, regions, home = [], [], []
+    src, home = [], []
     for d, w, s in zip(dims, window, shift):
         r = np.arange(-(-d // w) * w)
         src.append(np.minimum((r + s) % r.size, d - 1))
-        # rolled coordinates [0, P-w), [P-w, P-s) and [P-s, P) come from
-        # different stretches of the grid; without a shift each window
-        # lies inside one label
-        regions.append(np.digitize(r, (r.size - w, r.size - s)))
         home.append((np.arange(d) - s) % r.size)
     padded = tuple(len(r) for r in src)
     slots = _windows(np.ravel_multi_index(np.ix_(*src), dims), window)
     slot_of = np.argsort(_windows(np.arange(slots.size).reshape(padded), window), axis=None)
     back = slot_of.reshape(padded)[np.ix_(*home)]
-    labels = _windows(np.ravel_multi_index(np.ix_(*regions), (3, 3, 3)), window)
-    mask = np.where(labels[:, :, None] != labels[:, None, :], NEG_INF, 0.0)
-    for a in (slots, back, mask):
-        a.flags.writeable = False
-    return slots, back, mask if any(shift) else None
-
-
-def shift_attention_mask(dims, window, shift) -> np.ndarray | None:
-    """The additive mask of window_layout(dims, window, shift)."""
-    return window_layout(dims, window, shift)[2]
+    mask = None
+    if any(shift):
+        # rolled coordinates [0, P-w), [P-w, P-s) and [P-s, P) come from
+        # different stretches of the grid; without a shift each window
+        # lies inside one label
+        regions = [np.digitize(np.arange(p), (p - w, p - s)) for p, w, s in zip(padded, window, shift)]
+        labels = _windows(np.ravel_multi_index(np.ix_(*regions), (3, 3, 3)), window)
+        mask = np.where(labels[:, :, None] != labels[:, None, :], NEG_INF, 0.0)
+        mask.flags.writeable = False
+    slots.flags.writeable = back.flags.writeable = False
+    return slots, back, mask
 
 
 def _relative_index(window) -> np.ndarray:

@@ -6,8 +6,8 @@ trainable Tensor by the attributes that lead to it, in assignment order:
 a Tensor with requires_grad is named by its attribute, a sub-Module adds
 its attribute to the prefix, and the items of a list attribute xs are
 x0, x1 and so on.  These dotted names (encoder.stage0.block1.attn.wq.weight)
-are the keys of the optimizer state and the checkpoint format, so a
-renamed attribute is a checkpoint format change.
+are the checkpoint format, so a renamed attribute is a checkpoint format
+change; sorted, they are also the order of training's flat parameter vector.
 """
 
 from __future__ import annotations

@@ -1,79 +1,71 @@
-"""Gradient clipping and AdamW with decoupled weight decay."""
+"""Gradient clipping and AdamW with decoupled weight decay, over one flat
+float64 vector that holds every parameter a training phase updates."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import NumericError, Tensor
 
 
-def clip_global_norm(grads: dict, max_norm: float) -> tuple[dict, float]:
-    """Scale the whole gradient map so its joint L2 norm is at most max_norm.
+def flatten(tensors: list[Tensor]) -> np.ndarray:
+    """The tensors' data concatenated in order, each tensor's data rebound
+    to a view of its stretch, so in-place writes show on both sides."""
+    flat = np.concatenate([p.data.ravel() for p in tensors])
+    ends = np.cumsum([p.data.size for p in tensors])
+    for p, end in zip(tensors, ends):
+        p.data = flat[end - p.data.size : end].reshape(p.data.shape)
+    return flat
 
-    Returns the (possibly rescaled) map and the norm it has afterwards.
-    Applying the clip twice never rescales twice: a clipped map is already
-    inside the ball, so the second call is the identity.
-    """
+
+def clip_global_norm(grad: np.ndarray, max_norm: float) -> tuple[np.ndarray, float]:
+    """Scale grad in place so its L2 norm is at most max_norm; return it and
+    the norm it has afterwards.  Applying the clip twice never rescales
+    twice: a clipped vector is already inside the ball."""
     if max_norm <= 0:
         raise ValueError("max_norm must be positive")
-    total = 0.0
-    for g in grads.values():
-        total += float(np.sum(np.asarray(g) ** 2))
-    norm = float(np.sqrt(total))
+    norm = float(np.sqrt(np.sum(grad * grad)))
     if norm <= max_norm:
-        return grads, norm
-    factor = max_norm / norm
-    clipped = {k: np.asarray(g) * factor for k, g in grads.items()}
-    achieved = float(np.sqrt(sum(float(np.sum(g**2)) for g in clipped.values())))
-    return clipped, achieved
+        return grad, norm
+    grad *= max_norm / norm
+    return grad, float(np.sqrt(np.sum(grad * grad)))
 
 
-@dataclass
 class AdamWState:
-    """Per-parameter first/second moment estimates and the step counter."""
+    """Moment estimates of one parameter vector, step counter, hyperparameters."""
 
-    m: np.ndarray
-    v: np.ndarray
-    t: int = 0
-
-
-@dataclass
-class AdamWHyper:
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 0.01
+    def __init__(self, size: int, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.01):
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self.t = 0
+        self.lr, self.beta1, self.beta2, self.eps, self.weight_decay = lr, beta1, beta2, eps, weight_decay
 
 
-def adamw_step(
-    params: dict[str, Tensor],
-    grads: dict[Tensor, np.ndarray],
-    state: dict[str, AdamWState],
-    hyper: AdamWHyper,
-) -> None:
-    """One AdamW update in place.
+def adamw_step(params: np.ndarray, grad: np.ndarray, state: AdamWState) -> None:
+    """One AdamW update of the parameter vector in place; grad is used up as scratch.
 
     Weight decay is decoupled: p <- p - lr*(m_hat/(sqrt(v_hat)+eps)) - lr*wd*p.
-    Parameters without a gradient this step are left untouched, moments
-    included.  Non-finite gradients abort rather than poisoning the moments.
+    Non-finite gradients abort rather than poisoning the moments.
     """
-    for name in sorted(params):
-        p = params[name]
-        g = grads.get(p)
-        if g is None:
-            continue
-        g = np.asarray(g, dtype=np.float64)
-        if not np.all(np.isfinite(g)):
-            raise NumericError("non-finite gradient")
-        st = state.get(name)
-        if st is None:
-            st = state[name] = AdamWState(m=np.zeros_like(p.data), v=np.zeros_like(p.data))
-        st.t += 1
-        st.m = hyper.beta1 * st.m + (1.0 - hyper.beta1) * g
-        st.v = hyper.beta2 * st.v + (1.0 - hyper.beta2) * g * g
-        m_hat = st.m / (1.0 - hyper.beta1**st.t)
-        v_hat = st.v / (1.0 - hyper.beta2**st.t)
-        p.data = p.data - hyper.lr * (m_hat / (np.sqrt(v_hat) + hyper.eps) + hyper.weight_decay * p.data)
+    if not np.all(np.isfinite(grad)):
+        raise NumericError("non-finite gradient")
+    state.t += 1
+    # in place, with each operation's operands and order as in the formula
+    # above, so the bits equal those of the out-of-place form; grad becomes
+    # the step, so one update allocates a single vector
+    scratch = np.multiply(1.0 - state.beta2, grad)
+    scratch *= grad
+    step = np.multiply(1.0 - state.beta1, grad, out=grad)
+    state.m *= state.beta1
+    state.m += step
+    state.v *= state.beta2
+    state.v += scratch
+    np.divide(state.m, 1.0 - state.beta1**state.t, out=step)
+    np.divide(state.v, 1.0 - state.beta2**state.t, out=scratch)
+    np.sqrt(scratch, out=scratch)
+    scratch += state.eps
+    step /= scratch
+    np.multiply(state.weight_decay, params, out=scratch)
+    step += scratch
+    step *= state.lr
+    params -= step

@@ -248,13 +248,22 @@ class CaptionRecord:
     split: str
 
 
+def parse_json(text: str, path, first_line: int = 1):
+    """The JSON value of text, which starts at line first_line of the file
+    path; a syntax error is a ValueError naming path:line."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        line = first_line + exc.lineno - 1
+        raise ValueError(f"{path}:{line}: invalid JSON: {exc.msg} (column {exc.colno})") from None
+
+
 def load_corpus(path: str | Path) -> list[CaptionRecord]:
     records = []
     for line_no, line in enumerate(Path(path).read_text().splitlines(), 1):
-        line = line.strip()
-        if not line:
+        if not line.strip():
             continue
-        obj = json.loads(line)
+        obj = parse_json(line, path, line_no)
         if not isinstance(obj, dict):
             raise ValueError(f"{path}:{line_no}: corpus line is not a JSON object")
         try:

@@ -23,7 +23,7 @@ from .autodiff import Tape, Tensor, backward
 from .decoder import DecoderConfig
 from .encoder import EncoderConfig
 from .model import CaptionModel, model_from_config_blob
-from .optim import AdamWHyper, adamw_step, clip_global_norm
+from .optim import AdamWState, adamw_step, clip_global_norm, flatten
 from .textproc import (
     PAD_ID,
     ConceptVocabulary,
@@ -35,6 +35,7 @@ from .textproc import (
     config_from_table,
     encode_caption,
     load_corpus,
+    parse_json,
 )
 from .video import VideoClip, read_vvid
 
@@ -206,8 +207,6 @@ def train(
     model = CaptionModel(enc_cfg, dec_cfg, seed=config.seed)
 
     samples = _prepare_samples(records, data_root, vocab, concepts, enc_cfg.frames, config.max_len)
-    params = dict(model.named_parameters())
-    head_params = {k: v for k, v in params.items() if k.startswith("concept_head.")}
 
     batch_rng = np.random.default_rng(config.seed + 303)
     caption_rng = np.random.default_rng(config.seed + 101)
@@ -216,7 +215,18 @@ def train(
     history: list[dict] = []
     t0 = time.time()
 
-    def run_step(step: int, phase: str, loss_fn, trainable, state, lr: float):
+    def run_phase(phase: str, prefix: str, head_dropout: float, loss_fn, steps: range):
+        # the parameters named prefix*, in sorted-name order (the
+        # checkpoint's), train as views into one vector under one AdamW state
+        model.training = True
+        model.concept_head.dropout_rate = head_dropout
+        params = [p for name, p in sorted(model.named_parameters()) if name.startswith(prefix)]
+        flat = flatten(params)
+        state = AdamWState(flat.size, lr=config.lr)
+        for step in steps:
+            run_step(step, phase, loss_fn, params, flat, state)
+
+    def run_step(step: int, phase: str, loss_fn, params, flat, state):
         idx = batch_rng.integers(0, len(samples), size=config.batch_size)
         with Tape() as tape:
             total, parts = loss_fn([int(i) for i in idx])
@@ -224,8 +234,8 @@ def train(
             dump = {"step": step, "phase": phase, **parts}
             _finite_or_die(value, "loss", dump, out)
             grads = backward(total, tape)
-        grads, norm = clip_global_norm(grads, config.clip_norm)
-        adamw_step(trainable, grads, state, AdamWHyper(lr=lr))
+        grad, norm = clip_global_norm(np.concatenate([grads[p].ravel() for p in params]), config.clip_norm)
+        adamw_step(flat, grad, state)
         entry = {"step": step, "phase": phase, "loss": value, "grad_norm": norm, **parts}
         history.append(entry)
         log_file.write(json.dumps(entry) + "\n")
@@ -238,24 +248,16 @@ def train(
             model.training = False
             cache = token_cache(model, [s.clip for s in samples], config.batch_size)
             all_labels = np.stack([s.labels for s in samples])
-            model.training = True
-            model.concept_head.dropout_rate = 0.5
-            state: dict = {}
 
             def pretrain_loss(batch):
                 logits = model.concept_logits(Tensor(cache[batch]))
                 bce = ad.bce_with_logits(logits, all_labels[batch])
                 return bce, {"bce": float(bce.data)}
 
-            for step in range(1, config.pretrain_steps + 1):
-                run_step(step, "semantic_pretrain", pretrain_loss, head_params, state, config.lr)
+            run_phase("semantic_pretrain", "concept_head.", 0.5, pretrain_loss, range(1, config.pretrain_steps + 1))
 
         # phase two: everything trains, caption CE plus weighted concept BCE
         if config.phase in ("end_to_end", "both") and config.max_steps > 0:
-            model.training = True
-            model.concept_head.dropout_rate = 0.1
-            state = {}
-
             def batch_joint_loss(batch):
                 drawn = [samples[i] for i in batch]
                 captions = [s.captions[int(caption_rng.integers(0, len(s.captions)))] for s in drawn]
@@ -265,8 +267,7 @@ def train(
                 return total, {"ce": float(ce.data), "bce": float(bce.data)}
 
             start = config.pretrain_steps if config.phase == "both" else 0
-            for step in range(start + 1, start + config.max_steps + 1):
-                run_step(step, "end_to_end", batch_joint_loss, params, state, config.lr)
+            run_phase("end_to_end", "", 0.1, batch_joint_loss, range(start + 1, start + config.max_steps + 1))
 
     ckpt_dir = out / "checkpoint"
     save_checkpoint(
@@ -325,32 +326,40 @@ def save_checkpoint(ckpt_dir: str | Path, model: CaptionModel, step: int = 0, **
 
 
 def load_checkpoint(ckpt_dir: str | Path, seed: int = 0) -> tuple[CaptionModel, dict]:
+    """The model and manifest of a checkpoint; any fault in them is a ValueError naming ckpt_dir."""
     ckpt = Path(ckpt_dir)
-    manifest = json.loads((ckpt / "manifest.json").read_text())
-    if manifest.get("format") != "vidcap-checkpoint" or manifest.get("version") != CKPT_VERSION:
-        raise ValueError("not a recognized checkpoint directory")
+    manifest = parse_json((ckpt / "manifest.json").read_text(), ckpt / "manifest.json")
     try:
+        if not (isinstance(manifest, dict) and manifest.get("format") == "vidcap-checkpoint"
+                and manifest.get("version") == CKPT_VERSION):
+            raise ValueError("not a recognized checkpoint directory")
+        if not isinstance(manifest["model"], dict) or not isinstance(manifest["params"], list):
+            raise ValueError("checkpoint manifest model must be an object and params a list")
         model = model_from_config_blob(manifest["model"], seed=seed)
         raw = np.frombuffer((ckpt / "params.bin").read_bytes(), dtype=np.float32)
         params = dict(model.named_parameters())
-        seen = set()
         for entry in manifest["params"]:
-            name = entry["name"]
-            if name not in params:
+            if not isinstance(entry, dict):
+                raise ValueError(f"manifest params entry {entry!r} is not an object")
+            name, offset, count = entry["name"], entry["offset"], entry["count"]
+            if not isinstance(name, str) or name not in params:
                 raise ValueError(f"checkpoint parameter {name!r} not in model")
             shape = list(params[name].data.shape)
             if entry["shape"] != shape:
                 raise ValueError(f"checkpoint parameter {name!r} has shape {entry['shape']}, model expects {shape}")
-            chunk = raw[entry["offset"] : entry["offset"] + entry["count"]]
-            if chunk.size != entry["count"]:
+            if not all(type(n) is int and n >= 0 for n in (offset, count)):
+                raise ValueError(f"checkpoint parameter {name!r} needs non-negative integer offset and count")
+            chunk = raw[offset : offset + count]
+            if chunk.size != count:
                 raise ValueError("params.bin shorter than manifest promises")
-            params[name].data = chunk.astype(np.float64).reshape(entry["shape"])
-            seen.add(name)
+            params[name].data = chunk.astype(np.float64).reshape(shape)
+        missing = set(params) - {entry["name"] for entry in manifest["params"]}
+        if missing:
+            raise ValueError(f"checkpoint missing parameters: {sorted(missing)[:3]}")
     except KeyError as e:
-        raise ValueError(f"checkpoint manifest lacks key {e}") from None
-    missing = set(params) - seen
-    if missing:
-        raise ValueError(f"checkpoint missing parameters: {sorted(missing)[:3]}")
+        raise ValueError(f"{ckpt}: checkpoint manifest lacks key {e}") from None
+    except ValueError as e:
+        raise ValueError(f"{ckpt}: {e}") from None
     return model, manifest
 
 

@@ -221,6 +221,72 @@ def test_checkpoint_entry_of_the_wrong_shape_exits_2(env, tmp_path, capsys):
     assert "'decoder.final_norm.gamma' has shape [4, 8], model expects [32]" in _one_data_error(capsys)
 
 
+def _set_first_entry(key, value):
+    def edit(manifest):
+        manifest["params"][0][key] = value
+        return manifest
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda manifest: [manifest], "not a recognized checkpoint directory"),
+        (lambda manifest: dict(manifest, params=[5]), "manifest params entry 5 is not an object"),
+        (lambda manifest: dict(manifest, params=5), "params a list"),
+        (lambda manifest: dict(manifest, model=None), "model must be an object"),
+        (_set_first_entry("offset", "0"), "needs non-negative integer offset and count"),
+        (_set_first_entry("count", -1), "needs non-negative integer offset and count"),
+        (_set_first_entry("name", ["x"]), "parameter ['x'] not in model"),
+    ],
+    ids=["list", "entry-not-object", "params-not-list", "model-null", "string-offset", "negative-count", "list-name"],
+)
+def test_malformed_checkpoint_manifest_exits_2(env, tmp_path, capsys, edit, message):
+    import shutil
+
+    ckpt = tmp_path / "ckpt"
+    shutil.copytree(env["ckpt"], ckpt)
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    (ckpt / "manifest.json").write_text(json.dumps(edit(manifest)))
+    video = env["data"] / "videos" / "vid0001.vvid"
+    assert main(["caption", "--ckpt", str(ckpt), "--video", str(video), "--decode", "greedy"]) == 2
+    line = _one_data_error(capsys)
+    assert line.startswith(f"data error: {ckpt}: ") and message in line, line
+
+
+def test_invalid_json_in_corpus_names_file_and_line(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    row = {"id": "a", "video": "v", "captions": ["a red ball"], "split": "train"}
+    corpus.write_text(json.dumps(row) + "\n\n" + '{"id": "b", ' + "\n")
+    assert main(["build-vocab", "--corpus", str(corpus), "--out", str(tmp_path / "v.json")]) == 2
+    assert _one_data_error(capsys).startswith(f"data error: {corpus}:3: invalid JSON: ")
+
+
+def test_invalid_json_in_predictions_names_file_and_line(env, tmp_path, capsys):
+    corpus = env["data"] / "corpus.jsonl"
+    ref_id = json.loads(corpus.read_text().splitlines()[0])["id"]
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text(json.dumps({"id": ref_id, "caption": "a red ball"}) + "\n{id: 5}\n")
+    assert main(["score", "--preds", str(preds), "--refs", str(corpus)]) == 2
+    line = _one_data_error(capsys)
+    assert line == f"data error: {preds}:2: invalid JSON: Expecting property name enclosed in double quotes (column 2)"
+
+
+def test_invalid_json_in_manifest_names_file_and_line(env, tmp_path, capsys):
+    import shutil
+
+    ckpt = tmp_path / "ckpt"
+    shutil.copytree(env["ckpt"], ckpt)
+    lines = (ckpt / "manifest.json").read_text().splitlines()
+    assert lines[3].startswith('  "step": ')
+    lines[3] += ","  # a second comma after the step
+    (ckpt / "manifest.json").write_text("\n".join(lines))
+    video = env["data"] / "videos" / "vid0001.vvid"
+    assert main(["caption", "--ckpt", str(ckpt), "--video", str(video), "--decode", "greedy"]) == 2
+    assert _one_data_error(capsys).startswith(f"data error: {ckpt / 'manifest.json'}:4: invalid JSON: ")
+
+
 def test_prediction_line_that_is_not_an_object_exits_2(env, tmp_path, capsys):
     preds = tmp_path / "preds.jsonl"
     preds.write_text("5\n")

@@ -25,7 +25,6 @@ from vidcap.encoder import (
     WindowAttention,
     WindowBlock,
     shift_amounts,
-    shift_attention_mask,
     window_layout,
 )
 from vidcap.nn import Attention
@@ -273,18 +272,18 @@ def test_single_window_no_shift_is_full_attention():
     got = _impl_window_attention(x[None], attn, window, (0, 0, 0))[0]
     want = _oracle_window_attention(x, attn, window, (0, 0, 0))
     assert np.abs(got - want).max() < 1e-10
-    # and the mask helper agrees there is nothing to mask
-    assert shift_attention_mask((2, 2, 2), window, (0, 0, 0)) is None
+    # and the layout agrees there is nothing to mask
+    assert window_layout((2, 2, 2), window, (0, 0, 0))[2] is None
 
 
 def test_shift_mask_matches_exhaustive_labeling():
     window = (2, 2, 2)
     for dims in ((4, 4, 4), (2, 4, 6), (4, 6, 6)):
         shifts = shift_amounts(dims, window, True)
-        mask = shift_attention_mask(dims, window, shifts)
+        mask = window_layout(dims, window, shifts)[2]
         assert mask is not None
         assert not mask.flags.writeable
-        assert shift_attention_mask(dims, window, shifts) is mask  # cached
+        assert window_layout(dims, window, shifts)[2] is mask  # cached
         nw = mask.shape[0]
 
         # independent labeling: for each token, (rolled window id, region id)

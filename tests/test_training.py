@@ -197,7 +197,7 @@ def test_post_clip_norm_never_exceeds_limit(dataset, tmp_path, monkeypatch):
 
     def recording(grads, limit):
         clipped, norm = real(grads, limit)
-        sq = sum(float((g * g).sum()) for g in clipped.values())
+        sq = float((clipped * clipped).sum())
         post_norms.append(math.sqrt(sq))
         return clipped, norm
 
@@ -339,6 +339,29 @@ def test_joint_step_trains_exactly_the_named_parameters():
     params = model.parameters()
     assert len({id(p) for p in params.values()}) == len(params)
     assert {id(t) for t in grads} == {id(p) for p in params.values()}
+
+
+def test_pretrain_steps_train_exactly_the_concept_head(dataset, tmp_path, monkeypatch):
+    # phase one's vector holds only the concept_head.* parameters, so its
+    # gradient leaves must be exactly those, and the rest keep their init
+    leaves = []
+    real = vidcap.training.backward
+
+    def recording(total, tape):
+        grads = real(total, tape)
+        leaves.append({id(t) for t in grads})
+        return grads
+
+    monkeypatch.setattr(vidcap.training, "backward", recording)
+    cfg = TrainConfig(
+        encoder=SMALL_ENCODER, batch_size=2, pretrain_steps=3, max_steps=0, phase="semantic_pretrain", seed=5
+    )
+    model = train(cfg, dataset, tmp_path / "out").model
+    head = {id(p) for name, p in model.named_parameters() if name.startswith("concept_head.")}
+    assert len(leaves) == 3 and all(ids == head for ids in leaves)
+    init = CaptionModel(model.enc_cfg, model.dec_cfg, seed=cfg.seed).parameters()
+    for name, p in model.named_parameters():
+        assert np.array_equal(p.data, init[name].data) != name.startswith("concept_head."), name
 
 
 def test_forward_and_generation_leave_the_parameter_list_unchanged():

@@ -2,15 +2,21 @@
 
 The corpus streams through frame selection into the encoder in small
 same-shape chunks, keeping only each clip's tokens; then every clip is
-decoded at once, in lockstep by length.  caption_video is the one-clip
-path through the same decoding code.
+decoded at once, in lockstep by length.  One worker thread reads and
+frame-selects ahead while the main thread encodes, holding at most
+ENCODE_CHUNK selected clips plus the one full clip in hand.
+caption_video is the one-clip path through the same decoding code.
 """
 
 from __future__ import annotations
 
 import json
+import queue
+import threading
+from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 from .afs import apply_selection, select_from_clip
 from .decoder import GenerationRequest, Hypothesis
@@ -19,7 +25,8 @@ from .textproc import PosTagger, detokenize, load_corpus
 from .training import load_checkpoint, load_vocab_and_concepts, token_cache
 from .video import read_vvid
 
-# clips per encoder call.  Four share most of the per-call overhead; at
+# clips per encoder call, and the selected clips the reader may queue
+# ahead of the encoder.  Four share most of the per-call overhead; at
 # 32x32 an encoder call holds about 0.9 MB of activations per clip, so
 # larger chunks mostly raise peak memory.
 ENCODE_CHUNK = 4
@@ -44,6 +51,47 @@ def caption_video(model, vocab, clip, request: GenerationRequest) -> tuple[str, 
 
 def _caption(vocab, hyp: Hypothesis) -> tuple[str, list[int], float]:
     return detokenize(vocab.decode_ids(hyp.tokens)), list(hyp.tokens), hyp.logprob
+
+
+def _read_ahead(items: Iterator, depth: int) -> Iterator:
+    """What items yields, in order, produced on a worker thread that keeps
+    at most depth items queued, plus the one in hand, ahead of the caller.
+    An exception in the worker is raised here with its own type.  Closing
+    this generator stops the worker and joins it, also while it waits on a
+    full queue."""
+    ahead = queue.Queue(depth)
+    stop = threading.Event()
+
+    def work():
+        end = None
+        try:
+            for item in items:
+                ahead.put((True, item))
+                if stop.is_set():
+                    return
+        except BaseException as exc:  # handed to the caller, never lost
+            end = exc
+        if not stop.is_set():
+            ahead.put((False, end))
+
+    worker = threading.Thread(target=work, name="vidcap-read-ahead", daemon=True)
+    worker.start()
+    try:
+        while True:
+            more, value = ahead.get()
+            if not more:
+                break
+            yield value
+        if value is not None:
+            raise value
+    finally:
+        # the worker checks stop after each put and before its last one,
+        # so once the queue is emptied it makes at most one more put, which
+        # fits, and reads nothing further
+        stop.set()
+        while not ahead.empty():
+            ahead.get_nowait()
+        worker.join()
 
 
 def evaluate_checkpoint(
@@ -89,14 +137,17 @@ def evaluate_checkpoint(
                 continue
             kept.append(rec)
             selected = apply_selection(clip, select_from_clip(clip, model.enc_cfg.frames))
-            del clip  # the full clip is not held while a chunk encodes
+            del clip  # only the clip being selected is held in full
             yield selected
         if not kept:
             raise ValueError("no readable video in the corpus")
 
+    # the worker fills kept and errors; both are read only once it is joined
+    with closing(_read_ahead(selected_clips(), ENCODE_CHUNK)) as clips:
+        enc_tokens = token_cache(model, clips, ENCODE_CHUNK)
     # every selected clip has enc_cfg.frames frames and the encoder pools
     # space away, so all tokens share one shape and decode as one batch
-    hyps = model.generate_for_tokens(token_cache(model, selected_clips(), ENCODE_CHUNK), request)
+    hyps = model.generate_for_tokens(enc_tokens, request)
     preds, refs, predictions = [], [], []
     for rec, hyp in zip(kept, hyps):
         text, tokens, logprob = _caption(vocab, hyp)

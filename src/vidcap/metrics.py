@@ -136,14 +136,16 @@ def cider_d(preds: Sequence[str], refs: Sequence[Sequence[str]], sigma: float = 
             for g in seen:
                 dfs[n - 1][g] += 1
 
-    def idf(n: int, g: tuple) -> float:
-        return float(np.log(m / max(dfs[n - 1][g], 1)))
+    # an n-gram no reference holds counts as one document
+    unseen = float(np.log(m / 1))
+    idfs = [{g: float(np.log(m / max(df, 1))) for g, df in per_n.items()} for per_n in dfs]
 
     item_scores = []
     for pred, group in zip(preds, ref_tokens):
         ptoks = normalize_and_tokenize(pred)
+        penalties = [float(np.exp(-((len(ptoks) - len(r)) ** 2) / (2.0 * sigma**2))) for r in group]
         per_n = []
-        for n in range(1, 5):
+        for n, idf in enumerate(idfs, 1):
             pc = _ngrams(ptoks, n)
             ref_counts = [_ngrams(r, n) for r in group]
             max_ref = Counter()
@@ -152,18 +154,17 @@ def cider_d(preds: Sequence[str], refs: Sequence[Sequence[str]], sigma: float = 
                     if cnt > max_ref[g]:
                         max_ref[g] = cnt
             clipped = {g: min(cnt, max_ref[g]) for g, cnt in pc.items()}
-            vp = {g: cnt * idf(n, g) for g, cnt in clipped.items()}
+            vp = {g: cnt * idf.get(g, unseen) for g, cnt in clipped.items()}
             np_norm = float(np.sqrt(sum(v * v for v in vp.values())))
             sims = []
-            for r, rc in zip(group, ref_counts):
-                vr = {g: cnt * idf(n, g) for g, cnt in rc.items()}
+            for penalty, rc in zip(penalties, ref_counts):
+                vr = {g: cnt * idf[g] for g, cnt in rc.items()}
                 nr = float(np.sqrt(sum(v * v for v in vr.values())))
                 if np_norm == 0.0 or nr == 0.0:
                     cos = 0.0
                 else:
                     dot = sum(v * vr[g] for g, v in vp.items() if g in vr)
                     cos = dot / (np_norm * nr)
-                penalty = float(np.exp(-((len(ptoks) - len(r)) ** 2) / (2.0 * sigma**2)))
                 sims.append(penalty * cos)
             per_n.append(float(np.mean(sims)) if sims else 0.0)
         item_scores.append(10.0 * float(np.mean(per_n)))

@@ -81,7 +81,7 @@ class Vocab:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocab":
-        return cls(json.loads(Path(path).read_text())["words"])
+        return cls(_load_word_table(path)["words"])
 
 
 def build_vocab(captions: Iterable[str], min_freq: int = 1) -> Vocab:
@@ -207,8 +207,11 @@ class ConceptVocabulary:
 
     @classmethod
     def load(cls, path: str | Path) -> "ConceptVocabulary":
-        obj = json.loads(Path(path).read_text())
-        return cls(words=obj["words"], counts={k: int(v) for k, v in obj.get("counts", {}).items()})
+        obj = _load_word_table(path)
+        counts = obj.get("counts", {})
+        if not (isinstance(counts, dict) and all(type(v) is int for v in counts.values())):
+            raise ValueError(f"{path}: counts must be an object of integers, got {counts!r}")
+        return cls(words=obj["words"], counts=counts)
 
 
 def build_concept_vocabulary(captions: Iterable[str], tagger: PosTagger, k: int) -> ConceptVocabulary:
@@ -256,6 +259,18 @@ def parse_json(text: str, path, first_line: int = 1):
     except json.JSONDecodeError as exc:
         line = first_line + exc.lineno - 1
         raise ValueError(f"{path}:{line}: invalid JSON: {exc.msg} (column {exc.colno})") from None
+
+
+def _load_word_table(path: str | Path) -> dict:
+    """The object in a vocab.json or concepts.json file, whose words must
+    be a list of distinct strings; any fault is a ValueError naming path."""
+    obj = parse_json(Path(path).read_text(), path)
+    words = obj.get("words") if isinstance(obj, dict) else None
+    if not (isinstance(words, list) and all(isinstance(w, str) for w in words)):
+        raise ValueError(f"{path}: words must be a list of strings, got {words!r}")
+    if len(set(words)) != len(words):
+        raise ValueError(f"{path}: words repeat")
+    return obj
 
 
 def load_corpus(path: str | Path) -> list[CaptionRecord]:

@@ -338,12 +338,16 @@ def load_checkpoint(ckpt_dir: str | Path, seed: int = 0) -> tuple[CaptionModel, 
         model = model_from_config_blob(manifest["model"], seed=seed)
         raw = np.frombuffer((ckpt / "params.bin").read_bytes(), dtype=np.float32)
         params = dict(model.named_parameters())
+        loaded = set()
         for entry in manifest["params"]:
             if not isinstance(entry, dict):
                 raise ValueError(f"manifest params entry {entry!r} is not an object")
             name, offset, count = entry["name"], entry["offset"], entry["count"]
             if not isinstance(name, str) or name not in params:
                 raise ValueError(f"checkpoint parameter {name!r} not in model")
+            if name in loaded:
+                raise ValueError(f"checkpoint parameter {name!r} listed twice")
+            loaded.add(name)
             shape = list(params[name].data.shape)
             if entry["shape"] != shape:
                 raise ValueError(f"checkpoint parameter {name!r} has shape {entry['shape']}, model expects {shape}")
@@ -353,7 +357,7 @@ def load_checkpoint(ckpt_dir: str | Path, seed: int = 0) -> tuple[CaptionModel, 
             if chunk.size != count:
                 raise ValueError("params.bin shorter than manifest promises")
             params[name].data = chunk.astype(np.float64).reshape(shape)
-        missing = set(params) - {entry["name"] for entry in manifest["params"]}
+        missing = set(params) - loaded
         if missing:
             raise ValueError(f"checkpoint missing parameters: {sorted(missing)[:3]}")
     except KeyError as e:

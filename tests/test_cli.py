@@ -239,8 +239,12 @@ def _set_first_entry(key, value):
         (_set_first_entry("offset", "0"), "needs non-negative integer offset and count"),
         (_set_first_entry("count", -1), "needs non-negative integer offset and count"),
         (_set_first_entry("name", ["x"]), "parameter ['x'] not in model"),
+        (lambda manifest: dict(manifest, params=manifest["params"] + manifest["params"][:1]), "listed twice"),
     ],
-    ids=["list", "entry-not-object", "params-not-list", "model-null", "string-offset", "negative-count", "list-name"],
+    ids=[
+        "list", "entry-not-object", "params-not-list", "model-null", "string-offset", "negative-count", "list-name",
+        "duplicate-name",
+    ],
 )
 def test_malformed_checkpoint_manifest_exits_2(env, tmp_path, capsys, edit, message):
     import shutil
@@ -253,6 +257,26 @@ def test_malformed_checkpoint_manifest_exits_2(env, tmp_path, capsys, edit, mess
     assert main(["caption", "--ckpt", str(ckpt), "--video", str(video), "--decode", "greedy"]) == 2
     line = _one_data_error(capsys)
     assert line.startswith(f"data error: {ckpt}: ") and message in line, line
+
+
+_BAD_WORD_TABLES = ["{}", '{"words": ["red",', '{"words": ["red", 5]}', '{"words": "red"}', '{"words": ["red", "red"]}']
+_BAD_CONCEPT_COUNTS = ['"red"', '{"red": "3"}', '{"red": 1.5}']
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [(name, text) for name in ("vocab.json", "concepts.json") for text in _BAD_WORD_TABLES]
+    + [("concepts.json", f'{{"words": ["red"], "counts": {counts}}}') for counts in _BAD_CONCEPT_COUNTS],
+)
+def test_malformed_vocabulary_file_exits_2(env, tmp_path, capsys, name, text):
+    import shutil
+
+    ckpt = tmp_path / "ckpt"
+    shutil.copytree(env["ckpt"], ckpt)
+    (ckpt / name).write_text(text)
+    video = env["data"] / "videos" / "vid0001.vvid"
+    assert main(["caption", "--ckpt", str(ckpt), "--video", str(video), "--decode", "greedy"]) == 2
+    assert _one_data_error(capsys).startswith(f"data error: {ckpt / name}")
 
 
 def test_invalid_json_in_corpus_names_file_and_line(tmp_path, capsys):

@@ -1,9 +1,13 @@
 """Corpus-batched evaluation against the per-clip captioning path: the
 same captions and log-probs, the same order and skipped records, with
 clips encoded in small chunks as they are read and every clip decoded in
-lockstep."""
+lockstep; reading and frame selection run a bounded distance ahead on a
+worker thread that never outlives the call."""
 
 import struct
+import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -42,6 +46,26 @@ def corpus(tmp_path_factory):
             write_vvid(data / rec.video, VideoClip(frames[:, :16]))
     (data / records[UNREADABLE].video).write_bytes(b"junk")
     return data, records
+
+
+@pytest.fixture(scope="module")
+def uniform(tmp_path_factory):
+    """3 * ENCODE_CHUNK + 2 readable records of one clip shape."""
+    data = tmp_path_factory.mktemp("uniform") / "data"
+    spec = SyntheticSpec(videos=3 * evaluate.ENCODE_CHUNK + 2, frames=12, height=16, width=16, paraphrases=3, seed=6)
+    return data, generate_synthetic_dataset(spec, data)
+
+
+def _encode_calls(events):
+    """(reads seen, clips encoded before, clips in the call) for each encode event."""
+    calls, reads, encoded = [], 0, 0
+    for event in events:
+        if event[0] == "read":
+            reads += 1
+        else:
+            calls.append((reads, encoded, event[1]))
+            encoded += event[1]
+    return calls
 
 
 def _checkpoint(records, path, eos_bias: float):
@@ -122,7 +146,7 @@ def test_greedy_steps_once_per_length_for_the_whole_corpus(corpus, tmp_path, mon
     encodes = [e for e in events if e[0] == "encode"]
     assert all(n <= evaluate.ENCODE_CHUNK and len(shapes) == 1 for _, n, shapes in encodes)
     assert sum(n for _, n, _ in encodes) == len(records) - 1
-    assert events.index(encodes[0]) < max(i for i, e in enumerate(events) if e[0] == "read")
+    assert all(reads <= encoded + n + 2 * evaluate.ENCODE_CHUNK + 1 for reads, encoded, n in _encode_calls(events))
 
 
 def test_corpus_without_a_readable_video_is_a_value_error(corpus, tmp_path):
@@ -180,3 +204,120 @@ def test_corpus_is_parsed_once_unless_train_corpus_is_another_file(corpus, tmp_p
         )
         assert parsed == [p.resolve() for p in want]
         assert len(outcome.predictions) == len(records) - 1
+
+
+def test_reads_run_at_most_two_chunks_and_one_clip_ahead_of_encoding(uniform, tmp_path, monkeypatch):
+    data, records = uniform
+    _checkpoint(records, tmp_path / "ckpt", eos_bias=50.0)
+    events = []
+    encode, read = VideoEncoder.__call__, evaluate.read_vvid
+
+    def logged_encode(self, clips, *args, **kwargs):
+        events.append(("encode", len(clips)))
+        return encode(self, clips, *args, **kwargs)
+
+    def logged_read(path):
+        events.append(("read",))
+        return read(path)
+
+    monkeypatch.setattr(VideoEncoder, "__call__", logged_encode)
+    monkeypatch.setattr(evaluate, "read_vvid", logged_read)
+    outcome = evaluate.evaluate_checkpoint(tmp_path / "ckpt", data / "corpus.jsonl", REQUESTS["greedy"])
+
+    assert [p["id"] for p in outcome.predictions] == [r.id for r in records]
+    calls = _encode_calls(events)
+    chunk = evaluate.ENCODE_CHUNK
+    assert [n for _, _, n in calls] == [chunk, chunk, chunk, 2]
+    # the chunk being encoded, at most a chunk queued and one clip in hand
+    assert all(reads <= encoded + 2 * chunk + 1 for reads, encoded, _ in calls), calls
+
+
+def test_read_ahead_keeps_order_bounds_depth_and_joins_under_fast_switching():
+    made = []
+
+    def items(n, fail_at=None):
+        for i in range(n):
+            if i == fail_at:
+                raise KeyError(i)
+            made.append(i)
+            yield i
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        before = set(threading.enumerate())
+        for depth in (1, 3):
+            for take in (1, 5, 200):
+                made.clear()
+                got = []
+                gen = evaluate._read_ahead(items(200), depth)
+                for item in gen:
+                    # depth items queued and one in hand, beyond those taken
+                    assert len(made) <= len(got) + 1 + depth + 1
+                    got.append(item)
+                    if len(got) == take:
+                        gen.close()
+                assert got == list(range(take))
+                assert set(threading.enumerate()) == before
+            got = []
+            with pytest.raises(KeyError):
+                for item in evaluate._read_ahead(items(50, fail_at=20), depth):
+                    got.append(item)
+            assert got == list(range(20))
+            assert set(threading.enumerate()) == before
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_reader_error_surfaces_with_its_own_type(uniform, tmp_path, monkeypatch):
+    data, records = uniform
+    _checkpoint(records, tmp_path / "ckpt", eos_bias=50.0)
+    selected, select = [], evaluate.select_from_clip
+
+    def failing_select(clip, frames):
+        selected.append(0)
+        if len(selected) == evaluate.ENCODE_CHUNK + 2:
+            raise RuntimeError("selection failed")
+        return select(clip, frames)
+
+    monkeypatch.setattr(evaluate, "select_from_clip", failing_select)
+    before = set(threading.enumerate())
+    with pytest.raises(RuntimeError, match="selection failed"):
+        evaluate.evaluate_checkpoint(tmp_path / "ckpt", data / "corpus.jsonl", REQUESTS["greedy"])
+    assert set(threading.enumerate()) == before
+
+
+def test_an_encoder_error_stops_and_joins_the_blocked_reader(uniform, tmp_path, monkeypatch):
+    data, records = uniform
+    _checkpoint(records, tmp_path / "ckpt", eos_bias=50.0)
+    reads, read = [], evaluate.read_vvid
+    full = 2 * evaluate.ENCODE_CHUNK + 1  # the chunk taken, a chunk queued and one clip in hand
+
+    def counted_read(path):
+        reads.append(path)
+        return read(path)
+
+    def failing_encode(self, clips, *args, **kwargs):
+        deadline = time.monotonic() + 30.0
+        while len(reads) < full and time.monotonic() < deadline:
+            time.sleep(0.001)
+        raise RuntimeError("encoder failed")
+
+    monkeypatch.setattr(evaluate, "read_vvid", counted_read)
+    monkeypatch.setattr(VideoEncoder, "__call__", failing_encode)
+    before = set(threading.enumerate())
+    with pytest.raises(RuntimeError, match="encoder failed"):
+        evaluate.evaluate_checkpoint(tmp_path / "ckpt", data / "corpus.jsonl", REQUESTS["greedy"])
+    assert set(threading.enumerate()) == before
+    # the reader filled the queue, waited on it and read nothing more once stopped
+    assert len(reads) == full
+
+
+def test_report_json_bytes_are_pinned(uniform, tmp_path):
+    """report.json for a fixed corpus and checkpoint, byte for byte as
+    tests/data/eval_report.json holds it."""
+    data, records = uniform
+    _checkpoint(records, tmp_path / "ckpt", eos_bias=0.0)
+    evaluate.evaluate_checkpoint(tmp_path / "ckpt", data / "corpus.jsonl", REQUESTS["greedy"], out_dir=tmp_path / "out")
+    want = (Path(__file__).parent / "data" / "eval_report.json").read_bytes()
+    assert (tmp_path / "out" / "report.json").read_bytes() == want

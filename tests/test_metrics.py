@@ -10,6 +10,7 @@ import pytest
 
 from vidcap.metrics import (
     EvalReport,
+    _ngrams,
     bleu4_corpus,
     cider_d,
     compute_report,
@@ -143,6 +144,70 @@ def _oracle_cider(preds, refs, sigma=6.0):
     # items holds m entries per n; regroup to per-item means over n
     per_item = [10.0 * sum(items[n * m + i] for n in range(4)) / 4.0 for i in range(m)]
     return sum(per_item) / m
+
+
+def _cider_d_per_ngram_idf(preds, refs, sigma=6.0):
+    """CIDEr-D as it was before the idf table: idf and the length penalty
+    recomputed for every n-gram, reference and order."""
+    m = len(refs)
+    ref_tokens = [[normalize_and_tokenize(r) for r in group] for group in refs]
+    dfs = [Counter() for _ in range(4)]
+    for group in ref_tokens:
+        for n in range(1, 5):
+            seen = set()
+            for r in group:
+                seen.update(_ngrams(r, n).keys())
+            for g in seen:
+                dfs[n - 1][g] += 1
+
+    def idf(n, g):
+        return float(np.log(m / max(dfs[n - 1][g], 1)))
+
+    item_scores = []
+    for pred, group in zip(preds, ref_tokens):
+        ptoks = normalize_and_tokenize(pred)
+        per_n = []
+        for n in range(1, 5):
+            pc = _ngrams(ptoks, n)
+            ref_counts = [_ngrams(r, n) for r in group]
+            max_ref = Counter()
+            for rc in ref_counts:
+                for g, cnt in rc.items():
+                    if cnt > max_ref[g]:
+                        max_ref[g] = cnt
+            clipped = {g: min(cnt, max_ref[g]) for g, cnt in pc.items()}
+            vp = {g: cnt * idf(n, g) for g, cnt in clipped.items()}
+            np_norm = float(np.sqrt(sum(v * v for v in vp.values())))
+            sims = []
+            for r, rc in zip(group, ref_counts):
+                vr = {g: cnt * idf(n, g) for g, cnt in rc.items()}
+                nr = float(np.sqrt(sum(v * v for v in vr.values())))
+                if np_norm == 0.0 or nr == 0.0:
+                    cos = 0.0
+                else:
+                    dot = sum(v * vr[g] for g, v in vp.items() if g in vr)
+                    cos = dot / (np_norm * nr)
+                penalty = float(np.exp(-((len(ptoks) - len(r)) ** 2) / (2.0 * sigma**2)))
+                sims.append(penalty * cos)
+            per_n.append(float(np.mean(sims)) if sims else 0.0)
+        item_scores.append(10.0 * float(np.mean(per_n)))
+    return float(np.mean(item_scores))
+
+
+def _random_captions(rng, words, count, longest):
+    return [" ".join(rng.choice(words, size=int(rng.integers(0, longest + 1)))) for _ in range(count)]
+
+
+def test_cider_equals_the_per_ngram_idf_oracle_exactly():
+    rng = np.random.default_rng(17)
+    small = ["a", "b", "c", "d", "e"]
+    scene = ["a", "the", "red", "blue", "ball", "square", "moves", "left", "slowly", "is", "moving"]
+    for words, items, longest in [(small, 6, 8), (scene, 40, 12)]:
+        for _ in range(30):
+            preds = _random_captions(rng, words, items, longest)
+            refs = [_random_captions(rng, words, int(rng.integers(1, 5)), longest) for _ in range(items)]
+            for sigma in (6.0, 1.5):
+                assert cider_d(preds, refs, sigma) == _cider_d_per_ngram_idf(preds, refs, sigma)
 
 
 def test_cider_identical_disjoint_corpus():

@@ -13,16 +13,18 @@ real query.
 
 Generation is incremental and runs many clips in lockstep: step_fn
 computes each layer's cross-attention keys/values once per clip, and a
-step maps rows of (clip, prefix) pairs, every prefix one length, to
-next-token log-probabilities, running one new position per row through
-the same layers as the teacher-forced forward on the cached
-self-attention keys/values of its parent.  One length-synchronous search
-serves every strategy, advancing every clip by one length per step call;
-the strategies differ only in how continuations are picked: beam search
-(summed log probabilities, no length normalization, ties broken toward
-the lexicographically smallest token sequence) or ancestral sampling
-with greedy / top-k / top-p truncation and a temperature knob, one
-generator per clip.  One clip is the batch of one.
+step maps R rows, each a clip id, the row of the previous call it
+extends and a token prefix (an (R, n) matrix), to next-token
+log-probabilities, running one new position per row through the same
+layers as the teacher-forced forward on the cached self-attention
+keys/values of its parent row.  One length-synchronous search serves
+every strategy, holding the live hypotheses of all clips as arrays and
+advancing every clip by one length per step call; the strategies differ
+only in how continuations are picked: beam search (summed log
+probabilities, no length normalization, ties broken toward the
+lexicographically smallest token sequence) or ancestral sampling with
+greedy / top-k / top-p truncation and a temperature knob, one generator
+per clip.  One clip is the batch of one.
 """
 
 from __future__ import annotations
@@ -71,16 +73,6 @@ class DecoderConfig:
         )
 
 
-class LayerCache:
-    """Keys/values one layer attends to in an incremental step, each
-    (B, heads, L, head_dim): self-attention over the prefixes so far, which
-    the layer extends by the new position, and cross-attention over the
-    encoder tokens."""
-
-    def __init__(self, self_kv: tuple[Tensor, Tensor], cross_kv: tuple[Tensor, Tensor]):
-        self.self_kv, self.cross_kv = self_kv, cross_kv
-
-
 class _DecoderLayer(Module):
     def __init__(self, rng, cfg: DecoderConfig):
         d = cfg.hidden
@@ -94,15 +86,14 @@ class _DecoderLayer(Module):
         self.dropout = cfg.dropout
 
     def __call__(
-        self, x: Tensor, enc: Tensor, causal: np.ndarray | None, rng, training: bool, cache: LayerCache | None = None
+        self, x: Tensor, enc: Tensor, causal: np.ndarray | None, rng, training: bool, cache: list | None = None
     ) -> Tensor:
         a = self.ln1(x)
         self_kv = cross_kv = None
         if cache is not None:
             k, v = self.self_attn.keys_values(a)
-            past_k, past_v = cache.self_kv
-            cache.self_kv = self_kv = (ad.concat([past_k, k], axis=2), ad.concat([past_v, v], axis=2))
-            cross_kv = cache.cross_kv
+            (past_k, past_v), cross_kv = cache
+            cache[0] = self_kv = (ad.concat([past_k, k], axis=2), ad.concat([past_v, v], axis=2))
         x = ad.add(x, self.self_attn(a, a, None, causal, rng, training, kv=self_kv))
         x = ad.add(x, self.cross_attn(self.ln2(x), enc, None, None, rng, training, kv=cross_kv))
         h = self.fc1(self.ln3(x))
@@ -144,9 +135,10 @@ class CaptionDecoder(Module):
     ) -> Tensor:
         """Logits (B, L, V) for every position of B embedded sequences
         (B, L, hidden) attending to their clips' tokens (B, t, dim), or,
-        with one LayerCache per layer (enc_tokens is then unused), (B, 1,
-        V) for B new positions of shape (B, 1, hidden) that each follow
-        their cached prefix."""
+        with one [self_kv, cross_kv] pair of (B, heads, L, head_dim)
+        keys/values per layer (enc_tokens is then unused), (B, 1, V) for B
+        new positions of shape (B, 1, hidden) that each follow their cached
+        prefix; each layer extends its self_kv by the new position."""
         if cache is None:
             length = hidden.shape[1]
             causal = np.triu(np.full((length, length), NEG_INF), k=1)
@@ -159,18 +151,19 @@ class CaptionDecoder(Module):
         return self.out_proj(self.final_norm(x))
 
     def step_fn(self, semantic: Tensor, enc_tokens: Tensor) -> "StepFn":
-        """Next-token log-probabilities (R, V) for R rows in eval mode, each
-        row a (clip, prefix) pair over N clips: semantic is (N,
-        concept_dim) and enc_tokens (N, t, dim).  Every prefix of one call
-        has one length.  Cross-attention keys/values are computed here,
-        once per clip, and gathered per row; the prefixes of the latest
-        call keep their self-attention keys/values, so a call whose
-        parents were the latest call's prefixes runs one new position per
-        row, and any other call first recomputes its ancestors."""
+        """Next-token log-probabilities (R, V) in eval mode for R rows over
+        N clips: semantic is (N, concept_dim) and enc_tokens (N, t, dim).
+        A call takes one (clips, parents, tokens) triple: the clip id of
+        each row (R,), the row of the previous call each row extends (R,),
+        unused on the first call, and the (R, n) token prefixes.
+        Cross-attention keys/values are computed here, once per clip, and
+        gathered per row; the rows of the latest call keep their
+        self-attention keys/values, so every call runs one new position per
+        row."""
         return _CachedStep(self, semantic, enc_tokens)
 
 
-StepFn = Callable[[Sequence[tuple[int, Sequence[int]]]], np.ndarray]
+StepFn = Callable[[tuple[np.ndarray, np.ndarray, np.ndarray]], np.ndarray]
 
 
 class _CachedStep:
@@ -185,49 +178,35 @@ class _CachedStep:
         self.cross_kv = [
             tuple(Tensor(t.data) for t in layer.cross_attn.keys_values(enc_tokens)) for layer in decoder.layers
         ]
-        # the latest call's rows: (clip, prefix) -> row, and per layer the
-        # self-attention (k, v), each (rows, heads, len + 1, head_dim)
-        self.rows: dict[tuple[int, tuple[int, ...]], int] = {}
+        # per layer the latest call's self-attention (k, v), each (rows, heads, n + 1, head_dim)
         self.kv: list[tuple[np.ndarray, np.ndarray]] = []
 
-    def __call__(self, rows: Sequence[tuple[int, Sequence[int]]]) -> np.ndarray:
-        keys = [(int(clip), tuple(prefix)) for clip, prefix in rows]
-        lengths = {len(prefix) for _, prefix in keys}
-        if len(lengths) != 1:
-            raise ValueError("a step takes one or more prefixes of one length")
-        n = lengths.pop()
-        self.decoder._check_positions(n + 1)
-        if n and any((clip, prefix[:-1]) not in self.rows for clip, prefix in keys):
-            for length in range(n):
-                self._advance(list(dict.fromkeys((clip, prefix[:length]) for clip, prefix in keys)))
-        return self._advance(keys)
-
-    def _advance(self, keys: list[tuple[int, tuple[int, ...]]]) -> np.ndarray:
-        """Run position len(prefix) of every key, whose parent the latest
-        call ran, and keep only these keys' keys/values."""
-        dec, cfg, n = self.decoder, self.decoder.cfg, len(keys[0][1])
-        clips = np.array([clip for clip, _ in keys], dtype=np.intp)
+    def __call__(self, rows: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+        clips, parents, tokens = rows
+        dec, cfg = self.decoder, self.decoder.cfg
+        count, n = tokens.shape
+        dec._check_positions(n + 1)
         if n:
-            x = ad.add(dec.tok_emb([prefix[-1] for _, prefix in keys]), dec.pos_emb(np.full(len(keys), n)))
-            parents = np.array([self.rows[clip, prefix[:-1]] for clip, prefix in keys], dtype=np.intp)
+            x = ad.add(dec.tok_emb(tokens[:, -1]), dec.pos_emb(np.full(count, n)))
         else:
             x = Tensor(self.sos[clips])
-        # rows that are the clips in order attend to the clips' keys/values as they are
-        gather = len(keys) != self.clips or clips.tolist() != list(range(self.clips))
+        # rows that are the clips, or the previous rows, in order attend to
+        # their keys/values as they are
+        gather_cross = not np.array_equal(clips, np.arange(self.clips))
+        gather_self = n and not np.array_equal(parents, np.arange(len(self.kv[0][0])))
         caches = []
         for i, cross_kv in enumerate(self.cross_kv):
             if n:
-                past = tuple(Tensor(t[parents]) for t in self.kv[i])
+                past = tuple(Tensor(t[parents] if gather_self else t) for t in self.kv[i])
             else:
-                past = (Tensor(np.zeros((len(keys), cfg.heads, 0, cfg.hidden // cfg.heads))),) * 2
-            if gather:
+                past = (Tensor(np.zeros((count, cfg.heads, 0, cfg.hidden // cfg.heads))),) * 2
+            if gather_cross:
                 cross_kv = tuple(Tensor(t.data[clips]) for t in cross_kv)
-            caches.append(LayerCache(self_kv=past, cross_kv=cross_kv))
-        logits = dec(ad.reshape(x, (len(keys), 1, cfg.hidden)), None, cache=caches).data[:, -1]
+            caches.append([past, cross_kv])
+        logits = dec(ad.reshape(x, (count, 1, cfg.hidden)), None, cache=caches).data[:, -1]
         if not np.all(np.isfinite(logits)):
             raise NumericError("non-finite logits")
-        self.rows = {key: r for r, key in enumerate(keys)}
-        self.kv = [(c.self_kv[0].data, c.self_kv[1].data) for c in caches]
+        self.kv = [(k.data, v.data) for (k, v), _ in caches]
         return log_softmax(logits)
 
 
@@ -238,110 +217,111 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
-@dataclass
 class Hypothesis:
-    tokens: list[int]
-    logprob: float
+    def __init__(self, tokens: list[int], logprob: float):
+        self.tokens, self.logprob = tokens, logprob
 
 
 STRATEGIES = ("beam", "greedy", "topk", "topp")
 
 
-@dataclass
 class GenerationRequest:
-    strategy: str = "beam"  # one of STRATEGIES
-    beam_width: int = 3
-    k: int = 20
-    p: float = 0.95
-    temperature: float = 1.0
-    max_len: int = 20
-    seed: int | None = None
-
-    def __post_init__(self):
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown decode strategy {self.strategy!r}")
-        if self.beam_width < 1 or self.k < 1 or self.max_len < 1:
+    def __init__(
+        self, strategy: str = "beam", beam_width: int = 3, k: int = 20, p: float = 0.95,
+        temperature: float = 1.0, max_len: int = 20, seed: int | None = None,
+    ):
+        if strategy not in STRATEGIES:
+            raise ValueError(f"unknown decode strategy {strategy!r}")
+        if beam_width < 1 or k < 1 or max_len < 1:
             raise ValueError("beam width, k and max length must be positive")
-        if not (0.0 < self.p <= 1.0):
+        if not (0.0 < p <= 1.0):
             raise ValueError("top-p mass must be in (0, 1]")
-        if self.temperature <= 0.0:
+        if temperature <= 0.0:
             raise ValueError("temperature must be positive")
+        self.strategy, self.beam_width, self.k, self.p = strategy, beam_width, k, p
+        self.temperature, self.max_len, self.seed = temperature, max_len, seed
 
 
-def sample_token(logits: np.ndarray, strategy: str, k: int, p: float, temperature: float, rng) -> int:
-    """One draw.  Candidates are ordered by (probability desc, id asc);
+def sample_tokens(logprobs: np.ndarray, request: GenerationRequest, rngs: Sequence) -> np.ndarray:
+    """One draw per row of logprobs (R, V), or of any logits, row r drawing
+    from rngs[r].  Candidates are ordered by (probability desc, id asc);
     top-k keeps the k best, top-p the smallest prefix reaching mass p,
-    greedy the single best.  Temperature divides the logits first."""
-    scaled = np.asarray(logits, dtype=np.float64) / temperature
-    probs = np.exp(log_softmax(scaled))
-    order = np.lexsort((np.arange(len(probs)), -probs))
-    if strategy == "greedy":
-        return int(order[0])
-    if strategy == "topk":
-        pool = order[: min(k, len(order))]
-    elif strategy == "topp":
-        cum = np.cumsum(probs[order])
-        cut = int(np.searchsorted(cum, p, side="left"))
-        pool = order[: min(cut + 1, len(order))]
+    greedy the single best (and draws nothing).  Temperature divides the
+    logits first."""
+    r = request
+    probs = np.exp(log_softmax(logprobs / r.temperature))
+    if r.strategy == "greedy":
+        return probs.argmax(axis=1)
+    rows, vocab = np.arange(len(probs)), probs.shape[1]
+    order = np.argsort(-probs, axis=1, kind="stable")
+    ranked = probs[rows[:, None], order]
+    if r.strategy == "topk":
+        widths = [min(r.k, vocab)] * len(probs)
     else:
-        raise ValueError(f"unknown sampling strategy {strategy!r}")
-    weights = probs[pool]
-    weights = weights / weights.sum()
-    r = rng.random()
-    idx = int(np.searchsorted(np.cumsum(weights), r, side="right"))
-    return int(pool[min(idx, len(pool) - 1)])
+        # cumsum runs along each row, so a row's running mass is what it is alone
+        widths = np.minimum((np.cumsum(ranked, axis=1) < r.p).sum(axis=1) + 1, vocab).tolist()
+    picks = []
+    for row, width, rng in zip(ranked, widths, rngs):
+        pool = row[:width]
+        cdf = np.cumsum(pool / pool.sum())
+        picks.append(min(int(np.searchsorted(cdf, rng.random(), side="right")), width - 1))
+    return order[rows, picks]
 
 
 def generate(step: StepFn, request: GenerationRequest, clips: int = 1) -> list[Hypothesis]:
     """One hypothesis per clip, the clips advanced in lockstep.
 
-    All live hypotheses share a length; each step call expands every live
-    hypothesis of every clip still running.  Beam search keeps per clip
-    the `beam_width` best continuations by summed log-probability, ties
-    going to the smaller token sequence.  Greedy, top-k and top-p keep one
-    hypothesis per clip and pick its continuation with sample_token, clip
-    c drawing from its own generator seeded with request.seed, so a clip
-    draws what it would draw decoded alone.  Scores sum the full
-    (untruncated, temperature-free) distribution's terms.  Continuations
-    ending in EOS retire to the clip's completed pool with the EOS term
-    included in their score; at max_len the survivors retire as they are.
-    The best retiree of each clip wins.
+    The live hypotheses of all clips are rows of arrays (clip id, parent
+    row in the latest step call, token matrix, score), each clip's rows
+    ordered by tokens, and each step call expands all of them.  Beam
+    search keeps per clip the `beam_width` best continuations by summed
+    log-probability, ties going to the smaller token sequence.  Greedy,
+    top-k and top-p keep one hypothesis per clip and pick its
+    continuation with sample_tokens, clip c drawing from its own generator
+    seeded with request.seed, so a clip draws what it would draw decoded
+    alone.  Scores sum the full (untruncated, temperature-free)
+    distribution's terms.  A continuation ending in EOS retires with the
+    EOS term included in its score; at max_len the survivors retire as
+    they are.  The best retiree of each clip, by (score desc, tokens), wins.
     """
     r = request
-    beam, sampling = r.strategy == "beam", r.strategy in ("topk", "topp")
-    rngs = [np.random.default_rng(r.seed) if sampling else None for _ in range(clips)]
-    # per clip: live hypotheses sorted by tokens, and the retired ones
-    live: list[list[tuple[tuple[int, ...], float]]] = [[((), 0.0)] for _ in range(clips)]
-    completed: list[list[tuple[list[int], float]]] = [[] for _ in range(clips)]
+    beam = r.strategy == "beam"
+    rngs = [np.random.default_rng(r.seed) for _ in range(clips)] if r.strategy in ("topk", "topp") else None
+    clip = parent = np.arange(clips)
+    tokens = np.zeros((clips, 0), dtype=np.intp)
+    score = np.zeros(clips)
+    best: list[tuple[float, list[int]] | None] = [None] * clips  # per clip: (-score, tokens)
+
+    def retire(clip, score, tokens):
+        for c, key in zip(clip.tolist(), zip((-score).tolist(), tokens.tolist())):
+            if best[c] is None or key < best[c]:
+                best[c] = key
+
     for _ in range(r.max_len):
-        active = [c for c in range(clips) if live[c]]
-        if not active:
+        if not len(clip):
             break
-        logprobs = step([(c, tokens) for c in active for tokens, _ in live[c]])
-        start = 0
-        for c in active:
-            n = len(live[c])
-            if beam:
-                # a live rank orders its hypothesis lexicographically, so (score
-                # desc, rank, token) orders the continuations as (score desc, tokens)
-                scores = np.array([score for _, score in live[c]])[:, None] + logprobs[start : start + n]
-                vocab = scores.shape[1]
-                order = np.lexsort((np.tile(np.arange(vocab), n), np.repeat(np.arange(n), vocab), -scores.ravel()))
-                picks = [divmod(int(i), vocab) for i in order[: r.beam_width]]
-            else:
-                picks = [(0, sample_token(logprobs[start], r.strategy, r.k, r.p, r.temperature, rngs[c]))]
-            kept = []
-            for rank, tok in picks:
-                tokens, score = live[c][rank][0], live[c][rank][1] + float(logprobs[start + rank, tok])
-                if tok == EOS_ID:
-                    completed[c].append((list(tokens), score))
-                else:
-                    kept.append((tokens + (tok,), score))
-            live[c] = sorted(kept)
-            start += n
-    best = []
-    for pool, survivors in zip(completed, live):
-        pool.extend((list(tokens), score) for tokens, score in survivors)
-        tokens, score = min(pool, key=lambda h: (-h[1], h[0]))
-        best.append(Hypothesis(tokens=tokens, logprob=score))
-    return best
+        logprobs = step((clip, parent, tokens))
+        if beam:
+            vocab = logprobs.shape[1]
+            cand_clip = np.repeat(clip, vocab)
+            # lexsort is stable, so equal scores keep (row, token) order, which
+            # is token order; sorting by clip first leaves each clip's
+            # candidates in their block, so a rank is the offset in the block
+            order = np.lexsort((-(score[:, None] + logprobs).ravel(), cand_clip))
+            rank = np.arange(len(order)) - np.searchsorted(cand_clip, cand_clip)
+            row, tok = np.divmod(order[rank < r.beam_width], vocab)
+        else:
+            row = np.arange(len(clip))
+            tok = sample_tokens(logprobs, r, [rngs[c] for c in clip.tolist()] if rngs else ())
+        score = score[row] + logprobs[row, tok]
+        done = tok == EOS_ID
+        if done.any():
+            retire(clip[row[done]], score[done], tokens[row[done]])
+            row, tok, score = row[~done], tok[~done], score[~done]
+        clip, parent, tokens = clip[row], row, np.concatenate([tokens[row], tok[:, None]], axis=1)
+        # each clip's rows stay ordered by tokens; one row per clip already is
+        if beam:
+            order = np.lexsort((*tokens.T[::-1], clip))
+            clip, parent, score, tokens = clip[order], parent[order], score[order], tokens[order]
+    retire(clip, score, tokens)
+    return [Hypothesis(tokens=tokens, logprob=-neg) for neg, tokens in best]

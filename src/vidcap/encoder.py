@@ -304,6 +304,3 @@ class ConceptHead(Module):
         z = ad.relu(self.fc2(pooled))
         z = ad.dropout(z, self.dropout_rate, rng, training)
         return self.fc3(z)
-
-    def __call__(self, tokens: Tensor, rng=None, training: bool = False) -> Tensor:
-        return ad.sigmoid(self.logits(tokens, rng, training))

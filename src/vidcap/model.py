@@ -8,6 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import autodiff as ad
 from .autodiff import Tensor
 from .decoder import CaptionDecoder, DecoderConfig, GenerationRequest, Hypothesis, generate
 from .encoder import ConceptHead, EncoderConfig, VideoEncoder
@@ -50,7 +51,7 @@ class CaptionModel(Module):
         return self.concept_head.logits(tokens, rng=self.dropout_rng, training=self.training)
 
     def concept_probs(self, tokens: Tensor) -> Tensor:
-        return self.concept_head(tokens, rng=self.dropout_rng, training=self.training)
+        return ad.sigmoid(self.concept_logits(tokens))
 
     def caption_logits(self, semantic: Tensor, token_ids, enc_tokens: Tensor) -> Tensor:
         """(B, n + 1, V) teacher-forced logits for B rows of n input ids."""

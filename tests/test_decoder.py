@@ -19,9 +19,18 @@ from vidcap.decoder import (
     _DecoderLayer,
     generate,
     log_softmax,
-    sample_token,
+    sample_tokens,
 )
 from vidcap.textproc import EOS_ID
+
+
+def _rows(prefixes, clips=None, parents=None):
+    """A step's (clips, parents, tokens) argument for equal-length prefixes;
+    clip 0 and the previous rows in order unless given."""
+    count = len(prefixes)
+    clips = np.zeros(count, dtype=np.intp) if clips is None else np.asarray(clips, dtype=np.intp)
+    parents = np.arange(count) if parents is None else np.asarray(parents, dtype=np.intp)
+    return clips, parents, np.array(prefixes, dtype=np.intp).reshape(count, -1)
 
 
 def _small_decoder(seed=0, **overrides):
@@ -144,36 +153,52 @@ def _desk_inputs(seed):
 def test_cached_step_matches_full_forward():
     dec, cfg, sem, enc = _desk_inputs(13)
     rng = np.random.default_rng(14)
+    # a second clip, so rows gather their own clip's keys/values
+    sem = Tensor(np.concatenate([sem.data, rng.random((1, cfg.concept_dim))]))
+    enc = Tensor(np.concatenate([enc.data, rng.normal(size=(1, 24, cfg.hidden))]))
 
-    def full(prefix):
-        return log_softmax(dec(dec.embed_with_semantic_sos(sem, [prefix]), enc).data[0, -1])
+    def full(clip, prefix):
+        hidden = dec.embed_with_semantic_sos(Tensor(sem.data[clip : clip + 1]), [prefix])
+        return log_softmax(dec(hidden, Tensor(enc.data[clip : clip + 1])).data[0, -1])
 
-    def check(step, prefixes):
-        got = step([(0, p) for p in prefixes])
+    def check(step, clips, parents, prefixes):
+        got = step(_rows(prefixes, clips, parents))
         assert got.shape == (len(prefixes), cfg.vocab_size)
-        for row, prefix in zip(got, prefixes):
-            assert np.abs(row - full(list(prefix))).max() < 1e-12
+        for row, clip, prefix in zip(got, clips, prefixes):
+            assert np.abs(row - full(clip, prefix)).max() < 1e-12
 
-    # one growing prefix, and three at a time (all three start empty)
-    paths = rng.integers(0, cfg.vocab_size, size=(4, 20)).tolist()
-    step = dec.step_fn(sem, enc)
+    # one growing prefix: its parent is always the previous row in order
+    path = rng.integers(0, cfg.vocab_size, size=20).tolist()
+    step = dec.step_fn(Tensor(sem.data[:1]), Tensor(enc.data[:1]))
     for n in range(21):
-        check(step, [paths[0][:n]])
-        check(step, [p[:n] for p in paths[1:]])
-    # cold prefixes: no ancestor was ever stepped, and two share ancestors
-    cold = dec.step_fn(sem, enc)
-    check(cold, [paths[0][:12], paths[0][:11] + [7]])
-    check(cold, [paths[1][:3]])
+        check(step, [0], [0], [path[:n]])
+
+    # rows over both clips whose parents come in order, permuted or repeated
+    step = dec.step_fn(sem, enc)
+    clips, prefixes = [0, 1, 1], [[], [], []]
+    check(step, clips, [0, 0, 0], prefixes)
+    for n in range(1, 21):
+        kind = n % 3
+        if kind == 0:
+            parents = np.arange(len(prefixes))
+        elif kind == 1:
+            parents = rng.permutation(len(prefixes))
+        else:
+            parents = rng.integers(0, len(prefixes), size=int(rng.integers(1, 6)))
+        clips = [clips[p] for p in parents]
+        prefixes = [prefixes[p] + [int(rng.integers(cfg.vocab_size))] for p in parents]
+        check(step, clips, parents, prefixes)
 
 
 def test_step_rejects_mixed_lengths_and_overlong_prefixes():
     dec, cfg = _small_decoder(max_positions=4)
     step = dec.step_fn(Tensor(np.zeros((1, cfg.concept_dim))), Tensor(np.ones((1, 3, cfg.hidden))))
-    with pytest.raises(ValueError):
-        step([(0, [1]), (0, [1, 2])])
     with pytest.raises(ValueError, match="positions"):
-        step([(0, [1, 2, 3, 4])])
-    assert step([(0, [1, 2, 3])]).shape == (1, cfg.vocab_size)
+        step(_rows([[1, 2, 3, 4]]))
+    for n in range(4):
+        assert step(_rows([[1, 2, 3][:n]])).shape == (1, cfg.vocab_size)
+    with pytest.raises(ValueError, match="positions"):
+        step(_rows([[1, 2, 3, 4]]))
 
 
 def test_step_leaves_no_reference_cycle():
@@ -210,7 +235,8 @@ def _table_step(tables):
     for every clip."""
 
     def step(rows):
-        return np.log(np.asarray([tables[tuple(p)] for _, p in rows], dtype=np.float64))
+        _, _, tokens = rows
+        return np.log(np.asarray([tables[tuple(p)] for p in tokens.tolist()], dtype=np.float64))
 
     return step
 
@@ -301,8 +327,9 @@ def test_beam_steps_once_per_length_and_breaks_ties_lexicographically():
     calls = []
 
     def step(rows):
-        calls.append({len(p) for _, p in rows})
-        return np.log(np.tile(probs, (len(rows), 1)))
+        _, _, tokens = rows
+        calls.append({len(p) for p in tokens})
+        return np.log(np.tile(probs, (len(tokens), 1)))
 
     (hyp,) = generate(step, GenerationRequest(strategy="beam", beam_width=3, max_len=4))
     assert calls == [{0}, {1}, {2}, {3}]
@@ -340,8 +367,9 @@ def test_lockstep_generation_equals_one_clip_at_a_time():
     calls = []
 
     def step(rows):
-        calls.append({len(p) for _, p in rows})
-        return np.log(np.asarray([tables[c][tuple(p)] for c, p in rows], dtype=np.float64))
+        clips, _, tokens = rows
+        calls.append({len(p) for p in tokens})
+        return np.log(np.asarray([tables[c][tuple(p)] for c, p in zip(clips, tokens.tolist())], dtype=np.float64))
 
     for request in (
         GenerationRequest(strategy="greedy", max_len=4),
@@ -366,7 +394,8 @@ def test_every_strategy_matches_recorded_hypotheses():
     tables = [_random_tables(5, 4, rng) for _ in range(4)]
 
     def step(rows):
-        return np.log(np.asarray([tables[c][tuple(p)] for c, p in rows], dtype=np.float64))
+        clips, _, tokens = rows
+        return np.log(np.asarray([tables[c][tuple(p)] for c, p in zip(clips, tokens.tolist())], dtype=np.float64))
 
     recorded = [
         (GenerationRequest(strategy="greedy", max_len=4), [
@@ -397,14 +426,65 @@ def test_logprobs_accumulate_nonpositive_terms():
     total = 0.0
     prev = 0.0
     for i, tok in enumerate(hyp.tokens):
-        term = float(step([(0, hyp.tokens[:i])])[0][tok])
+        term = float(step(_rows([hyp.tokens[:i]]))[0][tok])
         assert term <= 0.0
         total += term
         assert total <= prev + 1e-15
         prev = total
     if len(hyp.tokens) < 4:
-        total += float(step([(0, hyp.tokens)])[0][EOS_ID])
+        total += float(step(_rows([hyp.tokens]))[0][EOS_ID])
     assert abs(total - hyp.logprob) < 1e-12
+
+
+def sample_token(logits: np.ndarray, strategy: str, k: int, p: float, temperature: float, rng) -> int:
+    """One draw.  Candidates are ordered by (probability desc, id asc);
+    top-k keeps the k best, top-p the smallest prefix reaching mass p,
+    greedy the single best.  Temperature divides the logits first."""
+    scaled = np.asarray(logits, dtype=np.float64) / temperature
+    probs = np.exp(log_softmax(scaled))
+    order = np.lexsort((np.arange(len(probs)), -probs))
+    if strategy == "greedy":
+        return int(order[0])
+    if strategy == "topk":
+        pool = order[: min(k, len(order))]
+    elif strategy == "topp":
+        cum = np.cumsum(probs[order])
+        cut = int(np.searchsorted(cum, p, side="left"))
+        pool = order[: min(cut + 1, len(order))]
+    else:
+        raise ValueError(f"unknown sampling strategy {strategy!r}")
+    weights = probs[pool]
+    weights = weights / weights.sum()
+    r = rng.random()
+    idx = int(np.searchsorted(np.cumsum(weights), r, side="right"))
+    return int(pool[min(idx, len(pool) - 1)])
+
+
+def _pick(logits, rng, **request) -> int:
+    """The library picker on a one-row input."""
+    return int(sample_tokens(np.asarray(logits)[None], GenerationRequest(**request), [rng])[0])
+
+
+def test_batched_picker_matches_sample_token_row_by_row():
+    # 25,600 rows, most with tied probabilities: few distinct logit values,
+    # rows whose low half underflows to probability 0, and rows whose
+    # distinct logits round to one probability
+    rng = np.random.default_rng(31)
+    vocab, count = 12, 25_600
+    logits = rng.integers(-4, 3, size=(count, vocab)) * 0.75
+    logits[::4] = rng.normal(scale=3.0, size=(count // 4, vocab))
+    logits[1::4, : vocab // 2] -= 800.0
+    logits[3::4] = rng.integers(0, 3, size=(count // 4, vocab)) * 1e-17
+    # a quarter of the rows per temperature, each with its own k and p
+    settings = [(1e-3, 1, 0.3), (0.7, 3, 0.8), (1.0, 5, 0.95), (3.0, vocab + 2, 1.0)]
+    for strategy in ("greedy", "topk", "topp"):
+        for part, (temperature, k, p) in zip(np.split(logits, len(settings)), settings):
+            request = GenerationRequest(strategy=strategy, k=k, p=p, temperature=temperature)
+            ours, theirs = np.random.default_rng(k), np.random.default_rng(k)
+            got = sample_tokens(part, request, [ours] * len(part))
+            want = [sample_token(row, strategy, k, p, temperature, theirs) for row in part]
+            assert got.tolist() == want, (strategy, temperature)
+            assert ours.random() == theirs.random()
 
 
 def test_topp_full_distribution_frequencies():
@@ -414,7 +494,7 @@ def test_topp_full_distribution_frequencies():
     n = 100_000
     counts = np.zeros(3)
     for _ in range(n):
-        counts[sample_token(logits, "topp", k=3, p=1.0, temperature=1.0, rng=rng)] += 1
+        counts[_pick(logits, rng, strategy="topp", k=3, p=1.0, temperature=1.0)] += 1
     for i in range(3):
         sd = math.sqrt(n * probs[i] * (1 - probs[i]))
         assert abs(counts[i] - n * probs[i]) <= 3 * sd, (i, counts)
@@ -424,11 +504,11 @@ def test_topk_restricts_support_and_temperature_sharpens():
     probs = np.array([0.05, 0.6, 0.2, 0.15])
     logits = np.log(probs)
     rng = np.random.default_rng(9)
-    seen = {sample_token(logits, "topk", k=2, p=1.0, temperature=1.0, rng=rng) for _ in range(2000)}
+    seen = {_pick(logits, rng, strategy="topk", k=2, p=1.0, temperature=1.0) for _ in range(2000)}
     assert seen == {1, 2}  # the two most probable ids only
 
     # very low temperature concentrates all mass on the argmax
-    seen = {sample_token(logits, "topk", k=4, p=1.0, temperature=1e-3, rng=rng) for _ in range(200)}
+    seen = {_pick(logits, rng, strategy="topk", k=4, p=1.0, temperature=1e-3) for _ in range(200)}
     assert seen == {1}
 
 
@@ -437,10 +517,10 @@ def test_topp_cut_is_minimal_prefix():
     logits = np.log(probs)
     rng = np.random.default_rng(10)
     # p=0.5: the single most probable token already reaches the mass
-    seen = {sample_token(logits, "topp", k=3, p=0.5, temperature=1.0, rng=rng) for _ in range(500)}
+    seen = {_pick(logits, rng, strategy="topp", k=3, p=0.5, temperature=1.0) for _ in range(500)}
     assert seen == {0}
     # p=0.75: needs the top two
-    seen = {sample_token(logits, "topp", k=3, p=0.75, temperature=1.0, rng=rng) for _ in range(2000)}
+    seen = {_pick(logits, rng, strategy="topp", k=3, p=0.75, temperature=1.0) for _ in range(2000)}
     assert seen == {0, 1}
 
 

@@ -475,16 +475,16 @@ def test_concept_head_permutation_invariance_exact():
     head = ConceptHead(cfg, np.random.default_rng(10))
     rng = np.random.default_rng(11)
     tokens = rng.normal(size=(1, 5, cfg.token_dim))
-    base = head(Tensor(tokens)).data
+    base = ad.sigmoid(head.logits(Tensor(tokens))).data
     for seed in range(5):
         perm = np.random.default_rng(seed).permutation(5)
-        out = head(Tensor(tokens[:, perm])).data
+        out = ad.sigmoid(head.logits(Tensor(tokens[:, perm]))).data
         assert np.array_equal(base, out)
 
     # all-identical tokens equal the single-token evaluation
     one = rng.normal(size=(1, 1, cfg.token_dim))
     rep = np.tile(one, (1, 4, 1))
-    assert np.array_equal(head(Tensor(one)).data, head(Tensor(rep)).data)
+    assert np.array_equal(ad.sigmoid(head.logits(Tensor(one))).data, ad.sigmoid(head.logits(Tensor(rep))).data)
 
 
 def test_concept_head_matches_hand_forward():
@@ -499,7 +499,7 @@ def test_concept_head_matches_hand_forward():
     logits = z @ head.fc3.weight.data + head.fc3.bias.data
     want = 1.0 / (1.0 + np.exp(-logits))
 
-    got = head(Tensor(tokens[None])).data[0]
+    got = ad.sigmoid(head.logits(Tensor(tokens[None]))).data[0]
     assert got.shape == (cfg.concept_count,)
     assert np.abs(got - want).max() < 1e-12
     assert ((got > 0.0) & (got < 1.0)).all()

@@ -119,7 +119,7 @@ def test_greedy_steps_once_per_length_for_the_whole_corpus(corpus, tmp_path, mon
 
         def counted(batch):
             steps[-1] += 1
-            rows.append(len(batch))
+            rows.append(len(batch[0]))
             return step(batch)
 
         return counted

@@ -15,6 +15,7 @@ from .video import VideoClip
 
 DISSIMILARITY_METRICS = ("mad", "patch")
 MAD_CHUNK = 16  # frames widened and differenced at a time by the 'mad' metric
+PATCH = 4  # side of the square patches the 'patch' metric averages
 
 
 def frame_dissimilarity(clip: VideoClip, metric: str = "mad") -> np.ndarray:
@@ -48,22 +49,21 @@ def frame_dissimilarity(clip: VideoClip, metric: str = "mad") -> np.ndarray:
         out /= frames[0].size
         return out
     if metric == "patch":
-        # widened first: a float32 mean would accumulate in float32
-        frames = frames.astype(np.float64, copy=False)
-        desc = np.stack([_patch_descriptor(f) for f in frames])
+        # a patch's sum adds its pixels one at a time in row-major order, as
+        # np.mean over a patch of two or more channels does: the pixel at
+        # offset (dr, dc) of every patch of every frame is one strided view,
+        # added in float64 into the patches that have it
+        t, h, w, c = frames.shape
+        sums = np.zeros((t, -(-h // PATCH), -(-w // PATCH), c))
+        for dr in range(PATCH):
+            for dc in range(PATCH):
+                pixels = frames[:, dr::PATCH, dc::PATCH]
+                sums[:, : pixels.shape[1], : pixels.shape[2]] += pixels
+        rows = np.minimum(PATCH, h - np.arange(0, h, PATCH))
+        cols = np.minimum(PATCH, w - np.arange(0, w, PATCH))
+        desc = (sums / (rows[:, None, None] * cols[:, None])).reshape(t, -1)
         return np.sqrt(((np.diff(desc, axis=0)) ** 2).sum(axis=1))
     raise ValueError(f"unknown dissimilarity metric {metric!r}")
-
-
-def _patch_descriptor(frame: np.ndarray, patch: int = 4) -> np.ndarray:
-    h, w, c = frame.shape
-    rows = range(0, h, patch)
-    cols = range(0, w, patch)
-    out = np.empty((len(rows), len(cols), c))
-    for i, r in enumerate(rows):
-        for j, col in enumerate(cols):
-            out[i, j] = frame[r : r + patch, col : col + patch].mean(axis=(0, 1))
-    return out.ravel()
 
 
 class FrameCdf:

@@ -1,11 +1,12 @@
 """Caption quality and diversity metrics.
 
-All metrics normalize text through the shared tokenizer, so callers pass
-raw strings.  Quality: corpus BLEU-4, ROUGE-L (F-beta over the longest
-common subsequence), CIDEr-D (tf-idf n-gram cosine with count clipping
-and a Gaussian length penalty).  Diversity: Self-BLEU across the
-generated set, exact novel/unique percentages, vocabulary usage, and a
-POS pattern histogram.
+All metrics normalize text through the shared tokenizer.  Quality: corpus
+BLEU-4, ROUGE-L (F-beta over the longest common subsequence), CIDEr-D
+(tf-idf n-gram cosine with count clipping and a Gaussian length penalty);
+these three read one ScoringTable, which tokenizes and counts a report's
+predictions and references once.  Diversity, from raw strings: Self-BLEU
+across the generated set, exact novel/unique percentages, vocabulary
+usage, and a POS pattern histogram.
 """
 
 from __future__ import annotations
@@ -31,7 +32,34 @@ def _closest_ref_length(c: int, ref_lengths: Sequence[int]) -> int:
     return min(ref_lengths, key=lambda r: (abs(r - c), r))
 
 
-def bleu4_corpus(preds: Sequence[str], refs: Sequence[Sequence[str]]) -> float:
+class ScoringTable:
+    """A report's predictions and references, tokenized and n-gram counted
+    once for BLEU-4, ROUGE-L and CIDEr-D.
+
+    Per item i: pred_tokens[i] and ref_tokens[i] (one token list per
+    reference); per item and order n, pred_counts[i][n - 1] and
+    ref_counts[i][n - 1] (one Counter per reference), and ref_max[i][n - 1],
+    each n-gram's largest count in any one reference.  Every item needs at
+    least one reference.
+    """
+
+    def __init__(self, preds: Sequence[str], refs: Sequence[Sequence[str]]):
+        if len(preds) != len(refs):
+            raise ValueError("predictions and references must align")
+        if not preds:
+            raise ValueError("empty prediction set")
+        if not all(refs):
+            raise ValueError("every item needs at least one reference")
+        self.pred_tokens = [normalize_and_tokenize(p) for p in preds]
+        self.ref_tokens = [[normalize_and_tokenize(r) for r in group] for group in refs]
+        self.pred_counts = [[_ngrams(t, n) for n in range(1, 5)] for t in self.pred_tokens]
+        self.ref_counts = [[[_ngrams(r, n) for r in group] for n in range(1, 5)] for group in self.ref_tokens]
+        self.ref_max = [
+            [{g: top[0] for g, top in _top_counts(per_n).items()} for per_n in item] for item in self.ref_counts
+        ]
+
+
+def bleu4_corpus(table: ScoringTable) -> float:
     """Corpus-level BLEU-4 on a 0-100 scale.
 
     Clipped n-gram matches and candidate totals are pooled over the whole
@@ -40,32 +68,18 @@ def bleu4_corpus(preds: Sequence[str], refs: Sequence[Sequence[str]]) -> float:
     brevity penalty compares pooled candidate length against the pooled
     closest-reference lengths.
     """
-    if len(preds) != len(refs):
-        raise ValueError("predictions and references must align")
-    if not preds:
-        raise ValueError("empty prediction set")
     matches = [0] * 4
     totals = [0] * 4
     c_total = 0
     r_total = 0
-    for pred, ref_group in zip(preds, refs):
-        ptoks = normalize_and_tokenize(pred)
-        rtoks = [normalize_and_tokenize(r) for r in ref_group]
-        if not rtoks:
-            raise ValueError("every item needs at least one reference")
+    for ptoks, rtoks, pcs, maxes in zip(table.pred_tokens, table.ref_tokens, table.pred_counts, table.ref_max):
         c_total += len(ptoks)
         r_total += _closest_ref_length(len(ptoks), [len(r) for r in rtoks])
-        for n in range(1, 5):
-            pc = _ngrams(ptoks, n)
+        for k, (pc, best) in enumerate(zip(pcs, maxes)):
             if not pc:
                 continue
-            best = Counter()
-            for r in rtoks:
-                for g, cnt in _ngrams(r, n).items():
-                    if cnt > best[g]:
-                        best[g] = cnt
-            matches[n - 1] += sum(min(cnt, best[g]) for g, cnt in pc.items())
-            totals[n - 1] += sum(pc.values())
+            matches[k] += sum(min(cnt, best.get(g, 0)) for g, cnt in pc.items())
+            totals[k] += sum(pc.values())
     if c_total == 0 or any(t == 0 for t in totals):
         return 0.0
     precisions = [m / t for m, t in zip(matches, totals)]
@@ -87,19 +101,13 @@ def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
     return prev[-1]
 
 
-def rouge_l(preds: Sequence[str], refs: Sequence[Sequence[str]], beta: float = 1.2) -> float:
+def rouge_l(table: ScoringTable, beta: float = 1.2) -> float:
     """Mean over items of the best F-beta LCS score against any reference,
     on a 0-100 scale.  Empty predictions score zero for their item."""
-    if len(preds) != len(refs):
-        raise ValueError("predictions and references must align")
-    if not preds:
-        return 0.0
     scores = []
-    for pred, ref_group in zip(preds, refs):
-        ptoks = normalize_and_tokenize(pred)
+    for ptoks, group in zip(table.pred_tokens, table.ref_tokens):
         best = 0.0
-        for r in ref_group:
-            rtoks = normalize_and_tokenize(r)
+        for rtoks in group:
             lcs = _lcs_length(ptoks, rtoks)
             if lcs == 0 or not ptoks or not rtoks:
                 continue
@@ -111,7 +119,7 @@ def rouge_l(preds: Sequence[str], refs: Sequence[Sequence[str]], beta: float = 1
     return 100.0 * float(np.mean(scores))
 
 
-def cider_d(preds: Sequence[str], refs: Sequence[Sequence[str]], sigma: float = 6.0) -> float:
+def cider_d(table: ScoringTable, sigma: float = 6.0) -> float:
     """CIDEr-D on a 0-10 scale.
 
     Document frequencies come from the reference sets (floored at one
@@ -121,39 +129,25 @@ def cider_d(preds: Sequence[str], refs: Sequence[Sequence[str]], sigma: float = 
     damped by a Gaussian penalty on the length difference, then averaged
     over references and n-gram orders and scaled by 10.
     """
-    if len(preds) != len(refs):
-        raise ValueError("predictions and references must align")
-    if not preds:
-        raise ValueError("empty prediction set")
-    m = len(refs)
-    ref_tokens = [[normalize_and_tokenize(r) for r in group] for group in refs]
+    m = len(table.ref_tokens)
+    # an item's reference set is one document: its n-grams are ref_max's keys
     dfs: list[Counter] = [Counter() for _ in range(4)]
-    for group in ref_tokens:
-        for n in range(1, 5):
-            seen = set()
-            for r in group:
-                seen.update(_ngrams(r, n).keys())
-            for g in seen:
-                dfs[n - 1][g] += 1
+    for maxes in table.ref_max:
+        for df, best in zip(dfs, maxes):
+            df.update(best.keys())
 
     # an n-gram no reference holds counts as one document
     unseen = float(np.log(m / 1))
     idfs = [{g: float(np.log(m / max(df, 1))) for g, df in per_n.items()} for per_n in dfs]
 
     item_scores = []
-    for pred, group in zip(preds, ref_tokens):
-        ptoks = normalize_and_tokenize(pred)
+    for ptoks, group, pcs, rcs, maxes in zip(
+        table.pred_tokens, table.ref_tokens, table.pred_counts, table.ref_counts, table.ref_max
+    ):
         penalties = [float(np.exp(-((len(ptoks) - len(r)) ** 2) / (2.0 * sigma**2))) for r in group]
         per_n = []
-        for n, idf in enumerate(idfs, 1):
-            pc = _ngrams(ptoks, n)
-            ref_counts = [_ngrams(r, n) for r in group]
-            max_ref = Counter()
-            for rc in ref_counts:
-                for g, cnt in rc.items():
-                    if cnt > max_ref[g]:
-                        max_ref[g] = cnt
-            clipped = {g: min(cnt, max_ref[g]) for g, cnt in pc.items()}
+        for idf, pc, ref_counts, max_ref in zip(idfs, pcs, rcs, maxes):
+            clipped = {g: min(cnt, max_ref.get(g, 0)) for g, cnt in pc.items()}
             vp = {g: cnt * idf.get(g, unseen) for g, cnt in clipped.items()}
             np_norm = float(np.sqrt(sum(v * v for v in vp.values())))
             sims = []
@@ -166,7 +160,7 @@ def cider_d(preds: Sequence[str], refs: Sequence[Sequence[str]], sigma: float = 
                     dot = sum(v * vr[g] for g, v in vp.items() if g in vr)
                     cos = dot / (np_norm * nr)
                 sims.append(penalty * cos)
-            per_n.append(float(np.mean(sims)) if sims else 0.0)
+            per_n.append(float(np.mean(sims)))
         item_scores.append(10.0 * float(np.mean(per_n)))
     return float(np.mean(item_scores))
 
@@ -290,15 +284,16 @@ def compute_report(
     train_vocab_size: int,
     tagger: PosTagger | None = None,
 ) -> EvalReport:
+    table = ScoringTable(preds, refs)
     tagger = tagger or PosTagger.load_default()
     div = diversity_stats(preds, train_captions, train_vocab_size)
     hist = pos_structure_histogram(preds, tagger)
     # self-BLEU is undefined below two predictions; report 0 rather than fail
     sb = self_bleu(preds) if len(preds) >= 2 else 0.0
     return EvalReport(
-        bleu4=bleu4_corpus(preds, refs),
-        rouge_l=rouge_l(preds, refs),
-        cider_d=cider_d(preds, refs),
+        bleu4=bleu4_corpus(table),
+        rouge_l=rouge_l(table),
+        cider_d=cider_d(table),
         self_bleu=sb,
         novel_pct=div["novel_pct"],
         unique_pct=div["unique_pct"],

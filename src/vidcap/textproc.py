@@ -275,6 +275,7 @@ def _load_word_table(path: str | Path) -> dict:
 
 def load_corpus(path: str | Path) -> list[CaptionRecord]:
     records = []
+    first_line: dict[str, int] = {}
     for line_no, line in enumerate(Path(path).read_text().splitlines(), 1):
         if not line.strip():
             continue
@@ -296,6 +297,9 @@ def load_corpus(path: str | Path) -> list[CaptionRecord]:
             raise ValueError(f"{path}:{line_no}: bad split {rec.split!r}")
         if not rec.captions:
             raise ValueError(f"{path}:{line_no}: record has no captions")
+        if rec.id in first_line:
+            raise ValueError(f"{path}:{line_no}: id {rec.id!r} repeats line {first_line[rec.id]}")
+        first_line[rec.id] = line_no
         records.append(rec)
     return records
 

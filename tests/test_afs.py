@@ -73,6 +73,46 @@ def test_patch_metric_basics():
     assert np.allclose(frame_dissimilarity(same, metric="patch"), [0.0])
 
 
+def _patch_descriptor(frame, patch=4):
+    """One frame's descriptor as the patch metric computed it before it
+    summed whole clips at once: one np.mean per patch."""
+    h, w, c = frame.shape
+    rows = range(0, h, patch)
+    cols = range(0, w, patch)
+    out = np.empty((len(rows), len(cols), c))
+    for i, r in enumerate(rows):
+        for j, col in enumerate(cols):
+            out[i, j] = frame[r : r + patch, col : col + patch].mean(axis=(0, 1))
+    return out.ravel()
+
+
+def _patch_dissimilarity_loop(data):
+    desc = np.stack([_patch_descriptor(f) for f in data.astype(np.float64)])
+    return np.sqrt(((np.diff(desc, axis=0)) ** 2).sum(axis=1))
+
+
+# whole patches only, partial patches on one or both edges, a single patch
+# row, fewer pixels than one patch, and one frame
+@pytest.mark.parametrize("shape", [(5, 32, 32, 3), (4, 17, 13, 3), (6, 3, 5, 3), (4, 1, 9, 2), (3, 9, 6, 5), (1, 5, 7, 3)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_patch_metric_is_bitwise_the_per_patch_loop(shape, dtype):
+    rng = np.random.default_rng(sum(shape))
+    data = rng.random(shape)
+    data[:, ::3] *= 1e-9  # magnitudes far apart, so the order of the adds shows
+    data = data.astype(dtype)
+    got = frame_dissimilarity(VideoClip(data), metric="patch")
+    assert got.tobytes() == _patch_dissimilarity_loop(data).tobytes()
+
+
+def test_single_channel_patch_metric_is_the_per_patch_loop_to_rounding():
+    # with one channel the patch's pixels are contiguous along each row,
+    # and np.mean reduces them in an order of its own rather than pixel by
+    # pixel as the clip-wide sum does; the two differ in the last bits
+    data = np.random.default_rng(4).random((4, 9, 7, 1))
+    got = frame_dissimilarity(VideoClip(data), metric="patch")
+    np.testing.assert_allclose(got, _patch_dissimilarity_loop(data), rtol=1e-14, atol=0)
+
+
 def _float32_clips():
     rng = np.random.default_rng(2)
     edges = rng.random((6, 5, 7, 3)).astype(np.float32)

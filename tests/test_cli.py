@@ -329,6 +329,18 @@ def test_prediction_caption_that_is_not_a_string_exits_2(env, tmp_path, capsys, 
     assert f"{preds}:2: caption must be a string" in _one_data_error(capsys)
 
 
+def test_score_refs_with_a_repeated_id_exits_2(tmp_path, capsys):
+    # the prediction for 'a' would otherwise be scored against one of the
+    # two records' captions only
+    refs = tmp_path / "refs.jsonl"
+    rows = [{"id": "a", "video": "v", "captions": [caption], "split": "test"} for caption in ("a red ball", "a blue cube")]
+    refs.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text(json.dumps({"id": "a", "caption": "a red ball"}) + "\n")
+    assert main(["score", "--preds", str(preds), "--refs", str(refs)]) == 2
+    assert _one_data_error(capsys) == f"data error: {refs}:2: id 'a' repeats line 1"
+
+
 def test_build_vocab(env, tmp_path, capsys):
     out = tmp_path / "vocab.json"
     corpus = env["data"] / "corpus.jsonl"

@@ -10,6 +10,9 @@ import pytest
 
 from vidcap.metrics import (
     EvalReport,
+    ScoringTable,
+    _closest_ref_length,
+    _lcs_length,
     _ngrams,
     bleu4_corpus,
     cider_d,
@@ -25,20 +28,20 @@ from vidcap.textproc import PosTagger, normalize_and_tokenize
 def test_bleu_perfect_match_is_100():
     preds = ["a dog runs fast today", "the cat sits on a mat"]
     refs = [[p] for p in preds]
-    assert abs(bleu4_corpus(preds, refs) - 100.0) < 1e-9
+    assert abs(bleu4_corpus(ScoringTable(preds, refs)) - 100.0) < 1e-9
 
 
 def test_bleu_brevity_penalty_hand_value():
     # all clipped precisions are 1, only the brevity penalty bites:
     # c=4, r=5 -> 100 * exp(1 - 5/4)
-    got = bleu4_corpus(["a b c d"], [["a b c d e"]])
+    got = bleu4_corpus(ScoringTable(["a b c d"], [["a b c d e"]]))
     assert abs(got - 100.0 * math.exp(1.0 - 5.0 / 4.0)) < 1e-9
     assert abs(got - 77.8800783) < 1e-6
 
 
 def test_bleu_no_common_4gram_is_zero():
     # unigrams overlap but no shared 4-gram; corpus BLEU has no smoothing
-    assert bleu4_corpus(["a b c d"], [["a c b d"]]) == 0.0
+    assert bleu4_corpus(ScoringTable(["a b c d"], [["a c b d"]])) == 0.0
 
 
 def test_bleu_permutation_invariance():
@@ -48,25 +51,40 @@ def test_bleu_permutation_invariance():
         ["a cat sits", "the cat sits on the mat"],
         ["a bird flies home"],
     ]
-    base = bleu4_corpus(preds, refs)
+    base = bleu4_corpus(ScoringTable(preds, refs))
     perm = [2, 0, 1]
-    shuffled = bleu4_corpus([preds[i] for i in perm], [refs[i] for i in perm])
+    shuffled = bleu4_corpus(ScoringTable([preds[i] for i in perm], [refs[i] for i in perm]))
     assert abs(base - shuffled) < 1e-12
-    flipped = bleu4_corpus(preds, [list(reversed(r)) for r in refs])
+    flipped = bleu4_corpus(ScoringTable(preds, [list(reversed(r)) for r in refs]))
     assert abs(base - flipped) < 1e-12
 
 
 def test_bleu_errors():
-    with pytest.raises(ValueError):
-        bleu4_corpus([], [])
-    with pytest.raises(ValueError):
-        bleu4_corpus(["a"], [["a"], ["b"]])
-    with pytest.raises(ValueError):
-        bleu4_corpus(["a"], [[]])
+    with pytest.raises(ValueError, match="empty prediction set"):
+        bleu4_corpus(ScoringTable([], []))
+    with pytest.raises(ValueError, match="must align"):
+        bleu4_corpus(ScoringTable(["a"], [["a"], ["b"]]))
+    with pytest.raises(ValueError, match="at least one reference"):
+        bleu4_corpus(ScoringTable(["a"], [[]]))
+
+
+@pytest.mark.parametrize(
+    "metric, preds, refs",
+    [
+        # the table is the one place that checks references, so no metric
+        # can score an item that has none
+        (bleu4_corpus, ["a b"], [[]]),
+        (rouge_l, ["a b"], [[]]),
+        (cider_d, ["a b", "c"], [[], ["c"]]),
+    ],
+)
+def test_an_item_without_references_is_rejected_by_every_reference_metric(metric, preds, refs):
+    with pytest.raises(ValueError, match="every item needs at least one reference"):
+        metric(ScoringTable(preds, refs))
 
 
 def test_rouge_identical_is_100():
-    assert abs(rouge_l(["a dog runs"], [["a dog runs"]]) - 100.0) < 1e-9
+    assert abs(rouge_l(ScoringTable(["a dog runs"], [["a dog runs"]])) - 100.0) < 1e-9
 
 
 def test_rouge_hand_value():
@@ -74,21 +92,21 @@ def test_rouge_hand_value():
     beta = 1.2
     p, r = 2.0 / 3.0, 1.0
     expect = 100.0 * (1 + beta**2) * p * r / (r + beta**2 * p)
-    got = rouge_l(["a b c"], [["a c"]])
+    got = rouge_l(ScoringTable(["a b c"], [["a c"]]))
     assert abs(got - expect) < 1e-9
     assert abs(got - 82.99319727891157) < 1e-9
 
 
 def test_rouge_disjoint_and_empty():
-    assert rouge_l(["a b"], [["c d"]]) == 0.0
-    assert rouge_l([""], [["a b"]]) == 0.0
+    assert rouge_l(ScoringTable(["a b"], [["c d"]])) == 0.0
+    assert rouge_l(ScoringTable([""], [["a b"]])) == 0.0
 
 
 def test_rouge_max_over_refs_includes_pred():
     # adding the prediction itself as one reference forces a perfect item
     preds = ["the quick brown fox jumps"]
     refs = [["something else entirely", "the quick brown fox jumps"]]
-    assert abs(rouge_l(preds, refs) - 100.0) < 1e-9
+    assert abs(rouge_l(ScoringTable(preds, refs)) - 100.0) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +225,84 @@ def test_cider_equals_the_per_ngram_idf_oracle_exactly():
             preds = _random_captions(rng, words, items, longest)
             refs = [_random_captions(rng, words, int(rng.integers(1, 5)), longest) for _ in range(items)]
             for sigma in (6.0, 1.5):
-                assert cider_d(preds, refs, sigma) == _cider_d_per_ngram_idf(preds, refs, sigma)
+                assert cider_d(ScoringTable(preds, refs), sigma) == _cider_d_per_ngram_idf(preds, refs, sigma)
+
+
+def _bleu4_corpus_strings(preds, refs):
+    """BLEU-4 as it was before the scoring table: every item tokenized and
+    counted, and its reference maxima taken, inside the metric."""
+    if len(preds) != len(refs):
+        raise ValueError("predictions and references must align")
+    if not preds:
+        raise ValueError("empty prediction set")
+    matches = [0] * 4
+    totals = [0] * 4
+    c_total = 0
+    r_total = 0
+    for pred, ref_group in zip(preds, refs):
+        ptoks = normalize_and_tokenize(pred)
+        rtoks = [normalize_and_tokenize(r) for r in ref_group]
+        if not rtoks:
+            raise ValueError("every item needs at least one reference")
+        c_total += len(ptoks)
+        r_total += _closest_ref_length(len(ptoks), [len(r) for r in rtoks])
+        for n in range(1, 5):
+            pc = _ngrams(ptoks, n)
+            if not pc:
+                continue
+            best = Counter()
+            for r in rtoks:
+                for g, cnt in _ngrams(r, n).items():
+                    if cnt > best[g]:
+                        best[g] = cnt
+            matches[n - 1] += sum(min(cnt, best[g]) for g, cnt in pc.items())
+            totals[n - 1] += sum(pc.values())
+    if c_total == 0 or any(t == 0 for t in totals):
+        return 0.0
+    precisions = [m / t for m, t in zip(matches, totals)]
+    if any(p == 0.0 for p in precisions):
+        return 0.0
+    bp = 1.0 if c_total > r_total else float(np.exp(1.0 - r_total / c_total))
+    return 100.0 * bp * float(np.exp(np.mean([np.log(p) for p in precisions])))
+
+
+def _rouge_l_strings(preds, refs, beta=1.2):
+    """ROUGE-L as it was before the scoring table: every reference
+    tokenized inside the metric."""
+    if len(preds) != len(refs):
+        raise ValueError("predictions and references must align")
+    if not preds:
+        return 0.0
+    scores = []
+    for pred, ref_group in zip(preds, refs):
+        ptoks = normalize_and_tokenize(pred)
+        best = 0.0
+        for r in ref_group:
+            rtoks = normalize_and_tokenize(r)
+            lcs = _lcs_length(ptoks, rtoks)
+            if lcs == 0 or not ptoks or not rtoks:
+                continue
+            prec = lcs / len(ptoks)
+            rec = lcs / len(rtoks)
+            f = (1 + beta**2) * prec * rec / (rec + beta**2 * prec)
+            best = max(best, f)
+        scores.append(best)
+    return 100.0 * float(np.mean(scores))
+
+
+def test_bleu_and_rouge_equal_the_string_form_oracles_exactly():
+    # two- and three-word vocabularies repeat n-grams within a caption and
+    # across references; length 0 gives empty predictions and references
+    rng = np.random.default_rng(23)
+    scene = ["a", "the", "red", "ball", "moves", "left", "slowly"]
+    for words, items, longest in [(["a", "b"], 5, 7), (["a", "b", "c"], 8, 9), (scene, 30, 12)]:
+        for _ in range(40):
+            preds = _random_captions(rng, words, items, longest)
+            refs = [_random_captions(rng, words, int(rng.integers(1, 5)), longest) for _ in range(items)]
+            table = ScoringTable(preds, refs)
+            assert bleu4_corpus(table) == _bleu4_corpus_strings(preds, refs), (preds, refs)
+            for beta in (1.2, 0.5):
+                assert rouge_l(table, beta) == _rouge_l_strings(preds, refs, beta), (preds, refs)
 
 
 def test_cider_identical_disjoint_corpus():
@@ -215,10 +310,10 @@ def test_cider_identical_disjoint_corpus():
     # with a sole reference scores exactly 10 for its item
     preds = ["a dog runs fast today", "big red cars drive slowly home"]
     refs = [["a dog runs fast today"], ["big red cars drive slowly home"]]
-    assert abs(cider_d(preds, refs) - 10.0) < 1e-9
+    assert abs(cider_d(ScoringTable(preds, refs)) - 10.0) < 1e-9
 
     # zeroing item B's overlap halves the corpus mean
-    half = cider_d(["a dog runs fast today", "x y z w"], refs)
+    half = cider_d(ScoringTable(["a dog runs fast today", "x y z w"], refs))
     assert abs(half - 5.0) < 1e-9
 
 
@@ -236,7 +331,7 @@ def test_cider_matches_bruteforce_on_random_corpora():
                 rlen = int(rng.integers(1, 9))
                 group.append(" ".join(rng.choice(alphabet, size=rlen)))
             refs.append(group)
-        assert abs(cider_d(preds, refs) - _oracle_cider(preds, refs)) < 1e-9
+        assert abs(cider_d(ScoringTable(preds, refs)) - _oracle_cider(preds, refs)) < 1e-9
 
 
 def test_cider_sigma_inf_removes_length_penalty():
@@ -246,14 +341,14 @@ def test_cider_sigma_inf_removes_length_penalty():
     for _ in range(4):
         preds.append(" ".join(rng.choice(alphabet, size=int(rng.integers(1, 8)))))
         refs.append([" ".join(rng.choice(alphabet, size=int(rng.integers(1, 8))))])
-    got = cider_d(preds, refs, sigma=1e9)
+    got = cider_d(ScoringTable(preds, refs), sigma=1e9)
     # the oracle at sigma=inf has the penalty factor pinned to 1
     assert abs(got - _oracle_cider(preds, refs, sigma=float("inf"))) < 1e-9
 
 
 def test_cider_empty_corpus_errors():
     with pytest.raises(ValueError):
-        cider_d([], [])
+        cider_d(ScoringTable([], []))
 
 
 def test_self_bleu_identical():

@@ -1,5 +1,7 @@
 """Tokenizer, vocabulary, POS tagging, and concept extraction tests."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -189,6 +191,15 @@ def test_corpus_validation(tmp_path):
 
     p.write_text('{"id": "v0", "captions": ["hi"], "split": "train"}\n')
     with pytest.raises(ValueError, match="missing corpus field"):
+        load_corpus(p)
+
+    # line numbers count the blank line, as every corpus error does
+    p.write_text(
+        '{"id": "a", "video": "a.vvid", "captions": ["hi"], "split": "train"}\n\n'
+        '{"id": "b", "video": "b.vvid", "captions": ["hi"], "split": "train"}\n'
+        '{"id": "a", "video": "c.vvid", "captions": ["ho"], "split": "val"}\n'
+    )
+    with pytest.raises(ValueError, match=re.escape(f"{p}:4: id 'a' repeats line 1")):
         load_corpus(p)
 
 

@@ -2,8 +2,8 @@
 perfbench/tracing.py TARGETS; a target that no longer resolves is skipped
 there and its per-layer metrics silently read 0.  These guards resolve
 each target the way the tracer does, and install the tracer's patches
-around one caption, so a refactor that renames a target or stops calling
-it fails here.
+around one caption and one report, so a refactor that renames a target
+or stops calling it fails here.
 """
 
 import importlib
@@ -64,4 +64,21 @@ def test_traced_spans_fire_in_one_caption():
         "decoder.step",
         "caption",
     ):
+        assert name in recorded, name
+
+
+def test_metric_spans_fire_in_one_report():
+    tracing = runpy.run_path(str(TRACING))
+    tracer = tracing["Tracer"]()
+    patches = tracing["Patches"](tracer)
+    preds = ["a red ball moves left", "a blue cube moves"]
+    refs = [["a red ball moves left", "the red ball moves"], ["a blue cube moves right"]]
+    patches.install()
+    try:
+        tracer.on = True
+        vidcap.evaluate.compute_report(preds, refs, ["a red ball moves left"], train_vocab_size=8)
+    finally:
+        patches.restore()
+    recorded = {span["name"] for span in tracer.spans}
+    for name in ("metrics.report", "metrics.bleu4", "metrics.rouge_l", "metrics.cider_d", "metrics.self_bleu"):
         assert name in recorded, name

@@ -8,11 +8,14 @@ functions run as ordinary numpy code (inference mode): _record wraps the
 output at once and nothing is recorded, so a tape-free op returns a Tensor
 with requires_grad False and its closure is dropped unrun.
 
-Kernels may compute in place (``out=``, ``*=``) to save temporaries, as
-long as each step keeps the operands and order of operations of the plain
-formula, so the bits do not change.  They never write into an op's input,
-into an incoming gradient (one array may be the gradient of two inputs),
-or into an array that a backward closure still reads.
+The forward kernels of linear, gelu, softmax and layer_norm are array
+functions (*_kernel), called by the ops and by the decoder's tape-free
+step alike.  Kernels may compute in place (``out=``, ``*=``) to save
+temporaries, as long as each step keeps the operands and order of
+operations of the plain formula, so the bits do not change.  They never
+write into an op's input, into an incoming gradient (one array may be the
+gradient of two inputs), or into an array that a backward closure still
+reads.
 
 Broadcasting in binary ops is deliberately restricted: shapes must match
 exactly, or one operand must be a single element.  Any other expansion has
@@ -212,6 +215,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record("matmul", (a, b), a.data @ b.data, bwd)
 
 
+def linear_kernel(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    out = x @ weight
+    out += bias
+    return out
+
+
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """x @ weight (+ bias) for x of shape (..., in), weight (in, out) and
     bias (out,), recorded as one op; the bias gradient sums over every
@@ -221,8 +230,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     sx, sw, sb = x.data.shape, weight.data.shape, bias.data.shape
     if len(sw) != 2 or sx[-1:] != sw[:1] or sb != sw[1:]:
         raise ValueError(f"linear: shapes {sx} @ {sw} + {sb}")
-    out = x.data @ weight.data
-    out += bias.data
+    out = linear_kernel(x.data, weight.data, bias.data)
     k, m = sw
 
     def bwd(g):
@@ -243,12 +251,12 @@ def relu(a: Tensor) -> Tensor:
 _GELU_C = np.sqrt(2.0 / np.pi)
 
 
-def gelu(a: Tensor) -> Tensor:
+def gelu_kernel(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """gelu's output and the tanh term t its backward reads."""
     # tanh form; exact-erf and tanh-form differ by <1e-3 and the tanh form
     # keeps the derivative closed-form.  In place, the steps of
     # t = tanh(_GELU_C * (x + 0.044715 * x**3)) and out = 0.5 * x * (1.0 + t);
     # x * x * x rather than x**3, which numpy hands to libm pow
-    x = a.data
     t = np.multiply(x, x, out=np.empty_like(x))  # an array even when x is 0-d
     t *= x
     t *= 0.044715
@@ -257,6 +265,12 @@ def gelu(a: Tensor) -> Tensor:
     np.tanh(t, out=t)
     out = np.multiply(x, 0.5)
     out *= np.add(t, 1.0)
+    return out, t
+
+
+def gelu(a: Tensor) -> Tensor:
+    x = a.data
+    out, t = gelu_kernel(x)
 
     def bwd(g):
         # g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * du) with
@@ -443,20 +457,43 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator | None, training: b
 # fused numerically-sensitive ops
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    x = a.data
+def softmax_kernel(x: np.ndarray, axis: int = -1) -> np.ndarray:
     if not np.logical_and.reduce(np.isfinite(x), axis=None):
         raise NumericError("non-finite input")
     # y = exp(x - max) / sum(exp(x - max)), in one buffer
     y = np.subtract(x, np.maximum.reduce(x, axis, keepdims=True))
     np.exp(y, out=y)
     y /= np.add.reduce(y, axis, keepdims=True)
+    return y
+
+
+def softmax(a: Tensor, axis: int = -1) -> Tensor:
+    y = softmax_kernel(a.data, axis)
 
     def bwd(g):
         dot = (g * y).sum(axis=axis, keepdims=True)
         return (y * (g - dot),)
 
     return _record("softmax", (a,), y, bwd)
+
+
+def layer_norm_kernel(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float):
+    """layer_norm's output, and the xhat and inv its backward reads."""
+    # the steps of np.mean and np.var, x - mu taken once:
+    # xhat = (x - mu) * (1.0 / sqrt(mean((x - mu)**2) + eps))
+    mu = np.add.reduce(x, -1, keepdims=True)
+    mu /= x.shape[-1]
+    xhat = x - mu
+    out = np.multiply(xhat, xhat)
+    inv = np.add.reduce(out, -1, keepdims=True)
+    inv /= x.shape[-1]
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
+    np.multiply(xhat, gamma, out=out)
+    out += beta
+    return out, xhat, inv
 
 
 def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-12) -> Tensor:
@@ -467,20 +504,7 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-12) -> Te
         raise ValueError("layer_norm over zero-length axis")
     if gamma.data.shape != (c,) or beta.data.shape != (c,):
         raise ValueError("layer_norm affine params must match last axis")
-    # the steps of np.mean and np.var, x - mu taken once:
-    # xhat = (x - mu) * (1.0 / sqrt(mean((x - mu)**2) + eps))
-    mu = np.add.reduce(x, -1, keepdims=True)
-    mu /= c
-    xhat = x - mu
-    out = np.multiply(xhat, xhat)
-    inv = np.add.reduce(out, -1, keepdims=True)
-    inv /= c
-    inv += eps
-    np.sqrt(inv, out=inv)
-    np.divide(1.0, inv, out=inv)
-    xhat *= inv
-    np.multiply(xhat, gamma.data, out=out)
-    out += beta.data
+    out, xhat, inv = layer_norm_kernel(x, gamma.data, beta.data, eps)
 
     def bwd(g):
         # dxhat = g * gamma; da = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))

@@ -15,16 +15,18 @@ Generation is incremental and runs many clips in lockstep: step_fn
 computes each layer's cross-attention keys/values once per clip, and a
 step maps R rows, each a clip id, the row of the previous call it
 extends and a token prefix (an (R, n) matrix), to next-token
-log-probabilities, running one new position per row through the same
-layers as the teacher-forced forward on the cached self-attention
-keys/values of its parent row.  One length-synchronous search serves
-every strategy, holding the live hypotheses of all clips as arrays and
-advancing every clip by one length per step call; the strategies differ
-only in how continuations are picked: beam search (summed log
-probabilities, no length normalization, ties broken toward the
-lexicographically smallest token sequence) or ancestral sampling with
-greedy / top-k / top-p truncation and a temperature knob, one generator
-per clip.  One clip is the batch of one.
+log-probabilities, running one new position per row on the cached
+self-attention keys/values of its parent row.  The step runs on plain
+arrays, without Tensors or a tape: each layer's step method calls the
+same autodiff kernels, in the same order, as its teacher-forced call.
+One length-synchronous search serves every strategy, holding the live
+hypotheses of all clips as arrays and advancing every clip by one
+length per step call; the strategies differ only in how continuations
+are picked: beam search (summed log probabilities, no length
+normalization, ties broken toward the lexicographically smallest token
+sequence) or ancestral sampling with greedy / top-k / top-p truncation
+and a temperature knob, one generator per clip.  One clip is the batch
+of one.
 """
 
 from __future__ import annotations
@@ -85,20 +87,23 @@ class _DecoderLayer(Module):
         self.fc2 = Linear(rng, d * cfg.mlp_ratio, d)
         self.dropout = cfg.dropout
 
-    def __call__(
-        self, x: Tensor, enc: Tensor, causal: np.ndarray | None, rng, training: bool, cache: list | None = None
-    ) -> Tensor:
+    def __call__(self, x: Tensor, enc: Tensor, causal: np.ndarray | None, rng, training: bool) -> Tensor:
         a = self.ln1(x)
-        self_kv = cross_kv = None
-        if cache is not None:
-            k, v = self.self_attn.keys_values(a)
-            (past_k, past_v), cross_kv = cache
-            cache[0] = self_kv = (ad.concat([past_k, k], axis=2), ad.concat([past_v, v], axis=2))
-        x = ad.add(x, self.self_attn(a, a, None, causal, rng, training, kv=self_kv))
-        x = ad.add(x, self.cross_attn(self.ln2(x), enc, None, None, rng, training, kv=cross_kv))
+        x = ad.add(x, self.self_attn(a, a, None, causal, rng, training))
+        x = ad.add(x, self.cross_attn(self.ln2(x), enc, None, None, rng, training))
         h = self.fc1(self.ln3(x))
         h = ad.dropout(ad.gelu(h), self.dropout, rng, training)
         return ad.add(x, self.fc2(h))
+
+    def step(self, x: np.ndarray, past: tuple, cross_kv: tuple) -> tuple[np.ndarray, tuple]:
+        """__call__ on arrays in eval mode for one new position per row after
+        its self-attention keys/values past; returns the output and the new past."""
+        a = self.ln1.on_array(x)
+        h, kv = self.self_attn.step(a, a, past)
+        x = x + h
+        x = x + self.cross_attn.step(self.ln2.on_array(x), None, cross_kv)[0]
+        h = ad.gelu_kernel(self.fc1.on_array(self.ln3.on_array(x)))[0]
+        return x + self.fc2.on_array(h), kv
 
 
 class CaptionDecoder(Module):
@@ -130,36 +135,34 @@ class CaptionDecoder(Module):
         if length > self.cfg.max_positions:
             raise ValueError(f"sequence of {length} exceeds {self.cfg.max_positions} positions")
 
-    def __call__(
-        self, hidden: Tensor, enc_tokens: Tensor, rng=None, training: bool = False, cache: list | None = None
-    ) -> Tensor:
+    def __call__(self, hidden, enc_tokens: Tensor | None, rng=None, training: bool = False, cache: list | None = None):
         """Logits (B, L, V) for every position of B embedded sequences
-        (B, L, hidden) attending to their clips' tokens (B, t, dim), or,
-        with one [self_kv, cross_kv] pair of (B, heads, L, head_dim)
-        keys/values per layer (enc_tokens is then unused), (B, 1, V) for B
-        new positions of shape (B, 1, hidden) that each follow their cached
-        prefix; each layer extends its self_kv by the new position."""
-        if cache is None:
-            length = hidden.shape[1]
-            causal = np.triu(np.full((length, length), NEG_INF), k=1)
-            cache = [None] * len(self.layers)
-        else:
-            causal = None
+        (B, L, hidden) attending to their clips' tokens (B, t, dim); or, with
+        a cache of one [self_kv, cross_kv] array pair per layer, the logits
+        array (R, 1, V) for the array (R, 1, hidden) of R new positions after
+        their cached prefixes; each layer's self_kv becomes its extension."""
+        if cache is not None:
+            x = hidden
+            for layer, layer_cache in zip(self.layers, cache):
+                x, layer_cache[0] = layer.step(x, *layer_cache)
+            return self.out_proj.on_array(self.final_norm.on_array(x))
+        length = hidden.shape[1]
+        causal = np.triu(np.full((length, length), NEG_INF), k=1)
         x = hidden
-        for layer, layer_cache in zip(self.layers, cache):
-            x = layer(x, enc_tokens, causal, rng, training, layer_cache)
+        for layer in self.layers:
+            x = layer(x, enc_tokens, causal, rng, training)
         return self.out_proj(self.final_norm(x))
 
     def step_fn(self, semantic: Tensor, enc_tokens: Tensor) -> "StepFn":
         """Next-token log-probabilities (R, V) in eval mode for R rows over
         N clips: semantic is (N, concept_dim) and enc_tokens (N, t, dim).
         A call takes one (clips, parents, tokens) triple: the clip id of
-        each row (R,), the row of the previous call each row extends (R,),
-        unused on the first call, and the (R, n) token prefixes.
-        Cross-attention keys/values are computed here, once per clip, and
-        gathered per row; the rows of the latest call keep their
-        self-attention keys/values, so every call runs one new position per
-        row."""
+        each row (R,), the row of the latest call each row extends (R,),
+        unused when the prefixes are empty (which starts over), and the (R,
+        n) token prefixes, one token longer than the latest call's.  Each
+        layer's cross-attention keys/values are computed here, once per
+        clip; the latest call's rows keep their self-attention keys/values,
+        so every call runs one new position per row."""
         return _CachedStep(self, semantic, enc_tokens)
 
 
@@ -172,14 +175,11 @@ class _CachedStep:
 
     def __init__(self, decoder: CaptionDecoder, semantic: Tensor, enc_tokens: Tensor):
         self.decoder = decoder
-        clips = semantic.shape[0]
-        self.sos = decoder.embed_with_semantic_sos(semantic, np.zeros((clips, 0))).data[:, 0]
-        self.clips = clips
-        self.cross_kv = [
-            tuple(Tensor(t.data) for t in layer.cross_attn.keys_values(enc_tokens)) for layer in decoder.layers
-        ]
+        self.sos = decoder.embed_with_semantic_sos(semantic, np.zeros((semantic.shape[0], 0))).data[:, 0]
+        self.cross_kv = [tuple(t.data for t in layer.cross_attn.keys_values(enc_tokens)) for layer in decoder.layers]
         # per layer the latest call's self-attention (k, v), each (rows, heads, n + 1, head_dim)
         self.kv: list[tuple[np.ndarray, np.ndarray]] = []
+        self.length = None  # the latest call's prefix length
 
     def __call__(self, rows: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
         clips, parents, tokens = rows
@@ -187,26 +187,34 @@ class _CachedStep:
         count, n = tokens.shape
         dec._check_positions(n + 1)
         if n:
-            x = ad.add(dec.tok_emb(tokens[:, -1]), dec.pos_emb(np.full(count, n)))
+            if n - 1 != self.length:
+                had = "made no call" if self.length is None else f"was at length {self.length}"
+                raise ValueError(f"prefixes of length {n} must extend the latest call's by one token; it {had}")
+            latest = len(self.kv[0][0])
+            bad = parents[(parents < 0) | (parents >= latest)]
+            if len(bad):
+                raise ValueError(f"parent rows {bad.tolist()} are not rows of the latest call, which had {latest}")
+            x = dec.tok_emb(tokens[:, -1]).data + dec.pos_emb.table.data[n]  # the lookup checks the ids
         else:
-            x = Tensor(self.sos[clips])
+            x = self.sos[clips]
         # rows that are the clips, or the previous rows, in order attend to
         # their keys/values as they are
-        gather_cross = not np.array_equal(clips, np.arange(self.clips))
-        gather_self = n and not np.array_equal(parents, np.arange(len(self.kv[0][0])))
+        gather_cross = not np.array_equal(clips, np.arange(len(self.sos)))
+        gather_self = n and not np.array_equal(parents, np.arange(latest))
         caches = []
         for i, cross_kv in enumerate(self.cross_kv):
             if n:
-                past = tuple(Tensor(t[parents] if gather_self else t) for t in self.kv[i])
+                past = tuple(t[parents] for t in self.kv[i]) if gather_self else self.kv[i]
             else:
-                past = (Tensor(np.zeros((count, cfg.heads, 0, cfg.hidden // cfg.heads))),) * 2
+                past = (np.zeros((count, cfg.heads, 0, cfg.hidden // cfg.heads)),) * 2
             if gather_cross:
-                cross_kv = tuple(Tensor(t.data[clips]) for t in cross_kv)
+                cross_kv = tuple(t[clips] for t in cross_kv)
             caches.append([past, cross_kv])
-        logits = dec(ad.reshape(x, (count, 1, cfg.hidden)), None, cache=caches).data[:, -1]
+        logits = dec(x.reshape(count, 1, cfg.hidden), None, cache=caches)[:, -1]
         if not np.all(np.isfinite(logits)):
             raise NumericError("non-finite logits")
-        self.kv = [(k.data, v.data) for (k, v), _ in caches]
+        self.kv = [kv for kv, _ in caches]
+        self.length = n
         return log_softmax(logits)
 
 

@@ -69,6 +69,8 @@ class CaptionModel(Module):
     def generate_for_tokens(self, tokens: np.ndarray, request: GenerationRequest) -> list[Hypothesis]:
         """Eval-mode generation for N clips from their (N, t, token_dim)
         encoder tokens, all N decoded in lockstep, one hypothesis each."""
+        if request.max_len > self.dec_cfg.max_positions:
+            raise ValueError(f"max length {request.max_len} exceeds {self.dec_cfg.max_positions} decoder positions")
         with self._eval_mode():
             enc_tokens = Tensor(tokens)
             step = self.decoder.step_fn(self.concept_probs(enc_tokens), enc_tokens)

@@ -8,6 +8,9 @@ its attribute to the prefix, and the items of a list attribute xs are
 x0, x1 and so on.  These dotted names (encoder.stage0.block1.attn.wq.weight)
 are the checkpoint format, so a renamed attribute is a checkpoint format
 change; sorted, they are also the order of training's flat parameter vector.
+
+Linear, LayerNorm and Attention also run in eval mode on plain arrays for
+the decoder's step (on_array, Attention.step), through the same kernels.
 """
 
 from __future__ import annotations
@@ -49,6 +52,9 @@ class Linear(Module):
     def __call__(self, x: Tensor) -> Tensor:
         return ad.linear(x, self.weight, self.bias)
 
+    def on_array(self, x: np.ndarray) -> np.ndarray:
+        return ad.linear_kernel(x, self.weight.data, self.bias.data)
+
 
 class LayerNorm(Module):
     def __init__(self, dim: int, eps: float = 1e-12):
@@ -58,6 +64,9 @@ class LayerNorm(Module):
 
     def __call__(self, x: Tensor) -> Tensor:
         return ad.layer_norm(x, self.gamma, self.beta, self.eps)
+
+    def on_array(self, x: np.ndarray) -> np.ndarray:
+        return ad.layer_norm_kernel(x, self.gamma.data, self.beta.data, self.eps)[0]
 
 
 class Embedding(Module):
@@ -114,21 +123,12 @@ class Attention(Module):
         return k, v
 
     def __call__(
-        self,
-        q_seq: Tensor,
-        kv_seq: Tensor | None,
-        bias: Tensor | None,
-        mask: np.ndarray | None,
-        rng,
-        training: bool,
-        kv: tuple[Tensor, Tensor] | None = None,
+        self, q_seq: Tensor, kv_seq: Tensor, bias: Tensor | None, mask: np.ndarray | None, rng, training: bool
     ) -> Tensor:
-        """Attend from q_seq to kv_seq, or to kv, its precomputed
-        keys_values() pair, when one is given."""
         rows = q_seq.data.shape[:-1]
         split, key_t = _head_axes(len(rows) + 2)
         q = ad.transpose(ad.reshape(self.wq(q_seq), rows + self._split_tail), split)
-        k, v = self.keys_values(kv_seq) if kv is None else kv
+        k, v = self.keys_values(kv_seq)
         scores = ad.scale(ad.matmul(q, ad.transpose(k, key_t)), self.scale)
         if bias is not None:
             scores = ad.add(scores, bias)
@@ -140,3 +140,21 @@ class Attention(Module):
         probs = ad.dropout(probs, self.dropout, rng, training)
         out = ad.transpose(ad.matmul(probs, v), split)
         return self.wo(ad.reshape(out, rows + (self.dim,)))
+
+    def step(self, q_seq: np.ndarray, new: np.ndarray | None, past: tuple) -> tuple[np.ndarray, tuple]:
+        """__call__ on arrays in eval mode with no bias or mask: q_seq attends
+        to past's keys/values (..., heads, Lk, head_dim), then new's if given.
+        Returns the output and the keys/values attended to."""
+        rows = q_seq.shape[:-1]
+        split, key_t = _head_axes(len(rows) + 2)
+        q = self.wq.on_array(q_seq).reshape(rows + self._split_tail).transpose(split)
+        k, v = past
+        if new is not None:
+            heads_shape = new.shape[:-1] + self._split_tail
+            k = np.concatenate([k, self.wk.on_array(new).reshape(heads_shape).transpose(split)], axis=-2)
+            v = np.concatenate([v, self.wv.on_array(new).reshape(heads_shape).transpose(split)], axis=-2)
+        probs = ad.softmax_kernel((q @ k.transpose(key_t)) * self.scale, -1)
+        if self.capture_attention:
+            self.last_attention = probs.copy()
+        out = (probs @ v).transpose(split)
+        return self.wo.on_array(out.reshape(rows + (self.dim,))), (k, v)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import vidcap.autodiff
+import vidcap.decoder
 from vidcap.afs import build_cdf, frame_dissimilarity, select_frames
 from vidcap.cli import main
 from vidcap.video import VideoClip, read_vvid
@@ -362,6 +363,18 @@ def test_caption_command(env, capsys):
     assert set(row) == {"caption", "tokens", "logprob"}
     assert isinstance(row["caption"], str)
     assert row["logprob"] <= 0.0
+
+
+def test_caption_max_len_beyond_the_decoder_positions_exits_2(env, capsys, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("step built")
+
+    # the request is rejected before a step is built, not after 32 steps
+    monkeypatch.setattr(vidcap.decoder.CaptionDecoder, "step_fn", unreachable)
+    video = env["data"] / "videos" / "vid0001.vvid"
+    argv = ["caption", "--ckpt", str(env["ckpt"]), "--video", str(video), "--decode", "greedy", "--max-len", "33"]
+    assert main(argv) == 2
+    assert _one_data_error(capsys) == "data error: max length 33 exceeds 32 decoder positions"
 
 
 def test_evaluate_full_and_partial(env, tmp_path, capsys):

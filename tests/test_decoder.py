@@ -21,6 +21,7 @@ from vidcap.decoder import (
     log_softmax,
     sample_tokens,
 )
+from vidcap.nn import _head_axes
 from vidcap.textproc import EOS_ID
 
 
@@ -188,6 +189,101 @@ def test_cached_step_matches_full_forward():
         clips = [clips[p] for p in parents]
         prefixes = [prefixes[p] + [int(rng.integers(cfg.vocab_size))] for p in parents]
         check(step, clips, parents, prefixes)
+
+
+def _tensor_attention(attn, q_seq, k, v):
+    """Attention.__call__ of the Tensor-op step, from q_seq to precomputed
+    keys/values, in eval mode with no bias or mask."""
+    rows = q_seq.data.shape[:-1]
+    split, key_t = _head_axes(len(rows) + 2)
+    q = ad.transpose(ad.reshape(attn.wq(q_seq), rows + (attn.heads, attn.head_dim)), split)
+    probs = ad.softmax(ad.scale(ad.matmul(q, ad.transpose(k, key_t)), attn.scale), axis=-1)
+    out = ad.transpose(ad.matmul(probs, v), split)
+    return attn.wo(ad.reshape(out, rows + (attn.dim,)))
+
+
+def _tensor_step(dec, semantic, enc_tokens):
+    """step_fn wired through Tensor ops: each layer concatenates its new
+    keys/values to the cached ones with ad.concat and attends through the
+    tape ops, gathering keys/values exactly where step_fn gathers them.
+    Kept as step_fn's bitwise oracle."""
+    cfg = dec.cfg
+    clip_count = semantic.shape[0]
+    sos = dec.embed_with_semantic_sos(semantic, np.zeros((clip_count, 0))).data[:, 0]
+    cross = [tuple(Tensor(t.data) for t in layer.cross_attn.keys_values(enc_tokens)) for layer in dec.layers]
+    kv = []
+
+    def step(rows):
+        clips, parents, tokens = rows
+        count, n = tokens.shape
+        if n:
+            x = ad.add(dec.tok_emb(tokens[:, -1]), dec.pos_emb(np.full(count, n)))
+        else:
+            x = Tensor(sos[clips])
+        x = ad.reshape(x, (count, 1, cfg.hidden))
+        gather_cross = not np.array_equal(clips, np.arange(clip_count))
+        gather_self = n and not np.array_equal(parents, np.arange(len(kv[0][0])))
+        for i, layer in enumerate(dec.layers):
+            if n:
+                past = tuple(Tensor(t[parents] if gather_self else t) for t in kv[i])
+            else:
+                past = (Tensor(np.zeros((count, cfg.heads, 0, cfg.hidden // cfg.heads))),) * 2
+            cross_kv = tuple(Tensor(t.data[clips]) for t in cross[i]) if gather_cross else cross[i]
+            a = layer.ln1(x)
+            k, v = layer.self_attn.keys_values(a)
+            k, v = ad.concat([past[0], k], axis=2), ad.concat([past[1], v], axis=2)
+            x = ad.add(x, _tensor_attention(layer.self_attn, a, k, v))
+            x = ad.add(x, _tensor_attention(layer.cross_attn, layer.ln2(x), *cross_kv))
+            x = ad.add(x, layer.fc2(ad.gelu(layer.fc1(layer.ln3(x)))))
+            kv[i:i + 1] = [(k.data, v.data)]
+        return log_softmax(dec.out_proj(dec.final_norm(x)).data[:, -1])
+
+    return step
+
+
+def test_array_step_is_bitwise_the_tensor_step():
+    dec, cfg, sem, enc = _desk_inputs(19)
+    rng = np.random.default_rng(20)
+    sem = Tensor(np.concatenate([sem.data, rng.random((1, cfg.concept_dim))]))
+    enc = Tensor(np.concatenate([enc.data, rng.normal(size=(1, 24, cfg.hidden))]))
+    for mixed in (False, True):
+        ours, theirs = dec.step_fn(sem, enc), _tensor_step(dec, sem, enc)
+        clips, parents, prefixes = [0, 1], [0, 1], [[], []]
+        for n in range(21):
+            if n:
+                kind = n % 3 if mixed else 0
+                if kind == 0:
+                    parents = np.arange(len(prefixes))
+                elif kind == 1:
+                    parents = rng.permutation(len(prefixes))
+                else:
+                    parents = rng.integers(0, len(prefixes), size=int(rng.integers(1, 6)))
+                clips = [clips[p] for p in parents]
+                prefixes = [prefixes[p] + [int(rng.integers(cfg.vocab_size))] for p in parents]
+            rows = _rows(prefixes, clips, parents)
+            got, want = ours(rows), theirs(rows)
+            assert got.shape == want.shape == (len(prefixes), cfg.vocab_size)
+            assert (got == want).all(), (mixed, n)
+
+
+def test_step_enforces_extending_the_latest_call_by_one_token():
+    dec, cfg = _small_decoder()
+    step = dec.step_fn(Tensor(np.zeros((1, cfg.concept_dim))), Tensor(np.ones((1, 3, cfg.hidden))))
+    with pytest.raises(ValueError, match="length 2 must extend .* made no call"):
+        step(_rows([[1, 2]]))
+    step(_rows([[]]))
+    with pytest.raises(ValueError, match="length 3 must extend .* was at length 0"):
+        step(_rows([[1, 2, 3]]))
+    step(_rows([[1], [2]], clips=[0, 0], parents=[0, 0]))
+    for parents in ([2], [0, -1], [5, 1, 0]):
+        bad = [p for p in parents if not 0 <= p < 2]
+        with pytest.raises(ValueError, match=rf"parent rows \[{', '.join(map(str, bad))}\] .* had 2"):
+            step(_rows([[1, 1]] * len(parents), clips=[0] * len(parents), parents=parents))
+    with pytest.raises(ValueError, match="out of range"):
+        step(_rows([[1, -1]], clips=[0], parents=[0]))
+    # a rejected call leaves the latest call in place, and empty prefixes start over
+    assert step(_rows([[1, 1], [2, 1]], clips=[0, 0], parents=[1, 0])).shape == (2, cfg.vocab_size)
+    assert step(_rows([[]])).shape == (1, cfg.vocab_size)
 
 
 def test_step_rejects_mixed_lengths_and_overlong_prefixes():

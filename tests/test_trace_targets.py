@@ -67,6 +67,28 @@ def test_traced_spans_fire_in_one_caption():
         assert name in recorded, name
 
 
+def test_decoder_forward_spans_count_the_rows_of_each_step():
+    # decoder.positions_per_caption.* sums the positions of these spans
+    tracing = runpy.run_path(str(TRACING))
+    vocab = build_vocab(["a red ball moves left"])
+    model = CaptionModel(EncoderConfig(concept_count=8), DecoderConfig(vocab_size=len(vocab), concept_dim=8))
+    clip = VideoClip(np.random.default_rng(0).random((12, 16, 16, 3)))
+    for request, want in (
+        (GenerationRequest(strategy="greedy", max_len=3), [1, 1, 1]),
+        (GenerationRequest(strategy="beam", beam_width=2, max_len=3), [1, 2, 2]),
+    ):
+        tracer = tracing["Tracer"]()
+        patches = tracing["Patches"](tracer)
+        patches.install()
+        try:
+            tracer.on = True
+            vidcap.evaluate.caption_video(model, vocab, clip, request)
+        finally:
+            patches.restore()
+        got = [span["attrs"]["positions"] for span in tracer.spans if span["name"] == "decoder.forward"]
+        assert got == want, request.strategy
+
+
 def test_metric_spans_fire_in_one_report():
     tracing = runpy.run_path(str(TRACING))
     tracer = tracing["Tracer"]()

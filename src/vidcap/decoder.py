@@ -16,9 +16,10 @@ computes each layer's cross-attention keys/values once per clip, and a
 step maps R rows, each a clip id, the row of the previous call it
 extends and a token prefix (an (R, n) matrix), to next-token
 log-probabilities, running one new position per row on the cached
-self-attention keys/values of its parent row.  The step runs on plain
-arrays, without Tensors or a tape: each layer's step method calls the
-same autodiff kernels, in the same order, as its teacher-forced call.
+self-attention keys/values of its parent row.  The step and its setup
+run on plain arrays, without Tensors or a tape: each layer's step method
+calls the same autodiff kernels, in the same order, as its teacher-forced
+call.
 One length-synchronous search serves every strategy, holding the live
 hypotheses of all clips as arrays and advancing every clip by one
 length per step call; the strategies differ only in how continuations
@@ -61,6 +62,8 @@ class DecoderConfig:
             raise ValueError(f"decoder heads must be at least 1, got {self.heads}")
         if self.hidden % self.heads:
             raise ValueError("hidden width must divide into heads")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"decoder dropout must be in [0, 1), got {self.dropout}")
 
     @classmethod
     def paper(cls, vocab_size: int = 30522) -> "DecoderConfig":
@@ -153,16 +156,17 @@ class CaptionDecoder(Module):
             x = layer(x, enc_tokens, causal, rng, training)
         return self.out_proj(self.final_norm(x))
 
-    def step_fn(self, semantic: Tensor, enc_tokens: Tensor) -> "StepFn":
+    def step_fn(self, semantic, enc_tokens) -> "StepFn":
         """Next-token log-probabilities (R, V) in eval mode for R rows over
-        N clips: semantic is (N, concept_dim) and enc_tokens (N, t, dim).
-        A call takes one (clips, parents, tokens) triple: the clip id of
-        each row (R,), the row of the latest call each row extends (R,),
-        unused when the prefixes are empty (which starts over), and the (R,
-        n) token prefixes, one token longer than the latest call's.  Each
-        layer's cross-attention keys/values are computed here, once per
-        clip; the latest call's rows keep their self-attention keys/values,
-        so every call runs one new position per row."""
+        N clips: semantic is (N, concept_dim) and enc_tokens (N, t, dim),
+        arrays or Tensors.  A call takes one (clips, parents, tokens)
+        triple: the clip id in [0, N) of each row (R,), the row of the
+        latest call each row extends (R,), unused when the prefixes are
+        empty (which starts over), and the (R, n) token prefixes, one token
+        longer than the latest call's.  Each layer's cross-attention
+        keys/values are computed here, once per clip; the latest call's rows
+        keep their self-attention keys/values, so every call runs one new
+        position per row."""
         return _CachedStep(self, semantic, enc_tokens)
 
 
@@ -173,10 +177,15 @@ class _CachedStep:
     """The step returned by CaptionDecoder.step_fn.  Holds no reference
     back to itself, so dropping it frees its cache without the cyclic GC."""
 
-    def __init__(self, decoder: CaptionDecoder, semantic: Tensor, enc_tokens: Tensor):
+    def __init__(self, decoder: CaptionDecoder, semantic, enc_tokens):
+        semantic, enc_tokens = (t.data if isinstance(t, Tensor) else t for t in (semantic, enc_tokens))
+        if len(semantic) != len(enc_tokens):
+            raise ValueError(f"{len(semantic)} concept vectors for {len(enc_tokens)} clips")
         self.decoder = decoder
-        self.sos = decoder.embed_with_semantic_sos(semantic, np.zeros((semantic.shape[0], 0))).data[:, 0]
-        self.cross_kv = [tuple(t.data for t in layer.cross_attn.keys_values(enc_tokens)) for layer in decoder.layers]
+        # embed_with_semantic_sos at length 0
+        sem = semantic if decoder.adapter is None else decoder.adapter.on_array(semantic)
+        self.sos = sem + decoder.pos_emb.table.data[0]
+        self.cross_kv = [layer.cross_attn.keys_values(enc_tokens) for layer in decoder.layers]
         # per layer the latest call's self-attention (k, v), each (rows, heads, n + 1, head_dim)
         self.kv: list[tuple[np.ndarray, np.ndarray]] = []
         self.length = None  # the latest call's prefix length
@@ -186,15 +195,14 @@ class _CachedStep:
         dec, cfg = self.decoder, self.decoder.cfg
         count, n = tokens.shape
         dec._check_positions(n + 1)
+        _refuse_outside(clips, len(self.sos), "clip ids {} are not clips of this step, which has {}")
         if n:
             if n - 1 != self.length:
                 had = "made no call" if self.length is None else f"was at length {self.length}"
                 raise ValueError(f"prefixes of length {n} must extend the latest call's by one token; it {had}")
             latest = len(self.kv[0][0])
-            bad = parents[(parents < 0) | (parents >= latest)]
-            if len(bad):
-                raise ValueError(f"parent rows {bad.tolist()} are not rows of the latest call, which had {latest}")
-            x = dec.tok_emb(tokens[:, -1]).data + dec.pos_emb.table.data[n]  # the lookup checks the ids
+            _refuse_outside(parents, latest, "parent rows {} are not rows of the latest call, which had {}")
+            x = dec.tok_emb.on_array(tokens[:, -1]) + dec.pos_emb.table.data[n]  # the lookup checks the ids
         else:
             x = self.sos[clips]
         # rows that are the clips, or the previous rows, in order attend to
@@ -216,6 +224,12 @@ class _CachedStep:
         self.kv = [kv for kv, _ in caches]
         self.length = n
         return log_softmax(logits)
+
+
+def _refuse_outside(ids: np.ndarray, size: int, message: str) -> None:
+    bad = ids[(ids < 0) | (ids >= size)]
+    if len(bad):
+        raise ValueError(message.format(bad.tolist(), size))
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:

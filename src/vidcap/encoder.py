@@ -22,6 +22,12 @@ slice, so a block moves tokens with one ad.take into windows and one
 back; a merge is the take into (1, 2, 2) windows and the patch partition a
 np.take into patch-sized ones.  Only WindowAttention refuses a window
 larger than its grid.
+
+In eval mode with no tape active the encoder runs on plain arrays: each
+layer's call takes an array to an array through the same autodiff kernels,
+in the same order, as its Tensor call, which training and any taped call
+keep; the tokens are bitwise the same either way.  ConceptHead.logits
+likewise takes arrays or Tensors.
 """
 
 from __future__ import annotations
@@ -66,6 +72,9 @@ class EncoderConfig:
                 raise ValueError(f"encoder {name} must be three positive integers, got {list(sizes)}")
         if any(h < 1 for h in self.heads):
             raise ValueError(f"encoder heads must be positive, got {list(self.heads)}")
+        for name in ("hidden_dropout", "attn_dropout"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"encoder {name} must be in [0, 1), got {getattr(self, name)}")
         if len(self.depths) != len(self.heads):
             raise ValueError("depths and heads must pair up stage by stage")
         if any(d < 1 for d in self.depths):
@@ -172,12 +181,18 @@ class WindowAttention(Attention):
         b = ad.transpose(ad.take(self.bias_table, self.relative_index, 0), (2, 0, 1))
         return ad.broadcast_to(b, lead + b.data.shape)
 
-    def __call__(self, grid: Tensor, shift, rng, training: bool) -> Tensor:
-        """(B, t, h, w, dim) grids in and out, windows shifted by shift."""
-        b, *dims, c = grid.data.shape
+    def __call__(self, grid, shift, rng, training: bool):
+        """(B, t, h, w, dim) grids in and out, windows shifted by shift;
+        an array grid runs in eval mode on arrays."""
+        b, *dims, c = grid.shape
         if any(w > d for w, d in zip(self.window, dims)):
             raise ValueError(f"window {self.window} larger than grid {tuple(dims)}")
         slots, back, mask = window_layout(tuple(dims), self.window, shift)
+        if isinstance(grid, np.ndarray):
+            windows = np.take(grid.reshape(b, -1, c), slots, 1)
+            bias = self.bias_table.data[self.relative_index].transpose(2, 0, 1)
+            out = self.step(windows, None, self.keys_values(windows), bias, mask)[0]
+            return np.take(out.reshape(b, -1, c), back, 1)
         windows = ad.take(ad.reshape(grid, (b, -1, c)), slots, 1)
         out = super().__call__(windows, windows, self._bias((b, len(slots))), mask, rng, training)
         return ad.take(ad.reshape(out, (b, -1, c)), back, 1)
@@ -195,9 +210,12 @@ class WindowBlock(Module):
         self.fc2 = Linear(rng, dim * cfg.mlp_ratio, dim)
         self.hidden_dropout = cfg.hidden_dropout
 
-    def __call__(self, x: Tensor, shifted: bool, rng, training: bool) -> Tensor:
-        """(B, t, h, w, C) grids in and out."""
-        shift = shift_amounts(x.data.shape[1:4], self.attn.window, shifted)
+    def __call__(self, x, shifted: bool, rng, training: bool):
+        """(B, t, h, w, C) grids in and out, arrays in eval mode or Tensors."""
+        shift = shift_amounts(x.shape[1:4], self.attn.window, shifted)
+        if isinstance(x, np.ndarray):
+            x = x + self.attn(self.ln1.on_array(x), shift, rng, training)
+            return x + self.fc2.on_array(ad.gelu_kernel(self.fc1.on_array(self.ln2.on_array(x)))[0])
         h = self.attn(self.ln1(x), shift, rng, training)
         x = ad.add(x, ad.dropout(h, self.hidden_dropout, rng, training))
 
@@ -211,7 +229,7 @@ class Stage(Module):
     def __init__(self, rng, dim: int, heads: int, depth: int, cfg: EncoderConfig):
         self.blocks = [WindowBlock(rng, dim, heads, cfg) for _ in range(depth)]
 
-    def __call__(self, x: Tensor, rng, training: bool) -> Tensor:
+    def __call__(self, x, rng, training: bool):
         for i, block in enumerate(self.blocks):
             x = block(x, shifted=(i % 2 == 1), rng=rng, training=training)
         return x
@@ -227,11 +245,15 @@ class PatchMerge(Module):
         self.norm = LayerNorm(4 * dim, eps)
         self.reduce = Linear(rng, 4 * dim, 2 * dim, bias=False)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        b, t, h, w, c = x.data.shape
+    def __call__(self, x):
+        """Arrays in eval mode, or Tensors."""
+        b, t, h, w, c = x.shape
         slots = window_layout((t, h, w), (1, 2, 2), (0, 0, 0))[0]
-        x = ad.take(ad.reshape(x, (b, -1, c)), slots, 1)
-        x = ad.reshape(x, (b, t, (h + 1) // 2, (w + 1) // 2, 4 * c))
+        merged = (b, t, (h + 1) // 2, (w + 1) // 2, 4 * c)
+        if isinstance(x, np.ndarray):
+            x = np.take(x.reshape(b, -1, c), slots, 1).reshape(merged)
+            return self.reduce.on_array(self.norm.on_array(x))
+        x = ad.reshape(ad.take(ad.reshape(x, (b, -1, c)), slots, 1), merged)
         return self.reduce(self.norm(x))
 
 
@@ -253,9 +275,10 @@ class VideoEncoder(Module):
         self.final_norm = LayerNorm(final_width, cfg.layer_norm_eps)
         self.out_proj = Linear(rng, final_width, cfg.token_dim)
 
-    def partition(self, clips: Sequence[VideoClip]) -> Tensor:
-        """(B, t, h, w, embed_dim) patch tokens of B equally shaped clips, cut
-        by window_layout, which edge-replicates trailing frames, rows and columns."""
+    def _patches(self, clips: Sequence[VideoClip]) -> np.ndarray:
+        """(B, t, h, w, patch volume * C) float64 patches of B equally shaped
+        clips, cut by window_layout, which edge-replicates trailing frames,
+        rows and columns."""
         if len({clip.data.shape for clip in clips}) != 1:
             raise ValueError("an encoder call takes one or more clips of one shape")
         data = np.stack([clip.data for clip in clips])
@@ -264,15 +287,25 @@ class VideoEncoder(Module):
             raise ValueError(f"clip has {c} channels, config expects {self.cfg.in_channels}")
         slots = window_layout(tuple(dims), self.cfg.patch, (0, 0, 0))[0]
         grid = [-(-d // p) for d, p in zip(dims, self.cfg.patch)]
-        return self.patch_proj(Tensor(np.take(data.reshape(b, -1, c), slots, axis=1).reshape(b, *grid, -1)))
+        return np.asarray(np.take(data.reshape(b, -1, c), slots, axis=1).reshape(b, *grid, -1), dtype=np.float64)
+
+    def partition(self, clips: Sequence[VideoClip]) -> Tensor:
+        """(B, t, h, w, embed_dim) patch tokens of B equally shaped clips."""
+        return self.patch_proj(Tensor(self._patches(clips)))
 
     def __call__(self, clips: Sequence[VideoClip], rng=None, training: bool = False) -> Tensor:
-        """Tokens (B, t, token_dim) for B clips of one shape."""
-        x = self.partition(clips)
+        """Tokens (B, t, token_dim) for B clips of one shape; in eval mode
+        with no tape active, computed on arrays."""
+        if training or ad.tape_active():
+            x = self.partition(clips)
+        else:
+            x = self.patch_proj.on_array(self._patches(clips))
         for s, stage in enumerate(self.stages):
             x = stage(x, rng, training)
             if s < len(self.merges):
                 x = self.merges[s](x)
+        if isinstance(x, np.ndarray):
+            return Tensor(self.out_proj.on_array(self.final_norm.on_array(x).mean(axis=3).mean(axis=2)))
         x = self.final_norm(x)
         x = ad.mean_reduce(x, axis=3)
         x = ad.mean_reduce(x, axis=2)
@@ -296,8 +329,12 @@ class ConceptHead(Module):
         self.fc3 = Linear(rng, h2, cfg.concept_count)
         self.dropout_rate = 0.1
 
-    def logits(self, tokens: Tensor, rng=None, training: bool = False) -> Tensor:
-        """(B, t, token_dim) tokens -> (B, concept_count) logits."""
+    def logits(self, tokens, rng=None, training: bool = False):
+        """(B, t, token_dim) tokens -> (B, concept_count) logits; arrays in
+        eval mode, or Tensors."""
+        if isinstance(tokens, np.ndarray):
+            h = np.maximum(self.fc1.on_array(tokens), 0.0).max(axis=1)
+            return self.fc3.on_array(np.maximum(self.fc2.on_array(h), 0.0))
         h = ad.relu(self.fc1(tokens))
         h = ad.dropout(h, self.dropout_rate, rng, training)
         pooled = ad.max_reduce(h, axis=1)

@@ -28,7 +28,9 @@ from .video import read_vvid
 # clips per encoder call, and the selected clips the reader may queue
 # ahead of the encoder.  Four share most of the per-call overhead; at
 # 32x32 an encoder call holds about 0.9 MB of activations per clip, so
-# larger chunks mostly raise peak memory.
+# larger chunks mostly raise peak memory.  With the array encoder, chunks
+# of 8 and 16 measured slower: the benchmark's evaluate_corpus read 298/291
+# and 281/287 clips per normalized second against 336/324 with 4 (two seeds).
 ENCODE_CHUNK = 4
 
 

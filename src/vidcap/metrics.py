@@ -90,15 +90,17 @@ def bleu4_corpus(table: ScoringTable) -> float:
 
 
 def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
-    if not a or not b:
-        return 0
-    prev = [0] * (len(b) + 1)
+    """Length of the longest common subsequence, bit-parallel (Allison and
+    Dix 1986, in Hyyro's 2004 form): bit j of v is 0 where the LCS of the
+    tokens of a read so far and b[:j + 1] is one longer than with b[:j]."""
+    match: dict[str, int] = {}
+    for j, y in enumerate(b):
+        match[y] = match.get(y, 0) | 1 << j
+    full = v = (1 << len(b)) - 1
     for x in a:
-        cur = [0] * (len(b) + 1)
-        for j, y in enumerate(b, 1):
-            cur[j] = prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1])
-        prev = cur
-    return prev[-1]
+        u = v & match.get(x, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
 
 
 def rouge_l(table: ScoringTable, beta: float = 1.2) -> float:
@@ -152,12 +154,11 @@ def cider_d(table: ScoringTable, sigma: float = 6.0) -> float:
             np_norm = float(np.sqrt(sum(v * v for v in vp.values())))
             sims = []
             for penalty, rc in zip(penalties, ref_counts):
-                vr = {g: cnt * idf[g] for g, cnt in rc.items()}
-                nr = float(np.sqrt(sum(v * v for v in vr.values())))
+                nr = float(np.sqrt(sum(v * v for v in (cnt * idf[g] for g, cnt in rc.items()))))
                 if np_norm == 0.0 or nr == 0.0:
                     cos = 0.0
                 else:
-                    dot = sum(v * vr[g] for g, v in vp.items() if g in vr)
+                    dot = sum(v * (rc[g] * idf[g]) for g, v in vp.items() if g in rc)
                     cos = dot / (np_norm * nr)
                 sims.append(penalty * cos)
             per_n.append(float(np.mean(sims)))

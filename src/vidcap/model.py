@@ -44,14 +44,17 @@ class CaptionModel(Module):
         return dict(self.named_parameters())
 
     def video_tokens(self, clips: Sequence[VideoClip]) -> Tensor:
-        """(B, t, token_dim) tokens for B clips of one shape."""
+        """(B, t, token_dim) tokens for B clips of one shape; in eval mode
+        with no tape active, an array computed on arrays, wrapped once."""
         return self.encoder(clips, rng=self.dropout_rng, training=self.training)
 
-    def concept_logits(self, tokens: Tensor) -> Tensor:
+    def concept_logits(self, tokens):
+        """Logits of (B, t, token_dim) tokens: arrays in eval mode, or Tensors."""
         return self.concept_head.logits(tokens, rng=self.dropout_rng, training=self.training)
 
-    def concept_probs(self, tokens: Tensor) -> Tensor:
-        return ad.sigmoid(self.concept_logits(tokens))
+    def concept_probs(self, tokens):
+        logits = self.concept_logits(tokens)
+        return ad.sigmoid_kernel(logits) if isinstance(logits, np.ndarray) else ad.sigmoid(logits)
 
     def caption_logits(self, semantic: Tensor, token_ids, enc_tokens: Tensor) -> Tensor:
         """(B, n + 1, V) teacher-forced logits for B rows of n input ids."""
@@ -72,8 +75,7 @@ class CaptionModel(Module):
         if request.max_len > self.dec_cfg.max_positions:
             raise ValueError(f"max length {request.max_len} exceeds {self.dec_cfg.max_positions} decoder positions")
         with self._eval_mode():
-            enc_tokens = Tensor(tokens)
-            step = self.decoder.step_fn(self.concept_probs(enc_tokens), enc_tokens)
+            step = self.decoder.step_fn(self.concept_probs(tokens), tokens)
             return generate(step, request, clips=len(tokens))
 
     def generate_for_clip(self, clip: VideoClip, request: GenerationRequest) -> Hypothesis:

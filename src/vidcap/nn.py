@@ -9,8 +9,9 @@ x0, x1 and so on.  These dotted names (encoder.stage0.block1.attn.wq.weight)
 are the checkpoint format, so a renamed attribute is a checkpoint format
 change; sorted, they are also the order of training's flat parameter vector.
 
-Linear, LayerNorm and Attention also run in eval mode on plain arrays for
-the decoder's step (on_array, Attention.step), through the same kernels.
+Linear, LayerNorm, Embedding and Attention also run in eval mode on plain
+arrays (on_array, Attention.step), through the same kernels, for the
+encoder's tape-free forward and the decoder's step.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ class Linear(Module):
         return ad.linear(x, self.weight, self.bias)
 
     def on_array(self, x: np.ndarray) -> np.ndarray:
-        return ad.linear_kernel(x, self.weight.data, self.bias.data)
+        return ad.linear_kernel(x, self.weight.data, None if self.bias is None else self.bias.data)
 
 
 class LayerNorm(Module):
@@ -75,6 +76,9 @@ class Embedding(Module):
 
     def __call__(self, ids) -> Tensor:
         return ad.embedding(self.table, ids)
+
+    def on_array(self, ids) -> np.ndarray:
+        return self.table.data[ad.checked_index(ids, len(self.table.data))]
 
 
 @lru_cache(maxsize=None)
@@ -113,11 +117,14 @@ class Attention(Module):
         self.capture_attention = False
         self.last_attention: np.ndarray | None = None
 
-    def keys_values(self, kv_seq: Tensor) -> tuple[Tensor, Tensor]:
-        """Head-split keys and values of kv_seq, each (..., heads, Lk, head_dim)."""
-        shape = kv_seq.data.shape
+    def keys_values(self, kv_seq):
+        """Head-split keys and values of kv_seq, each (..., heads, Lk,
+        head_dim): Tensors for a Tensor, arrays for an array."""
+        shape = kv_seq.shape
         split = _head_axes(len(shape) + 1)[0]
         heads_shape = shape[:-1] + self._split_tail
+        if isinstance(kv_seq, np.ndarray):
+            return tuple(w.on_array(kv_seq).reshape(heads_shape).transpose(split) for w in (self.wk, self.wv))
         k = ad.transpose(ad.reshape(self.wk(kv_seq), heads_shape), split)
         v = ad.transpose(ad.reshape(self.wv(kv_seq), heads_shape), split)
         return k, v
@@ -141,19 +148,27 @@ class Attention(Module):
         out = ad.transpose(ad.matmul(probs, v), split)
         return self.wo(ad.reshape(out, rows + (self.dim,)))
 
-    def step(self, q_seq: np.ndarray, new: np.ndarray | None, past: tuple) -> tuple[np.ndarray, tuple]:
-        """__call__ on arrays in eval mode with no bias or mask: q_seq attends
-        to past's keys/values (..., heads, Lk, head_dim), then new's if given.
-        Returns the output and the keys/values attended to."""
+    def step(
+        self, q_seq: np.ndarray, new: np.ndarray | None, past: tuple,
+        bias: np.ndarray | None = None, mask: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, tuple]:
+        """__call__ on arrays in eval mode: q_seq attends to past's
+        keys/values (..., heads, Lk, head_dim), then new's if given, with an
+        optional bias array that broadcasts to the scores and mask as in
+        __call__.  Returns the output and the keys/values attended to."""
         rows = q_seq.shape[:-1]
         split, key_t = _head_axes(len(rows) + 2)
         q = self.wq.on_array(q_seq).reshape(rows + self._split_tail).transpose(split)
         k, v = past
         if new is not None:
-            heads_shape = new.shape[:-1] + self._split_tail
-            k = np.concatenate([k, self.wk.on_array(new).reshape(heads_shape).transpose(split)], axis=-2)
-            v = np.concatenate([v, self.wv.on_array(new).reshape(heads_shape).transpose(split)], axis=-2)
-        probs = ad.softmax_kernel((q @ k.transpose(key_t)) * self.scale, -1)
+            k, v = (np.concatenate([old, extra], axis=-2) for old, extra in zip(past, self.keys_values(new)))
+        scores = q @ k.transpose(key_t)
+        scores *= self.scale
+        if bias is not None:
+            scores += bias
+        if mask is not None:
+            scores += mask[..., None, :, :]
+        probs = ad.softmax_kernel(scores, -1)
         if self.capture_attention:
             self.last_attention = probs.copy()
         out = (probs @ v).transpose(split)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from vidcap import autodiff as ad
-from vidcap.autodiff import Tape, Tensor, backward
+from vidcap.autodiff import NumericError, Tape, Tensor, backward
 
 H = 1e-5
 TOL = 1e-4
@@ -536,3 +536,27 @@ def test_softmax_is_bitwise_the_oracle(shape):
             out, _ = _kernel(lambda a: ad.softmax(a, axis=axis), [x])
             assert np.array_equal(out, _softmax_oracle(x, axis))
         assert np.array_equal(x, before)
+
+
+ROW_MAX_SHAPES = [(3, 4, 1, 11), (4, 2, 8, 8), (8, 8, 2, 8, 8), (4, 32, 2, 8, 8), (64, 16), (128, 16)]
+
+
+@pytest.mark.parametrize("shape", ROW_MAX_SHAPES)
+def test_row_max_is_numpys_max_on_both_sides_of_the_cut(shape):
+    # without zeros the maxima are equal bit for bit, with them equal as
+    # values: the sign of a zero maximum may differ, and the softmax output
+    # stays bitwise the oracle's
+    assert {np.prod(s) >= ad._ROW_MAX_CUT for s in ROW_MAX_SHAPES} == {False, True}
+    for i, x in enumerate(_inputs(shape, 24)):
+        for axis in (-1, 0, x.ndim - 2):
+            want = np.maximum.reduce(x, axis, keepdims=True)
+            got = ad.row_max(x, axis)
+            assert got.shape == want.shape and np.array_equal(got, want), (i, axis)
+            if i == 0:
+                assert got.tobytes() == want.tobytes()
+            assert ad.softmax_kernel(x, axis).tobytes() == _softmax_oracle(x, axis).tobytes()
+    for bad in (np.nan, np.inf, -np.inf):
+        x = np.zeros(shape)
+        x.flat[-1] = bad
+        with pytest.raises(NumericError):
+            ad.softmax_kernel(x, -1)

@@ -126,6 +126,9 @@ def test_missing_and_invalid_inputs_exit_2(env, tmp_path, capsys):
         ({"lr": "x"}, "training config key 'lr' must be a number"),
         ({"decoder": "big"}, "config must be 'desk', 'paper' or a field table, got 'big'"),
         ({"decoder": {"hidden": 16, "heads": 2}}, "decoder hidden 16 must match encoder token_dim 32"),
+        # eval mode never runs dropout, so only the config refuses a bad rate
+        ({"encoder": {**SMALL_ENCODER, "attn_dropout": 1.5}}, "encoder attn_dropout must be in [0, 1), got 1.5"),
+        ({"decoder": {"dropout": -0.1}}, "decoder dropout must be in [0, 1), got -0.1"),
     ],
 )
 def test_bad_train_config_exits_2_before_training(env, tmp_path, capsys, config, message):

@@ -286,6 +286,23 @@ def test_step_enforces_extending_the_latest_call_by_one_token():
     assert step(_rows([[]])).shape == (1, cfg.vocab_size)
 
 
+def test_step_rejects_clip_ids_outside_its_clips():
+    dec, cfg = _small_decoder()
+    r = np.random.default_rng(5)
+    step = dec.step_fn(r.random((2, cfg.concept_dim)), r.normal(size=(2, 3, cfg.hidden)))
+    for clips in ([-1], [2], [0, 3, 1, -2]):
+        bad = [c for c in clips if not 0 <= c < 2]
+        with pytest.raises(ValueError, match=rf"clip ids \[{', '.join(map(str, bad))}\] .* has 2"):
+            step(_rows([[]] * len(clips), clips=clips))
+    assert step(_rows([[], []], clips=[1, 0])).shape == (2, cfg.vocab_size)
+    with pytest.raises(ValueError, match=r"clip ids \[-1\]"):
+        step(_rows([[4], [4]], clips=[1, -1], parents=[0, 1]))
+    assert step(_rows([[4], [4]], clips=[1, 0], parents=[0, 1])).shape == (2, cfg.vocab_size)
+    # N is one count: as many concept vectors as clips
+    with pytest.raises(ValueError, match="3 concept vectors for 2 clips"):
+        dec.step_fn(r.random((3, cfg.concept_dim)), r.normal(size=(2, 3, cfg.hidden)))
+
+
 def test_step_rejects_mixed_lengths_and_overlong_prefixes():
     dec, cfg = _small_decoder(max_positions=4)
     step = dec.step_fn(Tensor(np.zeros((1, cfg.concept_dim))), Tensor(np.ones((1, 3, cfg.hidden))))

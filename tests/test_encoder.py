@@ -538,3 +538,47 @@ def test_gradcheck_through_window_block():
         numeric = (up - down) / (2 * h)
         denom = max(1.0, abs(analytic), abs(numeric))
         assert abs(analytic - numeric) / denom < 1e-4, name
+
+
+# grids after the patch partition: (4, 4, 4) is a window multiple, (5, 5, 3)
+# and (3, 7, 5) are edge-padded with odd sides, before and after the merge
+ARRAY_CLIPS = [(8, 16, 16, 3), (10, 20, 12, 3), (6, 27, 17, 3)]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("shape", ARRAY_CLIPS)
+def test_array_encoder_is_bitwise_the_tensor_path(shape, batch, dtype):
+    # eval mode with no tape runs on arrays; an active tape takes the
+    # Tensor path, which must record and give the same bits
+    rng = np.random.default_rng(60)
+    enc = VideoEncoder(EncoderConfig(), rng)
+    head = ConceptHead(EncoderConfig(), rng)
+    attns = [block.attn for stage in enc.stages for block in stage.blocks]
+    clips = [VideoClip(rng.random(shape).astype(dtype)) for _ in range(batch)]
+    for attn in attns:
+        attn.capture_attention = True
+    got = enc(clips).data
+    got_attention = [attn.last_attention for attn in attns]
+    with Tape() as tape:
+        want = enc(clips).data
+    assert tape.nodes
+    assert got.shape == (batch, -(-shape[0] // 2), 32)
+    assert np.array_equal(got, want)
+    for attn, array_attention in zip(attns, got_attention):
+        assert np.array_equal(array_attention, attn.last_attention)
+    assert np.array_equal(head.logits(got), head.logits(Tensor(got)).data)
+
+
+@pytest.mark.parametrize("dims", [(4, 4, 4), (5, 5, 3), (3, 7, 5)])
+def test_array_block_and_merge_are_bitwise_the_tensor_layers(dims):
+    cfg = EncoderConfig()
+    rng = np.random.default_rng(61)
+    block, merge = WindowBlock(rng, 16, 2, cfg), PatchMerge(rng, 16, cfg.layer_norm_eps)
+    for batch in (1, 3):
+        x = rng.normal(size=(batch, *dims, 16))
+        for shifted in (False, True):
+            y = block(x, shifted, None, False)
+            assert type(y) is np.ndarray
+            assert np.array_equal(y, block(Tensor(x), shifted, None, False).data), (batch, shifted)
+        assert np.array_equal(merge(x), merge(Tensor(x)).data), batch

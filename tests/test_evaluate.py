@@ -10,15 +10,17 @@ import threading
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from vidcap import autodiff as ad
 from vidcap import evaluate
 from vidcap.decoder import CaptionDecoder, DecoderConfig, GenerationRequest
 from vidcap.encoder import EncoderConfig, VideoEncoder
 from vidcap.model import CaptionModel
 from vidcap.synth import SyntheticSpec, generate_synthetic_dataset
 from vidcap.textproc import EOS_ID, PosTagger, build_concept_vocabulary, build_vocab, load_corpus
-from vidcap.training import load_checkpoint, save_checkpoint
+from vidcap.training import load_checkpoint, save_checkpoint, token_cache
 from vidcap.video import VideoClip, read_vvid, write_vvid
 
 MAX_LEN = 6
@@ -321,3 +323,19 @@ def test_report_json_bytes_are_pinned(uniform, tmp_path):
     evaluate.evaluate_checkpoint(tmp_path / "ckpt", data / "corpus.jsonl", REQUESTS["greedy"], out_dir=tmp_path / "out")
     want = (Path(__file__).parent / "data" / "eval_report.json").read_bytes()
     assert (tmp_path / "out" / "report.json").read_bytes() == want
+
+
+def test_eval_mode_encoding_and_captioning_record_no_op(monkeypatch):
+    # eval mode with no tape runs on arrays end to end: no op is recorded
+    vocab = build_vocab(["a red ball moves left", "the blue cube moves up"])
+    model = CaptionModel(EncoderConfig(concept_count=8), DecoderConfig(vocab_size=len(vocab), concept_dim=8), seed=4)
+    rng = np.random.default_rng(62)
+    clips = [VideoClip(rng.random((12, 16, 16, 3))) for _ in range(3)]
+
+    def refuse(*args):
+        raise AssertionError("an eval-mode call reached the tape")
+
+    monkeypatch.setattr(ad, "_record", refuse)
+    assert token_cache(model, clips, 2).shape == (3, 6, 32)
+    for request in REQUESTS.values():
+        assert len(evaluate.caption_video(model, vocab, clips[0], request)[1]) <= MAX_LEN

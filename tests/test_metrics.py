@@ -491,3 +491,28 @@ def test_report_json_text_is_unchanged():
         '"pos_histogram": [["DET-NOUN-VERB", 2], ["", 1]], "pos_distinct": 2, '
         '"counts": {"items": 3, "references": 4}}'
     )
+
+
+def _lcs_dp(a, b):
+    """The dynamic-programming LCS length, the bit-parallel one's oracle."""
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        cur = [0] * (len(b) + 1)
+        for j, y in enumerate(b, 1):
+            cur[j] = prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1])
+        prev = cur
+    return prev[-1]
+
+
+def test_bit_parallel_lcs_equals_the_dp_oracle():
+    # small vocabularies repeat tokens; lengths from 0 give empty sides;
+    # lengths past 64 take the bit vector beyond one machine word
+    rng = np.random.default_rng(25)
+    pairs = 0
+    for vocab, longest, count in [(1, 4, 2000), (2, 8, 6000), (3, 12, 6000), (8, 16, 6000), (5, 90, 200)]:
+        words = [f"w{i}" for i in range(vocab)]
+        for _ in range(count):
+            a, b = ([words[i] for i in rng.integers(0, vocab, size=rng.integers(0, longest + 1))] for _ in range(2))
+            assert _lcs_length(a, b) == _lcs_dp(a, b), (a, b)
+            pairs += 1
+    assert pairs >= 20000

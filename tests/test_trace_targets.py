@@ -11,11 +11,13 @@ import runpy
 from pathlib import Path
 
 import numpy as np
+from test_evaluate import REQUESTS, _checkpoint
 
 import vidcap.evaluate
 from vidcap.decoder import DecoderConfig, GenerationRequest
 from vidcap.encoder import EncoderConfig
 from vidcap.model import CaptionModel
+from vidcap.synth import SyntheticSpec, generate_synthetic_dataset
 from vidcap.textproc import build_vocab
 from vidcap.video import VideoClip
 
@@ -64,6 +66,24 @@ def test_traced_spans_fire_in_one_caption():
         "decoder.step",
         "caption",
     ):
+        assert name in recorded, name
+
+
+def test_traced_spans_fire_in_one_evaluation(tmp_path):
+    # evaluate_checkpoint encodes on its main thread while a worker reads ahead
+    tracing = runpy.run_path(str(TRACING))
+    tracer = tracing["Tracer"]()
+    patches = tracing["Patches"](tracer)
+    records = generate_synthetic_dataset(SyntheticSpec(videos=3, frames=12, height=16, width=16, seed=8), tmp_path)
+    _checkpoint(records, tmp_path / "ckpt", eos_bias=0.0)
+    patches.install()
+    try:
+        tracer.on = True
+        vidcap.evaluate.evaluate_checkpoint(tmp_path / "ckpt", tmp_path / "corpus.jsonl", REQUESTS["greedy"])
+    finally:
+        patches.restore()
+    recorded = {span["name"] for span in tracer.spans}
+    for name in ("encoder.forward", "encoder.window_block", "encoder.patch_merge", "encoder.concept_head"):
         assert name in recorded, name
 
 

@@ -195,13 +195,14 @@ def select_frames(cdf: FrameCdf, n: int, dedupe: bool = False) -> Selection:
     if not dedupe:
         return Selection(indices=indices)
 
-    chosen = sorted(set(indices))
+    distinct = set(indices)
+    chosen = sorted(distinct)
     if len(chosen) < n:
         pdf = cdf.pdf
         mass = np.zeros(cdf.m)
         mass[:-1] += pdf
         mass[1:] += pdf
-        pool = [i for i in range(cdf.m) if i not in set(chosen)]
+        pool = [i for i in range(cdf.m) if i not in distinct]
         pool.sort(key=lambda i: (-mass[i], i))
         for idx in pool:
             if len(chosen) >= n:

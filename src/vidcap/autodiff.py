@@ -8,15 +8,17 @@ functions run as ordinary numpy code (inference mode): _record wraps the
 output at once and nothing is recorded, so a tape-free op returns a Tensor
 with requires_grad False and its closure is dropped unrun.
 
-The forward kernels of linear, gelu, sigmoid, softmax and layer_norm are
-array functions (*_kernel), called by the ops and by the eval-mode array
-paths of the encoder and the decoder's step alike; tape_active() tells a
-caller whether it may take those paths.  Kernels may compute in place
-(``out=``, ``*=``) to save temporaries, as long as each step keeps the
-operands and order of operations of the plain formula, so the bits do not
-change.  They never write into an op's input, into an incoming gradient
-(one array may be the gradient of two inputs), or into an array that a
-backward closure still reads.
+Layers write each forward once, in numpy spelling: Tensor records +, * by
+a number, @, reshape, transpose, mean and take, and gelu, relu, sigmoid,
+softmax, concat and max_reduce hand a plain array to numpy or to the op's
+forward kernel (*_kernel).  So an eval-mode array runs a taped call's
+lines and gets its bits; tape_active() tells an entry point which type to
+feed in.  An array and a Tensor in one expression raise TypeError.
+Kernels may compute in place (``out=``, ``*=``) to save temporaries, as
+long as each step keeps the operands and order of operations of the plain
+formula, so the bits do not change.  They never write into an op's
+input, into an incoming gradient (one array may be the gradient of two
+inputs), or into an array that a backward closure still reads.
 
 Broadcasting in binary ops is deliberately restricted: shapes must match
 exactly, or one operand must be a single element.  Any other expansion has
@@ -69,6 +71,9 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
+    # ndarray (op) Tensor raises TypeError instead of building an object array
+    __array_ufunc__ = None
+
 
 class NumericError(ValueError):
     """A non-finite value where the computation needs a finite one."""
@@ -76,6 +81,11 @@ class NumericError(ValueError):
 
 def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def array_of(x) -> np.ndarray:
+    """A Tensor's data, or an array as it is."""
+    return x.data if isinstance(x, Tensor) else x
 
 
 class _Node:
@@ -249,6 +259,9 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
+    if isinstance(a, np.ndarray):
+        return np.maximum(a, 0.0)
+
     def bwd(g):
         return (g * (a.data > 0),)
 
@@ -276,6 +289,8 @@ def gelu_kernel(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def gelu(a: Tensor) -> Tensor:
+    if isinstance(a, np.ndarray):
+        return gelu_kernel(a)[0]
     x = a.data
     out, t = gelu_kernel(x)
 
@@ -307,6 +322,8 @@ def sigmoid_kernel(z: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(a: Tensor) -> Tensor:
+    if isinstance(a, np.ndarray):
+        return sigmoid_kernel(a)
     s = sigmoid_kernel(a.data)
 
     def bwd(g):
@@ -350,6 +367,8 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     ts = tuple(tensors)
     if not ts:
         raise ValueError("concat of zero tensors")
+    if isinstance(ts[0], np.ndarray):
+        return np.concatenate(ts, axis=axis)
 
     def bwd(g):
         splits = np.cumsum([t.data.shape[axis] for t in ts])[:-1]
@@ -428,6 +447,8 @@ def mean_reduce(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
 
 def max_reduce(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
     """Max over one axis; ties route the gradient to the first maximum."""
+    if isinstance(a, np.ndarray):
+        return a.max(axis=axis, keepdims=keepdims)
     idx = np.argmax(a.data, axis=axis)
 
     def bwd(g):
@@ -466,6 +487,12 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator | None, training: b
     return _record("dropout", (a,), a.data * keep, bwd)
 
 
+# numpy spelling of the ops, so one layer body serves arrays and Tensors;
+# on a Tensor, `t += u` and `t *= c` rebind t to the recorded result
+Tensor.__add__, Tensor.__mul__, Tensor.__matmul__ = add, scale, matmul
+Tensor.reshape, Tensor.transpose, Tensor.mean, Tensor.take = reshape, transpose, mean_reduce, take
+
+
 # ---------------------------------------------------------------------------
 # fused numerically-sensitive ops
 
@@ -499,6 +526,8 @@ def softmax_kernel(x: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
+    if isinstance(a, np.ndarray):
+        return softmax_kernel(a, axis)
     y = softmax_kernel(a.data, axis)
 
     def bwd(g):

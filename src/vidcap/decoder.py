@@ -17,9 +17,8 @@ step maps R rows, each a clip id, the row of the previous call it
 extends and a token prefix (an (R, n) matrix), to next-token
 log-probabilities, running one new position per row on the cached
 self-attention keys/values of its parent row.  The step and its setup
-run on plain arrays, without Tensors or a tape: each layer's step method
-calls the same autodiff kernels, in the same order, as its teacher-forced
-call.
+feed plain arrays, without Tensors or a tape, through the layers' one
+forward, which the teacher-forced call feeds Tensors.
 One length-synchronous search serves every strategy, holding the live
 hypotheses of all clips as arrays and advancing every clip by one
 length per step call; the strategies differ only in how continuations
@@ -90,23 +89,20 @@ class _DecoderLayer(Module):
         self.fc2 = Linear(rng, d * cfg.mlp_ratio, d)
         self.dropout = cfg.dropout
 
-    def __call__(self, x: Tensor, enc: Tensor, causal: np.ndarray | None, rng, training: bool) -> Tensor:
+    def __call__(self, x, enc, causal: np.ndarray | None, rng, training: bool, cache: list | None = None):
+        """With a cache [self_kv, cross_kv], x follows the prefix whose
+        keys/values are self_kv, which the call extends; enc is unused."""
         a = self.ln1(x)
-        x = ad.add(x, self.self_attn(a, a, None, causal, rng, training))
-        x = ad.add(x, self.cross_attn(self.ln2(x), enc, None, None, rng, training))
+        self_kv = cross_kv = None
+        if cache is not None:
+            (past_k, past_v), cross_kv = cache
+            k, v = self.self_attn.keys_values(a)
+            cache[0] = self_kv = (ad.concat([past_k, k], axis=2), ad.concat([past_v, v], axis=2))
+        x = x + self.self_attn(a, a, None, causal, rng, training, self_kv)
+        x = x + self.cross_attn(self.ln2(x), enc, None, None, rng, training, cross_kv)
         h = self.fc1(self.ln3(x))
         h = ad.dropout(ad.gelu(h), self.dropout, rng, training)
-        return ad.add(x, self.fc2(h))
-
-    def step(self, x: np.ndarray, past: tuple, cross_kv: tuple) -> tuple[np.ndarray, tuple]:
-        """__call__ on arrays in eval mode for one new position per row after
-        its self-attention keys/values past; returns the output and the new past."""
-        a = self.ln1.on_array(x)
-        h, kv = self.self_attn.step(a, a, past)
-        x = x + h
-        x = x + self.cross_attn.step(self.ln2.on_array(x), None, cross_kv)[0]
-        h = ad.gelu_kernel(self.fc1.on_array(self.ln3.on_array(x)))[0]
-        return x + self.fc2.on_array(h), kv
+        return x + self.fc2(h)
 
 
 class CaptionDecoder(Module):
@@ -138,22 +134,20 @@ class CaptionDecoder(Module):
         if length > self.cfg.max_positions:
             raise ValueError(f"sequence of {length} exceeds {self.cfg.max_positions} positions")
 
-    def __call__(self, hidden, enc_tokens: Tensor | None, rng=None, training: bool = False, cache: list | None = None):
+    def __call__(self, hidden, enc_tokens, rng=None, training: bool = False, cache: list | None = None):
         """Logits (B, L, V) for every position of B embedded sequences
         (B, L, hidden) attending to their clips' tokens (B, t, dim); or, with
-        a cache of one [self_kv, cross_kv] array pair per layer, the logits
-        array (R, 1, V) for the array (R, 1, hidden) of R new positions after
-        their cached prefixes; each layer's self_kv becomes its extension."""
-        if cache is not None:
-            x = hidden
-            for layer, layer_cache in zip(self.layers, cache):
-                x, layer_cache[0] = layer.step(x, *layer_cache)
-            return self.out_proj.on_array(self.final_norm.on_array(x))
-        length = hidden.shape[1]
-        causal = np.triu(np.full((length, length), NEG_INF), k=1)
+        a cache of one [self_kv, cross_kv] pair per layer (enc_tokens is
+        then unused), the logits (R, 1, V) for R new positions (R, 1,
+        hidden) after their cached prefixes; each layer extends its self_kv."""
+        causal = None
+        if cache is None:
+            length = hidden.shape[1]
+            causal = np.triu(np.full((length, length), NEG_INF), k=1)
+            cache = [None] * len(self.layers)
         x = hidden
-        for layer in self.layers:
-            x = layer(x, enc_tokens, causal, rng, training)
+        for layer, layer_cache in zip(self.layers, cache):
+            x = layer(x, enc_tokens, causal, rng, training, layer_cache)
         return self.out_proj(self.final_norm(x))
 
     def step_fn(self, semantic, enc_tokens) -> "StepFn":
@@ -178,12 +172,12 @@ class _CachedStep:
     back to itself, so dropping it frees its cache without the cyclic GC."""
 
     def __init__(self, decoder: CaptionDecoder, semantic, enc_tokens):
-        semantic, enc_tokens = (t.data if isinstance(t, Tensor) else t for t in (semantic, enc_tokens))
+        semantic, enc_tokens = ad.array_of(semantic), ad.array_of(enc_tokens)
         if len(semantic) != len(enc_tokens):
             raise ValueError(f"{len(semantic)} concept vectors for {len(enc_tokens)} clips")
         self.decoder = decoder
         # embed_with_semantic_sos at length 0
-        sem = semantic if decoder.adapter is None else decoder.adapter.on_array(semantic)
+        sem = semantic if decoder.adapter is None else decoder.adapter(semantic)
         self.sos = sem + decoder.pos_emb.table.data[0]
         self.cross_kv = [layer.cross_attn.keys_values(enc_tokens) for layer in decoder.layers]
         # per layer the latest call's self-attention (k, v), each (rows, heads, n + 1, head_dim)
@@ -202,7 +196,8 @@ class _CachedStep:
                 raise ValueError(f"prefixes of length {n} must extend the latest call's by one token; it {had}")
             latest = len(self.kv[0][0])
             _refuse_outside(parents, latest, "parent rows {} are not rows of the latest call, which had {}")
-            x = dec.tok_emb.on_array(tokens[:, -1]) + dec.pos_emb.table.data[n]  # the lookup checks the ids
+            ids = ad.checked_index(tokens[:, -1], cfg.vocab_size)
+            x = dec.tok_emb.table.data[ids] + dec.pos_emb.table.data[n]
         else:
             x = self.sos[clips]
         # rows that are the clips, or the previous rows, in order attend to

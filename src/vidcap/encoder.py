@@ -23,11 +23,10 @@ back; a merge is the take into (1, 2, 2) windows and the patch partition a
 np.take into patch-sized ones.  Only WindowAttention refuses a window
 larger than its grid.
 
-In eval mode with no tape active the encoder runs on plain arrays: each
-layer's call takes an array to an array through the same autodiff kernels,
-in the same order, as its Tensor call, which training and any taped call
-keep; the tokens are bitwise the same either way.  ConceptHead.logits
-likewise takes arrays or Tensors.
+In eval mode with no tape active the encoder feeds plain arrays through
+the layers, which training and any taped call feed Tensors; each layer's
+one forward runs either, so the tokens are bitwise the same.
+ConceptHead.logits likewise takes arrays or Tensors.
 """
 
 from __future__ import annotations
@@ -182,20 +181,18 @@ class WindowAttention(Attention):
         return ad.broadcast_to(b, lead + b.data.shape)
 
     def __call__(self, grid, shift, rng, training: bool):
-        """(B, t, h, w, dim) grids in and out, windows shifted by shift;
-        an array grid runs in eval mode on arrays."""
+        """(B, t, h, w, dim) grids in and out, windows shifted by shift."""
         b, *dims, c = grid.shape
         if any(w > d for w, d in zip(self.window, dims)):
             raise ValueError(f"window {self.window} larger than grid {tuple(dims)}")
         slots, back, mask = window_layout(tuple(dims), self.window, shift)
-        if isinstance(grid, np.ndarray):
-            windows = np.take(grid.reshape(b, -1, c), slots, 1)
+        windows = grid.reshape((b, -1, c)).take(slots, 1)
+        if isinstance(windows, np.ndarray):  # the (heads, n, n) bias broadcasts
             bias = self.bias_table.data[self.relative_index].transpose(2, 0, 1)
-            out = self.step(windows, None, self.keys_values(windows), bias, mask)[0]
-            return np.take(out.reshape(b, -1, c), back, 1)
-        windows = ad.take(ad.reshape(grid, (b, -1, c)), slots, 1)
-        out = super().__call__(windows, windows, self._bias((b, len(slots))), mask, rng, training)
-        return ad.take(ad.reshape(out, (b, -1, c)), back, 1)
+        else:
+            bias = self._bias((b, len(slots)))
+        out = super().__call__(windows, windows, bias, mask, rng, training)
+        return out.reshape((b, -1, c)).take(back, 1)
 
 
 class WindowBlock(Module):
@@ -211,16 +208,12 @@ class WindowBlock(Module):
         self.hidden_dropout = cfg.hidden_dropout
 
     def __call__(self, x, shifted: bool, rng, training: bool):
-        """(B, t, h, w, C) grids in and out, arrays in eval mode or Tensors."""
+        """(B, t, h, w, C) grids in and out."""
         shift = shift_amounts(x.shape[1:4], self.attn.window, shifted)
-        if isinstance(x, np.ndarray):
-            x = x + self.attn(self.ln1.on_array(x), shift, rng, training)
-            return x + self.fc2.on_array(ad.gelu_kernel(self.fc1.on_array(self.ln2.on_array(x)))[0])
         h = self.attn(self.ln1(x), shift, rng, training)
-        x = ad.add(x, ad.dropout(h, self.hidden_dropout, rng, training))
-
+        x = x + ad.dropout(h, self.hidden_dropout, rng, training)
         m = self.fc2(ad.gelu(self.fc1(self.ln2(x))))
-        return ad.add(x, ad.dropout(m, self.hidden_dropout, rng, training))
+        return x + ad.dropout(m, self.hidden_dropout, rng, training)
 
 
 class Stage(Module):
@@ -246,14 +239,9 @@ class PatchMerge(Module):
         self.reduce = Linear(rng, 4 * dim, 2 * dim, bias=False)
 
     def __call__(self, x):
-        """Arrays in eval mode, or Tensors."""
         b, t, h, w, c = x.shape
         slots = window_layout((t, h, w), (1, 2, 2), (0, 0, 0))[0]
-        merged = (b, t, (h + 1) // 2, (w + 1) // 2, 4 * c)
-        if isinstance(x, np.ndarray):
-            x = np.take(x.reshape(b, -1, c), slots, 1).reshape(merged)
-            return self.reduce.on_array(self.norm.on_array(x))
-        x = ad.reshape(ad.take(ad.reshape(x, (b, -1, c)), slots, 1), merged)
+        x = x.reshape((b, -1, c)).take(slots, 1).reshape((b, t, (h + 1) // 2, (w + 1) // 2, 4 * c))
         return self.reduce(self.norm(x))
 
 
@@ -295,21 +283,15 @@ class VideoEncoder(Module):
 
     def __call__(self, clips: Sequence[VideoClip], rng=None, training: bool = False) -> Tensor:
         """Tokens (B, t, token_dim) for B clips of one shape; in eval mode
-        with no tape active, computed on arrays."""
-        if training or ad.tape_active():
-            x = self.partition(clips)
-        else:
-            x = self.patch_proj.on_array(self._patches(clips))
+        with no tape active, computed on arrays and wrapped once."""
+        taped = training or ad.tape_active()
+        x = self.partition(clips) if taped else self.patch_proj(self._patches(clips))
         for s, stage in enumerate(self.stages):
             x = stage(x, rng, training)
             if s < len(self.merges):
                 x = self.merges[s](x)
-        if isinstance(x, np.ndarray):
-            return Tensor(self.out_proj.on_array(self.final_norm.on_array(x).mean(axis=3).mean(axis=2)))
-        x = self.final_norm(x)
-        x = ad.mean_reduce(x, axis=3)
-        x = ad.mean_reduce(x, axis=2)
-        return self.out_proj(x)
+        x = self.out_proj(self.final_norm(x).mean(3).mean(2))
+        return x if taped else Tensor(x)
 
 
 class ConceptHead(Module):
@@ -332,9 +314,6 @@ class ConceptHead(Module):
     def logits(self, tokens, rng=None, training: bool = False):
         """(B, t, token_dim) tokens -> (B, concept_count) logits; arrays in
         eval mode, or Tensors."""
-        if isinstance(tokens, np.ndarray):
-            h = np.maximum(self.fc1.on_array(tokens), 0.0).max(axis=1)
-            return self.fc3.on_array(np.maximum(self.fc2.on_array(h), 0.0))
         h = ad.relu(self.fc1(tokens))
         h = ad.dropout(h, self.dropout_rate, rng, training)
         pooled = ad.max_reduce(h, axis=1)

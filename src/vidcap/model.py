@@ -53,8 +53,7 @@ class CaptionModel(Module):
         return self.concept_head.logits(tokens, rng=self.dropout_rng, training=self.training)
 
     def concept_probs(self, tokens):
-        logits = self.concept_logits(tokens)
-        return ad.sigmoid_kernel(logits) if isinstance(logits, np.ndarray) else ad.sigmoid(logits)
+        return ad.sigmoid(self.concept_logits(tokens))
 
     def caption_logits(self, semantic: Tensor, token_ids, enc_tokens: Tensor) -> Tensor:
         """(B, n + 1, V) teacher-forced logits for B rows of n input ids."""

@@ -9,9 +9,10 @@ x0, x1 and so on.  These dotted names (encoder.stage0.block1.attn.wq.weight)
 are the checkpoint format, so a renamed attribute is a checkpoint format
 change; sorted, they are also the order of training's flat parameter vector.
 
-Linear, LayerNorm, Embedding and Attention also run in eval mode on plain
-arrays (on_array, Attention.step), through the same kernels, for the
-encoder's tape-free forward and the decoder's step.
+Each layer's forward is written once: handed plain arrays in eval mode,
+Linear and LayerNorm call the forward kernel of their op and every other
+line runs as numpy, so the encoder's tape-free forward and the decoder's
+step run the same code as a taped call, with the same bits.
 """
 
 from __future__ import annotations
@@ -50,11 +51,10 @@ class Linear(Module):
         self.weight = normal_param(rng, (in_dim, out_dim))
         self.bias = Tensor(np.zeros(out_dim), requires_grad=True) if bias else None
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, x):
+        if isinstance(x, np.ndarray):
+            return ad.linear_kernel(x, self.weight.data, None if self.bias is None else self.bias.data)
         return ad.linear(x, self.weight, self.bias)
-
-    def on_array(self, x: np.ndarray) -> np.ndarray:
-        return ad.linear_kernel(x, self.weight.data, None if self.bias is None else self.bias.data)
 
 
 class LayerNorm(Module):
@@ -63,11 +63,10 @@ class LayerNorm(Module):
         self.beta = Tensor(np.zeros(dim), requires_grad=True)
         self.eps = eps
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, x):
+        if isinstance(x, np.ndarray):
+            return ad.layer_norm_kernel(x, self.gamma.data, self.beta.data, self.eps)[0]
         return ad.layer_norm(x, self.gamma, self.beta, self.eps)
-
-    def on_array(self, x: np.ndarray) -> np.ndarray:
-        return ad.layer_norm_kernel(x, self.gamma.data, self.beta.data, self.eps)[0]
 
 
 class Embedding(Module):
@@ -76,9 +75,6 @@ class Embedding(Module):
 
     def __call__(self, ids) -> Tensor:
         return ad.embedding(self.table, ids)
-
-    def on_array(self, ids) -> np.ndarray:
-        return self.table.data[ad.checked_index(ids, len(self.table.data))]
 
 
 @lru_cache(maxsize=None)
@@ -93,9 +89,10 @@ def _head_axes(ndim: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 class Attention(Module):
     """Multi-head attention from a query sequence to a key/value sequence.
 
-    Inputs are (..., L, dim): any leading axes (batch, windows) index
-    independent sequences.  bias is an optional additive Tensor of the
-    score shape (..., heads, Lq, Lk); mask is an optional additive array
+    Inputs are (..., L, dim) Tensors, or arrays in eval mode: any leading
+    axes (batch, windows) index independent sequences.  bias is an
+    optional additive term of the score shape (..., heads, Lq, Lk), which
+    an array may reach by broadcasting; mask is an optional additive array
     that broadcasts to (..., Lq, Lk), shared by all heads.  With
     capture_attention set, last_attention keeps a copy of the
     post-softmax, pre-dropout weights of the latest call.
@@ -118,58 +115,31 @@ class Attention(Module):
         self.last_attention: np.ndarray | None = None
 
     def keys_values(self, kv_seq):
-        """Head-split keys and values of kv_seq, each (..., heads, Lk,
-        head_dim): Tensors for a Tensor, arrays for an array."""
+        """Head-split keys and values of kv_seq, each (..., heads, Lk, head_dim)."""
         shape = kv_seq.shape
         split = _head_axes(len(shape) + 1)[0]
         heads_shape = shape[:-1] + self._split_tail
-        if isinstance(kv_seq, np.ndarray):
-            return tuple(w.on_array(kv_seq).reshape(heads_shape).transpose(split) for w in (self.wk, self.wv))
-        k = ad.transpose(ad.reshape(self.wk(kv_seq), heads_shape), split)
-        v = ad.transpose(ad.reshape(self.wv(kv_seq), heads_shape), split)
-        return k, v
+        return tuple(w(kv_seq).reshape(heads_shape).transpose(split) for w in (self.wk, self.wv))
 
-    def __call__(
-        self, q_seq: Tensor, kv_seq: Tensor, bias: Tensor | None, mask: np.ndarray | None, rng, training: bool
-    ) -> Tensor:
-        rows = q_seq.data.shape[:-1]
-        split, key_t = _head_axes(len(rows) + 2)
-        q = ad.transpose(ad.reshape(self.wq(q_seq), rows + self._split_tail), split)
-        k, v = self.keys_values(kv_seq)
-        scores = ad.scale(ad.matmul(q, ad.transpose(k, key_t)), self.scale)
-        if bias is not None:
-            scores = ad.add(scores, bias)
-        if mask is not None:
-            scores = ad.add(scores, Tensor(np.broadcast_to(mask[..., None, :, :], scores.data.shape)))
-        probs = ad.softmax(scores, axis=-1)
-        if self.capture_attention:
-            self.last_attention = probs.data.copy()
-        probs = ad.dropout(probs, self.dropout, rng, training)
-        out = ad.transpose(ad.matmul(probs, v), split)
-        return self.wo(ad.reshape(out, rows + (self.dim,)))
-
-    def step(
-        self, q_seq: np.ndarray, new: np.ndarray | None, past: tuple,
-        bias: np.ndarray | None = None, mask: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, tuple]:
-        """__call__ on arrays in eval mode: q_seq attends to past's
-        keys/values (..., heads, Lk, head_dim), then new's if given, with an
-        optional bias array that broadcasts to the scores and mask as in
-        __call__.  Returns the output and the keys/values attended to."""
+    def __call__(self, q_seq, kv_seq, bias, mask: np.ndarray | None, rng, training: bool, kv: tuple | None = None):
+        """Attend from q_seq to kv_seq, or to kv, its precomputed
+        keys_values() pair, when one is given."""
         rows = q_seq.shape[:-1]
         split, key_t = _head_axes(len(rows) + 2)
-        q = self.wq.on_array(q_seq).reshape(rows + self._split_tail).transpose(split)
-        k, v = past
-        if new is not None:
-            k, v = (np.concatenate([old, extra], axis=-2) for old, extra in zip(past, self.keys_values(new)))
+        q = self.wq(q_seq).reshape(rows + self._split_tail).transpose(split)
+        k, v = self.keys_values(kv_seq) if kv is None else kv
+        # on a Tensor, += and *= rebind to the recorded op; on the fresh
+        # scores array they run in place
         scores = q @ k.transpose(key_t)
         scores *= self.scale
         if bias is not None:
             scores += bias
         if mask is not None:
-            scores += mask[..., None, :, :]
-        probs = ad.softmax_kernel(scores, -1)
+            mask = mask[..., None, :, :]
+            scores += mask if isinstance(scores, np.ndarray) else Tensor(np.broadcast_to(mask, scores.shape))
+        probs = ad.softmax(scores, axis=-1)
         if self.capture_attention:
-            self.last_attention = probs.copy()
+            self.last_attention = ad.array_of(probs).copy()
+        probs = ad.dropout(probs, self.dropout, rng, training)
         out = (probs @ v).transpose(split)
-        return self.wo.on_array(out.reshape(rows + (self.dim,))), (k, v)
+        return self.wo(out.reshape(rows + (self.dim,)))

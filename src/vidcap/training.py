@@ -67,6 +67,8 @@ class TrainConfig:
             raise ValueError("batch size must be positive, step counts non-negative")
         if self.lambda_bce < 0 or self.lr <= 0 or self.clip_norm <= 0:
             raise ValueError("bad optimizer hyperparameters")
+        if self.max_len < 1:
+            raise ValueError(f"max_len must be at least 1, got {self.max_len}")
 
     def resolve_encoder(self) -> EncoderConfig:
         return _resolve_config(self.encoder, EncoderConfig)
@@ -204,6 +206,10 @@ def train(
     enc_cfg = config.resolve_encoder()
     concepts = build_concept_vocabulary(captions, tagger, enc_cfg.concept_count)
     dec_cfg = config.resolve_decoder(len(vocab), enc_cfg.concept_count)
+    if config.max_len + 1 > dec_cfg.max_positions:
+        # a caption of max_len words, after the concept vector, fills max_len + 1 positions
+        raise ValueError(f"max_len {config.max_len} needs {config.max_len + 1} decoder positions, "
+                         f"more than its {dec_cfg.max_positions}")
     model = CaptionModel(enc_cfg, dec_cfg, seed=config.seed)
 
     samples = _prepare_samples(records, data_root, vocab, concepts, enc_cfg.frames, config.max_len)

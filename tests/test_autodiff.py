@@ -404,6 +404,100 @@ def test_float64_array_is_wrapped_without_a_copy():
     assert type(Tensor(np.float64(2.0)).data) is np.ndarray
 
 
+def _iadd(a, b):
+    a += b
+    return a
+
+
+def _imul(a):
+    a *= 0.5
+    return a
+
+
+TAKE_INDEX = np.array([[2, 0], [2, 1]])
+
+# (numpy spelling, the ad function it stands for, recorded op, input shapes)
+SPELLINGS = [
+    (lambda a, b: a + b, ad.add, "add", [(2, 3), (2, 3)]),
+    (_iadd, ad.add, "add", [(2, 3), (2, 3)]),
+    (lambda a: a * 0.5, lambda a: ad.scale(a, 0.5), "scale", [(2, 3)]),
+    (_imul, lambda a: ad.scale(a, 0.5), "scale", [(2, 3)]),
+    (lambda a, b: a @ b, ad.matmul, "matmul", [(2, 3, 4), (4, 5)]),
+    (lambda a: a.reshape((3, -1)), lambda a: ad.reshape(a, (3, -1)), "reshape", [(2, 3, 2)]),
+    (lambda a: a.transpose((1, 0, 2)), lambda a: ad.transpose(a, (1, 0, 2)), "transpose", [(2, 3, 4)]),
+    (lambda a: a.mean(1), lambda a: ad.mean_reduce(a, 1), "mean", [(2, 3, 4)]),
+    (lambda a: a.take(TAKE_INDEX, 1), lambda a: ad.take(a, TAKE_INDEX, 1), "take", [(2, 3, 4)]),
+]
+
+
+@pytest.mark.parametrize("spelled, op, name, shapes", SPELLINGS)
+def test_tensor_spelling_records_the_op_it_stands_for(spelled, op, name, shapes):
+    rng = np.random.default_rng(8)
+    arrays = [rng.normal(size=shape) for shape in shapes]
+    runs = []
+    for f in (spelled, op):
+        tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        with Tape() as tape:
+            out = f(*tensors)
+            weights = Tensor(np.random.default_rng(9).normal(size=out.shape))
+            grads = backward(ad.sum_reduce(ad.mul(out, weights)), tape)
+        runs.append(([node.op for node in tape.nodes], out.data, [grads[t] for t in tensors]))
+    (ops, out, grads), (want_ops, want_out, want_grads) = runs
+    assert ops == want_ops and ops[0] == name
+    assert np.array_equal(out, want_out)
+    assert all(np.array_equal(g, w) for g, w in zip(grads, want_grads))
+    # the same spelling on arrays is numpy's, with the same values
+    got = spelled(*[a.copy() for a in arrays])
+    assert type(got) is np.ndarray and np.array_equal(got, want_out)
+
+
+def test_an_array_and_a_tensor_do_not_mix():
+    with pytest.raises(TypeError):
+        np.ones(2) + Tensor(np.ones(2))
+    with pytest.raises(TypeError):
+        np.ones((2, 2)) @ Tensor(np.ones((2, 2)))
+
+
+def _layer_forwards():
+    from vidcap.decoder import DecoderConfig, _DecoderLayer
+    from vidcap.encoder import ConceptHead, EncoderConfig, PatchMerge, WindowBlock
+    from vidcap.nn import Attention, LayerNorm, Linear
+
+    rng = np.random.default_rng(10)
+    cfg = EncoderConfig()
+    attn = Attention(rng, 8, 2, qkv_bias=True, dropout=0.0)
+    block, merge = WindowBlock(rng, 16, 2, cfg), PatchMerge(rng, 16, cfg.layer_norm_eps)
+    head = ConceptHead(cfg, rng)
+    dec = _DecoderLayer(rng, DecoderConfig(vocab_size=5, hidden=8, heads=2, dropout=0.0))
+    causal = np.triu(np.full((3, 3), -1e9), k=1)
+    enc = rng.normal(size=(2, 4, 8))
+    return [
+        (Linear(rng, 8, 4), (2, 3, 8)),
+        (Linear(rng, 8, 4, bias=False), (2, 3, 8)),
+        (LayerNorm(8), (2, 3, 8)),
+        (lambda x: attn(x, x, None, causal, None, False), (2, 3, 8)),
+        (lambda x: block(x, True, None, False), (2, 4, 4, 4, 16)),
+        (merge, (2, 2, 4, 4, 16)),
+        (head.logits, (2, 4, cfg.token_dim)),
+        (lambda x: dec(x, enc if isinstance(x, np.ndarray) else Tensor(enc), causal, None, False), (2, 3, 8)),
+    ]
+
+
+@pytest.mark.parametrize("case", range(8))
+def test_layer_forward_on_an_array_returns_an_array(case, monkeypatch):
+    forward, shape = _layer_forwards()[case]
+    x = np.random.default_rng(11).normal(size=shape)
+    want = forward(Tensor(x)).data
+
+    def refuse(*args):
+        raise AssertionError("an array forward reached the tape")
+
+    monkeypatch.setattr(ad, "_record", refuse)
+    got = forward(x)
+    assert type(got) is np.ndarray and got.dtype == np.float64
+    assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize(
     "shape, shifted, nodes", [((2, 4, 4, 4, 16), False, 32), ((2, 4, 4, 4, 16), True, 33), ((1, 3, 5, 5, 16), True, 33)]
 )

@@ -129,6 +129,7 @@ def test_missing_and_invalid_inputs_exit_2(env, tmp_path, capsys):
         # eval mode never runs dropout, so only the config refuses a bad rate
         ({"encoder": {**SMALL_ENCODER, "attn_dropout": 1.5}}, "encoder attn_dropout must be in [0, 1), got 1.5"),
         ({"decoder": {"dropout": -0.1}}, "decoder dropout must be in [0, 1), got -0.1"),
+        ({"max_len": 0}, "max_len must be at least 1, got 0"),
     ],
 )
 def test_bad_train_config_exits_2_before_training(env, tmp_path, capsys, config, message):

@@ -250,6 +250,17 @@ def test_config_validation():
         config_from_table(TrainConfig, {"lr": 0.1, "momentum": 0.9}, "training config")
 
 
+def test_max_len_beyond_the_decoder_positions_is_refused_before_any_sample(dataset, tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a sample was read")
+
+    monkeypatch.setattr(vidcap.training, "read_vvid", refuse)
+    cfg = TrainConfig(encoder=SMALL_ENCODER, decoder={"max_positions": 32}, max_len=40, max_steps=3, pretrain_steps=3)
+    with pytest.raises(ValueError, match="max_len 40 needs 41 decoder positions, more than its 32"):
+        train(cfg, dataset, tmp_path)
+    assert not (tmp_path / "train_log.jsonl").exists()
+
+
 def test_config_resolution():
     cfg = TrainConfig(encoder=SMALL_ENCODER, decoder={"hidden": 16, "heads": 2, "layers": 1})
     enc = cfg.resolve_encoder()

@@ -192,6 +192,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_score(args) -> int:
     refs_by_id = {r.id: r.captions for r in load_corpus(args.refs)}
     preds, refs = [], []
+    first_line: dict = {}
     pred_path = Path(args.preds)
     if not pred_path.exists():
         raise DataError(f"no such file: {pred_path}")
@@ -201,10 +202,15 @@ def _cmd_score(args) -> int:
         row = parse_json(line, pred_path, line_no)
         if not isinstance(row, dict) or "id" not in row or "caption" not in row:
             raise DataError(f"{pred_path}:{line_no}: prediction rows need id and caption")
+        if not isinstance(row["id"], str):
+            raise DataError(f"{pred_path}:{line_no}: id must be a string, got {row['id']!r}")
         if row["id"] not in refs_by_id:
             raise DataError(f"{pred_path}:{line_no}: no references for id {row['id']!r}")
         if not isinstance(row["caption"], str):
             raise DataError(f"{pred_path}:{line_no}: caption must be a string, got {row['caption']!r}")
+        if row["id"] in first_line:
+            raise DataError(f"{pred_path}:{line_no}: id {row['id']!r} repeats line {first_line[row['id']]}")
+        first_line[row["id"]] = line_no
         preds.append(row["caption"])
         refs.append(refs_by_id[row["id"]])
     if not preds:

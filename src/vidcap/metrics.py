@@ -2,19 +2,20 @@
 
 All metrics normalize text through the shared tokenizer.  Quality: corpus
 BLEU-4, ROUGE-L (F-beta over the longest common subsequence), CIDEr-D
-(tf-idf n-gram cosine with count clipping and a Gaussian length penalty);
-these three read one ScoringTable, which tokenizes and counts a report's
-predictions and references once.  Diversity, from raw strings: Self-BLEU
-across the generated set, exact novel/unique percentages, vocabulary
-usage, and a POS pattern histogram.
+(tf-idf n-gram cosine with count clipping and a Gaussian length penalty).
+Diversity: Self-BLEU across the generated set, exact novel/unique
+percentages, vocabulary usage, and a POS pattern histogram.  A report
+builds one ScoringTable, which tokenizes each distinct caption string and
+n-gram counts each prediction and reference once; every metric reads it.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -23,8 +24,11 @@ from .textproc import PosTagger, normalize_and_tokenize
 EPS_PRECISION = 1e-9
 
 
-def _ngrams(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+def _ngrams(tokens: Sequence[str], n: int) -> dict[tuple, int]:
+    counts: dict[tuple, int] = {}
+    for g in zip(*[tokens[k:] for k in range(n)]):
+        counts[g] = counts.get(g, 0) + 1
+    return counts
 
 
 def _closest_ref_length(c: int, ref_lengths: Sequence[int]) -> int:
@@ -32,15 +36,47 @@ def _closest_ref_length(c: int, ref_lengths: Sequence[int]) -> int:
     return min(ref_lengths, key=lambda r: (abs(r - c), r))
 
 
-class ScoringTable:
-    """A report's predictions and references, tokenized and n-gram counted
-    once for BLEU-4, ROUGE-L and CIDEr-D.
+class _Parsed(dict):
+    """Caption string -> (tokens, its n-gram counts for orders 1..4), each
+    distinct string tokenized and counted on first use only."""
 
-    Per item i: pred_tokens[i] and ref_tokens[i] (one token list per
-    reference); per item and order n, pred_counts[i][n - 1] and
-    ref_counts[i][n - 1] (one Counter per reference), and ref_max[i][n - 1],
-    each n-gram's largest count in any one reference.  Every item needs at
-    least one reference.
+    def __missing__(self, text: str) -> tuple[list[str], list[dict[tuple, int]]]:
+        tokens = normalize_and_tokenize(text)
+        parsed = self[text] = (tokens, [_ngrams(tokens, n) for n in range(1, 5)])
+        return parsed
+
+
+class Captions:
+    """A caption list, tokenized and n-gram counted: tokens[j], and
+    counts[n - 1][j] for the n-grams of order n in caption j.  Captions
+    with the same string share one token list and one set of counts, which
+    no metric changes."""
+
+    def __init__(self, texts: Sequence[str], parsed: _Parsed | None = None):
+        parsed = _Parsed() if parsed is None else parsed
+        rows = [parsed[t] for t in texts]
+        self.tokens = [tokens for tokens, _ in rows]
+        self.counts = [[counts[n] for _, counts in rows] for n in range(4)]
+
+
+def _max_counts(counters: Sequence[dict[tuple, int]]) -> dict[tuple, int]:
+    """Each n-gram's largest count in any one of the counters."""
+    best: dict[tuple, int] = {}
+    for counter in counters:
+        for g, cnt in counter.items():
+            if cnt > best.get(g, 0):
+                best[g] = cnt
+    return best
+
+
+class ScoringTable:
+    """A report's predictions and references, each distinct string
+    tokenized and n-gram counted once, for every metric of the report.
+
+    preds is a Captions of the predictions; per item i, refs[i] is a
+    Captions of its references and ref_max[i][n - 1] each n-gram's largest
+    count in any one of them.  parsed holds the tokens and counts of every
+    string seen.  Every item needs at least one reference.
     """
 
     def __init__(self, preds: Sequence[str], refs: Sequence[Sequence[str]]):
@@ -50,13 +86,10 @@ class ScoringTable:
             raise ValueError("empty prediction set")
         if not all(refs):
             raise ValueError("every item needs at least one reference")
-        self.pred_tokens = [normalize_and_tokenize(p) for p in preds]
-        self.ref_tokens = [[normalize_and_tokenize(r) for r in group] for group in refs]
-        self.pred_counts = [[_ngrams(t, n) for n in range(1, 5)] for t in self.pred_tokens]
-        self.ref_counts = [[[_ngrams(r, n) for r in group] for n in range(1, 5)] for group in self.ref_tokens]
-        self.ref_max = [
-            [{g: top[0] for g, top in _top_counts(per_n).items()} for per_n in item] for item in self.ref_counts
-        ]
+        self.parsed = _Parsed()
+        self.preds = Captions(preds, self.parsed)
+        self.refs = [Captions(group, self.parsed) for group in refs]
+        self.ref_max = [[_max_counts(per_n) for per_n in item.counts] for item in self.refs]
 
 
 def bleu4_corpus(table: ScoringTable) -> float:
@@ -72,9 +105,10 @@ def bleu4_corpus(table: ScoringTable) -> float:
     totals = [0] * 4
     c_total = 0
     r_total = 0
-    for ptoks, rtoks, pcs, maxes in zip(table.pred_tokens, table.ref_tokens, table.pred_counts, table.ref_max):
+    preds = table.preds
+    for ptoks, pcs, item, maxes in zip(preds.tokens, zip(*preds.counts), table.refs, table.ref_max):
         c_total += len(ptoks)
-        r_total += _closest_ref_length(len(ptoks), [len(r) for r in rtoks])
+        r_total += _closest_ref_length(len(ptoks), [len(r) for r in item.tokens])
         for k, (pc, best) in enumerate(zip(pcs, maxes)):
             if not pc:
                 continue
@@ -107,9 +141,9 @@ def rouge_l(table: ScoringTable, beta: float = 1.2) -> float:
     """Mean over items of the best F-beta LCS score against any reference,
     on a 0-100 scale.  Empty predictions score zero for their item."""
     scores = []
-    for ptoks, group in zip(table.pred_tokens, table.ref_tokens):
+    for ptoks, item in zip(table.preds.tokens, table.refs):
         best = 0.0
-        for rtoks in group:
+        for rtoks in item.tokens:
             lcs = _lcs_length(ptoks, rtoks)
             if lcs == 0 or not ptoks or not rtoks:
                 continue
@@ -124,49 +158,51 @@ def rouge_l(table: ScoringTable, beta: float = 1.2) -> float:
 def cider_d(table: ScoringTable, sigma: float = 6.0) -> float:
     """CIDEr-D on a 0-10 scale.
 
-    Document frequencies come from the reference sets (floored at one
-    document), idf is ln(M/df).  Per n-gram order, the candidate counts
-    are clipped to the largest count in that item's references before the
-    tf-idf cosine against each reference; each reference similarity is
-    damped by a Gaussian penalty on the length difference, then averaged
-    over references and n-gram orders and scaled by 10.
+    Document frequencies come from the reference sets, idf is ln(M/df).
+    Per n-gram order, the candidate counts are clipped to the largest
+    count in that item's references before the tf-idf cosine against each
+    reference; each reference similarity is damped by a Gaussian penalty
+    on the length difference, then averaged over references and n-gram
+    orders and scaled by 10.
     """
-    m = len(table.ref_tokens)
+    m = len(table.refs)
     # an item's reference set is one document: its n-grams are ref_max's keys
-    dfs: list[Counter] = [Counter() for _ in range(4)]
-    for maxes in table.ref_max:
-        for df, best in zip(dfs, maxes):
-            df.update(best.keys())
+    dfs = [Counter(g for maxes in table.ref_max for g in maxes[n]) for n in range(4)]
+    idfs = [dict(zip(df, np.log(m / np.fromiter(df.values(), float, len(df))).tolist())) for df in dfs]
 
-    # an n-gram no reference holds counts as one document
-    unseen = float(np.log(m / 1))
-    idfs = [{g: float(np.log(m / max(df, 1))) for g, df in per_n.items()} for per_n in dfs]
+    # items grouped by reference count k: item ids, (4, k) cosines, lengths
+    groups: dict[int, tuple[list, list, list, list]] = {}
+    pred_counts = table.preds.counts
+    for i, (ptoks, item, maxes) in enumerate(zip(table.preds.tokens, table.refs, table.ref_max)):
+        cosines = []
+        for idf, per_n, ref_counts, best in zip(idfs, pred_counts, item.counts, maxes):
+            # an n-gram no reference holds clips to zero and adds nothing
+            vp = {g: min(cnt, best[g]) * idf[g] for g, cnt in per_n[i].items() if g in best}
+            np_norm = math.sqrt(sum([v * v for v in vp.values()]))
+            row = [0.0] * len(ref_counts)
+            if np_norm != 0.0:
+                for j, rc in enumerate(ref_counts):
+                    vr = {g: cnt * idf[g] for g, cnt in rc.items()}
+                    nr = math.sqrt(sum([v * v for v in vr.values()]))
+                    if nr != 0.0:
+                        row[j] = sum([v * vr[g] for g, v in vp.items() if g in vr]) / (np_norm * nr)
+            cosines.append(row)
+        ids, cos, plens, rlens = groups.setdefault(len(item.tokens), ([], [], [], []))
+        ids.append(i)
+        cos.append(cosines)
+        plens.append(len(ptoks))
+        rlens.append([len(r) for r in item.tokens])
 
-    item_scores = []
-    for ptoks, group, pcs, rcs, maxes in zip(
-        table.pred_tokens, table.ref_tokens, table.pred_counts, table.ref_counts, table.ref_max
-    ):
-        penalties = [float(np.exp(-((len(ptoks) - len(r)) ** 2) / (2.0 * sigma**2))) for r in group]
-        per_n = []
-        for idf, pc, ref_counts, max_ref in zip(idfs, pcs, rcs, maxes):
-            clipped = {g: min(cnt, max_ref.get(g, 0)) for g, cnt in pc.items()}
-            vp = {g: cnt * idf.get(g, unseen) for g, cnt in clipped.items()}
-            np_norm = float(np.sqrt(sum(v * v for v in vp.values())))
-            sims = []
-            for penalty, rc in zip(penalties, ref_counts):
-                nr = float(np.sqrt(sum(v * v for v in (cnt * idf[g] for g, cnt in rc.items()))))
-                if np_norm == 0.0 or nr == 0.0:
-                    cos = 0.0
-                else:
-                    dot = sum(v * (rc[g] * idf[g]) for g, v in vp.items() if g in rc)
-                    cos = dot / (np_norm * nr)
-                sims.append(penalty * cos)
-            per_n.append(float(np.mean(sims)))
-        item_scores.append(10.0 * float(np.mean(per_n)))
+    item_scores = np.empty(m)
+    for k, (ids, cos, plens, rlens) in groups.items():
+        gap = np.array(plens)[:, None] - np.array(rlens)
+        penalties = np.exp(-(gap**2) / (2.0 * sigma**2))
+        sims = np.array(cos) * penalties[:, None, :]
+        item_scores[ids] = 10.0 * sims.mean(axis=2).mean(axis=1)
     return float(np.mean(item_scores))
 
 
-def _top_counts(counters: Sequence[Counter]) -> dict[tuple, tuple[int, int, int]]:
+def _top_counts(counters: Sequence[dict[tuple, int]]) -> dict[tuple, tuple[int, int, int]]:
     """Per n-gram over the counters: (top count, how many counters reach
     it, the largest count below it, 0 if none)."""
     tops: dict[tuple, tuple[int, int, int]] = {}
@@ -182,9 +218,10 @@ def _top_counts(counters: Sequence[Counter]) -> dict[tuple, tuple[int, int, int]
     return tops
 
 
-def self_bleu(preds: Sequence[str]) -> float:
+def self_bleu(preds: Sequence[str] | Captions) -> float:
     """Mean sentence BLEU-4 of each prediction against all the others, on
-    a 0-100 scale.  Needs at least two predictions.
+    a 0-100 scale.  Needs at least two predictions, as strings or as the
+    Captions of a ScoringTable.
 
     Sentence BLEU-4 leaves out the orders a candidate is too short to
     produce; a produced but unmatched order contributes a 1e-9 floor
@@ -193,72 +230,83 @@ def self_bleu(preds: Sequence[str]) -> float:
     other length are lookups in corpus-wide tables (each n-gram's top two
     counts, the sorted lengths), so the whole set costs one pass.
     """
-    toks = [normalize_and_tokenize(p) for p in preds]
+    caps = preds if isinstance(preds, Captions) else Captions(preds)
+    toks = caps.tokens
     if len(toks) < 2:
         raise ValueError("need at least two predictions")
-    counts = [[_ngrams(t, n) for t in toks] for n in range(1, 5)]
-    tops = [_top_counts(per_n) for per_n in counts]
+    tops = [_top_counts(per_n) for per_n in caps.counts]
     lengths = sorted(len(t) for t in toks)
-    scores = []
+    # per nonempty candidate: its index, its precision per order (1 for an
+    # order it cannot produce, whose log adds an exact 0 to the sum), how
+    # many orders it produces, and the brevity penalty's exponent
+    scored, precisions, orders, bp_exps = [], [], [], []
     for i, ptoks in enumerate(toks):
         c = len(ptoks)
         if not c:
-            scores.append(0.0)
             continue
-        logs = []
-        for per_n, top in zip(counts, tops):
+        ps = [1.0] * 4
+        for k, (per_n, top) in enumerate(zip(caps.counts[:c], tops)):
             pc = per_n[i]
-            total = sum(pc.values())
-            if total == 0:
-                continue
             clipped = 0
             for g, cnt in pc.items():
                 most, reach, second = top[g]
                 clipped += min(cnt, most if cnt < most or reach > 1 else second)
-            p = clipped / total
-            logs.append(np.log(p if p > 0.0 else EPS_PRECISION))
+            p = clipped / (c - k)
+            ps[k] = p if p > 0.0 else EPS_PRECISION
         # the other lengths are the sorted lengths less one copy of c; the
         # closest lies next to that copy
         lo = bisect_left(lengths, c)
         others = lengths[max(lo - 1, 0) : lo] + lengths[lo + 1 : lo + 2]
         r = _closest_ref_length(c, others)
-        bp = 1.0 if c > r else float(np.exp(1.0 - r / c))
-        scores.append(bp * float(np.exp(np.mean(logs))))
+        scored.append(i)
+        precisions.append(ps)
+        orders.append(min(c, 4))
+        bp_exps.append(0.0 if c > r else 1.0 - r / c)
+    logs = np.log(np.array(precisions).reshape(-1, 4))
+    # one exp for the geometric means and the brevity penalties; exp(0) = 1
+    geo, bp = np.exp(np.stack([np.add.reduce(logs, axis=1) / np.array(orders, dtype=float), bp_exps]))
+    scores = np.zeros(len(toks))
+    scores[scored] = bp * geo
     return 100.0 * float(np.mean(scores))
 
 
+def _diversity(pred_tokens: Sequence[list[str]], train_tokens: Iterable[list[str]], train_vocab_size: int) -> dict:
+    if train_vocab_size < 1:
+        raise ValueError("training vocabulary size must be positive")
+    if not pred_tokens:
+        return {"novel_pct": 0.0, "unique_pct": 0.0, "vocab_usage_pct": 0.0}
+    preds = [tuple(t) for t in pred_tokens]
+    train_set = {tuple(t) for t in train_tokens}
+    novel = sum(1 for p in preds if p not in train_set)
+    words = {w for p in set(preds) for w in p}
+    return {
+        "novel_pct": 100.0 * novel / len(preds),
+        "unique_pct": 100.0 * len(set(preds)) / len(preds),
+        "vocab_usage_pct": 100.0 * len(words) / train_vocab_size,
+    }
+
+
 def diversity_stats(preds: Sequence[str], train_captions: Sequence[str], train_vocab_size: int) -> dict:
-    """Exact string-level diversity numbers.
+    """Exact diversity numbers over normalized text.
 
     novel_pct: share of predictions whose normalized text never occurs in
     the training captions.  unique_pct: share of distinct predictions.
     vocab_usage_pct: distinct generated words over the training vocabulary
     size.
     """
-    if train_vocab_size < 1:
-        raise ValueError("training vocabulary size must be positive")
-    norm_preds = [" ".join(normalize_and_tokenize(p)) for p in preds]
-    train_set = {" ".join(normalize_and_tokenize(c)) for c in train_captions}
-    if not norm_preds:
-        return {"novel_pct": 0.0, "unique_pct": 0.0, "vocab_usage_pct": 0.0}
-    novel = sum(1 for p in norm_preds if p not in train_set)
-    distinct = len(set(norm_preds))
-    words = {w for p in norm_preds for w in p.split()}
-    return {
-        "novel_pct": 100.0 * novel / len(norm_preds),
-        "unique_pct": 100.0 * distinct / len(norm_preds),
-        "vocab_usage_pct": 100.0 * len(words) / train_vocab_size,
-    }
+    pred_tokens = [normalize_and_tokenize(p) for p in preds]
+    return _diversity(pred_tokens, map(normalize_and_tokenize, train_captions), train_vocab_size)
+
+
+def _pos_histogram(pred_tokens: Sequence[list[str]], tagger: PosTagger) -> list[tuple[str, int]]:
+    counts = Counter("-".join(tagger.tag_tokens(tokens)) for tokens in pred_tokens)
+    return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
 def pos_structure_histogram(preds: Sequence[str], tagger: PosTagger) -> list[tuple[str, int]]:
     """Histogram of tag patterns like 'DET-NOUN-VERB', ordered by
     (count desc, pattern asc)."""
-    counts: dict[str, int] = {}
-    for p in preds:
-        pattern = "-".join(tagger.tag_tokens(normalize_and_tokenize(p)))
-        counts[pattern] = counts.get(pattern, 0) + 1
-    return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    return _pos_histogram([normalize_and_tokenize(p) for p in preds], tagger)
 
 
 @dataclass
@@ -287,10 +335,13 @@ def compute_report(
 ) -> EvalReport:
     table = ScoringTable(preds, refs)
     tagger = tagger or PosTagger.load_default()
-    div = diversity_stats(preds, train_captions, train_vocab_size)
-    hist = pos_structure_histogram(preds, tagger)
+    # train captions that are also references are already tokenized
+    parsed = table.parsed
+    train = (parsed[c][0] if c in parsed else normalize_and_tokenize(c) for c in set(train_captions))
+    div = _diversity(table.preds.tokens, train, train_vocab_size)
+    hist = _pos_histogram(table.preds.tokens, tagger)
     # self-BLEU is undefined below two predictions; report 0 rather than fail
-    sb = self_bleu(preds) if len(preds) >= 2 else 0.0
+    sb = self_bleu(table.preds) if len(preds) >= 2 else 0.0
     return EvalReport(
         bleu4=bleu4_corpus(table),
         rouge_l=rouge_l(table),

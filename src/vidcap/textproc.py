@@ -10,6 +10,7 @@ JSON read from outside (corpus files, config tables) is parsed here too.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass, field, fields
@@ -144,9 +145,9 @@ class PosTagger:
 
     @classmethod
     def load_default(cls) -> "PosTagger":
-        path = resources.files("vidcap").joinpath("data/pos_lexicon.txt")
-        with resources.as_file(path) as p:
-            return cls.from_file(p)
+        """A new tagger on the packaged lexicon, with its own copy of it;
+        the file is read once per process."""
+        return cls(_default_lexicon())
 
     def _is_verb(self, word: str) -> bool:
         return self.lexicon.get(word) == "VERB"
@@ -164,6 +165,13 @@ class PosTagger:
 
     def tag_tokens(self, tokens: Sequence[str]) -> list[str]:
         return [self.tag(t) for t in tokens]
+
+
+@functools.cache
+def _default_lexicon() -> dict[str, str]:
+    path = resources.files("vidcap").joinpath("data/pos_lexicon.txt")
+    with resources.as_file(path) as p:
+        return PosTagger.from_file(p).lexicon
 
 
 def _candidate_verb_stems(word: str) -> list[str]:

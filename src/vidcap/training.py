@@ -327,7 +327,10 @@ def save_checkpoint(ckpt_dir: str | Path, model: CaptionModel, step: int = 0, **
         "params": entries,
         **extra,
     }
-    (ckpt / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    # one top-level key per line, each value compact: any indent would send
+    # json.dumps to its pure-Python encoder
+    lines = ",\n".join(f"  {json.dumps(key)}: {json.dumps(value)}" for key, value in manifest.items())
+    (ckpt / "manifest.json").write_text("{\n" + lines + "\n}\n")
     return ckpt
 
 

@@ -256,6 +256,15 @@ def test_dropout_modes():
         ad.dropout(x, 0.4, None, training=True)
 
 
+def test_eval_mode_dropout_returns_its_input_unchecked():
+    # the configs refuse bad rates when they are built; eval mode only passes through
+    x = Tensor(np.ones((3,)))
+    for rate in (0.4, 1.0, -1.0):
+        assert ad.dropout(x, rate, None, training=False) is x
+    with pytest.raises(ValueError, match="dropout rate"):
+        ad.dropout(x, 1.0, np.random.default_rng(0), training=True)
+
+
 def test_softmax_grad_and_values():
     rng = np.random.default_rng(7)
     x = rng.normal(size=(3, 4)) * 3

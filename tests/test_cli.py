@@ -346,6 +346,27 @@ def test_score_refs_with_a_repeated_id_exits_2(tmp_path, capsys):
     assert _one_data_error(capsys) == f"data error: {refs}:2: id 'a' repeats line 1"
 
 
+@pytest.mark.parametrize("row_id", [["a"], {"a": 1}, 5])
+def test_prediction_id_that_is_not_a_string_exits_2(tmp_path, capsys, row_id):
+    # corpus ids are strings; a list id used to raise TypeError: unhashable type
+    refs = tmp_path / "refs.jsonl"
+    refs.write_text(json.dumps({"id": "5", "video": "v", "captions": ["a red ball"], "split": "test"}) + "\n")
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text(json.dumps({"id": row_id, "caption": "a red ball"}) + "\n")
+    assert main(["score", "--preds", str(preds), "--refs", str(refs)]) == 2
+    assert _one_data_error(capsys) == f"data error: {preds}:1: id must be a string, got {row_id!r}"
+
+
+def test_score_preds_with_a_repeated_id_exits_2(tmp_path, capsys):
+    # a second row for 'a' would otherwise be scored as a second item
+    refs = tmp_path / "refs.jsonl"
+    refs.write_text(json.dumps({"id": "a", "video": "v", "captions": ["a red ball"], "split": "test"}) + "\n")
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text("".join(json.dumps({"id": "a", "caption": caption}) + "\n" for caption in ("a red ball", "a blue cube")))
+    assert main(["score", "--preds", str(preds), "--refs", str(refs)]) == 2
+    assert _one_data_error(capsys) == f"data error: {preds}:2: id 'a' repeats line 1"
+
+
 def test_build_vocab(env, tmp_path, capsys):
     out = tmp_path / "vocab.json"
     corpus = env["data"] / "corpus.jsonl"

@@ -516,3 +516,76 @@ def test_bit_parallel_lcs_equals_the_dp_oracle():
             assert _lcs_length(a, b) == _lcs_dp(a, b), (a, b)
             pairs += 1
     assert pairs >= 20000
+
+
+def _diversity_strings(preds, train_captions, train_vocab_size):
+    """The diversity stats as they were before the scoring table: every
+    prediction and train caption tokenized and joined again."""
+    norm_preds = [" ".join(normalize_and_tokenize(p)) for p in preds]
+    train_set = {" ".join(normalize_and_tokenize(c)) for c in train_captions}
+    words = {w for p in norm_preds for w in p.split()}
+    return {
+        "novel_pct": 100.0 * sum(1 for p in norm_preds if p not in train_set) / len(norm_preds),
+        "unique_pct": 100.0 * len(set(norm_preds)) / len(norm_preds),
+        "vocab_usage_pct": 100.0 * len(words) / train_vocab_size,
+    }
+
+
+def _pos_histogram_strings(preds, tagger):
+    counts = {}
+    for p in preds:
+        pattern = "-".join(tagger.tag_tokens(normalize_and_tokenize(p)))
+        counts[pattern] = counts.get(pattern, 0) + 1
+    return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+
+
+def test_one_pass_report_equals_the_per_metric_oracles_exactly():
+    # two- and three-word vocabularies repeat n-grams; length 0 gives empty
+    # predictions and references; up to 10 references per item takes the
+    # reference means past numpy's 8-element pairwise block
+    rng = np.random.default_rng(41)
+    tagger = PosTagger.load_default()
+    scene = ["a", "the", "red", "ball", "moves", "left", "slowly", "is", "moving"]
+    shapes = [(["a", "b"], 5, 6, 4), (["a", "b", "c"], 7, 8, 10), (scene, 20, 10, 5), (scene, 1, 6, 3), (scene, 2, 6, 1)]
+    corpora = [([""] * 3, [["a b"], ["a"], ["b a b"]])]
+    for words, items, longest, most_refs in shapes:
+        for _ in range(25):
+            preds = _random_captions(rng, words, items, longest)
+            refs = [_random_captions(rng, words, int(rng.integers(1, most_refs + 1)), longest) for _ in range(items)]
+            corpora.append((preds, refs))
+    for preds, refs in corpora:
+        as_refs = [c for group in refs for c in group]
+        for train in (as_refs, ["zz top"] * 2 + _random_captions(rng, ["x", "y"], 4, 3), []):
+            report = compute_report(preds, refs, train, train_vocab_size=9, tagger=tagger)
+            assert report.bleu4 == _bleu4_corpus_strings(preds, refs)
+            assert report.rouge_l == _rouge_l_strings(preds, refs)
+            assert report.cider_d == _cider_d_per_ngram_idf(preds, refs)
+            assert report.self_bleu == (_pairwise_self_bleu(preds) if len(preds) >= 2 else 0.0)
+            div = _diversity_strings(preds, train, 9)
+            assert (report.novel_pct, report.unique_pct, report.vocab_usage_pct) == (
+                div["novel_pct"], div["unique_pct"], div["vocab_usage_pct"]
+            )
+            assert report.pos_histogram == _pos_histogram_strings(preds, tagger)
+            # the string fronts give the report's values
+            assert diversity_stats(preds, train, 9) == div
+            assert pos_structure_histogram(preds, tagger) == report.pos_histogram
+            if len(preds) >= 2:
+                assert self_bleu(preds) == report.self_bleu
+
+
+def test_one_report_tokenizes_each_distinct_string_once(monkeypatch):
+    import vidcap.metrics as metrics
+
+    calls = Counter()
+
+    def counting(text):
+        calls[text] += 1
+        return normalize_and_tokenize(text)
+
+    monkeypatch.setattr(metrics, "normalize_and_tokenize", counting)
+    preds = ["a dog runs", "a dog runs", "A dog runs!", "the cat sits"]
+    refs = [["a dog runs", "the dog runs"], ["a dog runs"], ["a cat", "the cat sits"], ["the cat sits", "a cat"]]
+    train = ["a dog runs", "the dog runs", "a bird flies", "a bird flies"]
+    compute_report(preds, refs, train, train_vocab_size=12)
+    assert max(calls.values()) == 1
+    assert set(calls) == set(preds) | {c for group in refs for c in group} | set(train)

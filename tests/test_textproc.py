@@ -87,6 +87,18 @@ def test_pos_tag_examples():
     assert tagger.tag("blorply") == "ADV"
 
 
+def test_default_tagger_is_a_new_tagger_on_each_call():
+    first = PosTagger.load_default()
+    second = PosTagger.load_default()
+    assert first is not second and first.lexicon is not second.lexicon
+    assert first.lexicon == second.lexicon
+    # a caller's change to its tagger reaches no later one
+    first.lexicon["dog"] = "VERB"
+    del first.lexicon["runs"]
+    assert PosTagger.load_default().lexicon == second.lexicon
+    assert second.tag("dog") == "NOUN"
+
+
 def test_concept_vocabulary_examples():
     tagger = PosTagger.load_default()
     caps = ["a dog runs", "a dog sleeps", "a cat runs"]

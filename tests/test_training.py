@@ -149,6 +149,28 @@ def test_token_cache_matches_per_clip_encoding():
         assert np.array_equal(tokens, model.video_tokens([clip]).data[0])
 
 
+def test_manifest_keeps_one_top_level_key_per_line_and_old_manifests_load(tmp_path):
+    model = _small_model(seed=2)
+    ckpt = save_checkpoint(tmp_path / "ck", model, step=7, metric_history=[{"step": 7, "loss": 0.5}])
+    text = (ckpt / "manifest.json").read_text()
+    manifest = json.loads(text)
+    lines = text.splitlines()
+    assert lines[0] == "{" and lines[-1] == "}" and lines[3] == '  "step": 7,'
+    assert [json.loads("{" + line.rstrip(",") + "}") for line in lines[1:-1]] == [{k: v} for k, v in manifest.items()]
+
+    # the same checkpoint with the manifest as the indented writer laid it out
+    old = tmp_path / "old"
+    old.mkdir()
+    (old / "params.bin").write_bytes((ckpt / "params.bin").read_bytes())
+    (old / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    new_model, new_manifest = load_checkpoint(ckpt)
+    old_model, old_manifest = load_checkpoint(old)
+    assert new_manifest == old_manifest
+    old_params = dict(old_model.named_parameters())
+    for name, p in new_model.named_parameters():
+        assert p.data.tobytes() == old_params[name].data.tobytes(), name
+
+
 def test_checkpoint_errors(tmp_path):
     enc = EncoderConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in SMALL_ENCODER.items()})
     dec = DecoderConfig(vocab_size=12, hidden=SMALL_ENCODER["token_dim"], layers=1, heads=2, concept_dim=8)

@@ -44,8 +44,8 @@ class Tensor:
     Tensors are value holders only; the graph lives on the tape.  A float64
     ndarray is wrapped as it is, without a copy; anything else is converted
     with np.asarray.  Data is treated as immutable once wrapped, except for
-    optimizer updates, which write in place into the flat parameter vector
-    that a trained Tensor's data is a view of (optim.flatten).
+    optimizer updates and checkpoint loads, which write in place into the
+    model's parameter vector that a parameter's data views (CaptionModel.flat).
     """
 
     __slots__ = ("data", "requires_grad")

@@ -13,12 +13,13 @@ from .autodiff import Tensor
 from .decoder import CaptionDecoder, DecoderConfig, GenerationRequest, Hypothesis, generate
 from .encoder import ConceptHead, EncoderConfig, VideoEncoder
 from .nn import Module
+from .optim import flatten
 from .textproc import config_from_table
 from .video import VideoClip
 
 
 class CaptionModel(Module):
-    """Holds the three trainable parts and a shared dropout stream.
+    """Holds the three trainable parts, one parameter vector, a dropout stream.
 
     The concept head's sigmoid output doubles as the decoder's
     start-of-sequence input, so end-to-end training sends gradient into
@@ -37,11 +38,20 @@ class CaptionModel(Module):
         self.encoder = VideoEncoder(enc_cfg, init_rng)
         self.concept_head = ConceptHead(enc_cfg, init_rng)
         self.decoder = CaptionDecoder(dec_cfg, init_rng)
+        # flat is one float64 vector of every parameter, sorted by name (the
+        # params.bin order), and each parameter's data views its stretch of
+        # it for the model's whole life, so nothing may rebind it; layout
+        # holds (name, offset in flat, Tensor) in that order, as a tuple,
+        # which the parameter walk does not enter
+        params = sorted(self.named_parameters())
+        self.flat = flatten([p for _, p in params])
+        offsets = np.cumsum([0] + [p.data.size for _, p in params]).tolist()
+        self.layout = tuple((name, offset, p) for (name, p), offset in zip(params, offsets))
         self.training = False
         self.dropout_rng = np.random.default_rng(seed + 1)
 
     def parameters(self) -> dict[str, Tensor]:
-        return dict(self.named_parameters())
+        return {name: p for name, _, p in self.layout}
 
     def video_tokens(self, clips: Sequence[VideoClip]) -> Tensor:
         """(B, t, token_dim) tokens for B clips of one shape; in eval mode

@@ -7,7 +7,7 @@ a Tensor with requires_grad is named by its attribute, a sub-Module adds
 its attribute to the prefix, and the items of a list attribute xs are
 x0, x1 and so on.  These dotted names (encoder.stage0.block1.attn.wq.weight)
 are the checkpoint format, so a renamed attribute is a checkpoint format
-change; sorted, they are also the order of training's flat parameter vector.
+change; sorted, they order CaptionModel.flat, the model's parameter vector.
 
 Each layer's forward is written once: handed plain arrays in eval mode,
 Linear and LayerNorm call the forward kernel of their op and every other

@@ -1,5 +1,5 @@
-"""Gradient clipping and AdamW with decoupled weight decay, over one flat
-float64 vector that holds every parameter a training phase updates."""
+"""Gradient clipping and AdamW with decoupled weight decay, over the stretch
+of a model's one float64 parameter vector (flatten) that a phase updates."""
 
 from __future__ import annotations
 

@@ -23,7 +23,7 @@ from .autodiff import Tape, Tensor, backward
 from .decoder import DecoderConfig
 from .encoder import EncoderConfig
 from .model import CaptionModel, model_from_config_blob
-from .optim import AdamWState, adamw_step, clip_global_norm, flatten
+from .optim import AdamWState, adamw_step, clip_global_norm
 from .textproc import (
     PAD_ID,
     ConceptVocabulary,
@@ -222,12 +222,13 @@ def train(
     t0 = time.time()
 
     def run_phase(phase: str, prefix: str, head_dropout: float, loss_fn, steps: range):
-        # the parameters named prefix*, in sorted-name order (the
-        # checkpoint's), train as views into one vector under one AdamW state
+        # the parameters named prefix* are one contiguous stretch of the
+        # model's sorted-name vector, which trains in place under one AdamW state
         model.training = True
         model.concept_head.dropout_rate = head_dropout
-        params = [p for name, p in sorted(model.named_parameters()) if name.startswith(prefix)]
-        flat = flatten(params)
+        params = [p for name, _, p in model.layout if name.startswith(prefix)]
+        start = next(offset for name, offset, _ in model.layout if name.startswith(prefix))
+        flat = model.flat[start : start + sum(p.data.size for p in params)]
         state = AdamWState(flat.size, lr=config.lr)
         for step in steps:
             run_step(step, phase, loss_fn, params, flat, state)
@@ -291,8 +292,9 @@ def train(
 
 
 # --- checkpoint format -------------------------------------------------
-# manifest.json lists parameters sorted by name with offsets into a flat
-# float32 params.bin; vocab.json / concepts.json live next to them.
+# params.bin is the model's parameter vector cast to float32, and
+# manifest.json lists its layout: each parameter's name, shape, offset and
+# count, sorted by name; vocab.json / concepts.json live next to them.
 # Its "step" is the number of optimizer updates across both phases, which
 # equals the last "step" in train_log.jsonl.
 
@@ -308,17 +310,9 @@ def save_checkpoint(ckpt_dir: str | Path, model: CaptionModel, step: int = 0, **
     """
     ckpt = Path(ckpt_dir)
     ckpt.mkdir(parents=True, exist_ok=True)
-    entries = []
-    blobs = []
-    offset = 0
-    for name, p in sorted(model.named_parameters()):
-        flat = np.ascontiguousarray(p.data, dtype=np.float32).ravel()
-        entries.append(
-            {"name": name, "shape": list(p.data.shape), "offset": offset, "count": int(flat.size)}
-        )
-        blobs.append(flat.tobytes())
-        offset += flat.size
-    (ckpt / "params.bin").write_bytes(b"".join(blobs))
+    entries = [{"name": name, "shape": list(p.data.shape), "offset": offset, "count": p.data.size}
+               for name, offset, p in model.layout]
+    (ckpt / "params.bin").write_bytes(model.flat.astype(np.float32).tobytes())
     manifest = {
         "format": "vidcap-checkpoint",
         "version": CKPT_VERSION,
@@ -346,7 +340,7 @@ def load_checkpoint(ckpt_dir: str | Path, seed: int = 0) -> tuple[CaptionModel, 
             raise ValueError("checkpoint manifest model must be an object and params a list")
         model = model_from_config_blob(manifest["model"], seed=seed)
         raw = np.frombuffer((ckpt / "params.bin").read_bytes(), dtype=np.float32)
-        params = dict(model.named_parameters())
+        params = model.parameters()
         loaded = set()
         for entry in manifest["params"]:
             if not isinstance(entry, dict):
@@ -362,10 +356,12 @@ def load_checkpoint(ckpt_dir: str | Path, seed: int = 0) -> tuple[CaptionModel, 
                 raise ValueError(f"checkpoint parameter {name!r} has shape {entry['shape']}, model expects {shape}")
             if not all(type(n) is int and n >= 0 for n in (offset, count)):
                 raise ValueError(f"checkpoint parameter {name!r} needs non-negative integer offset and count")
+            if count != params[name].data.size:
+                raise ValueError(f"checkpoint parameter {name!r} has count {count} for shape {shape}")
             chunk = raw[offset : offset + count]
             if chunk.size != count:
                 raise ValueError("params.bin shorter than manifest promises")
-            params[name].data = chunk.astype(np.float64).reshape(shape)
+            params[name].data[...] = chunk.reshape(shape)  # into its stretch of model.flat
         missing = set(params) - loaded
         if missing:
             raise ValueError(f"checkpoint missing parameters: {sorted(missing)[:3]}")

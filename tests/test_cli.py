@@ -245,10 +245,11 @@ def _set_first_entry(key, value):
         (_set_first_entry("count", -1), "needs non-negative integer offset and count"),
         (_set_first_entry("name", ["x"]), "parameter ['x'] not in model"),
         (lambda manifest: dict(manifest, params=manifest["params"] + manifest["params"][:1]), "listed twice"),
+        (_set_first_entry("count", 47), "parameter 'concept_head.fc1.bias' has count 47 for shape [48]"),
     ],
     ids=[
         "list", "entry-not-object", "params-not-list", "model-null", "string-offset", "negative-count", "list-name",
-        "duplicate-name",
+        "duplicate-name", "count-not-shape",
     ],
 )
 def test_malformed_checkpoint_manifest_exits_2(env, tmp_path, capsys, edit, message):

@@ -197,6 +197,70 @@ def test_checkpoint_errors(tmp_path):
         load_checkpoint(ckpt)
 
 
+def _assert_parameters_view_the_model_vector(model):
+    # a parameter whose data was rebound (p.data = ...) would train apart
+    # from the vector, and a checkpoint would save its stale stretch
+    walked = sorted(model.named_parameters())
+    assert [(name, id(p)) for name, _, p in model.layout] == [(name, id(p)) for name, p in walked]
+    assert model.flat.dtype == np.float64 and model.flat.flags.c_contiguous
+    offset = 0
+    for name, at, p in model.layout:
+        assert at == offset, name
+        assert p.data.base is model.flat, name
+        assert p.data.ctypes.data == model.flat.ctypes.data + at * model.flat.itemsize, name
+        assert p.data.flags.c_contiguous, name
+        offset += p.data.size
+    assert offset == model.flat.size
+
+
+def test_parameters_view_the_model_vector_for_the_models_life(dataset, tmp_path):
+    model = _small_model()
+    _assert_parameters_view_the_model_vector(model)
+    _assert_parameters_view_the_model_vector(load_checkpoint(save_checkpoint(tmp_path / "ck", model))[0])
+    for phase, pretrain_steps, max_steps in (("semantic_pretrain", 2, 0), ("end_to_end", 0, 2)):
+        cfg = TrainConfig(encoder=SMALL_ENCODER, batch_size=2, pretrain_steps=pretrain_steps,
+                          max_steps=max_steps, phase=phase, seed=2)
+        result = train(cfg, dataset, tmp_path / phase)
+        assert len(result.history) == 2
+        _assert_parameters_view_the_model_vector(result.model)
+        _assert_parameters_view_the_model_vector(load_checkpoint(result.checkpoint_dir)[0])
+
+
+def _per_entry_checkpoint(model):
+    """Manifest entries and params.bin bytes as the checkpoint writer made
+    them one parameter at a time, before the model owned its vector."""
+    entries, blobs, offset = [], [], 0
+    for name, p in sorted(model.named_parameters()):
+        flat = np.ascontiguousarray(p.data, dtype=np.float32).ravel()
+        entries.append({"name": name, "shape": list(p.data.shape), "offset": offset, "count": int(flat.size)})
+        blobs.append(flat.tobytes())
+        offset += flat.size
+    return entries, b"".join(blobs)
+
+
+def test_params_bin_is_the_per_entry_writers_bytes_and_shows_in_place_writes(run, tmp_path):
+    result, _ = run
+    manifest = json.loads((result.checkpoint_dir / "manifest.json").read_text())
+    want = _per_entry_checkpoint(result.model)
+    assert (manifest["params"], (result.checkpoint_dir / "params.bin").read_bytes()) == want
+
+    # the benchmark's and the evaluation tests' checkpoints are written this way
+    model = _small_model(seed=4)
+    for name, p in model.parameters().items():
+        if name.endswith(".weight"):
+            p.data *= 5.0
+    model.parameters()["decoder.out_proj.bias"].data[2] = -50.0
+    ckpt = save_checkpoint(tmp_path / "ck", model)
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    blob = (ckpt / "params.bin").read_bytes()
+    assert (manifest["params"], blob) == _per_entry_checkpoint(model)
+    entry = next(e for e in manifest["params"] if e["name"] == "decoder.out_proj.bias")
+    assert np.frombuffer(blob, dtype=np.float32)[entry["offset"] + 2] == -50.0
+    reloaded = load_checkpoint(ckpt)[0]
+    assert reloaded.parameters()["decoder.out_proj.bias"].data[2] == -50.0
+    assert reloaded.flat.tobytes() == model.flat.astype(np.float32).astype(np.float64).tobytes()
+
+
 def test_lambda_zero_reduces_to_cross_entropy(dataset, tmp_path):
     cfg = TrainConfig(
         encoder=SMALL_ENCODER,

@@ -142,8 +142,6 @@ def inverse_cdf(cdf: FrameCdf, q: float) -> float:
     """Generalized inverse min{x : F(x) >= q}; plateaus map to their left edge."""
     if not (0.0 <= q <= 1.0):
         raise ValueError("quantile outside [0, 1]")
-    if cdf.m == 1:
-        return 0.0
     cum, total, uniform = cdf._segments()
     if uniform:
         return float(q * (cdf.m - 1))
@@ -160,8 +158,6 @@ def raw_positions(cdf: FrameCdf, n: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("need at least one frame")
-    if cdf.m == 1:
-        return np.zeros(n)
     cum, total, uniform = cdf._segments()
     if uniform:
         return np.array([k * (cdf.m - 1) / n for k in range(n)])
@@ -223,8 +219,7 @@ def apply_selection(clip: VideoClip, selection: Selection) -> VideoClip:
     return VideoClip(clip.data[np.asarray(selection.indices, dtype=np.intp)])
 
 
-def select_from_clip(clip: VideoClip, n: int, metric: str = "mad", dedupe: bool = False) -> Selection:
-    """Convenience path: dissimilarity -> CDF -> selection in one call."""
-    d = frame_dissimilarity(clip, metric=metric)
-    cdf = build_cdf(d, clip.frames)
-    return select_frames(cdf, n, dedupe=dedupe)
+def select_from_clip(clip: VideoClip, n: int) -> Selection:
+    """The pipeline's selection: mad dissimilarity -> CDF -> n frames,
+    duplicates kept."""
+    return select_frames(build_cdf(frame_dissimilarity(clip), clip.frames), n)

@@ -8,12 +8,13 @@ functions run as ordinary numpy code (inference mode): _record wraps the
 output at once and nothing is recorded, so a tape-free op returns a Tensor
 with requires_grad False and its closure is dropped unrun.
 
-Layers write each forward once, in numpy spelling: Tensor records +, * by
-a number, @, reshape, transpose, mean and take, and gelu, relu, sigmoid,
-softmax, concat and max_reduce hand a plain array to numpy or to the op's
-forward kernel (*_kernel).  So an eval-mode array runs a taped call's
-lines and gets its bits; tape_active() tells an entry point which type to
-feed in.  An array and a Tensor in one expression raise TypeError.
+Layers write each forward once, in numpy spelling; only this module tells
+an eval-mode array from a Tensor.  Tensor records +, * by a number, @,
+reshape, transpose, mean and take, and linear, layer_norm, gelu, relu,
+sigmoid, softmax, concat and max_reduce hand a plain array to numpy or to
+the op's forward kernel (*_kernel).  So an eval-mode array runs a taped
+call's lines and gets its bits; tape_active() tells an entry point which
+type to feed in.  An array left of a Tensor raises TypeError.
 Kernels may compute in place (``out=``, ``*=``) to save temporaries, as
 long as each step keeps the operands and order of operations of the plain
 formula, so the bits do not change.  They never write into an op's
@@ -23,8 +24,10 @@ inputs), or into an array that a backward closure still reads.
 Broadcasting in binary ops is deliberately restricted: shapes must match
 exactly, or one operand must be a single element.  Any other expansion has
 to go through broadcast_to() so the backward rule is explicit; it returns
-numpy's read-only broadcast view, not a copy.  take() is the one gather,
-behind embedding lookups and the encoder's window layouts.
+numpy's read-only broadcast view, not a copy.  Only add takes a constant:
+an ndarray second operand broadcasts to the first's shape, never enlarging
+it, and gets no gradient.  take() is the one gather, behind embedding
+lookups and the encoder's window layouts.
 """
 
 from __future__ import annotations
@@ -63,10 +66,6 @@ class Tensor:
     @property
     def ndim(self) -> int:
         return self.data.ndim
-
-    @property
-    def size(self) -> int:
-        return self.data.size
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -175,6 +174,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def add(a, b) -> Tensor:
+    b = np.broadcast_to(b, a.shape) if isinstance(b, np.ndarray) else b  # a constant
     a, b = _wrap(a), _wrap(b)
     _binary_check(a, b, "add")
 
@@ -242,6 +242,8 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """x @ weight (+ bias) for x of shape (..., in), weight (in, out) and
     bias (out,), recorded as one op; the bias gradient sums over every
     leading axis of x."""
+    if isinstance(x, np.ndarray):
+        return linear_kernel(x, weight.data, None if bias is None else bias.data)
     if bias is None:
         return matmul(x, weight)
     sx, sw, sb = x.data.shape, weight.data.shape, bias.data.shape
@@ -559,6 +561,8 @@ def layer_norm_kernel(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: f
 
 def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-12) -> Tensor:
     """Normalize over the last axis with population variance, then affine."""
+    if isinstance(a, np.ndarray):
+        return layer_norm_kernel(a, gamma.data, beta.data, eps)[0]
     x = a.data
     c = x.shape[-1] if x.ndim else 0
     if c == 0:

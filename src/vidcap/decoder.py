@@ -57,6 +57,9 @@ class DecoderConfig:
     layer_norm_eps: float = 1e-12
 
     def __post_init__(self):
+        for name in ("hidden", "layers", "layer_norm_eps"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"decoder {name} must be positive, got {getattr(self, name)}")
         if self.heads < 1:
             raise ValueError(f"decoder heads must be at least 1, got {self.heads}")
         if self.hidden % self.heads:
@@ -253,8 +256,8 @@ class GenerationRequest:
             raise ValueError("beam width, k and max length must be positive")
         if not (0.0 < p <= 1.0):
             raise ValueError("top-p mass must be in (0, 1]")
-        if temperature <= 0.0:
-            raise ValueError("temperature must be positive")
+        if not 0.0 < temperature < np.inf:
+            raise ValueError(f"temperature must be positive and finite, got {temperature}")
         self.strategy, self.beam_width, self.k, self.p = strategy, beam_width, k, p
         self.temperature, self.max_len, self.seed = temperature, max_len, seed
 

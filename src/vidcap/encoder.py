@@ -25,7 +25,9 @@ larger than its grid.
 
 In eval mode with no tape active the encoder feeds plain arrays through
 the layers, which training and any taped call feed Tensors; each layer's
-one forward runs either, so the tokens are bitwise the same.
+one forward runs either, so the tokens are bitwise the same.  The choice
+is made once, where VideoEncoder.__call__ hands the patch projection its
+input, wrapped in a Tensor only when taped.
 ConceptHead.logits likewise takes arrays or Tensors.
 """
 
@@ -65,6 +67,9 @@ class EncoderConfig:
     concept_hidden: tuple[int, int] = (48, 96)
 
     def __post_init__(self):
+        for name in ("embed_dim", "token_dim", "layer_norm_eps"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"encoder {name} must be positive, got {getattr(self, name)}")
         for name in ("patch", "window"):
             sizes = getattr(self, name)
             if len(sizes) != 3 or not all(isinstance(k, int) and k >= 1 for k in sizes):
@@ -76,8 +81,8 @@ class EncoderConfig:
                 raise ValueError(f"encoder {name} must be in [0, 1), got {getattr(self, name)}")
         if len(self.depths) != len(self.heads):
             raise ValueError("depths and heads must pair up stage by stage")
-        if any(d < 1 for d in self.depths):
-            raise ValueError("every stage needs at least one block")
+        if not self.depths or any(d < 1 for d in self.depths):
+            raise ValueError(f"encoder depths must be one or more positive block counts, got {list(self.depths)}")
         for s, (width, h) in enumerate(zip(self.stage_widths, self.heads)):
             if width % h != 0:
                 raise ValueError(f"stage {s} width {width} not divisible by {h} heads")
@@ -277,15 +282,12 @@ class VideoEncoder(Module):
         grid = [-(-d // p) for d, p in zip(dims, self.cfg.patch)]
         return np.asarray(np.take(data.reshape(b, -1, c), slots, axis=1).reshape(b, *grid, -1), dtype=np.float64)
 
-    def partition(self, clips: Sequence[VideoClip]) -> Tensor:
-        """(B, t, h, w, embed_dim) patch tokens of B equally shaped clips."""
-        return self.patch_proj(Tensor(self._patches(clips)))
-
     def __call__(self, clips: Sequence[VideoClip], rng=None, training: bool = False) -> Tensor:
         """Tokens (B, t, token_dim) for B clips of one shape; in eval mode
         with no tape active, computed on arrays and wrapped once."""
         taped = training or ad.tape_active()
-        x = self.partition(clips) if taped else self.patch_proj(self._patches(clips))
+        x = self._patches(clips)
+        x = self.patch_proj(Tensor(x) if taped else x)
         for s, stage in enumerate(self.stages):
             x = stage(x, rng, training)
             if s < len(self.merges):

@@ -97,7 +97,7 @@ class CaptionModel(Module):
         return {"encoder": asdict(self.enc_cfg), "decoder": asdict(self.dec_cfg)}
 
 
-def model_from_config_blob(blob: dict, seed: int = 0) -> CaptionModel:
+def model_from_config_blob(blob: dict) -> CaptionModel:
     """The model of a checkpoint's "model" table.  Its decoder table may hold the
     removed "adapter" setting: "auto", what every decoder now does, or nothing."""
     dec = blob["decoder"]
@@ -106,4 +106,4 @@ def model_from_config_blob(blob: dict, seed: int = 0) -> CaptionModel:
             raise ValueError(f"checkpoint decoder adapter mode {dec['adapter']!r} is no longer supported")
         dec = {k: v for k, v in dec.items() if k != "adapter"}
     enc = config_from_table(EncoderConfig, blob["encoder"], "checkpoint EncoderConfig")
-    return CaptionModel(enc, config_from_table(DecoderConfig, dec, "checkpoint DecoderConfig"), seed=seed)
+    return CaptionModel(enc, config_from_table(DecoderConfig, dec, "checkpoint DecoderConfig"))

@@ -9,10 +9,10 @@ x0, x1 and so on.  These dotted names (encoder.stage0.block1.attn.wq.weight)
 are the checkpoint format, so a renamed attribute is a checkpoint format
 change; sorted, they order CaptionModel.flat, the model's parameter vector.
 
-Each layer's forward is written once: handed plain arrays in eval mode,
-Linear and LayerNorm call the forward kernel of their op and every other
-line runs as numpy, so the encoder's tape-free forward and the decoder's
-step run the same code as a taped call, with the same bits.
+Each layer's forward is written once and tests no types: handed plain
+arrays in eval mode, the autodiff ops it calls return arrays and every
+other line runs as numpy, so the encoder's tape-free forward and the
+decoder's step run the same code as a taped call, with the same bits.
 """
 
 from __future__ import annotations
@@ -52,8 +52,6 @@ class Linear(Module):
         self.bias = Tensor(np.zeros(out_dim), requires_grad=True) if bias else None
 
     def __call__(self, x):
-        if isinstance(x, np.ndarray):
-            return ad.linear_kernel(x, self.weight.data, None if self.bias is None else self.bias.data)
         return ad.linear(x, self.weight, self.bias)
 
 
@@ -64,8 +62,6 @@ class LayerNorm(Module):
         self.eps = eps
 
     def __call__(self, x):
-        if isinstance(x, np.ndarray):
-            return ad.layer_norm_kernel(x, self.gamma.data, self.beta.data, self.eps)[0]
         return ad.layer_norm(x, self.gamma, self.beta, self.eps)
 
 
@@ -135,8 +131,7 @@ class Attention(Module):
         if bias is not None:
             scores += bias
         if mask is not None:
-            mask = mask[..., None, :, :]
-            scores += mask if isinstance(scores, np.ndarray) else Tensor(np.broadcast_to(mask, scores.shape))
+            scores += mask[..., None, :, :]
         probs = ad.softmax(scores, axis=-1)
         if self.capture_attention:
             self.last_attention = ad.array_of(probs).copy()

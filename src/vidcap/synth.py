@@ -70,21 +70,19 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.videos < 1 or self.frames < 1:
-            raise ValueError("need at least one video and one frame")
+        if min(self.videos, self.frames, self.height, self.width) < 1:
+            raise ValueError("need at least one video and one frame, of at least 1x1 pixels")
         if not (0.0 <= self.static_prefix < 1.0):
             raise ValueError("static prefix must be in [0, 1)")
         if not (1 <= self.paraphrases <= len(MOVING_TEMPLATES)):
             raise ValueError(f"paraphrases must be 1..{len(MOVING_TEMPLATES)}")
-        for s in self.shapes:
-            if s not in SHAPES:
-                raise ValueError(f"unknown shape {s!r}")
-        for c in self.colors:
-            if c not in COLOR_RGB:
-                raise ValueError(f"unknown color {c!r}")
-        for mo in self.motions:
-            if mo not in MOTION_STEPS:
-                raise ValueError(f"unknown motion {mo!r}")
+        for kind, known in (("shape", SHAPES), ("color", COLOR_RGB), ("motion", MOTION_STEPS)):
+            values = getattr(self, kind + "s")
+            if not values:
+                raise ValueError(f"spec {kind}s must list at least one value, got []")
+            for v in values:
+                if v not in known:
+                    raise ValueError(f"unknown {kind} {v!r}")
 
 
 def _draw_shape(frame: np.ndarray, shape: str, center: tuple[int, int], size: int, rgb) -> None:

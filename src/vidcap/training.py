@@ -328,7 +328,7 @@ def save_checkpoint(ckpt_dir: str | Path, model: CaptionModel, step: int = 0, **
     return ckpt
 
 
-def load_checkpoint(ckpt_dir: str | Path, seed: int = 0) -> tuple[CaptionModel, dict]:
+def load_checkpoint(ckpt_dir: str | Path) -> tuple[CaptionModel, dict]:
     """The model and manifest of a checkpoint; any fault in them is a ValueError naming ckpt_dir."""
     ckpt = Path(ckpt_dir)
     manifest = parse_json((ckpt / "manifest.json").read_text(), ckpt / "manifest.json")
@@ -338,7 +338,7 @@ def load_checkpoint(ckpt_dir: str | Path, seed: int = 0) -> tuple[CaptionModel, 
             raise ValueError("not a recognized checkpoint directory")
         if not isinstance(manifest["model"], dict) or not isinstance(manifest["params"], list):
             raise ValueError("checkpoint manifest model must be an object and params a list")
-        model = model_from_config_blob(manifest["model"], seed=seed)
+        model = model_from_config_blob(manifest["model"])
         raw = np.frombuffer((ckpt / "params.bin").read_bytes(), dtype=np.float32)
         params = model.parameters()
         loaded = set()

@@ -91,6 +91,34 @@ def test_add_shape_mismatch_rejected():
         ad.mul(Tensor(np.zeros((3, 4))), Tensor(np.zeros((4,))))
 
 
+def test_add_broadcasts_a_constant_array_without_a_gradient():
+    # the attention mask's form: a constant ndarray that broadcasts to the scores
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(2, 3, 4, 4))
+    mask = np.where(rng.random((3, 1, 4)) < 0.5, -1e9, 0.0)
+    w = Tensor(rng.normal(size=x.shape))
+    runs = []
+    for const in (mask, Tensor(np.broadcast_to(mask, x.shape))):
+        t = Tensor(x.copy(), requires_grad=True)
+        with Tape() as tape:
+            out = ad.add(t, const)
+            nodes = len(tape.nodes)
+            grads = backward(ad.sum_reduce(ad.mul(out, w)), tape)
+        runs.append((nodes, out.data, list(grads), grads[t]))
+    (nodes, out, leaves, grad), (old_nodes, old_out, old_leaves, old_grad) = runs
+    assert nodes == old_nodes == 1
+    assert len(leaves) == len(old_leaves) == 1
+    assert np.array_equal(out, old_out) and np.array_equal(grad, old_grad)
+    # the in-place spelling of a layer rebinds to the same op
+    t = Tensor(x.copy())
+    t += mask
+    assert np.array_equal(t.data, out)
+    # a constant may not enlarge the Tensor it is added to
+    for a, b in (((3, 4), (2, 3, 4)), ((1, 4), (3, 4))):
+        with pytest.raises(ValueError):
+            ad.add(Tensor(np.zeros(a)), np.zeros(b))
+
+
 def test_matmul_grads():
     rng = np.random.default_rng(1)
     a = rng.normal(size=(3, 5))
@@ -480,6 +508,8 @@ def _layer_forwards():
     dec = _DecoderLayer(rng, DecoderConfig(vocab_size=5, hidden=8, heads=2, dropout=0.0))
     causal = np.triu(np.full((3, 3), -1e9), k=1)
     enc = rng.normal(size=(2, 4, 8))
+    lin, ln = Linear(rng, 8, 4), LayerNorm(8)
+    ln.gamma.data[...], ln.beta.data[...] = rng.normal(size=8), rng.normal(size=8)
     return [
         (Linear(rng, 8, 4), (2, 3, 8)),
         (Linear(rng, 8, 4, bias=False), (2, 3, 8)),
@@ -489,10 +519,13 @@ def _layer_forwards():
         (merge, (2, 2, 4, 4, 16)),
         (head.logits, (2, 4, cfg.token_dim)),
         (lambda x: dec(x, enc if isinstance(x, np.ndarray) else Tensor(enc), causal, None, False), (2, 3, 8)),
+        (lambda x: ad.linear(x, lin.weight, lin.bias), (2, 3, 8)),
+        (lambda x: ad.linear(x, lin.weight), (2, 3, 8)),
+        (lambda x: ad.layer_norm(x, ln.gamma, ln.beta, 1e-5), (2, 3, 8)),
     ]
 
 
-@pytest.mark.parametrize("case", range(8))
+@pytest.mark.parametrize("case", range(11))
 def test_layer_forward_on_an_array_returns_an_array(case, monkeypatch):
     forward, shape = _layer_forwards()[case]
     x = np.random.default_rng(11).normal(size=shape)

@@ -115,6 +115,14 @@ def test_missing_and_invalid_inputs_exit_2(env, tmp_path, capsys):
     unknown.write_text(json.dumps({"videos": 2, "fps": 30}))
     assert main(["gen-data", "--spec", str(unknown), "--out", str(tmp_path / "o2")]) == 2
 
+    capsys.readouterr()
+    for i, spec in enumerate([{"shapes": []}, {"colors": []}, {"motions": []}, {"height": 0}, {"width": 0}]):
+        path = tmp_path / f"spec{i}.json"
+        path.write_text(json.dumps(spec))
+        assert main(["gen-data", "--spec", str(path), "--out", str(tmp_path / f"g{i}")]) == 2
+        _one_data_error(capsys)
+        assert not (tmp_path / f"g{i}").exists()
+
     assert main(["caption", "--ckpt", str(tmp_path / "none"), "--video", str(tmp_path / "v.vvid")]) == 2
 
 
@@ -151,6 +159,13 @@ def test_bad_train_config_exits_2_before_training(env, tmp_path, capsys, config,
         ({"encoder": {**SMALL_ENCODER, "patch": [0, 4, 4]}}, "encoder patch must be three positive integers, got [0, 4, 4]"),
         ({"encoder": {**SMALL_ENCODER, "window": [2, 2]}}, "encoder window must be three positive integers, got [2, 2]"),
         ({"encoder": {**SMALL_ENCODER, "window": [0, 2, 2]}}, "encoder window must be three positive integers, got [0, 2, 2]"),
+        ({"encoder": {**SMALL_ENCODER, "depths": [], "heads": []}}, "encoder depths must be one or more positive block counts, got []"),
+        ({"decoder": {"layers": 0}}, "decoder layers must be positive, got 0"),
+        ({"encoder": {**SMALL_ENCODER, "layer_norm_eps": -1}}, "encoder layer_norm_eps must be positive, got -1"),
+        ({"decoder": {"layer_norm_eps": -1}}, "decoder layer_norm_eps must be positive, got -1"),
+        ({"encoder": {**SMALL_ENCODER, "embed_dim": 0}}, "encoder embed_dim must be positive, got 0"),
+        ({"encoder": {**SMALL_ENCODER, "token_dim": 0}}, "encoder token_dim must be positive, got 0"),
+        ({"decoder": {"hidden": 0}}, "decoder hidden must be positive, got 0"),
     ],
 )
 def test_zero_heads_patch_or_window_is_a_data_error(env, tmp_path, capsys, config, message):

@@ -335,8 +335,9 @@ def test_generation_request_validation():
         GenerationRequest(beam_width=0)
     with pytest.raises(ValueError, match="top-p"):
         GenerationRequest(p=0.0)
-    with pytest.raises(ValueError, match="temperature"):
-        GenerationRequest(temperature=-1.0)
+    for temperature in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="temperature"):
+            GenerationRequest(temperature=temperature)
 
 
 # ---------------------------------------------------------------------------

@@ -338,24 +338,29 @@ def test_attention_rows_sum_to_one():
     assert np.abs(rows - 1.0).max() < 1e-12
 
 
+def _partition(enc, clips):
+    """(B, t, h, w, embed_dim) taped patch tokens, as the encoder's taped call embeds them."""
+    return enc.patch_proj(Tensor(enc._patches(clips)))
+
+
 def test_patch_partition_shapes_and_linearity():
     cfg = EncoderConfig()
     rng = np.random.default_rng(3)
     enc = VideoEncoder(cfg, np.random.default_rng(0))
 
-    grid = enc.partition([VideoClip(rng.random((8, 16, 16, 3)))])
+    grid = _partition(enc, [VideoClip(rng.random((8, 16, 16, 3)))])
     assert grid.shape[1:4] == (4, 4, 4)
     assert grid.shape == (1, 4, 4, 4, cfg.embed_dim)
 
     # zero clip: every token equals the projection bias
-    zgrid = enc.partition([VideoClip(np.zeros((8, 16, 16, 3)))])
+    zgrid = _partition(enc, [VideoClip(np.zeros((8, 16, 16, 3)))])
     assert np.abs(zgrid.data - enc.patch_proj.bias.data).max() == 0.0
 
     # single-patch clip equals the projection of the flattened clip
     cfg1 = EncoderConfig(in_channels=1, depths=(1,), heads=(2,))
     enc1 = VideoEncoder(cfg1, np.random.default_rng(4))
     clip = VideoClip(rng.random((2, 4, 4, 1)))
-    g = enc1.partition([clip])
+    g = _partition(enc1, [clip])
     assert g.shape[1:4] == (1, 1, 1)
     flat = clip.data.reshape(1, -1)
     want = flat @ enc1.patch_proj.weight.data + enc1.patch_proj.bias.data
@@ -367,12 +372,12 @@ def test_patch_partition_pad_by_replication():
     enc = VideoEncoder(cfg, np.random.default_rng(5))
     # 7 frames, 15x14 pixels: pad to 8, 16, 16 by edge replication
     clip = VideoClip(np.random.default_rng(6).random((7, 15, 14, 3)))
-    grid = enc.partition([clip])
+    grid = _partition(enc, [clip])
     assert grid.shape[1:4] == (4, 4, 4)
 
     # a batch of clips of different shapes is refused
     with pytest.raises(ValueError, match="one shape"):
-        enc.partition([clip, VideoClip(np.zeros((8, 16, 16, 3)))])
+        _partition(enc, [clip, VideoClip(np.zeros((8, 16, 16, 3)))])
 
 
 def _old_patches(data, patch):
@@ -395,7 +400,7 @@ def test_patch_partition_matches_the_old_layout(shape, patch):
     rng = np.random.default_rng(8)
     clips = [VideoClip(rng.random(shape)) for _ in range(2)]
     want = enc.patch_proj(Tensor(_old_patches(np.stack([c.data for c in clips]), patch))).data
-    assert np.array_equal(enc.partition(clips).data, want)
+    assert np.array_equal(_partition(enc, clips).data, want)
 
 
 def test_float32_clip_tokens_equal_widened_clip_tokens():

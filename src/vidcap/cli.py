@@ -14,11 +14,11 @@ from pathlib import Path
 from .afs import DISSIMILARITY_METRICS, build_cdf, frame_dissimilarity, select_frames
 from .autodiff import NumericError
 from .decoder import STRATEGIES, GenerationRequest
-from .evaluate import caption_video, evaluate_checkpoint
+from .evaluate import caption_video, evaluate_checkpoint, load_captioner
 from .metrics import compute_report
 from .synth import SyntheticSpec, generate_synthetic_dataset
 from .textproc import PosTagger, build_concept_vocabulary, build_vocab, config_from_table, load_corpus, parse_json
-from .training import TrainConfig, TrainingDiverged, load_checkpoint, load_vocab_and_concepts, train
+from .training import TrainConfig, TrainingDiverged, train
 from .video import read_vvid
 
 EXIT_OK = 0
@@ -165,8 +165,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_caption(args) -> int:
-    model, _ = load_checkpoint(args.ckpt)
-    vocab, _ = load_vocab_and_concepts(args.ckpt)
+    model, vocab = load_captioner(args.ckpt)
     clip = read_vvid(args.video)
     text, tokens, logprob = caption_video(model, vocab, clip, _decode_request(args))
     print(json.dumps({"caption": text, "tokens": tokens, "logprob": logprob}))

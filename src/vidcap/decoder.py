@@ -57,7 +57,7 @@ class DecoderConfig:
     layer_norm_eps: float = 1e-12
 
     def __post_init__(self):
-        for name in ("hidden", "layers", "layer_norm_eps"):
+        for name in ("vocab_size", "hidden", "layers", "mlp_ratio", "max_positions", "concept_dim", "layer_norm_eps"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"decoder {name} must be positive, got {getattr(self, name)}")
         if self.heads < 1:

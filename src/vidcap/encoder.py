@@ -67,13 +67,13 @@ class EncoderConfig:
     concept_hidden: tuple[int, int] = (48, 96)
 
     def __post_init__(self):
-        for name in ("embed_dim", "token_dim", "layer_norm_eps"):
+        for name in ("frames", "embed_dim", "token_dim", "mlp_ratio", "concept_count", "layer_norm_eps"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"encoder {name} must be positive, got {getattr(self, name)}")
-        for name in ("patch", "window"):
+        for name, n, count in (("patch", 3, "three"), ("window", 3, "three"), ("concept_hidden", 2, "two")):
             sizes = getattr(self, name)
-            if len(sizes) != 3 or not all(isinstance(k, int) and k >= 1 for k in sizes):
-                raise ValueError(f"encoder {name} must be three positive integers, got {list(sizes)}")
+            if len(sizes) != n or not all(isinstance(k, int) and k >= 1 for k in sizes):
+                raise ValueError(f"encoder {name} must be {count} positive integers, got {list(sizes)}")
         if any(h < 1 for h in self.heads):
             raise ValueError(f"encoder heads must be positive, got {list(self.heads)}")
         for name in ("hidden_dropout", "attn_dropout"):

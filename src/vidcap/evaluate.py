@@ -22,7 +22,7 @@ from .afs import apply_selection, select_from_clip
 from .decoder import GenerationRequest, Hypothesis
 from .metrics import EvalReport, compute_report
 from .textproc import PosTagger, detokenize, load_corpus
-from .training import load_checkpoint, load_vocab_and_concepts, token_cache
+from .training import check_vocab_size, load_checkpoint, load_vocab_and_concepts, token_cache
 from .video import read_vvid
 
 # clips per encoder call, and the selected clips the reader may queue
@@ -43,6 +43,14 @@ class EvalOutcome:
     @property
     def partial(self) -> bool:
         return bool(self.errors)
+
+
+def load_captioner(ckpt_dir: str | Path):
+    """A checkpoint's model and word vocabulary, refused if their sizes differ."""
+    model, _ = load_checkpoint(ckpt_dir)
+    vocab, _ = load_vocab_and_concepts(ckpt_dir)
+    check_vocab_size(model.dec_cfg, vocab)
+    return model, vocab
 
 
 def caption_video(model, vocab, clip, request: GenerationRequest) -> tuple[str, list[int], float]:
@@ -112,8 +120,7 @@ def evaluate_checkpoint(
     train_corpus_path (default: the evaluated corpus itself).
     """
     request = request or GenerationRequest()
-    model, _ = load_checkpoint(ckpt_dir)
-    vocab, _concepts = load_vocab_and_concepts(ckpt_dir)
+    model, vocab = load_captioner(ckpt_dir)
 
     corpus_path = Path(corpus_path)
     corpus = load_corpus(corpus_path)

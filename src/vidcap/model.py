@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import asdict
 from typing import Sequence
 
@@ -19,12 +18,13 @@ from .video import VideoClip
 
 
 class CaptionModel(Module):
-    """Holds the three trainable parts, one parameter vector, a dropout stream.
+    """Holds the three trainable parts and one parameter vector, no run state.
 
     The concept head's sigmoid output doubles as the decoder's
     start-of-sequence input, so end-to-end training sends gradient into
     the head both through its own loss and through the captions.  Every
-    part takes a leading batch axis; one clip is the batch of one.
+    part takes a leading batch axis; one clip is the batch of one.  Each
+    forward draws dropout from the rng it is handed; None is eval mode.
     """
 
     def __init__(self, enc_cfg: EncoderConfig, dec_cfg: DecoderConfig, seed: int = 0):
@@ -47,51 +47,39 @@ class CaptionModel(Module):
         self.flat = flatten([p for _, p in params])
         offsets = np.cumsum([0] + [p.data.size for _, p in params]).tolist()
         self.layout = tuple((name, offset, p) for (name, p), offset in zip(params, offsets))
-        self.training = False
-        self.dropout_rng = np.random.default_rng(seed + 1)
 
     def parameters(self) -> dict[str, Tensor]:
         return {name: p for name, _, p in self.layout}
 
-    def video_tokens(self, clips: Sequence[VideoClip]) -> Tensor:
+    def video_tokens(self, clips: Sequence[VideoClip], rng=None) -> Tensor:
         """(B, t, token_dim) tokens for B clips of one shape; in eval mode
         with no tape active, an array computed on arrays, wrapped once."""
-        return self.encoder(clips, rng=self.dropout_rng, training=self.training)
+        return self.encoder(clips, rng=rng, training=rng is not None)
 
-    def concept_logits(self, tokens):
+    def concept_logits(self, tokens, rng=None):
         """Logits of (B, t, token_dim) tokens: arrays in eval mode, or Tensors."""
-        return self.concept_head.logits(tokens, rng=self.dropout_rng, training=self.training)
+        return self.concept_head.logits(tokens, rng=rng, training=rng is not None)
 
     def concept_probs(self, tokens):
         return ad.sigmoid(self.concept_logits(tokens))
 
-    def caption_logits(self, semantic: Tensor, token_ids, enc_tokens: Tensor) -> Tensor:
+    def caption_logits(self, semantic: Tensor, token_ids, enc_tokens: Tensor, rng=None) -> Tensor:
         """(B, n + 1, V) teacher-forced logits for B rows of n input ids."""
         hidden = self.decoder.embed_with_semantic_sos(semantic, token_ids)
-        return self.decoder(hidden, enc_tokens, rng=self.dropout_rng, training=self.training)
-
-    @contextmanager
-    def _eval_mode(self):
-        was_training, self.training = self.training, False
-        try:
-            yield
-        finally:
-            self.training = was_training
+        return self.decoder(hidden, enc_tokens, rng=rng, training=rng is not None)
 
     def generate_for_tokens(self, tokens: np.ndarray, request: GenerationRequest) -> list[Hypothesis]:
         """Eval-mode generation for N clips from their (N, t, token_dim)
         encoder tokens, all N decoded in lockstep, one hypothesis each."""
         if request.max_len > self.dec_cfg.max_positions:
             raise ValueError(f"max length {request.max_len} exceeds {self.dec_cfg.max_positions} decoder positions")
-        with self._eval_mode():
-            step = self.decoder.step_fn(self.concept_probs(tokens), tokens)
-            return generate(step, request, clips=len(tokens))
+        step = self.decoder.step_fn(self.concept_probs(tokens), tokens)
+        return generate(step, request, clips=len(tokens))
 
     def generate_for_clip(self, clip: VideoClip, request: GenerationRequest) -> Hypothesis:
         """Eval-mode generation for an already frame-selected clip: the
         batch of one."""
-        with self._eval_mode():
-            return self.generate_for_tokens(self.video_tokens([clip]).data, request)[0]
+        return self.generate_for_tokens(self.video_tokens([clip]).data, request)[0]
 
     def config_blob(self) -> dict:
         return {"encoder": asdict(self.enc_cfg), "decoder": asdict(self.dec_cfg)}

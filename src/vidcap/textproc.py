@@ -225,6 +225,8 @@ class ConceptVocabulary:
 def build_concept_vocabulary(captions: Iterable[str], tagger: PosTagger, k: int) -> ConceptVocabulary:
     """Top-k nouns/verbs/adverbs by corpus token frequency, ties to the
     alphabetically first word."""
+    if k < 1:
+        raise ValueError(f"concept count must be at least 1, got {k}")
     counts: dict[str, int] = {}
     for cap in captions:
         for tok in normalize_and_tokenize(cap):

@@ -129,10 +129,10 @@ def _shape_groups(clips: Sequence[VideoClip]) -> list[list[int]]:
 
 
 def token_cache(model: CaptionModel, clips: Iterable[VideoClip], batch_size: int) -> np.ndarray:
-    """(N, t, token_dim) encoder tokens of the N clips an iterable yields,
-    in the model's current mode.  Clips wait in a bucket per shape and a
-    full bucket of batch_size is encoded at once, the rest at the end, so
-    at most batch_size clips of each shape are held at a time."""
+    """(N, t, token_dim) eval-mode encoder tokens of the N clips an
+    iterable yields.  Clips wait in a bucket per shape and a full bucket of
+    batch_size is encoded at once, the rest at the end, so at most
+    batch_size clips of each shape are held at a time."""
     out: list[np.ndarray] = []
     buckets: dict[tuple, list[tuple[int, VideoClip]]] = {}
 
@@ -157,21 +157,23 @@ def joint_loss(
     captions: Sequence[np.ndarray],
     labels: Sequence[np.ndarray],
     lambda_bce: float,
+    rng: np.random.Generator | None = None,
 ) -> tuple[Tensor, Tensor, Tensor]:
     """(total, ce, bce) over one batch, on one graph: ce is the mean of the
     per-sample caption cross entropies, bce the mean of the per-sample
     concept terms and total = ce + lambda_bce * bce.  captions[i] holds
     the target ids of clip i, ending in EOS.  Clips of one shape share an
-    encoder call; the calls' tokens are concatenated, one row per clip."""
+    encoder call; the calls' tokens are concatenated, one row per clip.
+    Dropout draws from rng; None is the dropout-free (eval) loss."""
     groups = _shape_groups(clips)
     rows = [i for group in groups for i in group]
-    parts = [model.video_tokens([clips[i] for i in group]) for group in groups]
+    parts = [model.video_tokens([clips[i] for i in group], rng) for group in groups]
     tokens = parts[0] if len(parts) == 1 else ad.concat(parts, axis=0)
     targets = np.full((len(rows), max(len(c) for c in captions)), PAD_ID, dtype=np.intp)
     for row, i in enumerate(rows):
         targets[row, : len(captions[i])] = captions[i]
-    sem_logits = model.concept_logits(tokens)
-    dec_logits = model.caption_logits(ad.sigmoid(sem_logits), targets[:, :-1], tokens)
+    sem_logits = model.concept_logits(tokens, rng)
+    dec_logits = model.caption_logits(ad.sigmoid(sem_logits), targets[:, :-1], tokens, rng)
     ce = ad.cross_entropy_masked(dec_logits, targets, PAD_ID)
     bce = ad.bce_with_logits(sem_logits, np.stack([labels[i] for i in rows]))
     return ad.add(ce, ad.scale(bce, lambda_bce)), ce, bce
@@ -192,13 +194,13 @@ def train(
     log_every: int = 50,
     quiet: bool = True,
 ) -> TrainResult:
+    if log_every < 1:
+        raise ValueError(f"log_every must be at least 1, got {log_every}")
     data_root = Path(data_dir)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     records = [r for r in load_corpus(data_root / "corpus.jsonl") if r.split == "train"]
-    if not records:
-        raise ValueError("empty training split")
     captions = [c for r in records for c in r.captions]
     vocab = build_vocab(captions)
     tagger = PosTagger.load_default()
@@ -206,6 +208,7 @@ def train(
     enc_cfg = config.resolve_encoder()
     concepts = build_concept_vocabulary(captions, tagger, enc_cfg.concept_count)
     dec_cfg = config.resolve_decoder(len(vocab), enc_cfg.concept_count)
+    check_vocab_size(dec_cfg, vocab)
     if config.max_len + 1 > dec_cfg.max_positions:
         # a caption of max_len words, after the concept vector, fills max_len + 1 positions
         raise ValueError(f"max_len {config.max_len} needs {config.max_len + 1} decoder positions, "
@@ -216,7 +219,7 @@ def train(
 
     batch_rng = np.random.default_rng(config.seed + 303)
     caption_rng = np.random.default_rng(config.seed + 101)
-    model.dropout_rng = np.random.default_rng(config.seed + 202)
+    dropout_rng = np.random.default_rng(config.seed + 202)
 
     history: list[dict] = []
     t0 = time.time()
@@ -224,7 +227,6 @@ def train(
     def run_phase(phase: str, prefix: str, head_dropout: float, loss_fn, steps: range):
         # the parameters named prefix* are one contiguous stretch of the
         # model's sorted-name vector, which trains in place under one AdamW state
-        model.training = True
         model.concept_head.dropout_rate = head_dropout
         params = [p for name, _, p in model.layout if name.startswith(prefix)]
         start = next(offset for name, offset, _ in model.layout if name.startswith(prefix))
@@ -252,12 +254,11 @@ def train(
     with (out / "train_log.jsonl").open("w") as log_file:
         # phase one: concept head only, frozen encoder outputs cached once
         if config.phase in ("semantic_pretrain", "both") and config.pretrain_steps > 0:
-            model.training = False
             cache = token_cache(model, [s.clip for s in samples], config.batch_size)
             all_labels = np.stack([s.labels for s in samples])
 
             def pretrain_loss(batch):
-                logits = model.concept_logits(Tensor(cache[batch]))
+                logits = model.concept_logits(Tensor(cache[batch]), dropout_rng)
                 bce = ad.bce_with_logits(logits, all_labels[batch])
                 return bce, {"bce": float(bce.data)}
 
@@ -268,9 +269,8 @@ def train(
             def batch_joint_loss(batch):
                 drawn = [samples[i] for i in batch]
                 captions = [s.captions[int(caption_rng.integers(0, len(s.captions)))] for s in drawn]
-                total, ce, bce = joint_loss(
-                    model, [s.clip for s in drawn], captions, [s.labels for s in drawn], config.lambda_bce
-                )
+                clips, labels = [s.clip for s in drawn], [s.labels for s in drawn]
+                total, ce, bce = joint_loss(model, clips, captions, labels, config.lambda_bce, dropout_rng)
                 return total, {"ce": float(ce.data), "bce": float(bce.data)}
 
             start = config.pretrain_steps if config.phase == "both" else 0
@@ -370,6 +370,11 @@ def load_checkpoint(ckpt_dir: str | Path) -> tuple[CaptionModel, dict]:
     except ValueError as e:
         raise ValueError(f"{ckpt}: {e}") from None
     return model, manifest
+
+
+def check_vocab_size(dec_cfg: DecoderConfig, vocab: Vocab) -> None:
+    if dec_cfg.vocab_size != len(vocab):
+        raise ValueError(f"decoder vocab_size {dec_cfg.vocab_size} is not the vocabulary's {len(vocab)} words")
 
 
 def load_vocab_and_concepts(ckpt_dir: str | Path) -> tuple[Vocab, ConceptVocabulary]:

@@ -138,6 +138,8 @@ def test_missing_and_invalid_inputs_exit_2(env, tmp_path, capsys):
         ({"encoder": {**SMALL_ENCODER, "attn_dropout": 1.5}}, "encoder attn_dropout must be in [0, 1), got 1.5"),
         ({"decoder": {"dropout": -0.1}}, "decoder dropout must be in [0, 1), got -0.1"),
         ({"max_len": 0}, "max_len must be at least 1, got 0"),
+        ({"decoder": {"vocab_size": 5}}, "decoder vocab_size 5 is not the vocabulary's"),
+        ({"decoder": {"vocab_size": 400}}, "decoder vocab_size 400 is not the vocabulary's"),
     ],
 )
 def test_bad_train_config_exits_2_before_training(env, tmp_path, capsys, config, message):
@@ -166,6 +168,26 @@ def test_bad_train_config_exits_2_before_training(env, tmp_path, capsys, config,
         ({"encoder": {**SMALL_ENCODER, "embed_dim": 0}}, "encoder embed_dim must be positive, got 0"),
         ({"encoder": {**SMALL_ENCODER, "token_dim": 0}}, "encoder token_dim must be positive, got 0"),
         ({"decoder": {"hidden": 0}}, "decoder hidden must be positive, got 0"),
+        ({"encoder": {**SMALL_ENCODER, "mlp_ratio": 0}}, "encoder mlp_ratio must be positive, got 0"),
+        ({"decoder": {"mlp_ratio": 0}}, "decoder mlp_ratio must be positive, got 0"),
+        ({"encoder": {**SMALL_ENCODER, "frames": 0}}, "encoder frames must be positive, got 0"),
+        ({"encoder": {**SMALL_ENCODER, "concept_count": 0}}, "encoder concept_count must be positive, got 0"),
+        ({"encoder": {**SMALL_ENCODER, "concept_count": -2}}, "encoder concept_count must be positive, got -2"),
+        (
+            {"encoder": {**SMALL_ENCODER, "concept_hidden": [0, 96]}},
+            "encoder concept_hidden must be two positive integers, got [0, 96]",
+        ),
+        (
+            {"encoder": {**SMALL_ENCODER, "concept_hidden": [48]}},
+            "encoder concept_hidden must be two positive integers, got [48]",
+        ),
+        (
+            {"encoder": {**SMALL_ENCODER, "concept_hidden": [48, 96, 12]}},
+            "encoder concept_hidden must be two positive integers, got [48, 96, 12]",
+        ),
+        ({"decoder": {"vocab_size": 0}}, "decoder vocab_size must be positive, got 0"),
+        ({"decoder": {"max_positions": 0}}, "decoder max_positions must be positive, got 0"),
+        ({"decoder": {"concept_dim": 0}}, "decoder concept_dim must be positive, got 0"),
     ],
 )
 def test_zero_heads_patch_or_window_is_a_data_error(env, tmp_path, capsys, config, message):
@@ -175,6 +197,32 @@ def test_zero_heads_patch_or_window_is_a_data_error(env, tmp_path, capsys, confi
     assert main(["train", "--config", str(cfg), "--data", str(env["data"]), "--out", str(out)]) == 2
     assert capsys.readouterr().err.splitlines() == [f"data error: {message}"]
     assert not (out / "train_log.jsonl").exists()
+
+
+@pytest.mark.parametrize("log_every", [0, -1])
+def test_log_every_below_one_exits_2_before_training(env, tmp_path, capsys, log_every):
+    out = tmp_path / "run"
+    argv = ["train", "--config", str(env["cfg"]), "--data", str(env["data"]), "--out", str(out)]
+    assert main([*argv, "--log-every", str(log_every)]) == 2
+    assert _one_data_error(capsys) == f"data error: log_every must be at least 1, got {log_every}"
+    assert not (out / "train_log.jsonl").exists()
+
+
+def test_caption_and_evaluate_refuse_a_decoder_that_is_not_the_vocabulary_size(env, tmp_path, capsys):
+    import shutil
+
+    ckpt = tmp_path / "ckpt"
+    shutil.copytree(env["ckpt"], ckpt)
+    words = json.loads((ckpt / "vocab.json").read_text())["words"]
+    (ckpt / "vocab.json").write_text(json.dumps({"words": words + ["zebra"]}))
+    message = f"data error: decoder vocab_size {len(words) + 4} is not the vocabulary's {len(words) + 5} words"
+    video = env["data"] / "videos" / "vid0001.vvid"
+    assert main(["caption", "--ckpt", str(ckpt), "--video", str(video), "--decode", "greedy"]) == 2
+    assert _one_data_error(capsys) == message
+    corpus = env["data"] / "corpus.jsonl"
+    assert main(["evaluate", "--ckpt", str(ckpt), "--corpus", str(corpus), "--out", str(tmp_path / "ev")]) == 2
+    assert _one_data_error(capsys) == message
+    assert not (tmp_path / "ev").exists()
 
 
 def test_caption_refuses_a_stored_adapter_mode(env, tmp_path, capsys):
@@ -394,6 +442,15 @@ def test_build_vocab(env, tmp_path, capsys):
     # more concepts than distinct content words in this tiny corpus
     assert main(["build-vocab", "--corpus", str(corpus), "--concepts", "64", "--out", str(out)]) == 2
     assert "data error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_build_vocab_refuses_fewer_than_one_concept(env, tmp_path, capsys, count):
+    out = tmp_path / "vocab.json"
+    corpus = env["data"] / "corpus.jsonl"
+    assert main(["build-vocab", "--corpus", str(corpus), "--concepts", str(count), "--out", str(out)]) == 2
+    assert _one_data_error(capsys) == f"data error: concept count must be at least 1, got {count}"
+    assert not out.exists()
 
 
 def test_caption_command(env, capsys):

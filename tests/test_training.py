@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -426,16 +427,76 @@ def test_joint_step_trains_exactly_the_named_parameters():
     # a layer the walk misses would still get a gradient here, but no
     # optimizer update and no checkpoint entry
     model = _small_model()
-    model.training = True
     rng = np.random.default_rng(31)
     clips = [VideoClip(rng.random((8, 12, 12, 3))) for _ in range(2)]
     labels = [(rng.random(8) > 0.5).astype(np.float64) for _ in clips]
     with Tape() as tape:
-        total, _, _ = joint_loss(model, clips, [np.array([4, 5, 2]), np.array([6, 2])], labels, 0.1)
+        total, _, _ = joint_loss(model, clips, [np.array([4, 5, 2]), np.array([6, 2])], labels, 0.1, rng)
         grads = backward(total, tape)
     params = model.parameters()
     assert len({id(p) for p in params.values()}) == len(params)
     assert {id(t) for t in grads} == {id(p) for p in params.values()}
+
+
+def test_joint_loss_draws_dropout_only_from_the_generator_it_is_handed():
+    model = _small_model()
+    rng = np.random.default_rng(34)
+    clips = [VideoClip(rng.random((8, 12, 12, 3))) for _ in range(2)]
+    captions = [np.array([4, 5, 2]), np.array([6, 2])]
+    labels = [(rng.random(8) > 0.5).astype(np.float64) for _ in clips]
+
+    def loss_and_grads(model, dropout_rng):
+        with Tape() as tape:
+            total, _, _ = joint_loss(model, clips, captions, labels, 0.1, dropout_rng)
+            grads = backward(total, tape)
+        return total.data.tobytes(), [grads[p].tobytes() for p in model.parameters().values()]
+
+    drawn = loss_and_grads(model, np.random.default_rng(5))
+    assert loss_and_grads(model, np.random.default_rng(5)) == drawn
+    # no generator is eval mode: the bits of a training-mode model whose
+    # every dropout rate is zero
+    still = CaptionModel(model.enc_cfg, replace(model.dec_cfg, dropout=0.0))
+    still.concept_head.dropout_rate = 0.0
+    assert model.enc_cfg.hidden_dropout == model.enc_cfg.attn_dropout == 0.0
+    plain = loss_and_grads(model, None)
+    assert plain == loss_and_grads(still, np.random.default_rng(5))
+    assert plain[0] != drawn[0]
+
+
+def test_the_trained_model_holds_no_generator_and_draws_no_dropout(run):
+    # train() keeps its dropout stream to itself, so the model it returns
+    # runs in eval mode and repeats its bits
+    model = run[0].model
+    for m in (model, _small_model()):
+        assert not any(isinstance(v, np.random.Generator) for v in vars(m).values())
+    clip = VideoClip(np.random.default_rng(33).random((8, 12, 12, 3)))
+    outs = []
+    for _ in range(2):
+        tokens = model.video_tokens([clip])
+        probs = model.concept_probs(tokens)
+        outs.append((probs.data.tobytes(), model.caption_logits(probs, [np.array([4, 5, 6])], tokens).data.tobytes()))
+    assert outs[0] == outs[1]
+
+
+def test_both_phases_draw_dropout_from_one_generator_that_train_keeps(dataset, tmp_path, monkeypatch):
+    # the rates tell the parts apart: encoder 0.2 and 0.25, decoder 0.3,
+    # concept head 0.5 in phase one and 0.1 in phase two
+    calls = []
+    real = vidcap.autodiff.dropout
+
+    def recording(a, rate, rng, training):
+        calls.append((rate, rng, training))
+        return real(a, rate, rng, training)
+
+    monkeypatch.setattr(vidcap.autodiff, "dropout", recording)
+    encoder = {**SMALL_ENCODER, "hidden_dropout": 0.2, "attn_dropout": 0.25}
+    cfg = TrainConfig(encoder=encoder, batch_size=2, pretrain_steps=2, max_steps=2, seed=5)
+    train(cfg, dataset, tmp_path / "out")
+    drawn = [(rate, rng) for rate, rng, training in calls if training]
+    assert all(rng is None for _, rng, training in calls if not training)
+    assert len({id(rng) for _, rng in drawn}) == 1
+    assert [rate for rate, _ in drawn[:4]] == [0.5] * 4
+    assert {rate for rate, _ in drawn[4:]} == {0.2, 0.25, 0.3, 0.1}
 
 
 def test_pretrain_steps_train_exactly_the_concept_head(dataset, tmp_path, monkeypatch):

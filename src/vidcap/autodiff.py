@@ -8,6 +8,14 @@ functions run as ordinary numpy code (inference mode): _record wraps the
 output at once and nothing is recorded, so a tape-free op returns a Tensor
 with requires_grad False and its closure is dropped unrun.
 
+The tape keeps only what backward reads.  A node names Tensors by their
+key, a serial number unique in the process (id() is reused once a Tensor
+dies), so it holds no Tensor and an activation lives on only if a closure
+reads its array.  Each closure captures the arrays and shapes its rule
+reads, never a Tensor.  backward drops each node's keys and closure as
+soon as it has run the node, so a tape serves one backward pass, and the
+saved arrays are freed as the gradients that replace them are made.
+
 Layers write each forward once, in numpy spelling; only this module tells
 an eval-mode array from a Tensor.  Tensor records +, * by a number, @,
 reshape, transpose, mean and take, and linear, layer_norm, gelu, relu,
@@ -32,6 +40,7 @@ lookups and the encoder's window layouts.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Callable, Sequence
 
@@ -39,6 +48,7 @@ import numpy as np
 
 _TAPE_STACK: list["Tape"] = []
 _F64 = np.dtype(np.float64)
+_SERIAL = itertools.count()
 
 
 class Tensor:
@@ -49,15 +59,17 @@ class Tensor:
     with np.asarray.  Data is treated as immutable once wrapped, except for
     optimizer updates and checkpoint loads, which write in place into the
     model's parameter vector that a parameter's data views (CaptionModel.flat).
+    key is the Tensor's serial number, by which a tape names it.
     """
 
-    __slots__ = ("data", "requires_grad")
+    __slots__ = ("data", "requires_grad", "key")
 
     def __init__(self, data, requires_grad: bool = False):
         if type(data) is not np.ndarray or data.dtype is not _F64:
             data = np.asarray(data, dtype=np.float64)
         self.data = data
         self.requires_grad = bool(requires_grad)
+        self.key = next(_SERIAL)
 
     @property
     def shape(self) -> tuple:
@@ -88,6 +100,11 @@ def array_of(x) -> np.ndarray:
 
 
 class _Node:
+    """One recorded op: its name, the key of each input that needs a
+    gradient (None for one that does not), its output's key, and the
+    closure that maps the output gradient to one gradient per input.
+    backward sets inputs and backward to None once it has run the node."""
+
     __slots__ = ("op", "inputs", "out_id", "backward")
 
     def __init__(self, op: str, inputs: tuple, out_id: int, backward: Callable):
@@ -98,7 +115,13 @@ class _Node:
 
 
 class Tape:
-    """Ordered record of primitive applications for one backward pass."""
+    """Ordered record of primitive applications for one backward pass.
+
+    Nodes name Tensors by key.  The tape holds as Tensors only its leaves,
+    the requires_grad inputs that no recorded op produced, to key the
+    gradients backward returns; _produced holds the key of every recorded
+    output.  Once backward has run, the nodes keep only their op names.
+    """
 
     def __init__(self):
         self.nodes: list[_Node] = []
@@ -124,36 +147,41 @@ def _record(op: str, inputs: tuple, out_data: np.ndarray, backward: Callable) ->
     if not _TAPE_STACK:
         return Tensor(out_data)
     tape = _TAPE_STACK[-1]
-    grad_needed = any(t.requires_grad for t in inputs)
+    keys = tuple(t.key if t.requires_grad else None for t in inputs)
+    grad_needed = keys.count(None) < len(keys)
     out = Tensor(out_data, requires_grad=grad_needed)
     if grad_needed:
-        for t in inputs:
-            if t.requires_grad and id(t) not in tape._produced:
-                tape._leaves[id(t)] = t
-        tape.nodes.append(_Node(op, inputs, id(out), backward))
-        tape._produced.add(id(out))
+        for t, key in zip(inputs, keys):
+            if key is not None and key not in tape._produced:
+                tape._leaves[key] = t
+        tape.nodes.append(_Node(op, keys, out.key, backward))
+        tape._produced.add(out.key)
     return out
 
 
 def backward(loss: Tensor, tape: Tape) -> dict[Tensor, np.ndarray]:
-    """Reverse sweep over the tape.
+    """Reverse sweep over the tape, which it uses up.
 
     Returns a map from each requires_grad leaf reachable from the loss to
-    its gradient array.  The loss must be a scalar.
+    its gradient array.  The loss must be a scalar.  Each node's keys and
+    closure are dropped right after it runs, freeing the arrays only it
+    read, so a second backward on the same tape is refused.
     """
     if loss.data.size != 1:
         raise ValueError("loss must be scalar")
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    if tape.nodes and tape.nodes[-1].backward is None:
+        raise ValueError("tape already used by a backward pass")
+    grads: dict[int, np.ndarray] = {loss.key: np.ones_like(loss.data)}
     for node in reversed(tape.nodes):
         g = grads.pop(node.out_id, None)
-        if g is None:
-            continue
-        for inp, contrib in zip(node.inputs, node.backward(g)):
-            if contrib is None or not inp.requires_grad:
-                continue
-            acc = grads.get(id(inp))
-            grads[id(inp)] = contrib if acc is None else acc + contrib
-    return {t: grads[i] for i, t in tape._leaves.items() if i in grads}
+        if g is not None:
+            for key, contrib in zip(node.inputs, node.backward(g)):
+                if contrib is None or key is None:
+                    continue
+                acc = grads.get(key)
+                grads[key] = contrib if acc is None else acc + contrib
+        node.inputs = node.backward = None
+    return {t: grads[k] for k, t in tape._leaves.items() if k in grads}
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +206,10 @@ def add(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     _binary_check(a, b, "add")
 
+    sa, sb = a.shape, b.shape
+
     def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return _unbroadcast(g, sa), _unbroadcast(g, sb)
 
     return _record("add", (a, b), a.data + b.data, bwd)
 
@@ -187,11 +217,12 @@ def add(a, b) -> Tensor:
 def mul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     _binary_check(a, b, "mul")
+    x, y = a.data, b.data
 
     def bwd(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return _unbroadcast(g * y, x.shape), _unbroadcast(g * x, y.shape)
 
-    return _record("mul", (a, b), a.data * b.data, bwd)
+    return _record("mul", (a, b), x * y, bwd)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -206,7 +237,8 @@ def scale(a: Tensor, c: float) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product.  Either b is 2-D (shared weight applied to any stack
     of row blocks) or a and b carry identical leading batch dims."""
-    sa, sb = a.data.shape, b.data.shape
+    x, y = a.data, b.data
+    sa, sb = x.shape, y.shape
     if len(sa) < 2 or len(sb) < 2:
         raise ValueError("matmul requires at least 2-D operands")
     if len(sb) == 2:
@@ -214,9 +246,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             raise ValueError(f"matmul: inner dims {sa} @ {sb}")
 
         def bwd(g):
-            ga = g @ b.data.T
+            ga = g @ y.T
             k, m = sb
-            gb = a.data.reshape(-1, k).T @ g.reshape(-1, m)
+            gb = x.reshape(-1, k).T @ g.reshape(-1, m)
             return ga, gb
 
     else:
@@ -224,11 +256,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             raise ValueError(f"matmul: incompatible batched shapes {sa} @ {sb}")
 
         def bwd(g):
-            ga = g @ np.swapaxes(b.data, -1, -2)
-            gb = np.swapaxes(a.data, -1, -2) @ g
+            ga = g @ np.swapaxes(y, -1, -2)
+            gb = np.swapaxes(x, -1, -2) @ g
             return ga, gb
 
-    return _record("matmul", (a, b), a.data @ b.data, bwd)
+    return _record("matmul", (a, b), x @ y, bwd)
 
 
 def linear_kernel(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None) -> np.ndarray:
@@ -249,13 +281,14 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     sx, sw, sb = x.data.shape, weight.data.shape, bias.data.shape
     if len(sw) != 2 or sx[-1:] != sw[:1] or sb != sw[1:]:
         raise ValueError(f"linear: shapes {sx} @ {sw} + {sb}")
-    out = linear_kernel(x.data, weight.data, bias.data)
+    xd, w, need_gx = x.data, weight.data, x.requires_grad
+    out = linear_kernel(xd, w, bias.data)
     k, m = sw
 
     def bwd(g):
         g2 = g.reshape(-1, m)
-        gx = g @ weight.data.T if x.requires_grad else None
-        return gx, x.data.reshape(-1, k).T @ g2, np.add.reduce(g2, 0)
+        gx = g @ w.T if need_gx else None
+        return gx, xd.reshape(-1, k).T @ g2, np.add.reduce(g2, 0)
 
     return _record("linear", (x, weight, bias), out, bwd)
 
@@ -263,11 +296,12 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 def relu(a: Tensor) -> Tensor:
     if isinstance(a, np.ndarray):
         return np.maximum(a, 0.0)
+    x = a.data
 
     def bwd(g):
-        return (g * (a.data > 0),)
+        return (g * (x > 0),)
 
-    return _record("relu", (a,), np.maximum(a.data, 0.0), bwd)
+    return _record("relu", (a,), np.maximum(x, 0.0), bwd)
 
 
 _GELU_C = np.sqrt(2.0 / np.pi)
@@ -354,13 +388,13 @@ def take(a: Tensor, index, axis: int) -> Tensor:
     Backward is one np.bincount over the flat source position of each entry
     of g, which adds repeated reads in index order, as np.add.at does."""
     axis %= a.ndim
-    size = a.shape[axis]
+    shape, size = a.shape, a.shape[axis]
     idx = checked_index(index, size)
 
     def bwd(g):
-        outer, inner = math.prod(a.shape[:axis]), math.prod(a.shape[axis + 1 :])
+        outer, inner = math.prod(shape[:axis]), math.prod(shape[axis + 1 :])
         pos = (np.arange(outer)[:, None, None] * size + idx.reshape(1, -1, 1)) * inner + np.arange(inner)
-        return (np.bincount(pos.ravel(), g.ravel(), a.data.size).reshape(a.shape),)
+        return (np.bincount(pos.ravel(), g.ravel(), math.prod(shape)).reshape(shape),)
 
     return _record("take", (a,), np.take(a.data, idx, axis), bwd)
 
@@ -371,19 +405,19 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
         raise ValueError("concat of zero tensors")
     if isinstance(ts[0], np.ndarray):
         return np.concatenate(ts, axis=axis)
+    sizes = [t.data.shape[axis] for t in ts]
 
     def bwd(g):
-        splits = np.cumsum([t.data.shape[axis] for t in ts])[:-1]
-        return tuple(np.split(g, splits, axis=axis))
+        return tuple(np.split(g, np.cumsum(sizes)[:-1], axis=axis))
 
     return _record("concat", ts, np.concatenate([t.data for t in ts], axis=axis), bwd)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    shape = tuple(shape)
+    shape, old = tuple(shape), a.shape
 
     def bwd(g):
-        return (g.reshape(a.shape),)
+        return (g.reshape(old),)
 
     return _record("reshape", (a,), a.data.reshape(shape), bwd)
 
@@ -400,12 +434,13 @@ def transpose(a: Tensor, axes) -> Tensor:
 def broadcast_to(a: Tensor, shape) -> Tensor:
     """Explicit expansion to numpy's read-only broadcast view; backward
     sums over the expanded axes."""
+    old = a.shape
 
     def bwd(g):
-        lead = g.ndim - a.ndim
+        lead = g.ndim - len(old)
         if lead:
             g = g.sum(axis=tuple(range(lead)))
-        keep = tuple(i for i in range(a.ndim) if a.shape[i] == 1 and g.shape[i] != 1)
+        keep = tuple(i for i in range(len(old)) if old[i] == 1 and g.shape[i] != 1)
         if keep:
             g = g.sum(axis=keep, keepdims=True)
         return (g,)
@@ -416,10 +451,10 @@ def broadcast_to(a: Tensor, shape) -> Tensor:
 def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
     sl = [slice(None)] * a.ndim
     sl[axis] = slice(start, stop)
-    sl = tuple(sl)
+    sl, shape = tuple(sl), a.shape
 
     def bwd(g):
-        ga = np.zeros_like(a.data)
+        ga = np.zeros(shape)
         ga[sl] = g
         return (ga,)
 
@@ -437,12 +472,13 @@ def roll(a: Tensor, shifts, axes) -> Tensor:
 
 
 def mean_reduce(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
-    n = a.shape[axis]
+    shape = a.shape
+    n = shape[axis]
 
     def bwd(g):
         if not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape) / n,)
+        return (np.broadcast_to(g, shape) / n,)
 
     return _record("mean", (a,), a.data.mean(axis=axis, keepdims=keepdims), bwd)
 
@@ -451,12 +487,12 @@ def max_reduce(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
     """Max over one axis; ties route the gradient to the first maximum."""
     if isinstance(a, np.ndarray):
         return a.max(axis=axis, keepdims=keepdims)
-    idx = np.argmax(a.data, axis=axis)
+    idx, shape = np.argmax(a.data, axis=axis), a.shape
 
     def bwd(g):
         if not keepdims:
             g = np.expand_dims(g, axis)
-        ga = np.zeros_like(a.data)
+        ga = np.zeros(shape)
         np.put_along_axis(ga, np.expand_dims(idx, axis), g, axis=axis)
         return (ga,)
 
@@ -464,10 +500,12 @@ def max_reduce(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
 
 
 def sum_reduce(a: Tensor, axis: int | None = None) -> Tensor:
+    shape = a.shape
+
     def bwd(g):
         if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
-        return (np.broadcast_to(np.expand_dims(g, axis), a.shape).copy(),)
+            return (np.broadcast_to(g, shape).copy(),)
+        return (np.broadcast_to(np.expand_dims(g, axis), shape).copy(),)
 
     return _record("sum", (a,), a.data.sum(axis=axis), bwd)
 
@@ -569,7 +607,8 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-12) -> Te
         raise ValueError("layer_norm over zero-length axis")
     if gamma.data.shape != (c,) or beta.data.shape != (c,):
         raise ValueError("layer_norm affine params must match last axis")
-    out, xhat, inv = layer_norm_kernel(x, gamma.data, beta.data, eps)
+    gd = gamma.data
+    out, xhat, inv = layer_norm_kernel(x, gd, beta.data, eps)
 
     def bwd(g):
         # dxhat = g * gamma; da = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
@@ -577,7 +616,7 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-12) -> Te
         tmp = np.multiply(g, xhat)
         dgamma = np.add.reduce(tmp, lead)
         dbeta = np.add.reduce(g, lead)
-        da = np.multiply(g, gamma.data)
+        da = np.multiply(g, gd)
         m1 = np.add.reduce(da, -1, keepdims=True)
         m1 /= c
         np.multiply(da, xhat, out=tmp)
@@ -614,12 +653,13 @@ def cross_entropy_masked(logits: Tensor, targets, ignore_id: int) -> Tensor:
     lse = m[..., 0] + np.log(np.exp(z - m).sum(axis=2))
     row_means = np.where(valid, lse - z[rows, cols, safe], 0.0).sum(axis=1) / counts
     loss = float(row_means.mean())
+    shape = logits.shape
 
     def bwd(g):
         p = np.exp(z - lse[..., None])
         p[rows, cols, safe] -= 1.0
         p *= (valid * (float(g) / (len(counts) * counts[:, None])))[..., None]
-        return (p.reshape(logits.shape),)
+        return (p.reshape(shape),)
 
     return _record("cross_entropy_masked", (logits,), np.float64(loss), bwd)
 

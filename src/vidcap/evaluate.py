@@ -121,6 +121,7 @@ def evaluate_checkpoint(
     """
     request = request or GenerationRequest()
     model, vocab = load_captioner(ckpt_dir)
+    model.check_request(request)  # before any clip is read and encoded
 
     corpus_path = Path(corpus_path)
     corpus = load_corpus(corpus_path)

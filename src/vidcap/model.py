@@ -71,10 +71,14 @@ class CaptionModel(Module):
     def generate_for_tokens(self, tokens: np.ndarray, request: GenerationRequest) -> list[Hypothesis]:
         """Eval-mode generation for N clips from their (N, t, token_dim)
         encoder tokens, all N decoded in lockstep, one hypothesis each."""
-        if request.max_len > self.dec_cfg.max_positions:
-            raise ValueError(f"max length {request.max_len} exceeds {self.dec_cfg.max_positions} decoder positions")
+        self.check_request(request)
         step = self.decoder.step_fn(self.concept_probs(tokens), tokens)
         return generate(step, request, clips=len(tokens))
+
+    def check_request(self, request: GenerationRequest) -> None:
+        """Refuse a request for longer captions than the decoder has positions."""
+        if request.max_len > self.dec_cfg.max_positions:
+            raise ValueError(f"max length {request.max_len} exceeds {self.dec_cfg.max_positions} decoder positions")
 
     def generate_for_clip(self, clip: VideoClip, request: GenerationRequest) -> Hypothesis:
         """Eval-mode generation for an already frame-selected clip: the

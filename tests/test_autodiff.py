@@ -4,6 +4,9 @@ Analytic gradients are compared against central differences (h=1e-5) in
 float64; the relative error bound is 1e-4 with a max(1, |g|) denominator.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -439,6 +442,86 @@ def test_float64_array_is_wrapped_without_a_copy():
     assert Tensor(x).data is x
     assert Tensor(np.arange(6)).data.dtype == np.float64
     assert type(Tensor(np.float64(2.0)).data) is np.ndarray
+
+
+def test_backward_frees_the_arrays_its_nodes_saved():
+    # nodes name Tensors by key and backward drops each closure once run, so
+    # a saved activation dies in the sweep while the tape is still held
+    rng = np.random.default_rng(40)
+    w1, w2 = Tensor(rng.normal(size=(3, 4)), requires_grad=True), Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+    b1, b2 = Tensor(np.zeros(4), requires_grad=True), Tensor(np.zeros(2), requires_grad=True)
+    with Tape() as tape:
+        h = ad.gelu(ad.linear(Tensor(rng.normal(size=(5, 3))), w1, b1))
+        linear_input = weakref.ref(h.data)
+        loss = ad.sum_reduce(ad.linear(h, w2, b2))
+        del h
+    gelu = next(node.backward for node in tape.nodes if node.op == "gelu")
+    tanh_term = weakref.ref(gelu.__closure__[gelu.__code__.co_freevars.index("t")].cell_contents)
+    del gelu
+    assert linear_input() is not None and tanh_term() is not None
+    grads = backward(loss, tape)
+    assert linear_input() is None and tanh_term() is None
+    assert set(grads) == {w1, w2, b1, b2}
+    assert [node.op for node in tape.nodes] == ["linear", "gelu", "linear", "sum"]
+    assert all(node.inputs is None and node.backward is None for node in tape.nodes)
+
+
+def test_a_tape_serves_one_backward_pass():
+    a = Tensor(np.arange(3.0), requires_grad=True)
+    with Tape() as tape:
+        loss = ad.sum_reduce(ad.mul(a, a))
+    assert np.array_equal(backward(loss, tape)[a], 2 * a.data)
+    with pytest.raises(ValueError, match="tape already used"):
+        backward(loss, tape)
+
+
+def test_gradients_do_not_depend_on_which_intermediates_stay_alive():
+    # each step makes a fresh leaf and drops the previous step's Tensors, so
+    # ids come round again; the keys must still tell every Tensor apart
+    arrays = np.random.default_rng(41).normal(size=(200, 3))
+
+    def run(keep_alive):
+        leaves, alive, ids = [Tensor(arrays[0], requires_grad=True)], [], []
+        with Tape() as tape:
+            x = leaves[0]
+            for a in arrays[1:]:
+                leaf = Tensor(a, requires_grad=True)
+                product = ad.mul(x, leaf)
+                x = ad.gelu(ad.add(product, leaf))
+                leaves.append(leaf)
+                ids += [id(leaf), id(product), id(x)]
+                if keep_alive:
+                    alive += [product, x]
+                del product
+            loss = ad.sum_reduce(x)
+            del x
+            grads = backward(loss, tape)
+        return [grads[t].tobytes() for t in leaves], len(set(ids)) < len(ids)
+
+    kept, recycled_kept = run(True)
+    dropped, recycled = run(False)
+    assert recycled and not recycled_kept
+    assert dropped == kept
+
+
+def test_a_used_tape_leaves_no_reference_cycle():
+    rng = np.random.default_rng(42)
+    gc.collect()
+    gc.disable()
+    try:
+        w = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
+        gamma, beta = Tensor(np.ones(6), requires_grad=True), Tensor(np.zeros(6), requires_grad=True)
+        with Tape() as tape:
+            x = ad.take(Tensor(rng.normal(size=(5, 4))), np.array([[0, 2], [4, 4]]), 0)
+            h = ad.layer_norm(ad.gelu(ad.linear(x, w)), gamma, beta)
+            h = ad.concat([ad.softmax(h), ad.relu(h)], axis=0)
+            loss = ad.cross_entropy_masked(h, np.array([[1, 5], [0, 3], [2, 2], [5, 0]]), ignore_id=0)
+            grads = backward(loss, tape)
+        assert len(grads) == 3
+        del tape, grads, loss, x, h
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _iadd(a, b):

@@ -9,6 +9,7 @@ import pytest
 
 import vidcap.autodiff
 import vidcap.decoder
+import vidcap.evaluate
 from vidcap.afs import build_cdf, frame_dissimilarity, select_frames
 from vidcap.cli import main
 from vidcap.video import VideoClip, read_vvid
@@ -473,6 +474,22 @@ def test_caption_max_len_beyond_the_decoder_positions_exits_2(env, capsys, monke
     argv = ["caption", "--ckpt", str(env["ckpt"]), "--video", str(video), "--decode", "greedy", "--max-len", "33"]
     assert main(argv) == 2
     assert _one_data_error(capsys) == "data error: max length 33 exceeds 32 decoder positions"
+
+
+def test_evaluate_max_len_beyond_the_decoder_positions_exits_2_before_reading(env, tmp_path, capsys, monkeypatch):
+    reads, read = [], vidcap.evaluate.read_vvid
+
+    def counting_read(path):
+        reads.append(path)
+        return read(path)
+
+    monkeypatch.setattr(vidcap.evaluate, "read_vvid", counting_read)
+    argv = ["evaluate", "--ckpt", str(env["ckpt"]), "--corpus", str(env["data"] / "corpus.jsonl"),
+            "--decode", "greedy", "--max-len", "33", "--out", str(tmp_path / "eval")]
+    assert main(argv) == 2
+    assert _one_data_error(capsys) == "data error: max length 33 exceeds 32 decoder positions"
+    assert reads == []
+    assert not (tmp_path / "eval").exists()
 
 
 def test_evaluate_full_and_partial(env, tmp_path, capsys):

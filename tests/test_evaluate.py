@@ -208,6 +208,21 @@ def test_corpus_is_parsed_once_unless_train_corpus_is_another_file(corpus, tmp_p
         assert len(outcome.predictions) == len(records) - 1
 
 
+def test_max_len_beyond_the_decoder_positions_is_refused_before_any_read(corpus, tmp_path, monkeypatch):
+    data, records = corpus
+    _checkpoint(records, tmp_path / "ckpt", eos_bias=0.0)
+    reads, read = [], evaluate.read_vvid
+
+    def counting_read(path):
+        reads.append(path)
+        return read(path)
+
+    monkeypatch.setattr(evaluate, "read_vvid", counting_read)
+    with pytest.raises(ValueError, match="^max length 33 exceeds 32 decoder positions$"):
+        evaluate.evaluate_checkpoint(tmp_path / "ckpt", data / "corpus.jsonl", GenerationRequest(max_len=33))
+    assert reads == []
+
+
 def test_reads_run_at_most_two_chunks_and_one_clip_ahead_of_encoding(uniform, tmp_path, monkeypatch):
     data, records = uniform
     _checkpoint(records, tmp_path / "ckpt", eos_bias=50.0)

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,12 +11,13 @@ import pytest
 
 import vidcap.autodiff
 import vidcap.training
-from vidcap.autodiff import Tape, backward
+from vidcap.autodiff import Tape, Tensor, backward
 from vidcap.decoder import DecoderConfig, GenerationRequest
 from vidcap.encoder import EncoderConfig
 from vidcap.model import CaptionModel
+from vidcap.optim import AdamWState, adamw_step, clip_global_norm
 from vidcap.synth import SyntheticSpec, generate_synthetic_dataset
-from vidcap.textproc import config_from_table
+from vidcap.textproc import EOS_ID, config_from_table
 from vidcap.training import (
     TrainConfig,
     TrainingDiverged,
@@ -436,6 +438,60 @@ def test_joint_step_trains_exactly_the_named_parameters():
     params = model.parameters()
     assert len({id(p) for p in params.values()}) == len(params)
     assert {id(t) for t in grads} == {id(p) for p in params.values()}
+
+
+def _desk_batch(seed):
+    """A desk-preset model and one train_desk-shaped batch: 8 clips of
+    16x16 frames, captions of 9 words and EOS."""
+    rng = np.random.default_rng(seed)
+    enc = EncoderConfig()
+    model = CaptionModel(enc, DecoderConfig(vocab_size=40, concept_dim=enc.concept_count), seed=seed)
+    clips = [VideoClip(rng.random((enc.frames, 16, 16, 3))) for _ in range(8)]
+    captions = [np.append(rng.integers(4, 40, size=9), EOS_ID) for _ in clips]
+    labels = [(rng.random(enc.concept_count) > 0.5).astype(np.float64) for _ in clips]
+    return model, clips, captions, labels
+
+
+def test_no_backward_closure_holds_a_tensor():
+    # a closure that captured a Tensor would keep its array, and whatever
+    # else it holds, alive until the tape dies
+    model, clips, captions, labels = _desk_batch(36)
+    with Tape() as tape:
+        joint_loss(model, clips, captions, labels, 0.1, np.random.default_rng(1))
+    assert len(tape.nodes) == 255
+    for node in tape.nodes:
+        for cell in node.backward.__closure__ or ():
+            value = cell.cell_contents
+            held = value if isinstance(value, (list, tuple)) else (value,)
+            assert not any(isinstance(v, Tensor) for v in held), node.op
+
+
+# the traced memory that backward, clipping and AdamW may add to what the
+# forward left: less than one gradient vector of this model (83,196
+# float64, 666 KB); while nodes held their input Tensors the rise was 2.0 MB
+STEP_SLACK = 512 * 1024
+
+
+def test_backward_clip_and_adamw_stay_within_the_memory_the_forward_left():
+    # backward frees each node's saved arrays as it goes, so the gradients
+    # of a desk joint step take the place of the activations they came from
+    model, clips, captions, labels = _desk_batch(35)
+    params = list(model.parameters().values())
+    state = AdamWState(model.flat.size)
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            total, _, _ = joint_loss(model, clips, captions, labels, 0.1, np.random.default_rng(1))
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            grads = backward(total, tape)
+        grad, _ = clip_global_norm(np.concatenate([grads[p].ravel() for p in params]), 0.05)
+        adamw_step(model.flat, grad, state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert start > 4e6  # the forward's activations were traced
+    assert peak <= start + STEP_SLACK, (start, peak)
 
 
 def test_joint_loss_draws_dropout_only_from_the_generator_it_is_handed():

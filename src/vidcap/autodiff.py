@@ -510,16 +510,14 @@ def sum_reduce(a: Tensor, axis: int | None = None) -> Tensor:
     return _record("sum", (a,), a.data.sum(axis=axis), bwd)
 
 
-def dropout(a: Tensor, rate: float, rng: np.random.Generator | None, training: bool) -> Tensor:
-    """Inverted dropout.  Identity in eval mode, which checks nothing, or
-    at rate 0; in train mode the keep mask comes from rng so a fixed seed
-    reproduces it."""
-    if not training or rate == 0.0:
+def dropout(a: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
+    """Inverted dropout.  Identity with no generator (eval mode), which
+    checks nothing, or at rate 0; otherwise the keep mask is drawn from
+    rng, so a fixed seed reproduces it."""
+    if rng is None or rate == 0.0:
         return a
     if not (0.0 <= rate < 1.0):
         raise ValueError("dropout rate must be in [0, 1)")
-    if rng is None:
-        raise ValueError("training-mode dropout needs an rng")
     keep = (rng.random(a.shape) >= rate) / (1.0 - rate)
 
     def bwd(g):

@@ -92,7 +92,7 @@ class _DecoderLayer(Module):
         self.fc2 = Linear(rng, d * cfg.mlp_ratio, d)
         self.dropout = cfg.dropout
 
-    def __call__(self, x, enc, causal: np.ndarray | None, rng, training: bool, cache: list | None = None):
+    def __call__(self, x, enc, causal: np.ndarray | None, rng, cache: list | None = None):
         """With a cache [self_kv, cross_kv], x follows the prefix whose
         keys/values are self_kv, which the call extends; enc is unused."""
         a = self.ln1(x)
@@ -101,10 +101,10 @@ class _DecoderLayer(Module):
             (past_k, past_v), cross_kv = cache
             k, v = self.self_attn.keys_values(a)
             cache[0] = self_kv = (ad.concat([past_k, k], axis=2), ad.concat([past_v, v], axis=2))
-        x = x + self.self_attn(a, a, None, causal, rng, training, self_kv)
-        x = x + self.cross_attn(self.ln2(x), enc, None, None, rng, training, cross_kv)
+        x = x + self.self_attn(a, a, None, causal, rng, self_kv)
+        x = x + self.cross_attn(self.ln2(x), enc, None, None, rng, cross_kv)
         h = self.fc1(self.ln3(x))
-        h = ad.dropout(ad.gelu(h), self.dropout, rng, training)
+        h = ad.dropout(ad.gelu(h), self.dropout, rng)
         return x + self.fc2(h)
 
 
@@ -137,7 +137,7 @@ class CaptionDecoder(Module):
         if length > self.cfg.max_positions:
             raise ValueError(f"sequence of {length} exceeds {self.cfg.max_positions} positions")
 
-    def __call__(self, hidden, enc_tokens, rng=None, training: bool = False, cache: list | None = None):
+    def __call__(self, hidden, enc_tokens, rng=None, cache: list | None = None):
         """Logits (B, L, V) for every position of B embedded sequences
         (B, L, hidden) attending to their clips' tokens (B, t, dim); or, with
         a cache of one [self_kv, cross_kv] pair per layer (enc_tokens is
@@ -150,7 +150,7 @@ class CaptionDecoder(Module):
             cache = [None] * len(self.layers)
         x = hidden
         for layer, layer_cache in zip(self.layers, cache):
-            x = layer(x, enc_tokens, causal, rng, training, layer_cache)
+            x = layer(x, enc_tokens, causal, rng, layer_cache)
         return self.out_proj(self.final_norm(x))
 
     def step_fn(self, semantic, enc_tokens) -> "StepFn":

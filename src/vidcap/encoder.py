@@ -23,12 +23,12 @@ back; a merge is the take into (1, 2, 2) windows and the patch partition a
 np.take into patch-sized ones.  Only WindowAttention refuses a window
 larger than its grid.
 
-In eval mode with no tape active the encoder feeds plain arrays through
-the layers, which training and any taped call feed Tensors; each layer's
-one forward runs either, so the tokens are bitwise the same.  The choice
-is made once, where VideoEncoder.__call__ hands the patch projection its
-input, wrapped in a Tensor only when taped.
-ConceptHead.logits likewise takes arrays or Tensors.
+Every layer draws dropout from the rng it is handed; None is eval mode,
+in which, with no tape active, the encoder feeds plain arrays through the
+layers that training and any taped call feed Tensors.  Each layer's one
+forward runs either, so the tokens are bitwise the same; the choice is
+made once, where VideoEncoder.__call__ wraps the patch projection's input
+in a Tensor only when taped.  ConceptHead.logits likewise takes either.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .nn import Attention, LayerNorm, Linear, Module
+from .nn import Attention, LayerNorm, Linear, Module, normal_param
 from .video import VideoClip
 
 NEG_INF = -1e9
@@ -178,14 +178,14 @@ class WindowAttention(Attention):
         super().__init__(rng, dim, heads, qkv_bias, attn_dropout)
         self.window = tuple(window)
         table_len = math.prod(2 * w - 1 for w in window)
-        self.bias_table = Tensor(rng.normal(0.0, 0.02, size=(table_len, heads)), requires_grad=True)
+        self.bias_table = normal_param(rng, (table_len, heads))
         self.relative_index = _relative_index(window)
 
     def _bias(self, lead: tuple[int, ...]) -> Tensor:
         b = ad.transpose(ad.take(self.bias_table, self.relative_index, 0), (2, 0, 1))
         return ad.broadcast_to(b, lead + b.data.shape)
 
-    def __call__(self, grid, shift, rng, training: bool):
+    def __call__(self, grid, shift, rng):
         """(B, t, h, w, dim) grids in and out, windows shifted by shift."""
         b, *dims, c = grid.shape
         if any(w > d for w, d in zip(self.window, dims)):
@@ -196,7 +196,7 @@ class WindowAttention(Attention):
             bias = self.bias_table.data[self.relative_index].transpose(2, 0, 1)
         else:
             bias = self._bias((b, len(slots)))
-        out = super().__call__(windows, windows, bias, mask, rng, training)
+        out = super().__call__(windows, windows, bias, mask, rng)
         return out.reshape((b, -1, c)).take(back, 1)
 
 
@@ -212,13 +212,13 @@ class WindowBlock(Module):
         self.fc2 = Linear(rng, dim * cfg.mlp_ratio, dim)
         self.hidden_dropout = cfg.hidden_dropout
 
-    def __call__(self, x, shifted: bool, rng, training: bool):
+    def __call__(self, x, shifted: bool, rng):
         """(B, t, h, w, C) grids in and out."""
         shift = shift_amounts(x.shape[1:4], self.attn.window, shifted)
-        h = self.attn(self.ln1(x), shift, rng, training)
-        x = x + ad.dropout(h, self.hidden_dropout, rng, training)
+        h = self.attn(self.ln1(x), shift, rng)
+        x = x + ad.dropout(h, self.hidden_dropout, rng)
         m = self.fc2(ad.gelu(self.fc1(self.ln2(x))))
-        return x + ad.dropout(m, self.hidden_dropout, rng, training)
+        return x + ad.dropout(m, self.hidden_dropout, rng)
 
 
 class Stage(Module):
@@ -227,9 +227,9 @@ class Stage(Module):
     def __init__(self, rng, dim: int, heads: int, depth: int, cfg: EncoderConfig):
         self.blocks = [WindowBlock(rng, dim, heads, cfg) for _ in range(depth)]
 
-    def __call__(self, x, rng, training: bool):
+    def __call__(self, x, rng):
         for i, block in enumerate(self.blocks):
-            x = block(x, shifted=(i % 2 == 1), rng=rng, training=training)
+            x = block(x, shifted=(i % 2 == 1), rng=rng)
         return x
 
 
@@ -282,14 +282,14 @@ class VideoEncoder(Module):
         grid = [-(-d // p) for d, p in zip(dims, self.cfg.patch)]
         return np.asarray(np.take(data.reshape(b, -1, c), slots, axis=1).reshape(b, *grid, -1), dtype=np.float64)
 
-    def __call__(self, clips: Sequence[VideoClip], rng=None, training: bool = False) -> Tensor:
+    def __call__(self, clips: Sequence[VideoClip], rng=None) -> Tensor:
         """Tokens (B, t, token_dim) for B clips of one shape; in eval mode
-        with no tape active, computed on arrays and wrapped once."""
-        taped = training or ad.tape_active()
+        (no rng) with no tape active, computed on arrays and wrapped once."""
+        taped = rng is not None or ad.tape_active()
         x = self._patches(clips)
         x = self.patch_proj(Tensor(x) if taped else x)
         for s, stage in enumerate(self.stages):
-            x = stage(x, rng, training)
+            x = stage(x, rng)
             if s < len(self.merges):
                 x = self.merges[s](x)
         x = self.out_proj(self.final_norm(x).mean(3).mean(2))
@@ -302,7 +302,7 @@ class ConceptHead(Module):
     A shared MLP lifts each token to h1, an elementwise max over the token
     axis merges them (this is what makes the head invariant to token
     order), and a two-layer MLP maps the pooled vector to K concept
-    logits.  Dropout rate is a mutable attribute because the training
+    logits.  The dropout rate comes with each call, because the training
     phases use different rates.
     """
 
@@ -311,14 +311,13 @@ class ConceptHead(Module):
         self.fc1 = Linear(rng, cfg.token_dim, h1)
         self.fc2 = Linear(rng, h1, h2)
         self.fc3 = Linear(rng, h2, cfg.concept_count)
-        self.dropout_rate = 0.1
 
-    def logits(self, tokens, rng=None, training: bool = False):
+    def logits(self, tokens, rng=None, rate: float = 0.1):
         """(B, t, token_dim) tokens -> (B, concept_count) logits; arrays in
-        eval mode, or Tensors."""
+        eval mode, or Tensors.  Dropout at rate draws from rng."""
         h = ad.relu(self.fc1(tokens))
-        h = ad.dropout(h, self.dropout_rate, rng, training)
+        h = ad.dropout(h, rate, rng)
         pooled = ad.max_reduce(h, axis=1)
         z = ad.relu(self.fc2(pooled))
-        z = ad.dropout(z, self.dropout_rate, rng, training)
+        z = ad.dropout(z, rate, rng)
         return self.fc3(z)

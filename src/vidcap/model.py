@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import asdict
-from typing import Sequence
 
 import numpy as np
 
@@ -23,8 +22,10 @@ class CaptionModel(Module):
     The concept head's sigmoid output doubles as the decoder's
     start-of-sequence input, so end-to-end training sends gradient into
     the head both through its own loss and through the captions.  Every
-    part takes a leading batch axis; one clip is the batch of one.  Each
-    forward draws dropout from the rng it is handed; None is eval mode.
+    part takes a leading batch axis; one clip is the batch of one.
+    Callers run the encoder and the concept head directly; every forward
+    draws dropout from the rng it is handed, and None is eval mode, so the
+    model holds nothing that differs between training and inference.
     """
 
     def __init__(self, enc_cfg: EncoderConfig, dec_cfg: DecoderConfig, seed: int = 0):
@@ -51,22 +52,13 @@ class CaptionModel(Module):
     def parameters(self) -> dict[str, Tensor]:
         return {name: p for name, _, p in self.layout}
 
-    def video_tokens(self, clips: Sequence[VideoClip], rng=None) -> Tensor:
-        """(B, t, token_dim) tokens for B clips of one shape; in eval mode
-        with no tape active, an array computed on arrays, wrapped once."""
-        return self.encoder(clips, rng=rng, training=rng is not None)
-
-    def concept_logits(self, tokens, rng=None):
-        """Logits of (B, t, token_dim) tokens: arrays in eval mode, or Tensors."""
-        return self.concept_head.logits(tokens, rng=rng, training=rng is not None)
-
     def concept_probs(self, tokens):
-        return ad.sigmoid(self.concept_logits(tokens))
+        return ad.sigmoid(self.concept_head.logits(tokens))
 
     def caption_logits(self, semantic: Tensor, token_ids, enc_tokens: Tensor, rng=None) -> Tensor:
         """(B, n + 1, V) teacher-forced logits for B rows of n input ids."""
         hidden = self.decoder.embed_with_semantic_sos(semantic, token_ids)
-        return self.decoder(hidden, enc_tokens, rng=rng, training=rng is not None)
+        return self.decoder(hidden, enc_tokens, rng=rng)
 
     def generate_for_tokens(self, tokens: np.ndarray, request: GenerationRequest) -> list[Hypothesis]:
         """Eval-mode generation for N clips from their (N, t, token_dim)
@@ -83,7 +75,7 @@ class CaptionModel(Module):
     def generate_for_clip(self, clip: VideoClip, request: GenerationRequest) -> Hypothesis:
         """Eval-mode generation for an already frame-selected clip: the
         batch of one."""
-        return self.generate_for_tokens(self.video_tokens([clip]).data, request)[0]
+        return self.generate_for_tokens(self.encoder([clip]).data, request)[0]
 
     def config_blob(self) -> dict:
         return {"encoder": asdict(self.enc_cfg), "decoder": asdict(self.dec_cfg)}

@@ -89,9 +89,8 @@ class Attention(Module):
     axes (batch, windows) index independent sequences.  bias is an
     optional additive term of the score shape (..., heads, Lq, Lk), which
     an array may reach by broadcasting; mask is an optional additive array
-    that broadcasts to (..., Lq, Lk), shared by all heads.  With
-    capture_attention set, last_attention keeps a copy of the
-    post-softmax, pre-dropout weights of the latest call.
+    that broadcasts to (..., Lq, Lk), shared by all heads.  The weights
+    drop out with draws from rng; None is eval mode.
     """
 
     def __init__(self, rng: np.random.Generator, dim: int, heads: int, qkv_bias: bool, dropout: float):
@@ -107,8 +106,6 @@ class Attention(Module):
         self.wk = Linear(rng, dim, dim, bias=qkv_bias)
         self.wv = Linear(rng, dim, dim, bias=qkv_bias)
         self.wo = Linear(rng, dim, dim, bias=True)
-        self.capture_attention = False
-        self.last_attention: np.ndarray | None = None
 
     def keys_values(self, kv_seq):
         """Head-split keys and values of kv_seq, each (..., heads, Lk, head_dim)."""
@@ -117,7 +114,7 @@ class Attention(Module):
         heads_shape = shape[:-1] + self._split_tail
         return tuple(w(kv_seq).reshape(heads_shape).transpose(split) for w in (self.wk, self.wv))
 
-    def __call__(self, q_seq, kv_seq, bias, mask: np.ndarray | None, rng, training: bool, kv: tuple | None = None):
+    def __call__(self, q_seq, kv_seq, bias, mask: np.ndarray | None, rng, kv: tuple | None = None):
         """Attend from q_seq to kv_seq, or to kv, its precomputed
         keys_values() pair, when one is given."""
         rows = q_seq.shape[:-1]
@@ -132,9 +129,6 @@ class Attention(Module):
             scores += bias
         if mask is not None:
             scores += mask[..., None, :, :]
-        probs = ad.softmax(scores, axis=-1)
-        if self.capture_attention:
-            self.last_attention = ad.array_of(probs).copy()
-        probs = ad.dropout(probs, self.dropout, rng, training)
+        probs = ad.dropout(ad.softmax(scores, axis=-1), self.dropout, rng)
         out = (probs @ v).transpose(split)
         return self.wo(out.reshape(rows + (self.dim,)))

@@ -137,7 +137,7 @@ def token_cache(model: CaptionModel, clips: Iterable[VideoClip], batch_size: int
     buckets: dict[tuple, list[tuple[int, VideoClip]]] = {}
 
     def encode(bucket):
-        for (i, _), tokens in zip(bucket, model.video_tokens([clip for _, clip in bucket]).data):
+        for (i, _), tokens in zip(bucket, model.encoder([clip for _, clip in bucket]).data):
             out[i] = tokens
 
     for i, clip in enumerate(clips):
@@ -167,12 +167,12 @@ def joint_loss(
     Dropout draws from rng; None is the dropout-free (eval) loss."""
     groups = _shape_groups(clips)
     rows = [i for group in groups for i in group]
-    parts = [model.video_tokens([clips[i] for i in group], rng) for group in groups]
+    parts = [model.encoder([clips[i] for i in group], rng) for group in groups]
     tokens = parts[0] if len(parts) == 1 else ad.concat(parts, axis=0)
     targets = np.full((len(rows), max(len(c) for c in captions)), PAD_ID, dtype=np.intp)
     for row, i in enumerate(rows):
         targets[row, : len(captions[i])] = captions[i]
-    sem_logits = model.concept_logits(tokens, rng)
+    sem_logits = model.concept_head.logits(tokens, rng)
     dec_logits = model.caption_logits(ad.sigmoid(sem_logits), targets[:, :-1], tokens, rng)
     ce = ad.cross_entropy_masked(dec_logits, targets, PAD_ID)
     bce = ad.bce_with_logits(sem_logits, np.stack([labels[i] for i in rows]))
@@ -224,10 +224,9 @@ def train(
     history: list[dict] = []
     t0 = time.time()
 
-    def run_phase(phase: str, prefix: str, head_dropout: float, loss_fn, steps: range):
+    def run_phase(phase: str, prefix: str, loss_fn, steps: range):
         # the parameters named prefix* are one contiguous stretch of the
         # model's sorted-name vector, which trains in place under one AdamW state
-        model.concept_head.dropout_rate = head_dropout
         params = [p for name, _, p in model.layout if name.startswith(prefix)]
         start = next(offset for name, offset, _ in model.layout if name.startswith(prefix))
         flat = model.flat[start : start + sum(p.data.size for p in params)]
@@ -258,11 +257,11 @@ def train(
             all_labels = np.stack([s.labels for s in samples])
 
             def pretrain_loss(batch):
-                logits = model.concept_logits(Tensor(cache[batch]), dropout_rng)
+                logits = model.concept_head.logits(Tensor(cache[batch]), dropout_rng, rate=0.5)
                 bce = ad.bce_with_logits(logits, all_labels[batch])
                 return bce, {"bce": float(bce.data)}
 
-            run_phase("semantic_pretrain", "concept_head.", 0.5, pretrain_loss, range(1, config.pretrain_steps + 1))
+            run_phase("semantic_pretrain", "concept_head.", pretrain_loss, range(1, config.pretrain_steps + 1))
 
         # phase two: everything trains, caption CE plus weighted concept BCE
         if config.phase in ("end_to_end", "both") and config.max_steps > 0:
@@ -274,7 +273,7 @@ def train(
                 return total, {"ce": float(ce.data), "bce": float(bce.data)}
 
             start = config.pretrain_steps if config.phase == "both" else 0
-            run_phase("end_to_end", "", 0.1, batch_joint_loss, range(start + 1, start + config.max_steps + 1))
+            run_phase("end_to_end", "", batch_joint_loss, range(start + 1, start + config.max_steps + 1))
 
     ckpt_dir = out / "checkpoint"
     save_checkpoint(

@@ -114,7 +114,7 @@ def test_01_gradient_suite():
         ("mean", [x], lambda t: s(ad.mul(ad.mean_reduce(t[0], 1), test_autodiff._weights(np.random.default_rng(3), (3,))))),
         ("max", [x], lambda t: s(ad.mul(ad.max_reduce(t[0], 0), test_autodiff._weights(np.random.default_rng(4), (4,))))),
         ("sum", [x], lambda t: ad.sum_reduce(t[0])),
-        ("dropout", [x], lambda t: s(ad.mul(ad.dropout(t[0], 0.4, np.random.default_rng(99), True), mix34))),
+        ("dropout", [x], lambda t: s(ad.mul(ad.dropout(t[0], 0.4, np.random.default_rng(99)), mix34))),
         ("softmax", [x], lambda t: s(ad.mul(ad.softmax(t[0]), mix34))),
         ("layer-norm", [x, gamma, beta], lambda t: s(ad.mul(ad.layer_norm(t[0], t[1], t[2], eps=1e-8), mix34))),
         ("ce", [logits46], lambda t: ad.cross_entropy_masked(t[0], [1, -1, 3, 0], ignore_id=-1)),
@@ -217,10 +217,10 @@ def test_05_semantic_head(corpus16, tmp_path):
     rng = np.random.default_rng(7)
     head = ConceptHead(cfg, rng)
     x = rng.normal(size=(1, 10, cfg.token_dim))
-    base = head.logits(Tensor(x), rng=None, training=False).data
+    base = head.logits(Tensor(x), rng=None).data
     for _ in range(5):
         perm = rng.permutation(10)
-        permuted = head.logits(Tensor(x[:, perm]), rng=None, training=False).data
+        permuted = head.logits(Tensor(x[:, perm]), rng=None).data
         assert np.array_equal(base, permuted)
 
     # phase-1-only training recovers the ground-truth concept bits
@@ -230,12 +230,11 @@ def test_05_semantic_head(corpus16, tmp_path):
     )
     result = train(cfg, corpus16, tmp_path / "run")
     model = result.model
-    model.training = False
     correct = total = 0
     for rec in load_corpus(corpus16 / "corpus.jsonl"):
         clip = read_vvid(corpus16 / rec.video)
         sel = apply_selection(clip, select_from_clip(clip, model.enc_cfg.frames))
-        probs = model.concept_probs(model.video_tokens([sel])).data[0]
+        probs = model.concept_probs(model.encoder([sel])).data[0]
         labels = concept_label_vector(result.concepts, rec.captions)
         correct += int(((probs > 0.5).astype(float) == labels).sum())
         total += labels.size
@@ -280,7 +279,6 @@ def test_08_end_to_end_overfit(corpus16, overfit):
     assert len(result.history) == 3000  # 2000 pretrain + 1000 joint steps
 
     model, vocab = result.model, result.vocab
-    model.training = False
     records = load_corpus(corpus16 / "corpus.jsonl")
     ces, matches = [], 0
     request = GenerationRequest(strategy="beam", beam_width=3, max_len=20)
@@ -290,7 +288,7 @@ def test_08_end_to_end_overfit(corpus16, overfit):
         ids, mask = encode_caption(vocab, rec.captions[0], 20)
         keep = int(mask.sum())
         ids = ids[:keep]
-        tokens = model.video_tokens([sel])
+        tokens = model.encoder([sel])
         sem = model.concept_probs(tokens)
         logits = model.caption_logits(sem, [ids[:-1]], tokens)
         ces.append(float(ad.cross_entropy_masked(logits, [ids], PAD_ID).data))

@@ -269,31 +269,29 @@ def test_dropout_grad_fixed_mask():
 
     def build(t):
         rng = np.random.default_rng(99)  # same mask on every call
-        return ad.sum_reduce(ad.mul(ad.dropout(t[0], 0.5, rng, training=True), w))
+        return ad.sum_reduce(ad.mul(ad.dropout(t[0], 0.5, rng), w))
 
     check_grads(build, [x])
 
 
 def test_dropout_modes():
     x = Tensor(np.ones((1000,)))
-    out = ad.dropout(x, 0.4, None, training=False)
+    out = ad.dropout(x, 0.4, None)
     assert np.array_equal(out.data, x.data)
     rng = np.random.default_rng(0)
-    out = ad.dropout(x, 0.4, rng, training=True)
+    out = ad.dropout(x, 0.4, rng)
     kept = out.data != 0
     assert np.allclose(out.data[kept], 1.0 / 0.6)
     assert 0.45 < kept.mean() < 0.75
-    with pytest.raises(ValueError):
-        ad.dropout(x, 0.4, None, training=True)
 
 
 def test_eval_mode_dropout_returns_its_input_unchecked():
     # the configs refuse bad rates when they are built; eval mode only passes through
     x = Tensor(np.ones((3,)))
     for rate in (0.4, 1.0, -1.0):
-        assert ad.dropout(x, rate, None, training=False) is x
+        assert ad.dropout(x, rate, None) is x
     with pytest.raises(ValueError, match="dropout rate"):
-        ad.dropout(x, 1.0, np.random.default_rng(0), training=True)
+        ad.dropout(x, 1.0, np.random.default_rng(0))
 
 
 def test_softmax_grad_and_values():
@@ -597,11 +595,11 @@ def _layer_forwards():
         (Linear(rng, 8, 4), (2, 3, 8)),
         (Linear(rng, 8, 4, bias=False), (2, 3, 8)),
         (LayerNorm(8), (2, 3, 8)),
-        (lambda x: attn(x, x, None, causal, None, False), (2, 3, 8)),
-        (lambda x: block(x, True, None, False), (2, 4, 4, 4, 16)),
+        (lambda x: attn(x, x, None, causal, None), (2, 3, 8)),
+        (lambda x: block(x, True, None), (2, 4, 4, 4, 16)),
         (merge, (2, 2, 4, 4, 16)),
         (head.logits, (2, 4, cfg.token_dim)),
-        (lambda x: dec(x, enc if isinstance(x, np.ndarray) else Tensor(enc), causal, None, False), (2, 3, 8)),
+        (lambda x: dec(x, enc if isinstance(x, np.ndarray) else Tensor(enc), causal, None), (2, 3, 8)),
         (lambda x: ad.linear(x, lin.weight, lin.bias), (2, 3, 8)),
         (lambda x: ad.linear(x, lin.weight), (2, 3, 8)),
         (lambda x: ad.layer_norm(x, ln.gamma, ln.beta, 1e-5), (2, 3, 8)),
@@ -634,7 +632,7 @@ def test_window_block_records_the_same_node_count(shape, shifted, nodes):
     rng = np.random.default_rng(3)
     block = WindowBlock(rng, 16, 2, EncoderConfig())
     with Tape() as tape:
-        block(Tensor(rng.normal(size=shape)), shifted=shifted, rng=None, training=False)
+        block(Tensor(rng.normal(size=shape)), shifted=shifted, rng=None)
     assert len(tape.nodes) == nodes
 
 

@@ -132,7 +132,7 @@ def test_gradcheck_through_decoder_layer():
     def build(t):
         for proj, w in zip(projections, t[2:]):
             proj.weight = w
-        out = layer(t[0], t[1], causal, None, False)
+        out = layer(t[0], t[1], causal, None)
         return ad.sum_reduce(ad.mul(out, mix))
 
     check_grads(build, [x, enc, *weights])

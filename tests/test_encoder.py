@@ -97,7 +97,7 @@ def _oracle_window_attention(x: np.ndarray, attn: WindowAttention, window, shift
 
 def _impl_window_attention(x: np.ndarray, attn: WindowAttention, window, shifts):
     """The windowed path on a (B, t, h, w, C) batch of grids."""
-    return attn(Tensor(x), shifts, rng=None, training=False).data
+    return attn(Tensor(x), shifts, rng=None).data
 
 
 # The layout before window_layout, kept as a numpy oracle: edge pad, roll,
@@ -164,7 +164,7 @@ def _old_window_attention(grid: Tensor, attn: WindowAttention, shift) -> Tensor:
         lambda g: (_fold_edges(_old_reverse(g, padded, window, shift), dims),),
     )
     mask = _old_mask(padded, window, shift)
-    out = Attention.__call__(attn, windows, windows, attn._bias(windows.shape[:2]), mask, None, False)
+    out = Attention.__call__(attn, windows, windows, attn._bias(windows.shape[:2]), mask, None)
     return ad._record(
         "old_reverse",
         (out,),
@@ -205,7 +205,7 @@ def test_padded_grids_match_the_old_layout(dims, window, shifted):
     merge = PatchMerge(rng, 8, 1e-12)
     params = [p for _, p in [*block.named_parameters("b"), *merge.named_parameters("m")]]
     x = rng.normal(size=(2, *dims, 8))
-    new = (lambda g: block(g, shifted, None, False), merge)
+    new = (lambda g: block(g, shifted, None), merge)
     old = (lambda g: _old_block(block, g, shifted), lambda y: _old_merge(merge, y))
     runs = []
     for run_block, run_merge in (new, old):
@@ -312,7 +312,7 @@ def test_shift_mask_matches_exhaustive_labeling():
 def test_window_larger_than_grid_errors():
     attn = WindowAttention(np.random.default_rng(0), 4, 2, (2, 2, 2), qkv_bias=True, attn_dropout=0.0)
     with pytest.raises(ValueError, match="larger than grid"):
-        attn(Tensor(np.zeros((1, 1, 2, 2, 4))), (0, 0, 0), None, False)
+        attn(Tensor(np.zeros((1, 1, 2, 2, 4))), (0, 0, 0), None)
 
 
 def test_merge_on_a_one_wide_grid():
@@ -327,15 +327,14 @@ def test_merge_on_a_one_wide_grid():
     assert enc([VideoClip(rng.random((8, 4, 4, 3)))]).shape == (1, 4, 32)
 
 
-def test_attention_rows_sum_to_one():
+def test_attention_rows_sum_to_one(softmax_outputs):
     rng = np.random.default_rng(2)
     window = (2, 2, 2)
     attn = WindowAttention(rng, 4, 2, window, qkv_bias=True, attn_dropout=0.0)
-    attn.capture_attention = True
     x = rng.normal(size=(1, 2, 4, 4, 4))
     _impl_window_attention(x, attn, window, (0, 2 // 2, 1))
-    rows = attn.last_attention.sum(axis=-1)
-    assert np.abs(rows - 1.0).max() < 1e-12
+    [probs] = softmax_outputs
+    assert np.abs(probs.sum(axis=-1) - 1.0).max() < 1e-12
 
 
 def _partition(enc, clips):
@@ -410,8 +409,8 @@ def test_float32_clip_tokens_equal_widened_clip_tokens():
     model = CaptionModel(EncoderConfig(concept_count=8), DecoderConfig(vocab_size=20, concept_dim=8), seed=2)
     # not a patch multiple, so the float32 frames are edge-padded too
     f32 = np.random.default_rng(8).random((7, 15, 14, 3)).astype(np.float32)
-    tokens = model.video_tokens([VideoClip(f32)]).data
-    wide = model.video_tokens([VideoClip(f32.astype(np.float64))]).data
+    tokens = model.encoder([VideoClip(f32)]).data
+    wide = model.encoder([VideoClip(f32.astype(np.float64))]).data
     assert tokens.dtype == np.float64
     assert tokens.tobytes() == wide.tobytes()
 
@@ -522,12 +521,12 @@ def test_gradcheck_through_window_block():
 
     def forward() -> float:
         grid = Tensor(x)
-        out = block(grid, shifted=True, rng=None, training=False)
+        out = block(grid, shifted=True, rng=None)
         return float((out.data * mix).sum())
 
     with Tape() as tape:
         grid = Tensor(x)
-        out = block(grid, shifted=True, rng=None, training=False)
+        out = block(grid, shifted=True, rng=None)
         loss = ad.sum_reduce(ad.mul(out, Tensor(mix)))
         grads = backward(loss, tape)
 
@@ -553,25 +552,24 @@ ARRAY_CLIPS = [(8, 16, 16, 3), (10, 20, 12, 3), (6, 27, 17, 3)]
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("batch", [1, 3])
 @pytest.mark.parametrize("shape", ARRAY_CLIPS)
-def test_array_encoder_is_bitwise_the_tensor_path(shape, batch, dtype):
+def test_array_encoder_is_bitwise_the_tensor_path(shape, batch, dtype, softmax_outputs):
     # eval mode with no tape runs on arrays; an active tape takes the
     # Tensor path, which must record and give the same bits
     rng = np.random.default_rng(60)
     enc = VideoEncoder(EncoderConfig(), rng)
     head = ConceptHead(EncoderConfig(), rng)
-    attns = [block.attn for stage in enc.stages for block in stage.blocks]
+    blocks = sum(len(stage.blocks) for stage in enc.stages)
     clips = [VideoClip(rng.random(shape).astype(dtype)) for _ in range(batch)]
-    for attn in attns:
-        attn.capture_attention = True
     got = enc(clips).data
-    got_attention = [attn.last_attention for attn in attns]
     with Tape() as tape:
         want = enc(clips).data
     assert tape.nodes
     assert got.shape == (batch, -(-shape[0] // 2), 32)
     assert np.array_equal(got, want)
-    for attn, array_attention in zip(attns, got_attention):
-        assert np.array_equal(array_attention, attn.last_attention)
+    # one attention map per block and call: the array call's, then the taped call's
+    assert len(softmax_outputs) == 2 * blocks
+    for array_attention, taped_attention in zip(softmax_outputs[:blocks], softmax_outputs[blocks:]):
+        assert np.array_equal(array_attention, taped_attention)
     assert np.array_equal(head.logits(got), head.logits(Tensor(got)).data)
 
 
@@ -583,7 +581,7 @@ def test_array_block_and_merge_are_bitwise_the_tensor_layers(dims):
     for batch in (1, 3):
         x = rng.normal(size=(batch, *dims, 16))
         for shifted in (False, True):
-            y = block(x, shifted, None, False)
+            y = block(x, shifted, None)
             assert type(y) is np.ndarray
-            assert np.array_equal(y, block(Tensor(x), shifted, None, False).data), (batch, shifted)
+            assert np.array_equal(y, block(Tensor(x), shifted, None).data), (batch, shifted)
         assert np.array_equal(merge(x), merge(Tensor(x)).data), batch

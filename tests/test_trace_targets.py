@@ -2,8 +2,8 @@
 perfbench/tracing.py TARGETS; a target that no longer resolves is skipped
 there and its per-layer metrics silently read 0.  These guards resolve
 each target the way the tracer does, and install the tracer's patches
-around one caption and one report, so a refactor that renames a target
-or stops calling it fails here.
+around one caption, one evaluation, one report and one short training
+run, so a refactor that renames a target or stops calling it fails here.
 """
 
 import importlib
@@ -14,6 +14,7 @@ import numpy as np
 from test_evaluate import REQUESTS, _checkpoint
 
 import vidcap.evaluate
+import vidcap.training
 from vidcap.decoder import DecoderConfig, GenerationRequest
 from vidcap.encoder import EncoderConfig
 from vidcap.model import CaptionModel
@@ -85,6 +86,33 @@ def test_traced_spans_fire_in_one_evaluation(tmp_path):
     recorded = {span["name"] for span in tracer.spans}
     for name in ("encoder.forward", "encoder.window_block", "encoder.patch_merge", "encoder.concept_head"):
         assert name in recorded, name
+
+
+def test_traced_spans_fire_in_one_training_run(tmp_path):
+    # train_desk's traced step, backward, AdamW and layer metrics read these
+    tracing = runpy.run_path(str(TRACING))
+    tracer = tracing["Tracer"]()
+    patches = tracing["Patches"](tracer)
+    generate_synthetic_dataset(SyntheticSpec(videos=3, frames=12, height=16, width=16, seed=8), tmp_path / "data")
+    config = vidcap.training.TrainConfig(
+        encoder={"concept_count": 8}, pretrain_steps=1, max_steps=1, batch_size=2, seed=1
+    )
+    patches.install()
+    try:
+        tracer.on = True
+        vidcap.training.train(config, tmp_path / "data", tmp_path / "out")
+    finally:
+        patches.restore()
+    names = [span["name"] for span in tracer.spans]
+    assert names.count("training.step") == 2
+    for name in (
+        "autodiff.backward",
+        "optim.adamw",
+        "encoder.forward",
+        "encoder.concept_head",
+        "decoder.forward",
+    ):
+        assert name in names, name
 
 
 def test_decoder_forward_spans_count_the_rows_of_each_step():

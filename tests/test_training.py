@@ -1,5 +1,6 @@
 """Training-loop tests: loss composition, clipping, checkpoints, model pick."""
 
+import functools
 import hashlib
 import json
 import math
@@ -15,6 +16,7 @@ from vidcap.autodiff import Tape, Tensor, backward
 from vidcap.decoder import DecoderConfig, GenerationRequest
 from vidcap.encoder import EncoderConfig
 from vidcap.model import CaptionModel
+from vidcap.nn import Module
 from vidcap.optim import AdamWState, adamw_step, clip_global_norm
 from vidcap.synth import SyntheticSpec, generate_synthetic_dataset
 from vidcap.textproc import EOS_ID, config_from_table
@@ -149,7 +151,7 @@ def test_token_cache_matches_per_clip_encoding():
     cache = token_cache(model, clips, batch_size=2)
     assert cache.shape == (6, 4, SMALL_ENCODER["token_dim"])
     for clip, tokens in zip(clips, cache):
-        assert np.array_equal(tokens, model.video_tokens([clip]).data[0])
+        assert np.array_equal(tokens, model.encoder([clip]).data[0])
 
 
 def test_manifest_keeps_one_top_level_key_per_line_and_old_manifests_load(tmp_path):
@@ -494,7 +496,7 @@ def test_backward_clip_and_adamw_stay_within_the_memory_the_forward_left():
     assert peak <= start + STEP_SLACK, (start, peak)
 
 
-def test_joint_loss_draws_dropout_only_from_the_generator_it_is_handed():
+def test_joint_loss_draws_dropout_only_from_the_generator_it_is_handed(monkeypatch):
     model = _small_model()
     rng = np.random.default_rng(34)
     clips = [VideoClip(rng.random((8, 12, 12, 3))) for _ in range(2)]
@@ -509,10 +511,10 @@ def test_joint_loss_draws_dropout_only_from_the_generator_it_is_handed():
 
     drawn = loss_and_grads(model, np.random.default_rng(5))
     assert loss_and_grads(model, np.random.default_rng(5)) == drawn
-    # no generator is eval mode: the bits of a training-mode model whose
-    # every dropout rate is zero
+    # no generator is eval mode: the bits of a model handed a generator
+    # whose every dropout rate is zero
     still = CaptionModel(model.enc_cfg, replace(model.dec_cfg, dropout=0.0))
-    still.concept_head.dropout_rate = 0.0
+    monkeypatch.setattr(still.concept_head, "logits", functools.partial(still.concept_head.logits, rate=0.0))
     assert model.enc_cfg.hidden_dropout == model.enc_cfg.attn_dropout == 0.0
     plain = loss_and_grads(model, None)
     assert plain == loss_and_grads(still, np.random.default_rng(5))
@@ -528,7 +530,7 @@ def test_the_trained_model_holds_no_generator_and_draws_no_dropout(run):
     clip = VideoClip(np.random.default_rng(33).random((8, 12, 12, 3)))
     outs = []
     for _ in range(2):
-        tokens = model.video_tokens([clip])
+        tokens = model.encoder([clip])
         probs = model.concept_probs(tokens)
         outs.append((probs.data.tobytes(), model.caption_logits(probs, [np.array([4, 5, 6])], tokens).data.tobytes()))
     assert outs[0] == outs[1]
@@ -540,16 +542,19 @@ def test_both_phases_draw_dropout_from_one_generator_that_train_keeps(dataset, t
     calls = []
     real = vidcap.autodiff.dropout
 
-    def recording(a, rate, rng, training):
-        calls.append((rate, rng, training))
-        return real(a, rate, rng, training)
+    def recording(a, rate, rng):
+        calls.append((rate, rng))
+        return real(a, rate, rng)
 
     monkeypatch.setattr(vidcap.autodiff, "dropout", recording)
     encoder = {**SMALL_ENCODER, "hidden_dropout": 0.2, "attn_dropout": 0.25}
     cfg = TrainConfig(encoder=encoder, batch_size=2, pretrain_steps=2, max_steps=2, seed=5)
     train(cfg, dataset, tmp_path / "out")
-    drawn = [(rate, rng) for rate, rng, training in calls if training]
-    assert all(rng is None for _, rng, training in calls if not training)
+    # the token cache encodes in eval mode before phase one, and every
+    # later call draws
+    first = next(i for i, (_, rng) in enumerate(calls) if rng is not None)
+    assert first > 0 and all(rng is None for _, rng in calls[:first])
+    drawn = calls[first:]
     assert len({id(rng) for _, rng in drawn}) == 1
     assert [rate for rate, _ in drawn[:4]] == [0.5] * 4
     assert {rate for rate, _ in drawn[4:]} == {0.2, 0.25, 0.3, 0.1}
@@ -578,15 +583,47 @@ def test_pretrain_steps_train_exactly_the_concept_head(dataset, tmp_path, monkey
         assert np.array_equal(p.data, init[name].data) != name.startswith("concept_head."), name
 
 
-def test_forward_and_generation_leave_the_parameter_list_unchanged():
+def test_forward_and_generation_leave_the_parameter_list_unchanged(softmax_outputs):
     model = _small_model()
     before = [(name, p.data.shape) for name, p in model.named_parameters()]
-    attentions = [block.attn for stage in model.encoder.stages for block in stage.blocks]
-    attentions += [a for layer in model.decoder.layers for a in (layer.self_attn, layer.cross_attn)]
-    for attn in attentions:
-        attn.capture_attention = True
+    blocks = sum(len(stage.blocks) for stage in model.encoder.stages)
     clip = VideoClip(np.random.default_rng(32).random((8, 12, 12, 3)))
-    model.video_tokens([clip])
+    model.encoder([clip])
+    assert len(softmax_outputs) == blocks
     model.generate_for_clip(clip, GenerationRequest(strategy="beam", max_len=4))
-    assert all(attn.last_attention is not None for attn in attentions)
+    # generation encodes the clip again, then every decoder step runs each
+    # layer's self and cross attention
+    steps, rest = divmod(len(softmax_outputs) - 2 * blocks, 2 * len(model.decoder.layers))
+    assert steps >= 1 and rest == 0
     assert [(name, p.data.shape) for name, p in model.named_parameters()] == before
+
+
+def _run_state(obj, prefix=""):
+    """(dotted name, value) of every attribute under a model that is not a
+    parameter or the parameter vector; the layout by names and offsets."""
+    for attr, value in vars(obj).items():
+        name = f"{prefix}.{attr}" if prefix else attr
+        if isinstance(value, Module):
+            yield from _run_state(value, name)
+        elif isinstance(value, list) and value and isinstance(value[0], Module):
+            for i, item in enumerate(value):
+                yield from _run_state(item, f"{name}[{i}]")
+        elif attr == "layout":
+            yield name, [(n, offset) for n, offset, _ in value]
+        elif not isinstance(value, Tensor) and attr != "flat":
+            yield name, value
+
+
+def test_train_changes_nothing_on_the_model_but_its_parameter_values(dataset, tmp_path):
+    # the phases pass their concept-head rates with each call, so the model
+    # train() returns has the attributes of a fresh one
+    cfg = TrainConfig(encoder=SMALL_ENCODER, batch_size=2, pretrain_steps=2, phase="semantic_pretrain", seed=5)
+    model = train(cfg, dataset, tmp_path / "out").model
+    trained = dict(_run_state(model))
+    fresh = dict(_run_state(CaptionModel(model.enc_cfg, model.dec_cfg, seed=cfg.seed)))
+    assert trained.keys() == fresh.keys()
+    for name, value in fresh.items():
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(trained[name], value), name
+        else:
+            assert trained[name] == value, name

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import asdict, dataclass, replace
+from itertools import zip_longest
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -292,12 +293,32 @@ def train(
 
 # --- checkpoint format -------------------------------------------------
 # params.bin is the model's parameter vector cast to float32, and
-# manifest.json lists its layout: each parameter's name, shape, offset and
-# count, sorted by name; vocab.json / concepts.json live next to them.
+# manifest.json lists its layout: layout_entries(model), each parameter's
+# name, shape, offset and count, sorted by name. A load takes exactly the
+# list the writer makes for the manifest's model and a params.bin of exactly
+# its values; vocab.json / concepts.json live next to them.
 # Its "step" is the number of optimizer updates across both phases, which
 # equals the last "step" in train_log.jsonl.
 
 CKPT_VERSION = 1
+
+
+def layout_entries(model: CaptionModel) -> list[dict]:
+    """The manifest's ``params``: one entry per parameter of ``model.layout``."""
+    return [{"name": name, "shape": list(p.data.shape), "offset": offset, "count": p.data.size}
+            for name, offset, p in model.layout]
+
+
+_MISSING = object()
+
+
+def check_layout(params: list, entries: list[dict]) -> None:
+    """Refuse manifest ``params`` that are not ``entries``, showing both at the first index that differs."""
+    for i, (got, want) in enumerate(zip_longest(params, entries, fillvalue=_MISSING)):
+        # == alone would take 48.0 or true for the integer 48 or 1
+        if got != want or type(got["offset"]) is not int or type(got["count"]) is not int:
+            got, want = ("missing" if e is _MISSING else json.dumps(e) for e in (got, want))
+            raise ValueError(f"manifest params[{i}] is {got}, the model's layout has {want}")
 
 
 def save_checkpoint(ckpt_dir: str | Path, model: CaptionModel, step: int = 0, **extra) -> Path:
@@ -309,15 +330,13 @@ def save_checkpoint(ckpt_dir: str | Path, model: CaptionModel, step: int = 0, **
     """
     ckpt = Path(ckpt_dir)
     ckpt.mkdir(parents=True, exist_ok=True)
-    entries = [{"name": name, "shape": list(p.data.shape), "offset": offset, "count": p.data.size}
-               for name, offset, p in model.layout]
     (ckpt / "params.bin").write_bytes(model.flat.astype(np.float32).tobytes())
     manifest = {
         "format": "vidcap-checkpoint",
         "version": CKPT_VERSION,
         "step": step,
         "model": model.config_blob(),
-        "params": entries,
+        "params": layout_entries(model),
         **extra,
     }
     # one top-level key per line, each value compact: any indent would send
@@ -328,7 +347,11 @@ def save_checkpoint(ckpt_dir: str | Path, model: CaptionModel, step: int = 0, **
 
 
 def load_checkpoint(ckpt_dir: str | Path) -> tuple[CaptionModel, dict]:
-    """The model and manifest of a checkpoint; any fault in them is a ValueError naming ckpt_dir."""
+    """The model and manifest of a checkpoint; any fault in them is a ValueError naming ckpt_dir.
+
+    The manifest's ``params`` must be exactly the ``layout_entries`` of the
+    model it describes, and params.bin exactly that model's float32 vector.
+    """
     ckpt = Path(ckpt_dir)
     manifest = parse_json((ckpt / "manifest.json").read_text(), ckpt / "manifest.json")
     try:
@@ -338,32 +361,11 @@ def load_checkpoint(ckpt_dir: str | Path) -> tuple[CaptionModel, dict]:
         if not isinstance(manifest["model"], dict) or not isinstance(manifest["params"], list):
             raise ValueError("checkpoint manifest model must be an object and params a list")
         model = model_from_config_blob(manifest["model"])
-        raw = np.frombuffer((ckpt / "params.bin").read_bytes(), dtype=np.float32)
-        params = model.parameters()
-        loaded = set()
-        for entry in manifest["params"]:
-            if not isinstance(entry, dict):
-                raise ValueError(f"manifest params entry {entry!r} is not an object")
-            name, offset, count = entry["name"], entry["offset"], entry["count"]
-            if not isinstance(name, str) or name not in params:
-                raise ValueError(f"checkpoint parameter {name!r} not in model")
-            if name in loaded:
-                raise ValueError(f"checkpoint parameter {name!r} listed twice")
-            loaded.add(name)
-            shape = list(params[name].data.shape)
-            if entry["shape"] != shape:
-                raise ValueError(f"checkpoint parameter {name!r} has shape {entry['shape']}, model expects {shape}")
-            if not all(type(n) is int and n >= 0 for n in (offset, count)):
-                raise ValueError(f"checkpoint parameter {name!r} needs non-negative integer offset and count")
-            if count != params[name].data.size:
-                raise ValueError(f"checkpoint parameter {name!r} has count {count} for shape {shape}")
-            chunk = raw[offset : offset + count]
-            if chunk.size != count:
-                raise ValueError("params.bin shorter than manifest promises")
-            params[name].data[...] = chunk.reshape(shape)  # into its stretch of model.flat
-        missing = set(params) - loaded
-        if missing:
-            raise ValueError(f"checkpoint missing parameters: {sorted(missing)[:3]}")
+        check_layout(manifest["params"], layout_entries(model))
+        raw = (ckpt / "params.bin").read_bytes()
+        if len(raw) != 4 * model.flat.size:
+            raise ValueError(f"params.bin holds {len(raw)} bytes, not the {4 * model.flat.size} of its layout")
+        model.flat[...] = np.frombuffer(raw, dtype=np.float32)
     except KeyError as e:
         raise ValueError(f"{ckpt}: checkpoint manifest lacks key {e}") from None
     except ValueError as e:

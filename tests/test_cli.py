@@ -287,7 +287,9 @@ def test_checkpoint_entry_of_the_wrong_shape_exits_2(env, tmp_path, capsys):
     (ckpt / "manifest.json").write_text(json.dumps(manifest))
     video = env["data"] / "videos" / "vid0001.vvid"
     assert main(["caption", "--ckpt", str(ckpt), "--video", str(video), "--decode", "greedy"]) == 2
-    assert "'decoder.final_norm.gamma' has shape [4, 8], model expects [32]" in _one_data_error(capsys)
+    line = _one_data_error(capsys)
+    assert '"name": "decoder.final_norm.gamma", "shape": [4, 8]' in line, line
+    assert 'the model\'s layout has {"name": "decoder.final_norm.gamma", "shape": [32]' in line, line
 
 
 def _set_first_entry(key, value):
@@ -298,22 +300,35 @@ def _set_first_entry(key, value):
     return edit
 
 
+def _share_offset(manifest):
+    # beta and gamma have one width: at one offset, gamma would load beta's values
+    entries = {e["name"]: e for e in manifest["params"]}
+    entries["decoder.final_norm.gamma"]["offset"] = entries["decoder.final_norm.beta"]["offset"]
+    return manifest
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
         (lambda manifest: [manifest], "not a recognized checkpoint directory"),
-        (lambda manifest: dict(manifest, params=[5]), "manifest params entry 5 is not an object"),
+        (lambda manifest: dict(manifest, params=[5]), "manifest params[0] is 5, the model's layout has {"),
         (lambda manifest: dict(manifest, params=5), "params a list"),
         (lambda manifest: dict(manifest, model=None), "model must be an object"),
-        (_set_first_entry("offset", "0"), "needs non-negative integer offset and count"),
-        (_set_first_entry("count", -1), "needs non-negative integer offset and count"),
-        (_set_first_entry("name", ["x"]), "parameter ['x'] not in model"),
-        (lambda manifest: dict(manifest, params=manifest["params"] + manifest["params"][:1]), "listed twice"),
-        (_set_first_entry("count", 47), "parameter 'concept_head.fc1.bias' has count 47 for shape [48]"),
+        (_set_first_entry("offset", "0"), '"offset": "0", "count": 48}, the model\'s layout has'),
+        (_set_first_entry("count", -1), '"count": -1}, the model\'s layout has'),
+        (_set_first_entry("name", ["x"]), 'manifest params[0] is {"name": ["x"]'),
+        (lambda manifest: dict(manifest, params=manifest["params"] + manifest["params"][:1]),
+         "the model's layout has missing"),
+        (_set_first_entry("count", 47), '"count": 47}, the model\'s layout has {"name": "concept_head.fc1.bias", '
+         '"shape": [48], "offset": 0, "count": 48}'),
+        (_share_offset, 'is {"name": "decoder.final_norm.gamma"'),
+        (_set_first_entry("count", 48.0), '"count": 48.0}, the model\'s layout has'),
+        (_set_first_entry("offset", True), '"offset": true, "count": 48}, the model\'s layout has'),
+        (_set_first_entry("offset", False), '"offset": false, "count": 48}, the model\'s layout has'),
     ],
     ids=[
         "list", "entry-not-object", "params-not-list", "model-null", "string-offset", "negative-count", "list-name",
-        "duplicate-name", "count-not-shape",
+        "duplicate-name", "count-not-shape", "shared-offset", "float-count", "true-offset", "false-offset",
     ],
 )
 def test_malformed_checkpoint_manifest_exits_2(env, tmp_path, capsys, edit, message):

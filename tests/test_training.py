@@ -191,15 +191,17 @@ def test_checkpoint_errors(tmp_path):
     manifest["version"] = 1
     dropped = manifest["params"].pop()
     (ckpt / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(ValueError, match="missing parameters"):
+    with pytest.raises(ValueError, match=r"\] is missing, the model's layout has \{\"name\": \"" + dropped["name"]):
         load_checkpoint(ckpt)
 
     manifest["params"].append(dropped)
     (ckpt / "manifest.json").write_text(json.dumps(manifest))
     raw = (ckpt / "params.bin").read_bytes()
-    (ckpt / "params.bin").write_bytes(raw[:-8])
-    with pytest.raises(ValueError, match="shorter than manifest"):
-        load_checkpoint(ckpt)
+    # too short, values after the last one, and a length that is not whole float32s
+    for blob in (raw[:-8], raw + bytes(400), raw + bytes(2)):
+        (ckpt / "params.bin").write_bytes(blob)
+        with pytest.raises(ValueError, match=f"params.bin holds {len(blob)} bytes, not the {len(raw)} of its layout"):
+            load_checkpoint(ckpt)
 
 
 def _assert_parameters_view_the_model_vector(model):
@@ -402,29 +404,39 @@ def test_checkpoint_blob_and_stored_adapter_mode(tmp_path):
 # sha256 of the sorted (name, shape) list of each config, recorded while
 # every layer still listed its parameters by hand; the names are the
 # checkpoint format
-@pytest.mark.parametrize(
-    "enc, dec, count, digest",
-    [
-        ({}, {}, 143, "50434c00b4ac572d43e3f8f8ac4a2b4fba911bcd0b58efe4ffa8e4b95f4f02e9"),
-        (
-            {"qkv_bias": False, "concept_count": 32},
-            {"concept_dim": 32},
-            129,
-            "5de6e771b69c5818bf2bffa0538ccca53a8094843187cfae08fe1c8acf92d647",
-        ),
-        (
-            {"depths": (2, 2, 2), "heads": (2, 4, 8)},
-            {"layers": 3},
-            206,
-            "c67e0de7ccd080a3d3e72972f8b56d2e69b56ff84077133bc3d0a736b0eec4a5",
-        ),
-    ],
-)
+_PINNED_CONFIGS = [
+    ({}, {}, 143, "50434c00b4ac572d43e3f8f8ac4a2b4fba911bcd0b58efe4ffa8e4b95f4f02e9"),
+    (
+        {"qkv_bias": False, "concept_count": 32},
+        {"concept_dim": 32},
+        129,
+        "5de6e771b69c5818bf2bffa0538ccca53a8094843187cfae08fe1c8acf92d647",
+    ),
+    (
+        {"depths": (2, 2, 2), "heads": (2, 4, 8)},
+        {"layers": 3},
+        206,
+        "c67e0de7ccd080a3d3e72972f8b56d2e69b56ff84077133bc3d0a736b0eec4a5",
+    ),
+]
+
+
+@pytest.mark.parametrize("enc, dec, count, digest", _PINNED_CONFIGS)
 def test_parameter_names_and_shapes_are_pinned(enc, dec, count, digest):
     model = CaptionModel(EncoderConfig(**enc), DecoderConfig(vocab_size=40, **dec))
     pairs = sorted((name, list(p.data.shape)) for name, p in model.named_parameters())
     assert len(pairs) == count
     assert hashlib.sha256(json.dumps(pairs).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("enc, dec", [config[:2] for config in _PINNED_CONFIGS])
+def test_each_pinned_config_loads_what_it_saved(tmp_path, enc, dec):
+    model = CaptionModel(EncoderConfig(**enc), DecoderConfig(vocab_size=40, **dec))
+    # values no init draws, so only params.bin can put them in the loaded model
+    model.flat[...] = np.random.default_rng(5).standard_normal(model.flat.size)
+    loaded, _ = load_checkpoint(save_checkpoint(tmp_path / "ck", model))
+    assert (loaded.enc_cfg, loaded.dec_cfg) == (model.enc_cfg, model.dec_cfg)
+    assert loaded.flat.tobytes() == model.flat.astype(np.float32).astype(np.float64).tobytes()
 
 
 def test_joint_step_trains_exactly_the_named_parameters():

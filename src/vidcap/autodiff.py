@@ -17,10 +17,10 @@ soon as it has run the node, so a tape serves one backward pass, and the
 saved arrays are freed as the gradients that replace them are made.
 
 Layers write each forward once, in numpy spelling; only this module tells
-an eval-mode array from a Tensor.  Tensor records +, * by a number, @,
-reshape, transpose, mean and take, and linear, layer_norm, gelu, relu,
-sigmoid, softmax, concat and max_reduce hand a plain array to numpy or to
-the op's forward kernel (*_kernel).  So an eval-mode array runs a taped
+an eval-mode array from a Tensor.  Tensor records +, *, @, reshape,
+transpose, mean and take, and linear, layer_norm, gelu, relu, sigmoid,
+softmax, concat and max_reduce hand a plain array to numpy or to the
+op's forward kernel (*_kernel).  So an eval-mode array runs a taped
 call's lines and gets its bits; tape_active() tells an entry point which
 type to feed in.  An array left of a Tensor raises TypeError.
 Kernels may compute in place (``out=``, ``*=``) to save temporaries, as
@@ -29,13 +29,13 @@ formula, so the bits do not change.  They never write into an op's
 input, into an incoming gradient (one array may be the gradient of two
 inputs), or into an array that a backward closure still reads.
 
-Broadcasting in binary ops is deliberately restricted: shapes must match
-exactly, or one operand must be a single element.  Any other expansion has
-to go through broadcast_to() so the backward rule is explicit; it returns
-numpy's read-only broadcast view, not a copy.  Only add takes a constant:
-an ndarray second operand broadcasts to the first's shape, never enlarging
-it, and gets no gradient.  take() is the one gather, behind embedding
-lookups and the encoder's window layouts.
+The module keeps only the ops a training step records, each with one
+rule.  add is the one broadcast: its second operand, a Tensor or a
+constant array, broadcasts into the first operand's shape, never enlarging
+it, and its gradient is summed over the broadcast axes (a constant gets
+none).  mul is the one product, of operands of one shape or where either
+is a single element, a number included.  take() is the one gather, behind
+nn.Embedding, the encoder's window layouts and its relative-position bias.
 """
 
 from __future__ import annotations
@@ -188,50 +188,50 @@ def backward(loss: Tensor, tape: Tape) -> dict[Tensor, np.ndarray]:
 # elementwise and structural primitives
 
 
-def _binary_check(a: Tensor, b: Tensor, op: str) -> None:
-    x, y = a.data, b.data
-    if x.shape != y.shape and x.size != 1 and y.size != 1:
-        raise ValueError(f"{op}: shapes {x.shape} and {y.shape} neither match nor are scalar")
-
-
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    # reduce a full-shape gradient back to a single-element operand
+    """g summed over the axes along which an operand of shape was broadcast."""
     if g.shape == shape:
         return g
-    return np.sum(g).reshape(shape)
+    lead = g.ndim - len(shape)
+    spread = tuple(lead + i for i, n in enumerate(shape) if n == 1 and g.shape[lead + i] != 1)
+    return g.sum(axis=tuple(range(lead)) + spread).reshape(shape)
 
 
-def add(a, b) -> Tensor:
-    b = np.broadcast_to(b, a.shape) if isinstance(b, np.ndarray) else b  # a constant
-    a, b = _wrap(a), _wrap(b)
-    _binary_check(a, b, "add")
-
-    sa, sb = a.shape, b.shape
+def add(a: Tensor, b) -> Tensor:
+    """a + b for b a Tensor or a constant array that broadcasts into a's
+    shape, never enlarging it.  b's gradient sums over the broadcast axes,
+    and is made only when b needs one."""
+    y = b.data if isinstance(b, Tensor) else b
+    sa, sb = a.shape, y.shape
+    if sa != sb and np.broadcast_shapes(sa, sb) != sa:
+        raise ValueError(f"add: shape {sb} would enlarge {sa}")
+    b = _wrap(b)
+    need_b = b.requires_grad
 
     def bwd(g):
-        return _unbroadcast(g, sa), _unbroadcast(g, sb)
+        return g, _unbroadcast(g, sb) if need_b else None
 
-    return _record("add", (a, b), a.data + b.data, bwd)
+    return _record("add", (a, b), a.data + y, bwd)
 
 
 def mul(a, b) -> Tensor:
+    """a * b for operands of one shape, or where either is a single element
+    (a number included); a gradient is made only for an operand that needs
+    one."""
     a, b = _wrap(a), _wrap(b)
-    _binary_check(a, b, "mul")
     x, y = a.data, b.data
+    sa, sb = x.shape, y.shape
+    if sa != sb and x.size != 1 and y.size != 1:
+        raise ValueError(f"mul: shapes {sa} and {sb} neither match nor are scalar")
+    # each closure keeps only the other operand, and only if it is read
+    for_a = y if a.requires_grad else None
+    for_b = x if b.requires_grad else None
 
     def bwd(g):
-        return _unbroadcast(g * y, x.shape), _unbroadcast(g * x, y.shape)
+        ga = None if for_a is None else _unbroadcast(g * for_a, sa)
+        return ga, None if for_b is None else _unbroadcast(g * for_b, sb)
 
     return _record("mul", (a, b), x * y, bwd)
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-
-    def bwd(g):
-        return (g * c,)
-
-    return _record("scale", (a,), a.data * c, bwd)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -368,13 +368,6 @@ def sigmoid(a: Tensor) -> Tensor:
     return _record("sigmoid", (a,), s, bwd)
 
 
-def embedding(table: Tensor, ids) -> Tensor:
-    """Row lookup into a (V, D) table."""
-    if table.ndim != 2:
-        raise ValueError("embedding table must be 2-D")
-    return take(table, ids, 0)
-
-
 def checked_index(index, size: int) -> np.ndarray:
     """index as an intp array, refused unless every entry is in [0, size)."""
     idx = np.asarray(index, dtype=np.intp)
@@ -431,83 +424,37 @@ def transpose(a: Tensor, axes) -> Tensor:
     return _record("transpose", (a,), a.data.transpose(axes), bwd)
 
 
-def broadcast_to(a: Tensor, shape) -> Tensor:
-    """Explicit expansion to numpy's read-only broadcast view; backward
-    sums over the expanded axes."""
-    old = a.shape
-
-    def bwd(g):
-        lead = g.ndim - len(old)
-        if lead:
-            g = g.sum(axis=tuple(range(lead)))
-        keep = tuple(i for i in range(len(old)) if old[i] == 1 and g.shape[i] != 1)
-        if keep:
-            g = g.sum(axis=keep, keepdims=True)
-        return (g,)
-
-    return _record("broadcast_to", (a,), np.broadcast_to(a.data, tuple(shape)), bwd)
-
-
-def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
-    sl = [slice(None)] * a.ndim
-    sl[axis] = slice(start, stop)
-    sl, shape = tuple(sl), a.shape
-
-    def bwd(g):
-        ga = np.zeros(shape)
-        ga[sl] = g
-        return (ga,)
-
-    return _record("slice_axis", (a,), a.data[sl].copy(), bwd)
-
-
-def roll(a: Tensor, shifts, axes) -> Tensor:
-    shifts = tuple(int(s) for s in shifts)
-    axes = tuple(axes)
-
-    def bwd(g):
-        return (np.roll(g, tuple(-s for s in shifts), axis=axes),)
-
-    return _record("roll", (a,), np.roll(a.data, shifts, axis=axes), bwd)
-
-
-def mean_reduce(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
+def mean_reduce(a: Tensor, axis: int) -> Tensor:
     shape = a.shape
     n = shape[axis]
 
     def bwd(g):
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, shape) / n,)
+        return (np.broadcast_to(np.expand_dims(g, axis), shape) / n,)
 
-    return _record("mean", (a,), a.data.mean(axis=axis, keepdims=keepdims), bwd)
+    return _record("mean", (a,), a.data.mean(axis=axis), bwd)
 
 
-def max_reduce(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
+def max_reduce(a: Tensor, axis: int) -> Tensor:
     """Max over one axis; ties route the gradient to the first maximum."""
     if isinstance(a, np.ndarray):
-        return a.max(axis=axis, keepdims=keepdims)
+        return a.max(axis=axis)
     idx, shape = np.argmax(a.data, axis=axis), a.shape
 
     def bwd(g):
-        if not keepdims:
-            g = np.expand_dims(g, axis)
         ga = np.zeros(shape)
-        np.put_along_axis(ga, np.expand_dims(idx, axis), g, axis=axis)
+        np.put_along_axis(ga, np.expand_dims(idx, axis), np.expand_dims(g, axis), axis=axis)
         return (ga,)
 
-    return _record("max", (a,), a.data.max(axis=axis, keepdims=keepdims), bwd)
+    return _record("max", (a,), a.data.max(axis=axis), bwd)
 
 
-def sum_reduce(a: Tensor, axis: int | None = None) -> Tensor:
+def sum_reduce(a: Tensor) -> Tensor:
     shape = a.shape
 
     def bwd(g):
-        if axis is None:
-            return (np.broadcast_to(g, shape).copy(),)
-        return (np.broadcast_to(np.expand_dims(g, axis), shape).copy(),)
+        return (np.broadcast_to(g, shape).copy(),)
 
-    return _record("sum", (a,), a.data.sum(axis=axis), bwd)
+    return _record("sum", (a,), a.data.sum(), bwd)
 
 
 def dropout(a: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
@@ -528,7 +475,7 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
 
 # numpy spelling of the ops, so one layer body serves arrays and Tensors;
 # on a Tensor, `t += u` and `t *= c` rebind t to the recorded result
-Tensor.__add__, Tensor.__mul__, Tensor.__matmul__ = add, scale, matmul
+Tensor.__add__, Tensor.__mul__, Tensor.__matmul__ = add, mul, matmul
 Tensor.reshape, Tensor.transpose, Tensor.mean, Tensor.take = reshape, transpose, mean_reduce, take
 
 
@@ -665,7 +612,7 @@ def cross_entropy_masked(logits: Tensor, targets, ignore_id: int) -> Tensor:
 def bce_with_logits(logits: Tensor, targets) -> Tensor:
     """Mean binary cross entropy against {0,1} targets, computed in the
     numerically stable max(z,0) - z*t + log1p(exp(-|z|)) form."""
-    t = targets.data if isinstance(targets, Tensor) else np.asarray(targets, dtype=np.float64)
+    t = np.asarray(targets, dtype=np.float64)
     if t.shape != logits.shape:
         raise ValueError("bce_with_logits shape mismatch")
     if not np.all((t == 0.0) | (t == 1.0)):

@@ -165,9 +165,10 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_caption(args) -> int:
+    request = _decode_request(args)
     model, vocab = load_captioner(args.ckpt)
     clip = read_vvid(args.video)
-    text, tokens, logprob = caption_video(model, vocab, clip, _decode_request(args))
+    text, tokens, logprob = caption_video(model, vocab, clip, request)
     print(json.dumps({"caption": text, "tokens": tokens, "logprob": logprob}))
     return EXIT_OK
 

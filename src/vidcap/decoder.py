@@ -258,6 +258,8 @@ class GenerationRequest:
             raise ValueError("top-p mass must be in (0, 1]")
         if not 0.0 < temperature < np.inf:
             raise ValueError(f"temperature must be positive and finite, got {temperature}")
+        if seed is not None and seed < 0:
+            raise ValueError(f"seed must be non-negative or None, got {seed}")
         self.strategy, self.beam_width, self.k, self.p = strategy, beam_width, k, p
         self.temperature, self.max_len, self.seed = temperature, max_len, seed
 

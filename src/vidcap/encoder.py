@@ -12,7 +12,9 @@ Between stages a merge step halves the spatial grid and doubles the
 channel width.  The final grid is pooled over space into one token per
 time slot and projected to the output width, giving (B, t, token_dim).
 Window attention is the shared nn.Attention core plus a learned
-relative-position bias.
+relative-position bias: one (heads, n, n) gather from the bias table,
+which the score addition broadcasts over the batch and the windows, on
+arrays and Tensors alike.
 
 Which grid position sits in which window slot is decided once per
 (dims, window, shift) by window_layout and cached as read-only index
@@ -181,10 +183,6 @@ class WindowAttention(Attention):
         self.bias_table = normal_param(rng, (table_len, heads))
         self.relative_index = _relative_index(window)
 
-    def _bias(self, lead: tuple[int, ...]) -> Tensor:
-        b = ad.transpose(ad.take(self.bias_table, self.relative_index, 0), (2, 0, 1))
-        return ad.broadcast_to(b, lead + b.data.shape)
-
     def __call__(self, grid, shift, rng):
         """(B, t, h, w, dim) grids in and out, windows shifted by shift."""
         b, *dims, c = grid.shape
@@ -192,10 +190,8 @@ class WindowAttention(Attention):
             raise ValueError(f"window {self.window} larger than grid {tuple(dims)}")
         slots, back, mask = window_layout(tuple(dims), self.window, shift)
         windows = grid.reshape((b, -1, c)).take(slots, 1)
-        if isinstance(windows, np.ndarray):  # the (heads, n, n) bias broadcasts
-            bias = self.bias_table.data[self.relative_index].transpose(2, 0, 1)
-        else:
-            bias = self._bias((b, len(slots)))
+        table = self.bias_table.data if isinstance(windows, np.ndarray) else self.bias_table
+        bias = table.take(self.relative_index, 0).transpose((2, 0, 1))
         out = super().__call__(windows, windows, bias, mask, rng)
         return out.reshape((b, -1, c)).take(back, 1)
 

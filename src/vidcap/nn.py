@@ -70,7 +70,7 @@ class Embedding(Module):
         self.table = normal_param(rng, (count, dim))
 
     def __call__(self, ids) -> Tensor:
-        return ad.embedding(self.table, ids)
+        return self.table.take(ids, 0)
 
 
 @lru_cache(maxsize=None)

@@ -76,6 +76,8 @@ class SyntheticSpec:
             raise ValueError("static prefix must be in [0, 1)")
         if not (1 <= self.paraphrases <= len(MOVING_TEMPLATES)):
             raise ValueError(f"paraphrases must be 1..{len(MOVING_TEMPLATES)}")
+        if self.seed < 0:
+            raise ValueError(f"spec seed must be non-negative, got {self.seed}")
         for kind, known in (("shape", SHAPES), ("color", COLOR_RGB), ("motion", MOTION_STEPS)):
             values = getattr(self, kind + "s")
             if not values:

@@ -293,14 +293,12 @@ def load_corpus(path: str | Path) -> list[CaptionRecord]:
         if not isinstance(obj, dict):
             raise ValueError(f"{path}:{line_no}: corpus line is not a JSON object")
         try:
-            rec = CaptionRecord(
-                id=str(obj["id"]),
-                video=str(obj["video"]),
-                captions=obj["captions"],
-                split=str(obj["split"]),
-            )
+            rec = CaptionRecord(obj["id"], obj["video"], obj["captions"], obj["split"])
         except KeyError as e:
             raise ValueError(f"{path}:{line_no}: missing corpus field {e}") from None
+        for key in ("id", "video", "split"):
+            if not isinstance(obj[key], str):
+                raise ValueError(f"{path}:{line_no}: {key} must be a string, got {obj[key]!r}")
         if not isinstance(rec.captions, list) or not all(isinstance(c, str) for c in rec.captions):
             raise ValueError(f"{path}:{line_no}: captions must be a list of strings, got {rec.captions!r}")
         if rec.split not in SPLITS:

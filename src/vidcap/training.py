@@ -70,6 +70,8 @@ class TrainConfig:
             raise ValueError("bad optimizer hyperparameters")
         if self.max_len < 1:
             raise ValueError(f"max_len must be at least 1, got {self.max_len}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
     def resolve_encoder(self) -> EncoderConfig:
         return _resolve_config(self.encoder, EncoderConfig)
@@ -177,7 +179,7 @@ def joint_loss(
     dec_logits = model.caption_logits(ad.sigmoid(sem_logits), targets[:, :-1], tokens, rng)
     ce = ad.cross_entropy_masked(dec_logits, targets, PAD_ID)
     bce = ad.bce_with_logits(sem_logits, np.stack([labels[i] for i in rows]))
-    return ad.add(ce, ad.scale(bce, lambda_bce)), ce, bce
+    return ad.add(ce, ad.mul(bce, lambda_bce)), ce, bce
 
 
 def _finite_or_die(value: float, what: str, dump: dict, out_dir: Path | None):

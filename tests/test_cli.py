@@ -117,14 +117,26 @@ def test_missing_and_invalid_inputs_exit_2(env, tmp_path, capsys):
     assert main(["gen-data", "--spec", str(unknown), "--out", str(tmp_path / "o2")]) == 2
 
     capsys.readouterr()
-    for i, spec in enumerate([{"shapes": []}, {"colors": []}, {"motions": []}, {"height": 0}, {"width": 0}]):
+    specs = [{"shapes": []}, {"colors": []}, {"motions": []}, {"height": 0}, {"width": 0}, {"seed": -1}]
+    for i, spec in enumerate(specs):
         path = tmp_path / f"spec{i}.json"
         path.write_text(json.dumps(spec))
         assert main(["gen-data", "--spec", str(path), "--out", str(tmp_path / f"g{i}")]) == 2
-        _one_data_error(capsys)
-        assert not (tmp_path / f"g{i}").exists()
+        error = _one_data_error(capsys)
+        assert not (tmp_path / f"g{i}").exists()  # no videos/ left behind
+    assert "spec seed must be non-negative, got -1" in error
 
-    assert main(["caption", "--ckpt", str(tmp_path / "none"), "--video", str(tmp_path / "v.vvid")]) == 2
+    caption = ["caption", "--ckpt", str(tmp_path / "none"), "--video", str(tmp_path / "v.vvid")]
+    assert main(caption) == 2
+    capsys.readouterr()
+    # a bad seed is refused before the checkpoint is read, which here does not exist
+    assert main(caption + ["--decode", "topk", "--seed", "-1"]) == 2
+    assert "seed must be non-negative or None, got -1" in _one_data_error(capsys)
+
+    cfg = tmp_path / "seed.json"
+    cfg.write_text(json.dumps({"seed": -1}))
+    assert main(["train", "--config", str(cfg), "--data", str(tmp_path / "no-data"), "--out", str(tmp_path / "run")]) == 2
+    assert "seed must be non-negative, got -1" in _one_data_error(capsys)
 
 
 @pytest.mark.parametrize(
@@ -260,6 +272,18 @@ def test_corpus_captions_that_are_not_a_list_of_strings_exit_2(tmp_path, capsys,
     corpus.write_text(json.dumps(row) + "\n" + json.dumps(dict(row, captions=captions)) + "\n")
     assert main(["build-vocab", "--corpus", str(corpus), "--out", str(tmp_path / "v.json")]) == 2
     assert f"{corpus}:2: captions must be a list of strings" in _one_data_error(capsys)
+
+
+@pytest.mark.parametrize(
+    "key, value", [("id", ["a"]), ("id", 7), ("video", None), ("video", {"path": "v"}), ("split", 1), ("split", None)]
+)
+def test_corpus_fields_that_are_not_strings_exit_2(tmp_path, capsys, key, value):
+    # str() used to load ["a"] as the id "['a']" and null as the video path "None"
+    corpus = tmp_path / "corpus.jsonl"
+    row = {"id": "a", "video": "v", "captions": ["a red ball"], "split": "train"}
+    corpus.write_text(json.dumps(dict(row, id="b")) + "\n" + json.dumps(dict(row, **{key: value})) + "\n")
+    assert main(["build-vocab", "--corpus", str(corpus), "--out", str(tmp_path / "v.json")]) == 2
+    assert _one_data_error(capsys) == f"data error: {corpus}:2: {key} must be a string, got {value!r}"
 
 
 @pytest.mark.parametrize("drop", ["model", "params"])

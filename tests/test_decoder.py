@@ -197,7 +197,7 @@ def _tensor_attention(attn, q_seq, k, v):
     rows = q_seq.data.shape[:-1]
     split, key_t = _head_axes(len(rows) + 2)
     q = ad.transpose(ad.reshape(attn.wq(q_seq), rows + (attn.heads, attn.head_dim)), split)
-    probs = ad.softmax(ad.scale(ad.matmul(q, ad.transpose(k, key_t)), attn.scale), axis=-1)
+    probs = ad.softmax(ad.mul(ad.matmul(q, ad.transpose(k, key_t)), attn.scale), axis=-1)
     out = ad.transpose(ad.matmul(probs, v), split)
     return attn.wo(ad.reshape(out, rows + (attn.dim,)))
 
@@ -338,6 +338,9 @@ def test_generation_request_validation():
     for temperature in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="temperature"):
             GenerationRequest(temperature=temperature)
+    with pytest.raises(ValueError, match="seed must be non-negative or None, got -1"):
+        GenerationRequest("topk", seed=-1)
+    assert GenerationRequest("topk", seed=None).seed is None
 
 
 # ---------------------------------------------------------------------------

@@ -164,7 +164,8 @@ def _old_window_attention(grid: Tensor, attn: WindowAttention, shift) -> Tensor:
         lambda g: (_fold_edges(_old_reverse(g, padded, window, shift), dims),),
     )
     mask = _old_mask(padded, window, shift)
-    out = Attention.__call__(attn, windows, windows, attn._bias(windows.shape[:2]), mask, None)
+    bias = ad.transpose(ad.take(attn.bias_table, attn.relative_index, 0), (2, 0, 1))
+    out = Attention.__call__(attn, windows, windows, bias, mask, None)
     return ad._record(
         "old_reverse",
         (out,),

@@ -83,5 +83,7 @@ def test_spec_validation():
         SyntheticSpec(static_prefix=1.0)
     with pytest.raises(ValueError, match="paraphrases"):
         SyntheticSpec(paraphrases=9)
+    with pytest.raises(ValueError, match="spec seed must be non-negative, got -1"):
+        SyntheticSpec(seed=-1)
     round_trip = config_from_table(SyntheticSpec, {"videos": 3, "colors": ["red", "cyan"]}, "synthetic spec")
     assert round_trip.colors == ("red", "cyan")

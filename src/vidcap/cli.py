@@ -167,6 +167,7 @@ def _cmd_train(args) -> int:
 def _cmd_caption(args) -> int:
     request = _decode_request(args)
     model, vocab = load_captioner(args.ckpt)
+    model.check_request(request)  # before the video is read and encoded
     clip = read_vvid(args.video)
     text, tokens, logprob = caption_video(model, vocab, clip, request)
     print(json.dumps({"caption": text, "tokens": tokens, "logprob": logprob}))

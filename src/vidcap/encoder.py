@@ -269,7 +269,7 @@ class VideoEncoder(Module):
         clips, cut by window_layout, which edge-replicates trailing frames,
         rows and columns."""
         if len({clip.data.shape for clip in clips}) != 1:
-            raise ValueError("an encoder call takes one or more clips of one shape")
+            raise ValueError("an encoder pass takes one or more clips of one shape")
         data = np.stack([clip.data for clip in clips])
         b, *dims, c = data.shape
         if c != self.cfg.in_channels:
@@ -279,17 +279,31 @@ class VideoEncoder(Module):
         return np.asarray(np.take(data.reshape(b, -1, c), slots, axis=1).reshape(b, *grid, -1), dtype=np.float64)
 
     def __call__(self, clips: Sequence[VideoClip], rng=None) -> Tensor:
-        """Tokens (B, t, token_dim) for B clips of one shape; in eval mode
-        (no rng) with no tape active, computed on arrays and wrapped once."""
+        """Tokens (B, t, token_dim) for B clips of any shapes, one row per
+        clip in input order, from one pass per shape; in eval mode (no rng)
+        with no tape active, computed on arrays and wrapped once."""
         taped = rng is not None or ad.tape_active()
+        groups: dict[tuple, list[int]] = {}
+        for i, clip in enumerate(clips):
+            groups.setdefault(clip.data.shape, []).append(i)
+        if len(groups) <= 1:  # _patches refuses an empty call
+            x = self._forward(clips, rng, taped)
+        else:
+            parts = [self._forward([clips[i] for i in rows], rng, taped) for rows in groups.values()]
+            # concatenated row r is clip order[r], so argsort(order) puts each clip back in place
+            order = np.concatenate(list(groups.values()))
+            x = ad.concat(parts, 0).take(np.argsort(order), 0)
+        return x if taped else Tensor(x)
+
+    def _forward(self, clips: Sequence[VideoClip], rng, taped: bool):
+        """One pass over clips of one shape: tokens, a Tensor when taped."""
         x = self._patches(clips)
         x = self.patch_proj(Tensor(x) if taped else x)
         for s, stage in enumerate(self.stages):
             x = stage(x, rng)
             if s < len(self.merges):
                 x = self.merges[s](x)
-        x = self.out_proj(self.final_norm(x).mean(3).mean(2))
-        return x if taped else Tensor(x)
+        return self.out_proj(self.final_norm(x).mean(3).mean(2))
 
 
 class ConceptHead(Module):

@@ -1,10 +1,10 @@
 """Checkpoint evaluation: caption every corpus item and score the result.
 
-The corpus streams through frame selection into the encoder in small
-same-shape chunks, keeping only each clip's tokens; then every clip is
-decoded at once, in lockstep by length.  One worker thread reads and
-frame-selects ahead while the main thread encodes, holding at most
-ENCODE_CHUNK selected clips plus the one full clip in hand.
+The corpus streams through frame selection into the encoder in chunks of
+ENCODE_CHUNK clips in corpus order, keeping only each clip's tokens; then
+every clip is decoded at once, in lockstep by length.  One worker thread
+reads and frame-selects ahead while the main thread encodes, holding at
+most ENCODE_CHUNK selected clips plus the one full clip in hand.
 caption_video is the one-clip path through the same decoding code.
 """
 

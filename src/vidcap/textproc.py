@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
@@ -85,17 +86,18 @@ class Vocab:
         return cls(_load_word_table(path)["words"])
 
 
+def _token_counts(captions: Iterable[str]) -> Counter:
+    """How often each token occurs over the captions."""
+    return Counter(tok for cap in captions for tok in normalize_and_tokenize(cap))
+
+
 def build_vocab(captions: Iterable[str], min_freq: int = 1) -> Vocab:
     """Count tokens over the training captions and keep those at or above
     min_freq, ordered by (frequency desc, word asc)."""
-    counts: dict[str, int] = {}
-    seen_any = False
-    for cap in captions:
-        seen_any = True
-        for tok in normalize_and_tokenize(cap):
-            counts[tok] = counts.get(tok, 0) + 1
-    if not seen_any:
+    captions = list(captions)
+    if not captions:
         raise ValueError("empty training split")
+    counts = _token_counts(captions)
     kept = [w for w, c in counts.items() if c >= min_freq]
     kept.sort(key=lambda w: (-counts[w], w))
     return Vocab(kept)
@@ -227,11 +229,7 @@ def build_concept_vocabulary(captions: Iterable[str], tagger: PosTagger, k: int)
     alphabetically first word."""
     if k < 1:
         raise ValueError(f"concept count must be at least 1, got {k}")
-    counts: dict[str, int] = {}
-    for cap in captions:
-        for tok in normalize_and_tokenize(cap):
-            counts[tok] = counts.get(tok, 0) + 1
-    content = {w: c for w, c in counts.items() if tagger.tag(w) in CONCEPT_TAGS}
+    content = {w: c for w, c in _token_counts(captions).items() if tagger.tag(w) in CONCEPT_TAGS}
     if len(content) < k:
         raise ValueError(
             f"concept vocabulary underflow: corpus has {len(content)} concept words, {k} needed"

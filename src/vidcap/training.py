@@ -10,6 +10,7 @@ whole batch as one graph on one tape.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, replace
 from itertools import zip_longest
@@ -66,8 +67,13 @@ class TrainConfig:
             raise ValueError(f"phase must be one of {PHASES}")
         if self.batch_size < 1 or self.max_steps < 0 or self.pretrain_steps < 0:
             raise ValueError("batch size must be positive, step counts non-negative")
-        if self.lambda_bce < 0 or self.lr <= 0 or self.clip_norm <= 0:
-            raise ValueError("bad optimizer hyperparameters")
+        # json reads NaN and Infinity, which no comparison with 0 alone refuses
+        if not 0 <= self.lambda_bce < math.inf:
+            raise ValueError(
+                f"bad optimizer hyperparameters: lambda_bce must be finite and non-negative, got {self.lambda_bce}")
+        for name, value in (("lr", self.lr), ("clip_norm", self.clip_norm)):
+            if not 0 < value < math.inf:
+                raise ValueError(f"bad optimizer hyperparameters: {name} must be finite and positive, got {value}")
         if self.max_len < 1:
             raise ValueError(f"max_len must be at least 1, got {self.max_len}")
         if self.seed < 0:
@@ -93,13 +99,6 @@ def _resolve_config(value, cls, **defaults):
 
 
 @dataclass
-class _Sample:
-    clip: VideoClip               # AFS-selected
-    labels: np.ndarray            # multi-hot concept vector
-    captions: list[np.ndarray]    # token ids ending in EOS, PAD-trimmed
-
-
-@dataclass
 class TrainResult:
     checkpoint_dir: Path
     history: list[dict]
@@ -109,49 +108,34 @@ class TrainResult:
 
 
 def _prepare_samples(records, data_root: Path, vocab, concepts, n_frames: int, max_len: int):
-    samples = []
+    """The AFS-selected clip of each record, their (N, K) multi-hot concept
+    labels and each record's caption ids, each ending in EOS, PAD-trimmed."""
+    clips, caption_ids = [], []
     for rec in records:
         clip = read_vvid(data_root / rec.video)
-        selected = apply_selection(clip, select_from_clip(clip, n_frames))
-        labels = concept_label_vector(concepts, rec.captions)
+        clips.append(apply_selection(clip, select_from_clip(clip, n_frames)))
         caps = []
         for text in rec.captions:
             ids, mask = encode_caption(vocab, text, max_len)
             caps.append(ids[: int(mask.sum())])
-        samples.append(_Sample(selected, labels, caps))
-    return samples
-
-
-def _shape_groups(clips: Sequence[VideoClip]) -> list[list[int]]:
-    """Positions of the clips grouped by clip shape, groups in order of
-    first appearance, since one encoder call takes clips of one shape."""
-    groups: dict[tuple, list[int]] = {}
-    for i, clip in enumerate(clips):
-        groups.setdefault(clip.data.shape, []).append(i)
-    return list(groups.values())
+        caption_ids.append(caps)
+    labels = np.stack([concept_label_vector(concepts, rec.captions) for rec in records])
+    return clips, labels, caption_ids
 
 
 def token_cache(model: CaptionModel, clips: Iterable[VideoClip], batch_size: int) -> np.ndarray:
     """(N, t, token_dim) eval-mode encoder tokens of the N clips an
-    iterable yields.  Clips wait in a bucket per shape and a full bucket of
-    batch_size is encoded at once, the rest at the end, so at most
-    batch_size clips of each shape are held at a time."""
-    out: list[np.ndarray] = []
-    buckets: dict[tuple, list[tuple[int, VideoClip]]] = {}
-
-    def encode(bucket):
-        for (i, _), tokens in zip(bucket, model.encoder([clip for _, clip in bucket]).data):
-            out[i] = tokens
-
-    for i, clip in enumerate(clips):
-        out.append(None)
-        bucket = buckets.setdefault(clip.data.shape, [])
-        bucket.append((i, clip))
-        if len(bucket) == batch_size:
-            encode(buckets.pop(clip.data.shape))
-    for bucket in buckets.values():
-        encode(bucket)
-    return np.stack(out)
+    iterable yields, encoded in chunks of batch_size as they arrive, so at
+    most batch_size clips are held at a time."""
+    out, chunk = [], []
+    for clip in clips:
+        chunk.append(clip)
+        if len(chunk) == batch_size:
+            out.append(model.encoder(chunk).data)
+            chunk = []
+    if chunk:
+        out.append(model.encoder(chunk).data)
+    return np.concatenate(out)
 
 
 def joint_loss(
@@ -165,20 +149,17 @@ def joint_loss(
     """(total, ce, bce) over one batch, on one graph: ce is the mean of the
     per-sample caption cross entropies, bce the mean of the per-sample
     concept terms and total = ce + lambda_bce * bce.  captions[i] holds
-    the target ids of clip i, ending in EOS.  Clips of one shape share an
-    encoder call; the calls' tokens are concatenated, one row per clip.
-    Dropout draws from rng; None is the dropout-free (eval) loss."""
-    groups = _shape_groups(clips)
-    rows = [i for group in groups for i in group]
-    parts = [model.encoder([clips[i] for i in group], rng) for group in groups]
-    tokens = parts[0] if len(parts) == 1 else ad.concat(parts, axis=0)
-    targets = np.full((len(rows), max(len(c) for c in captions)), PAD_ID, dtype=np.intp)
-    for row, i in enumerate(rows):
-        targets[row, : len(captions[i])] = captions[i]
+    the target ids of clip i, ending in EOS, and labels[i] its multi-hot
+    concept vector; every row stays in input order.  Dropout draws from
+    rng; None is the dropout-free (eval) loss."""
+    tokens = model.encoder(clips, rng)
+    targets = np.full((len(clips), max(len(c) for c in captions)), PAD_ID, dtype=np.intp)
+    for row, ids in enumerate(captions):
+        targets[row, : len(ids)] = ids
     sem_logits = model.concept_head.logits(tokens, rng)
     dec_logits = model.caption_logits(ad.sigmoid(sem_logits), targets[:, :-1], tokens, rng)
     ce = ad.cross_entropy_masked(dec_logits, targets, PAD_ID)
-    bce = ad.bce_with_logits(sem_logits, np.stack([labels[i] for i in rows]))
+    bce = ad.bce_with_logits(sem_logits, np.stack(labels))
     return ad.add(ce, ad.mul(bce, lambda_bce)), ce, bce
 
 
@@ -218,7 +199,7 @@ def train(
                          f"more than its {dec_cfg.max_positions}")
     model = CaptionModel(enc_cfg, dec_cfg, seed=config.seed)
 
-    samples = _prepare_samples(records, data_root, vocab, concepts, enc_cfg.frames, config.max_len)
+    clips, labels, caption_ids = _prepare_samples(records, data_root, vocab, concepts, enc_cfg.frames, config.max_len)
 
     batch_rng = np.random.default_rng(config.seed + 303)
     caption_rng = np.random.default_rng(config.seed + 101)
@@ -238,7 +219,7 @@ def train(
             run_step(step, phase, loss_fn, params, flat, state)
 
     def run_step(step: int, phase: str, loss_fn, params, flat, state):
-        idx = batch_rng.integers(0, len(samples), size=config.batch_size)
+        idx = batch_rng.integers(0, len(clips), size=config.batch_size)
         with Tape() as tape:
             total, parts = loss_fn([int(i) for i in idx])
             value = float(total.data)
@@ -256,12 +237,11 @@ def train(
     with (out / "train_log.jsonl").open("w") as log_file:
         # phase one: concept head only, frozen encoder outputs cached once
         if config.phase in ("semantic_pretrain", "both") and config.pretrain_steps > 0:
-            cache = token_cache(model, [s.clip for s in samples], config.batch_size)
-            all_labels = np.stack([s.labels for s in samples])
+            cache = token_cache(model, clips, config.batch_size)
 
             def pretrain_loss(batch):
                 logits = model.concept_head.logits(Tensor(cache[batch]), dropout_rng, rate=0.5)
-                bce = ad.bce_with_logits(logits, all_labels[batch])
+                bce = ad.bce_with_logits(logits, labels[batch])
                 return bce, {"bce": float(bce.data)}
 
             run_phase("semantic_pretrain", "concept_head.", pretrain_loss, range(1, config.pretrain_steps + 1))
@@ -269,10 +249,9 @@ def train(
         # phase two: everything trains, caption CE plus weighted concept BCE
         if config.phase in ("end_to_end", "both") and config.max_steps > 0:
             def batch_joint_loss(batch):
-                drawn = [samples[i] for i in batch]
-                captions = [s.captions[int(caption_rng.integers(0, len(s.captions)))] for s in drawn]
-                clips, labels = [s.clip for s in drawn], [s.labels for s in drawn]
-                total, ce, bce = joint_loss(model, clips, captions, labels, config.lambda_bce, dropout_rng)
+                targets = [caption_ids[i][int(caption_rng.integers(0, len(caption_ids[i])))] for i in batch]
+                total, ce, bce = joint_loss(
+                    model, [clips[i] for i in batch], targets, labels[batch], config.lambda_bce, dropout_rng)
                 return total, {"ce": float(ce.data), "bce": float(bce.data)}
 
             start = config.pretrain_steps if config.phase == "both" else 0

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import vidcap.autodiff
+import vidcap.cli
 import vidcap.decoder
 import vidcap.evaluate
 from vidcap.afs import build_cdf, frame_dissimilarity, select_frames
@@ -151,6 +152,10 @@ def test_missing_and_invalid_inputs_exit_2(env, tmp_path, capsys):
         ({"encoder": {**SMALL_ENCODER, "attn_dropout": 1.5}}, "encoder attn_dropout must be in [0, 1), got 1.5"),
         ({"decoder": {"dropout": -0.1}}, "decoder dropout must be in [0, 1), got -0.1"),
         ({"max_len": 0}, "max_len must be at least 1, got 0"),
+        # json.dumps writes these as NaN and Infinity, which json.loads reads back
+        ({"lr": float("nan")}, "lr must be finite and positive, got nan"),
+        ({"lambda_bce": float("inf")}, "lambda_bce must be finite and non-negative, got inf"),
+        ({"clip_norm": float("inf")}, "clip_norm must be finite and positive, got inf"),
         ({"decoder": {"vocab_size": 5}}, "decoder vocab_size 5 is not the vocabulary's"),
         ({"decoder": {"vocab_size": 400}}, "decoder vocab_size 400 is not the vocabulary's"),
     ],
@@ -513,6 +518,21 @@ def test_caption_max_len_beyond_the_decoder_positions_exits_2(env, capsys, monke
     argv = ["caption", "--ckpt", str(env["ckpt"]), "--video", str(video), "--decode", "greedy", "--max-len", "33"]
     assert main(argv) == 2
     assert _one_data_error(capsys) == "data error: max length 33 exceeds 32 decoder positions"
+
+
+def test_caption_max_len_beyond_the_decoder_positions_exits_2_before_reading(env, capsys, monkeypatch):
+    reads, read = [], vidcap.cli.read_vvid
+
+    def counting_read(path):
+        reads.append(path)
+        return read(path)
+
+    monkeypatch.setattr(vidcap.cli, "read_vvid", counting_read)
+    video = env["data"] / "videos" / "vid0001.vvid"
+    argv = ["caption", "--ckpt", str(env["ckpt"]), "--video", str(video), "--decode", "greedy", "--max-len", "100"]
+    assert main(argv) == 2
+    assert _one_data_error(capsys) == "data error: max length 100 exceeds 32 decoder positions"
+    assert reads == []
 
 
 def test_evaluate_max_len_beyond_the_decoder_positions_exits_2_before_reading(env, tmp_path, capsys, monkeypatch):

@@ -30,6 +30,8 @@ from vidcap.encoder import (
 from vidcap.nn import Attention
 from vidcap.video import VideoClip
 
+from test_autodiff import check_grads
+
 
 def _region_label(o: int, d: int, w: int, s: int) -> int:
     # contiguous pre-shift regions in original coordinates: the head [0,s)
@@ -378,6 +380,32 @@ def test_patch_partition_pad_by_replication():
     # a batch of clips of different shapes is refused
     with pytest.raises(ValueError, match="one shape"):
         _partition(enc, [clip, VideoClip(np.zeros((8, 16, 16, 3)))])
+
+
+def test_a_call_on_mixed_shapes_equals_per_clip_calls_in_input_order():
+    # three interleaved shapes: one pass per shape, then every row goes back
+    # to its clip, in eval mode and on the tape
+    cfg = EncoderConfig(frames=8, patch=(2, 4, 4), window=(2, 2, 2), depths=(2, 2), heads=(2, 4), embed_dim=16, token_dim=32)
+    enc = VideoEncoder(cfg, np.random.default_rng(40))
+    rng = np.random.default_rng(41)
+    shapes = [(8, 12, 12, 3), (8, 12, 16, 3), (7, 13, 12, 3), (8, 12, 16, 3), (8, 12, 12, 3), (7, 13, 12, 3)]
+    clips = [VideoClip(rng.random(shape)) for shape in shapes]
+    singles = np.concatenate([enc([clip]).data for clip in clips])
+    assert np.array_equal(enc(clips).data, singles)
+    with Tape():
+        taped = enc(clips).data
+        taped_singles = np.concatenate([enc([clip]).data for clip in clips])
+    assert np.array_equal(taped, taped_singles)
+
+    # gradients through the per-shape passes and the row gather back to input order
+    batch = clips[1:5]
+    mix = Tensor(rng.normal(size=(len(batch), 4, cfg.token_dim)))
+
+    def build(t):
+        enc.patch_proj.bias, enc.final_norm.gamma = t
+        return ad.sum_reduce(ad.mul(enc(batch), mix))
+
+    check_grads(build, [enc.patch_proj.bias.data.copy(), enc.final_norm.gamma.data.copy()])
 
 
 def _old_patches(data, patch):

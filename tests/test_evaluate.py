@@ -112,8 +112,9 @@ def test_batched_evaluation_equals_per_clip_captioning(corpus, tmp_path, strateg
 def test_greedy_steps_once_per_length_for_the_whole_corpus(corpus, tmp_path, monkeypatch):
     data, records = corpus
     _checkpoint(records, tmp_path / "ckpt", eos_bias=-50.0)  # every caption runs to MAX_LEN
-    steps, rows, events = [], [], []
+    steps, rows, events, passes = [], [], [], []
     step_fn, encode, read = CaptionDecoder.step_fn, VideoEncoder.__call__, evaluate.read_vvid
+    forward = VideoEncoder._forward
 
     def counting_step_fn(self, semantic, enc_tokens):
         step = step_fn(self, semantic, enc_tokens)
@@ -127,8 +128,12 @@ def test_greedy_steps_once_per_length_for_the_whole_corpus(corpus, tmp_path, mon
         return counted
 
     def logged_encode(self, clips, *args, **kwargs):
-        events.append(("encode", len(clips), {c.data.shape for c in clips}))
+        events.append(("encode", len(clips)))
         return encode(self, clips, *args, **kwargs)
+
+    def logged_forward(self, clips, *args, **kwargs):
+        passes.append({c.data.shape for c in clips})
+        return forward(self, clips, *args, **kwargs)
 
     def logged_read(path):
         events.append(("read",))
@@ -136,6 +141,7 @@ def test_greedy_steps_once_per_length_for_the_whole_corpus(corpus, tmp_path, mon
 
     monkeypatch.setattr(CaptionDecoder, "step_fn", counting_step_fn)
     monkeypatch.setattr(VideoEncoder, "__call__", logged_encode)
+    monkeypatch.setattr(VideoEncoder, "_forward", logged_forward)
     monkeypatch.setattr(evaluate, "read_vvid", logged_read)
     outcome = evaluate.evaluate_checkpoint(tmp_path / "ckpt", data / "corpus.jsonl", REQUESTS["greedy"])
 
@@ -143,11 +149,12 @@ def test_greedy_steps_once_per_length_for_the_whole_corpus(corpus, tmp_path, mon
     # all selected clips share one token shape, so one step per length serves every clip
     assert steps == [MAX_LEN]
     assert rows == [len(records) - 1] * MAX_LEN
-    # chunks of at most ENCODE_CHUNK same-shape clips, the first encoded
-    # before the corpus is read to the end
+    # chunks of at most ENCODE_CHUNK clips, the first encoded before the
+    # corpus is read to the end; the encoder runs one pass per shape in a chunk
     encodes = [e for e in events if e[0] == "encode"]
-    assert all(n <= evaluate.ENCODE_CHUNK and len(shapes) == 1 for _, n, shapes in encodes)
-    assert sum(n for _, n, _ in encodes) == len(records) - 1
+    assert all(n <= evaluate.ENCODE_CHUNK for _, n in encodes)
+    assert sum(n for _, n in encodes) == len(records) - 1
+    assert all(len(shapes) == 1 for shapes in passes) and len(passes) > len(encodes)
     assert all(reads <= encoded + n + 2 * evaluate.ENCODE_CHUNK + 1 for reads, encoded, n in _encode_calls(events))
 
 

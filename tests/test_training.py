@@ -14,7 +14,7 @@ import vidcap.autodiff
 import vidcap.training
 from vidcap.autodiff import Tape, Tensor, backward
 from vidcap.decoder import DecoderConfig, GenerationRequest
-from vidcap.encoder import EncoderConfig
+from vidcap.encoder import EncoderConfig, VideoEncoder
 from vidcap.model import CaptionModel
 from vidcap.nn import Module
 from vidcap.optim import AdamWState, adamw_step, clip_global_norm
@@ -152,6 +152,30 @@ def test_token_cache_matches_per_clip_encoding():
     assert cache.shape == (6, 4, SMALL_ENCODER["token_dim"])
     for clip, tokens in zip(clips, cache):
         assert np.array_equal(tokens, model.encoder([clip]).data[0])
+
+
+def test_token_cache_holds_at_most_a_batch_over_a_stream_of_cycling_shapes(monkeypatch):
+    model = _small_model()
+    rng = np.random.default_rng(32)
+    clips = [VideoClip(rng.random(shape)) for shape in ((8, 12, 12, 3), (8, 12, 16, 3), (8, 16, 12, 3)) * 3]
+    yielded, encoded, held = [], [], []
+    encode = VideoEncoder.__call__
+
+    def counted_encode(self, chunk, *args, **kwargs):
+        held.append(len(yielded) - len(encoded))  # yielded clips not yet encoded
+        encoded.extend(chunk)
+        return encode(self, chunk, *args, **kwargs)
+
+    def stream():
+        for clip in clips:
+            yielded.append(clip)
+            yield clip
+
+    monkeypatch.setattr(VideoEncoder, "__call__", counted_encode)
+    cache = token_cache(model, stream(), batch_size=2)
+    assert max(held) <= 2 and len(encoded) == len(clips)
+    for clip, tokens in zip(clips, cache):
+        assert np.array_equal(tokens, encode(model.encoder, [clip]).data[0])
 
 
 def test_manifest_keeps_one_top_level_key_per_line_and_old_manifests_load(tmp_path):
@@ -339,6 +363,16 @@ def test_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError, match="hyperparameters"):
         TrainConfig(lr=0.0)
+    for field, value, want in [
+        ("lr", math.nan, "lr must be finite and positive, got nan"),
+        ("lr", math.inf, "lr must be finite and positive, got inf"),
+        ("lambda_bce", math.inf, "lambda_bce must be finite and non-negative, got inf"),
+        ("lambda_bce", math.nan, "lambda_bce must be finite and non-negative, got nan"),
+        ("clip_norm", math.inf, "clip_norm must be finite and positive, got inf"),
+        ("clip_norm", -math.inf, "clip_norm must be finite and positive, got -inf"),
+    ]:
+        with pytest.raises(ValueError, match="hyperparameters: " + want):
+            TrainConfig(**{field: value})
     with pytest.raises(ValueError, match="unknown training config keys"):
         config_from_table(TrainConfig, {"lr": 0.1, "momentum": 0.9}, "training config")
 

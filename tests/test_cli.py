@@ -152,12 +152,12 @@ def test_missing_and_invalid_inputs_exit_2(env, tmp_path, capsys):
         ({"encoder": {**SMALL_ENCODER, "attn_dropout": 1.5}}, "encoder attn_dropout must be in [0, 1), got 1.5"),
         ({"decoder": {"dropout": -0.1}}, "decoder dropout must be in [0, 1), got -0.1"),
         ({"max_len": 0}, "max_len must be at least 1, got 0"),
+        ({"decoder": {"vocab_size": 5}}, "decoder vocab_size 5 is not the vocabulary's"),
+        ({"decoder": {"vocab_size": 400}}, "decoder vocab_size 400 is not the vocabulary's"),
         # json.dumps writes these as NaN and Infinity, which json.loads reads back
         ({"lr": float("nan")}, "lr must be finite and positive, got nan"),
         ({"lambda_bce": float("inf")}, "lambda_bce must be finite and non-negative, got inf"),
         ({"clip_norm": float("inf")}, "clip_norm must be finite and positive, got inf"),
-        ({"decoder": {"vocab_size": 5}}, "decoder vocab_size 5 is not the vocabulary's"),
-        ({"decoder": {"vocab_size": 400}}, "decoder vocab_size 400 is not the vocabulary's"),
     ],
 )
 def test_bad_train_config_exits_2_before_training(env, tmp_path, capsys, config, message):

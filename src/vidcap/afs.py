@@ -4,7 +4,8 @@ Consecutive-frame dissimilarities are normalized into a piecewise-linear
 CDF over the frame axis, and frames are picked by inverting that CDF at
 evenly spaced quantiles.  Regions of the timeline where more changes
 happen receive proportionally more of the selected frames; a flat profile
-degrades to uniform sampling.
+degrades to uniform sampling.  A selection is the list of picked frame
+indices, which apply_selection gathers into a new clip.
 """
 
 from __future__ import annotations
@@ -91,17 +92,6 @@ class FrameCdf:
         """Segment probabilities, mass normalized to sum to one."""
         return self.mass / self.mass.sum()
 
-    def _segments(self) -> tuple[np.ndarray, float, bool]:
-        """(cumulative mass, total, is-uniform) for inversion."""
-        cum = np.concatenate([[0.0], np.cumsum(self.mass)])
-        total = float(cum[-1])
-        uniform = (
-            self.m == 1
-            or total == 0.0
-            or float(self.mass.max()) == float(self.mass.min())
-        )
-        return cum, total, uniform
-
 
 def build_cdf(d: np.ndarray, m: int) -> FrameCdf:
     """Normalize segment dissimilarities into a CDF over [0, m-1].
@@ -129,25 +119,6 @@ def build_cdf(d: np.ndarray, m: int) -> FrameCdf:
     return FrameCdf(breakpoints=breakpoints, mass=mass)
 
 
-def _invert_mass(u: float, cum: np.ndarray, mass: np.ndarray) -> float:
-    # min{x : C(x) >= u} on the unnormalized cumulative; side="left" lands
-    # plateau hits on their left edge
-    t = int(np.searchsorted(cum, u, side="left"))
-    if t == 0:
-        return 0.0
-    return float((t - 1) + (u - cum[t - 1]) / mass[t - 1])
-
-
-def inverse_cdf(cdf: FrameCdf, q: float) -> float:
-    """Generalized inverse min{x : F(x) >= q}; plateaus map to their left edge."""
-    if not (0.0 <= q <= 1.0):
-        raise ValueError("quantile outside [0, 1]")
-    cum, total, uniform = cdf._segments()
-    if uniform:
-        return float(q * (cdf.m - 1))
-    return _invert_mass(q * total, cum, cdf.mass)
-
-
 def raw_positions(cdf: FrameCdf, n: int) -> np.ndarray:
     """Pre-rounding positions: the inverse CDF at quantiles k/n, k=0..n-1.
 
@@ -158,10 +129,19 @@ def raw_positions(cdf: FrameCdf, n: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("need at least one frame")
-    cum, total, uniform = cdf._segments()
-    if uniform:
+    mass = cdf.mass
+    cum = np.concatenate([[0.0], np.cumsum(mass)])
+    total = float(cum[-1])
+    if cdf.m == 1 or total == 0.0 or float(mass.max()) == float(mass.min()):
         return np.array([k * (cdf.m - 1) / n for k in range(n)])
-    return np.array([_invert_mass(k * total / n, cum, cdf.mass) for k in range(n)])
+    positions = []
+    for k in range(n):
+        # min{x : C(x) >= u} on the unnormalized cumulative C; side="left"
+        # lands plateau hits on their left edge
+        u = k * total / n
+        t = int(np.searchsorted(cum, u, side="left"))
+        positions.append(0.0 if t == 0 else float((t - 1) + (u - cum[t - 1]) / mass[t - 1]))
+    return np.array(positions)
 
 
 def _round_half_away(x: float) -> int:
@@ -169,16 +149,7 @@ def _round_half_away(x: float) -> int:
     return int(np.floor(x + 0.5))
 
 
-class Selection:
-    """indices: n frame indices in [0, m-1], non-decreasing."""
-
-    __slots__ = ("indices",)
-
-    def __init__(self, indices: list[int]):
-        self.indices = indices
-
-
-def select_frames(cdf: FrameCdf, n: int, dedupe: bool = False) -> Selection:
+def select_frames(cdf: FrameCdf, n: int, dedupe: bool = False) -> list[int]:
     """Pick n frame indices by rounding the inverse CDF at quantiles k/n.
 
     In dedupe mode duplicate picks are replaced by the unselected frames
@@ -189,7 +160,7 @@ def select_frames(cdf: FrameCdf, n: int, dedupe: bool = False) -> Selection:
     positions = raw_positions(cdf, n)
     indices = [min(_round_half_away(x), cdf.m - 1) for x in positions]
     if not dedupe:
-        return Selection(indices=indices)
+        return indices
 
     distinct = set(indices)
     chosen = sorted(distinct)
@@ -207,19 +178,19 @@ def select_frames(cdf: FrameCdf, n: int, dedupe: bool = False) -> Selection:
         chosen.sort()
         while len(chosen) < n:
             chosen.append(chosen[-1])
-    return Selection(indices=chosen)
+    return chosen
 
 
-def apply_selection(clip: VideoClip, selection: Selection) -> VideoClip:
-    """Gather the selected frames into a new clip of the source's dtype,
+def apply_selection(clip: VideoClip, indices: list[int]) -> VideoClip:
+    """Gather the frames at indices into a new clip of the source's dtype,
     pixel data copied verbatim (fancy indexing returns a fresh array)."""
-    bad = [i for i in selection.indices if not 0 <= i < clip.frames]
+    bad = [i for i in indices if not 0 <= i < clip.frames]
     if bad:
         raise ValueError(f"selection indices {bad} outside [0, {clip.frames - 1}]")
-    return VideoClip(clip.data[np.asarray(selection.indices, dtype=np.intp)])
+    return VideoClip(clip.data[np.asarray(indices, dtype=np.intp)])
 
 
-def select_from_clip(clip: VideoClip, n: int) -> Selection:
+def select_from_clip(clip: VideoClip, n: int) -> list[int]:
     """The pipeline's selection: mad dissimilarity -> CDF -> n frames,
     duplicates kept."""
     return select_frames(build_cdf(frame_dissimilarity(clip), clip.frames), n)

@@ -33,9 +33,12 @@ The module keeps only the ops a training step records, each with one
 rule.  add is the one broadcast: its second operand, a Tensor or a
 constant array, broadcasts into the first operand's shape, never enlarging
 it, and its gradient is summed over the broadcast axes (a constant gets
-none).  mul is the one product, of operands of one shape or where either
-is a single element, a number included.  take() is the one gather, behind
-nn.Embedding, the encoder's window layouts and its relative-position bias.
+none).  mul is the one elementwise product, of operands of one shape or
+where either is a single element, a number included.  linear is the one
+weight product, with or without a bias, and matmul multiplies operands
+with equal leading axes (attention's scores and weighted values).  take()
+is the one gather, behind nn.Embedding, the encoder's window layouts and
+its relative-position bias.
 """
 
 from __future__ import annotations
@@ -235,30 +238,15 @@ def mul(a, b) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product.  Either b is 2-D (shared weight applied to any stack
-    of row blocks) or a and b carry identical leading batch dims."""
+    """Matrix product (..., n, k) @ (..., k, m) of operands with equal
+    leading axes."""
     x, y = a.data, b.data
     sa, sb = x.shape, y.shape
-    if len(sa) < 2 or len(sb) < 2:
-        raise ValueError("matmul requires at least 2-D operands")
-    if len(sb) == 2:
-        if sa[-1] != sb[0]:
-            raise ValueError(f"matmul: inner dims {sa} @ {sb}")
+    if len(sa) < 2 or len(sa) != len(sb) or sa[:-2] != sb[:-2] or sa[-1] != sb[-2]:
+        raise ValueError(f"matmul: shapes {sa} @ {sb} need equal leading axes")
 
-        def bwd(g):
-            ga = g @ y.T
-            k, m = sb
-            gb = x.reshape(-1, k).T @ g.reshape(-1, m)
-            return ga, gb
-
-    else:
-        if len(sa) != len(sb) or sa[:-2] != sb[:-2] or sa[-1] != sb[-2]:
-            raise ValueError(f"matmul: incompatible batched shapes {sa} @ {sb}")
-
-        def bwd(g):
-            ga = g @ np.swapaxes(y, -1, -2)
-            gb = np.swapaxes(x, -1, -2) @ g
-            return ga, gb
+    def bwd(g):
+        return g @ np.swapaxes(y, -1, -2), np.swapaxes(x, -1, -2) @ g
 
     return _record("matmul", (a, b), x @ y, bwd)
 
@@ -272,25 +260,25 @@ def linear_kernel(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None) ->
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """x @ weight (+ bias) for x of shape (..., in), weight (in, out) and
-    bias (out,), recorded as one op; the bias gradient sums over every
-    leading axis of x."""
+    bias (out,) or None, recorded as one op; the bias gradient sums over
+    every leading axis of x."""
+    b = None if bias is None else bias.data
     if isinstance(x, np.ndarray):
-        return linear_kernel(x, weight.data, None if bias is None else bias.data)
-    if bias is None:
-        return matmul(x, weight)
-    sx, sw, sb = x.data.shape, weight.data.shape, bias.data.shape
-    if len(sw) != 2 or sx[-1:] != sw[:1] or sb != sw[1:]:
-        raise ValueError(f"linear: shapes {sx} @ {sw} + {sb}")
+        return linear_kernel(x, weight.data, b)
+    sx, sw = x.data.shape, weight.data.shape
+    if len(sw) != 2 or sx[-1:] != sw[:1] or (b is not None and b.shape != sw[1:]):
+        raise ValueError(f"linear: shapes {sx} @ {sw} + {None if b is None else b.shape}")
     xd, w, need_gx = x.data, weight.data, x.requires_grad
-    out = linear_kernel(xd, w, bias.data)
+    out = linear_kernel(xd, w, b)
     k, m = sw
 
     def bwd(g):
         g2 = g.reshape(-1, m)
         gx = g @ w.T if need_gx else None
-        return gx, xd.reshape(-1, k).T @ g2, np.add.reduce(g2, 0)
+        gw = xd.reshape(-1, k).T @ g2
+        return (gx, gw) if b is None else (gx, gw, np.add.reduce(g2, 0))
 
-    return _record("linear", (x, weight, bias), out, bwd)
+    return _record("linear", (x, weight) if b is None else (x, weight, bias), out, bwd)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -446,15 +434,6 @@ def max_reduce(a: Tensor, axis: int) -> Tensor:
         return (ga,)
 
     return _record("max", (a,), a.data.max(axis=axis), bwd)
-
-
-def sum_reduce(a: Tensor) -> Tensor:
-    shape = a.shape
-
-    def bwd(g):
-        return (np.broadcast_to(g, shape).copy(),)
-
-    return _record("sum", (a,), a.data.sum(), bwd)
 
 
 def dropout(a: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:

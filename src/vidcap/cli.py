@@ -125,11 +125,10 @@ def _cmd_afs(args) -> int:
     clip = read_vvid(args.video)
     d = frame_dissimilarity(clip, metric=args.metric)
     cdf = build_cdf(d, clip.frames)
-    sel = select_frames(cdf, args.frames, dedupe=args.dedupe)
     payload = {
         "m": cdf.m,
         "n": args.frames,
-        "indices": list(sel.indices),
+        "indices": select_frames(cdf, args.frames, dedupe=args.dedupe),
         "pdf": [float(x) for x in cdf.pdf],
         "cdf": [float(x) for x in cdf.breakpoints],
     }

@@ -68,9 +68,9 @@ class DecoderConfig:
             raise ValueError(f"decoder dropout must be in [0, 1), got {self.dropout}")
 
     @classmethod
-    def paper(cls, vocab_size: int = 30522) -> "DecoderConfig":
+    def paper(cls) -> "DecoderConfig":
         return cls(
-            vocab_size=vocab_size,
+            vocab_size=30522,
             hidden=768,
             layers=12,
             heads=12,

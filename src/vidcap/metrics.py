@@ -1,12 +1,15 @@
 """Caption quality and diversity metrics.
 
 All metrics normalize text through the shared tokenizer.  Quality: corpus
-BLEU-4, ROUGE-L (F-beta over the longest common subsequence), CIDEr-D
-(tf-idf n-gram cosine with count clipping and a Gaussian length penalty).
-Diversity: Self-BLEU across the generated set, exact novel/unique
-percentages, vocabulary usage, and a POS pattern histogram.  A report
-builds one ScoringTable, which tokenizes each distinct caption string and
-n-gram counts each prediction and reference once; every metric reads it.
+BLEU-4, ROUGE-L (F-beta over the longest common subsequence, beta
+ROUGE_BETA), CIDEr-D (tf-idf n-gram cosine with count clipping and a
+Gaussian length penalty of width CIDER_SIGMA).  Diversity: Self-BLEU
+across the generated set, exact novel/unique percentages, vocabulary
+usage, and a POS pattern histogram.  A report builds one ScoringTable,
+which tokenizes each distinct caption string and n-gram counts each
+prediction and reference once; every metric reads it, self-BLEU through
+its predictions' Captions.  compute_report is the one entry point for the
+diversity numbers and the POS histogram.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ import numpy as np
 from .textproc import PosTagger, normalize_and_tokenize
 
 EPS_PRECISION = 1e-9
+ROUGE_BETA = 1.2  # ROUGE-L weighs recall this many times precision
+CIDER_SIGMA = 6.0  # width of CIDEr-D's Gaussian length penalty, in words
 
 
 def _ngrams(tokens: Sequence[str], n: int) -> dict[tuple, int]:
@@ -47,13 +52,13 @@ class _Parsed(dict):
 
 
 class Captions:
-    """A caption list, tokenized and n-gram counted: tokens[j], and
-    counts[n - 1][j] for the n-grams of order n in caption j.  Captions
+    """A caption list, tokenized and n-gram counted through parsed:
+    tokens[j], and counts[n - 1][j] for the n-grams of order n in caption
+    j.  Captions
     with the same string share one token list and one set of counts, which
     no metric changes."""
 
-    def __init__(self, texts: Sequence[str], parsed: _Parsed | None = None):
-        parsed = _Parsed() if parsed is None else parsed
+    def __init__(self, texts: Sequence[str], parsed: _Parsed):
         rows = [parsed[t] for t in texts]
         self.tokens = [tokens for tokens, _ in rows]
         self.counts = [[counts[n] for _, counts in rows] for n in range(4)]
@@ -137,9 +142,11 @@ def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
     return len(b) - v.bit_count()
 
 
-def rouge_l(table: ScoringTable, beta: float = 1.2) -> float:
+def rouge_l(table: ScoringTable) -> float:
     """Mean over items of the best F-beta LCS score against any reference,
-    on a 0-100 scale.  Empty predictions score zero for their item."""
+    beta ROUGE_BETA, on a 0-100 scale.  Empty predictions score zero for
+    their item."""
+    beta = ROUGE_BETA
     scores = []
     for ptoks, item in zip(table.preds.tokens, table.refs):
         best = 0.0
@@ -155,15 +162,15 @@ def rouge_l(table: ScoringTable, beta: float = 1.2) -> float:
     return 100.0 * float(np.mean(scores))
 
 
-def cider_d(table: ScoringTable, sigma: float = 6.0) -> float:
+def cider_d(table: ScoringTable) -> float:
     """CIDEr-D on a 0-10 scale.
 
     Document frequencies come from the reference sets, idf is ln(M/df).
     Per n-gram order, the candidate counts are clipped to the largest
     count in that item's references before the tf-idf cosine against each
     reference; each reference similarity is damped by a Gaussian penalty
-    on the length difference, then averaged over references and n-gram
-    orders and scaled by 10.
+    of width CIDER_SIGMA on the length difference, then averaged over
+    references and n-gram orders and scaled by 10.
     """
     m = len(table.refs)
     # an item's reference set is one document: its n-grams are ref_max's keys
@@ -196,7 +203,7 @@ def cider_d(table: ScoringTable, sigma: float = 6.0) -> float:
     item_scores = np.empty(m)
     for k, (ids, cos, plens, rlens) in groups.items():
         gap = np.array(plens)[:, None] - np.array(rlens)
-        penalties = np.exp(-(gap**2) / (2.0 * sigma**2))
+        penalties = np.exp(-(gap**2) / (2.0 * CIDER_SIGMA**2))
         sims = np.array(cos) * penalties[:, None, :]
         item_scores[ids] = 10.0 * sims.mean(axis=2).mean(axis=1)
     return float(np.mean(item_scores))
@@ -218,10 +225,10 @@ def _top_counts(counters: Sequence[dict[tuple, int]]) -> dict[tuple, tuple[int, 
     return tops
 
 
-def self_bleu(preds: Sequence[str] | Captions) -> float:
+def self_bleu(caps: Captions) -> float:
     """Mean sentence BLEU-4 of each prediction against all the others, on
-    a 0-100 scale.  Needs at least two predictions, as strings or as the
-    Captions of a ScoringTable.
+    a 0-100 scale.  Needs at least two predictions, the Captions of a
+    ScoringTable.
 
     Sentence BLEU-4 leaves out the orders a candidate is too short to
     produce; a produced but unmatched order contributes a 1e-9 floor
@@ -230,7 +237,6 @@ def self_bleu(preds: Sequence[str] | Captions) -> float:
     other length are lookups in corpus-wide tables (each n-gram's top two
     counts, the sorted lengths), so the whole set costs one pass.
     """
-    caps = preds if isinstance(preds, Captions) else Captions(preds)
     toks = caps.tokens
     if len(toks) < 2:
         raise ValueError("need at least two predictions")
@@ -286,27 +292,9 @@ def _diversity(pred_tokens: Sequence[list[str]], train_tokens: Iterable[list[str
     }
 
 
-def diversity_stats(preds: Sequence[str], train_captions: Sequence[str], train_vocab_size: int) -> dict:
-    """Exact diversity numbers over normalized text.
-
-    novel_pct: share of predictions whose normalized text never occurs in
-    the training captions.  unique_pct: share of distinct predictions.
-    vocab_usage_pct: distinct generated words over the training vocabulary
-    size.
-    """
-    pred_tokens = [normalize_and_tokenize(p) for p in preds]
-    return _diversity(pred_tokens, map(normalize_and_tokenize, train_captions), train_vocab_size)
-
-
 def _pos_histogram(pred_tokens: Sequence[list[str]], tagger: PosTagger) -> list[tuple[str, int]]:
     counts = Counter("-".join(tagger.tag_tokens(tokens)) for tokens in pred_tokens)
     return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-
-
-def pos_structure_histogram(preds: Sequence[str], tagger: PosTagger) -> list[tuple[str, int]]:
-    """Histogram of tag patterns like 'DET-NOUN-VERB', ordered by
-    (count desc, pattern asc)."""
-    return _pos_histogram([normalize_and_tokenize(p) for p in preds], tagger)
 
 
 @dataclass

@@ -27,8 +27,8 @@ from .autodiff import Tensor
 INIT_STD = 0.02  # normal init range shared by all projections and embeddings
 
 
-def normal_param(rng: np.random.Generator, shape, std: float = INIT_STD) -> Tensor:
-    return Tensor(rng.normal(0.0, std, size=shape), requires_grad=True)
+def normal_param(rng: np.random.Generator, shape) -> Tensor:
+    return Tensor(rng.normal(0.0, INIT_STD, size=shape), requires_grad=True)
 
 
 class Module:

@@ -2,10 +2,12 @@
 
 Captions are lowercased, punctuation is stripped (intra-word apostrophes
 survive), and tokens are whitespace-separated words.  The word vocabulary
-reserves ids 0..3 for <pad>, <sos>, <eos>, <unk>; learned words follow in
-(frequency desc, word asc) order.  The concept vocabulary is the top-K
-content words (nouns, verbs, adverbs) by corpus token frequency.  The
-JSON read from outside (corpus files, config tables) is parsed here too.
+reserves ids 0..3 for <pad>, <sos>, <eos>, <unk>; every training word
+follows in (frequency desc, word asc) order.  An encoded caption is its
+word ids ending in EOS, unpadded; a batch pads its rows itself.  The
+concept vocabulary is the top-K content words (nouns, verbs, adverbs) by
+corpus token frequency.  The JSON read from outside (corpus files, config
+tables) is parsed here too.
 """
 
 from __future__ import annotations
@@ -91,31 +93,19 @@ def _token_counts(captions: Iterable[str]) -> Counter:
     return Counter(tok for cap in captions for tok in normalize_and_tokenize(cap))
 
 
-def build_vocab(captions: Iterable[str], min_freq: int = 1) -> Vocab:
-    """Count tokens over the training captions and keep those at or above
-    min_freq, ordered by (frequency desc, word asc)."""
+def build_vocab(captions: Iterable[str]) -> Vocab:
+    """Every token of the training captions, ordered by (frequency desc,
+    word asc)."""
     captions = list(captions)
     if not captions:
         raise ValueError("empty training split")
     counts = _token_counts(captions)
-    kept = [w for w, c in counts.items() if c >= min_freq]
-    kept.sort(key=lambda w: (-counts[w], w))
-    return Vocab(kept)
+    return Vocab(sorted(counts, key=lambda w: (-counts[w], w)))
 
 
-def encode_caption(vocab: Vocab, text: str, max_len: int = 20) -> tuple[np.ndarray, np.ndarray]:
-    """Token ids padded to max_len+1 with EOS terminator, plus validity mask.
-
-    Captions longer than max_len words are truncated first; the EOS always
-    fits because of the +1 slot.
-    """
-    tokens = normalize_and_tokenize(text)[:max_len]
-    ids = vocab.encode_tokens(tokens) + [EOS_ID]
-    mask = [True] * len(ids)
-    while len(ids) < max_len + 1:
-        ids.append(PAD_ID)
-        mask.append(False)
-    return np.asarray(ids, dtype=np.intp), np.asarray(mask, dtype=bool)
+def encode_caption(vocab: Vocab, text: str, max_len: int = 20) -> list[int]:
+    """The ids of the caption's first max_len words, then EOS."""
+    return vocab.encode_tokens(normalize_and_tokenize(text)[:max_len]) + [EOS_ID]
 
 
 # ---------------------------------------------------------------------------

@@ -109,16 +109,12 @@ class TrainResult:
 
 def _prepare_samples(records, data_root: Path, vocab, concepts, n_frames: int, max_len: int):
     """The AFS-selected clip of each record, their (N, K) multi-hot concept
-    labels and each record's caption ids, each ending in EOS, PAD-trimmed."""
+    labels and each record's caption ids, each ending in EOS."""
     clips, caption_ids = [], []
     for rec in records:
         clip = read_vvid(data_root / rec.video)
         clips.append(apply_selection(clip, select_from_clip(clip, n_frames)))
-        caps = []
-        for text in rec.captions:
-            ids, mask = encode_caption(vocab, text, max_len)
-            caps.append(ids[: int(mask.sum())])
-        caption_ids.append(caps)
+        caption_ids.append([encode_caption(vocab, text, max_len) for text in rec.captions])
     labels = np.stack([concept_label_vector(concepts, rec.captions) for rec in records])
     return clips, labels, caption_ids
 

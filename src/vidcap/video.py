@@ -27,8 +27,9 @@ class VideoClip:
     """Frames in THWC order, pixel values in [0, 1].
 
     data is a float32 array kept as given (no copy; read-only when read
-    from a file) or, for any other input, a float64 array.  NaN pixels
-    are rejected along with out-of-range ones.
+    from a file) or, for any other input, a float64 array.  Every axis
+    holds at least one entry; NaN pixels are rejected along with
+    out-of-range ones.
     """
 
     __slots__ = ("data",)
@@ -42,8 +43,10 @@ class VideoClip:
             raise ValueError("clip must be (T, H, W, C)")
         if arr.shape[0] < 1:
             raise ValueError("empty video")
+        if 0 in arr.shape:
+            raise ValueError(f"clip of shape {arr.shape} has an empty row, column or channel axis")
         # written so that NaN, which fails every comparison, is rejected too
-        if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
+        if not (arr.min() >= 0.0 and arr.max() <= 1.0):
             raise ValueError("pixel values must lie in [0, 1]")
         self.data = arr
 

@@ -1,12 +1,18 @@
-"""Frame-selection tests, anchored on a dense-grid CDF inversion oracle.
+"""Frame-selection tests, anchored on two CDF inversion oracles.
 
-The oracle evaluates F on a 10^5-point grid and takes the first grid
-point at or above each quantile.  Integer-valued dissimilarities keep
-exact inverse positions at least 1/(2*N*d_max) away from rounding
-boundaries (except exact halves, where both sides round up), which is
-wider than the grid pitch, so oracle and implementation must agree
-exactly after rounding.
+The dense-grid oracle evaluates F on a 10^5-point grid and takes the
+first grid point at or above each quantile.  Integer-valued
+dissimilarities keep exact inverse positions at least 1/(2*N*d_max) away
+from rounding boundaries (except exact halves, where both sides round
+up), which is wider than the grid pitch, so oracle and implementation
+must agree exactly after rounding.  inverse_cdf is the definition itself,
+min{x : F(x) >= q}, in exact rational arithmetic.
 """
+
+import math
+from bisect import bisect_left
+from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -15,7 +21,6 @@ from vidcap.afs import (
     apply_selection,
     build_cdf,
     frame_dissimilarity,
-    inverse_cdf,
     raw_positions,
     select_frames,
     select_from_clip,
@@ -24,6 +29,19 @@ from vidcap.synth import render_video
 from vidcap.video import VideoClip
 
 GRID = 100_001
+
+
+def inverse_cdf(cdf, q) -> Fraction:
+    """The generalized inverse min{x : F(x) >= q} of the piecewise-linear
+    CDF, exact: F is the cumulative segment mass over the total, so a
+    plateau maps to its left edge.  A single frame maps every q to 0."""
+    if not 0.0 <= q <= 1.0:
+        raise ValueError("quantile outside [0, 1]")
+    mass = [Fraction(w) for w in cdf.mass]
+    cum = list(accumulate(mass, initial=Fraction(0)))  # C(t) = F(t) * total
+    u = Fraction(q) * cum[-1]
+    t = bisect_left(cum, u)  # the first frame t with C(t) >= u
+    return Fraction(0) if t == 0 else t - 1 + (u - cum[t - 1]) / mass[t - 1]
 
 
 def oracle_select(d, m, n):
@@ -195,19 +213,19 @@ def test_inverse_cdf_examples():
 
 def test_select_frames_examples():
     uniform = build_cdf(np.ones(8), 9)
-    assert select_frames(uniform, 4).indices == [0, 2, 4, 6]
+    assert select_frames(uniform, 4) == [0, 2, 4, 6]
 
     plateau = build_cdf(np.array([0, 0, 0, 1, 0, 0, 0, 0], dtype=float), 9)
-    assert select_frames(plateau, 4).indices == [0, 3, 4, 4]
+    assert select_frames(plateau, 4) == [0, 3, 4, 4]
 
     single = build_cdf(np.zeros(0), 1)
-    assert select_frames(single, 3).indices == [0, 0, 0]
+    assert select_frames(single, 3) == [0, 0, 0]
 
     with pytest.raises(ValueError):
         select_frames(uniform, 0)
 
 
-def test_oracle_equivalence_1000_profiles():
+def _integer_profiles():
     rng = np.random.default_rng(42)
     for _ in range(1000):
         m = int(rng.integers(2, 65))
@@ -215,8 +233,26 @@ def test_oracle_equivalence_1000_profiles():
         d = rng.integers(0, 10, size=m - 1).astype(float)
         if d.sum() == 0:
             d[rng.integers(0, m - 1)] = 1.0
-        got = select_frames(build_cdf(d, m), n).indices
+        yield d, m, n
+
+
+def test_oracle_equivalence_1000_profiles():
+    for d, m, n in _integer_profiles():
+        got = select_frames(build_cdf(d, m), n)
         assert got == oracle_select(d, m, n), (m, n, d.tolist())
+
+
+def test_raw_positions_equal_the_exact_inverse_cdf_1000_profiles():
+    # within a few ulp of the exact positions, and exact halves, which
+    # integer profiles produce, round up as the exact values do
+    for d, m, n in _integer_profiles():
+        cdf = build_cdf(d, m)
+        exact = [inverse_cdf(cdf, Fraction(k, n)) for k in range(n)]
+        want = np.array([float(x) for x in exact])
+        got = raw_positions(cdf, n)
+        assert np.all(np.abs(got - want) <= 4 * np.spacing(np.maximum(want, 1.0))), (m, n, d.tolist())
+        frames = [min(math.floor(x + Fraction(1, 2)), m - 1) for x in exact]
+        assert select_frames(cdf, n) == frames, (m, n, d.tolist())
 
 
 def test_uniform_reduction_exact():
@@ -227,7 +263,7 @@ def test_uniform_reduction_exact():
         c = float(rng.uniform(0.1, 5.0))
         cdf = build_cdf(np.full(max(m - 1, 0), c), m)
         expect = [int(np.floor(k * (m - 1) / n + 0.5)) for k in range(n)]
-        assert select_frames(cdf, n).indices == expect
+        assert select_frames(cdf, n) == expect
 
 
 def test_scale_invariance_exact():
@@ -236,9 +272,9 @@ def test_scale_invariance_exact():
         m = int(rng.integers(2, 40))
         n = int(rng.integers(1, 20))
         d = rng.random(m - 1)
-        base = select_frames(build_cdf(d, m), n).indices
+        base = select_frames(build_cdf(d, m), n)
         for c in (0.001, 3.0, 1e6):
-            assert select_frames(build_cdf(c * d, m), n).indices == base
+            assert select_frames(build_cdf(c * d, m), n) == base
 
 
 def test_monotone_indices():
@@ -247,7 +283,7 @@ def test_monotone_indices():
         m = int(rng.integers(2, 50))
         n = int(rng.integers(1, 25))
         d = rng.random(m - 1) * rng.integers(0, 2, size=m - 1)  # plateaus included
-        idx = select_frames(build_cdf(d, m), n).indices
+        idx = select_frames(build_cdf(d, m), n)
         assert all(a <= b for a, b in zip(idx, idx[1:]))
 
 
@@ -270,9 +306,9 @@ def test_dedupe_replaces_by_heaviest_segment():
     # one dominant segment swallows most quantiles; dedupe must spread out
     d = np.array([0, 0, 100, 1, 1], dtype=float)
     cdf = build_cdf(d, 6)
-    plain = select_frames(cdf, 4).indices
+    plain = select_frames(cdf, 4)
     assert len(set(plain)) < 4
-    sel = select_frames(cdf, 4, dedupe=True).indices
+    sel = select_frames(cdf, 4, dedupe=True)
     assert len(set(sel)) == 4
     assert set(plain) <= set(sel)
     # the first replacement frame borders the heaviest untouched mass
@@ -282,7 +318,7 @@ def test_dedupe_replaces_by_heaviest_segment():
 
 def test_dedupe_pads_when_video_too_short():
     cdf = build_cdf(np.array([1.0, 1.0]), 3)
-    sel = select_frames(cdf, 5, dedupe=True).indices
+    sel = select_frames(cdf, 5, dedupe=True)
     assert len(sel) == 5
     assert set(sel) == {0, 1, 2}
     assert sel[-1] == sel[-2]  # padding repeats the last index
@@ -295,28 +331,24 @@ def test_apply_selection():
     # uniform N==M selection is the identity permutation here
     assert ident.data.shape == clip.data.shape
 
-    from vidcap.afs import Selection
-
-    out = apply_selection(clip, Selection(indices=[0, 0]))
+    out = apply_selection(clip, [0, 0])
     assert out.data.shape[0] == 2
     assert np.array_equal(out.data[0], clip.data[0])
     assert np.array_equal(out.data[1], clip.data[0])
 
     pick = [3, 1, 4]
-    out = apply_selection(clip, Selection(indices=pick))
+    out = apply_selection(clip, pick)
     for k, i in enumerate(pick):
         assert np.array_equal(out.data[k], clip.data[i])
 
     with pytest.raises(ValueError):
-        apply_selection(clip, Selection(indices=[5]))
+        apply_selection(clip, [5])
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_apply_selection_gathers_a_fresh_array_of_the_source_dtype(dtype):
-    from vidcap.afs import Selection
-
     clip = VideoClip(np.random.default_rng(13).random((6, 3, 3, 2)).astype(dtype))
-    out = apply_selection(clip, Selection(indices=[1, 1, 4]))
+    out = apply_selection(clip, [1, 1, 4])
     assert out.data.dtype == dtype
     assert not np.shares_memory(out.data, clip.data)
     assert np.array_equal(out.data, clip.data[[1, 1, 4]])
@@ -329,5 +361,5 @@ def test_motion_segment_attracts_selection():
     d = frame_dissimilarity(clip)
     assert np.allclose(d[: start - 1], 0.0)
     sel = select_from_clip(clip, 8)
-    inside = sum(1 for i in sel.indices if i >= start - 1)
+    inside = sum(1 for i in sel if i >= start - 1)
     assert inside >= 7  # all but possibly the q=0 pick at frame 0

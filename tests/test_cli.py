@@ -98,7 +98,7 @@ def test_afs_json_equals_the_widened_clip_json(env, capsys, metric):
     want = {
         "m": cdf.m,
         "n": 5,
-        "indices": list(select_frames(cdf, 5).indices),
+        "indices": select_frames(cdf, 5),
         "pdf": [float(x) for x in cdf.pdf],
         "cdf": [float(x) for x in cdf.breakpoints],
     }

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from test_autodiff import check_grads
+from test_autodiff import check_grads, sum_reduce
 
 from vidcap import autodiff as ad
 from vidcap.autodiff import Tensor
@@ -133,7 +133,7 @@ def test_gradcheck_through_decoder_layer():
         for proj, w in zip(projections, t[2:]):
             proj.weight = w
         out = layer(t[0], t[1], causal, None)
-        return ad.sum_reduce(ad.mul(out, mix))
+        return sum_reduce(ad.mul(out, mix))
 
     check_grads(build, [x, enc, *weights])
 

@@ -30,7 +30,7 @@ from vidcap.encoder import (
 from vidcap.nn import Attention
 from vidcap.video import VideoClip
 
-from test_autodiff import check_grads
+from test_autodiff import check_grads, sum_reduce
 
 
 def _region_label(o: int, d: int, w: int, s: int) -> int:
@@ -218,8 +218,8 @@ def test_padded_grids_match_the_old_layout(dims, window, shifted):
             z = run_merge(y)
             mix = np.random.default_rng(41)
             loss = ad.add(
-                ad.sum_reduce(ad.mul(y, Tensor(mix.normal(size=y.shape)))),
-                ad.sum_reduce(ad.mul(z, Tensor(mix.normal(size=z.shape)))),
+                sum_reduce(ad.mul(y, Tensor(mix.normal(size=y.shape)))),
+                sum_reduce(ad.mul(z, Tensor(mix.normal(size=z.shape)))),
             )
             grads = backward(loss, tape)
         # the key bias cannot move a softmax, so its gradient is rounding noise
@@ -403,7 +403,7 @@ def test_a_call_on_mixed_shapes_equals_per_clip_calls_in_input_order():
 
     def build(t):
         enc.patch_proj.bias, enc.final_norm.gamma = t
-        return ad.sum_reduce(ad.mul(enc(batch), mix))
+        return sum_reduce(ad.mul(enc(batch), mix))
 
     check_grads(build, [enc.patch_proj.bias.data.copy(), enc.final_norm.gamma.data.copy()])
 
@@ -556,7 +556,7 @@ def test_gradcheck_through_window_block():
     with Tape() as tape:
         grid = Tensor(x)
         out = block(grid, shifted=True, rng=None)
-        loss = ad.sum_reduce(ad.mul(out, Tensor(mix)))
+        loss = sum_reduce(ad.mul(out, Tensor(mix)))
         grads = backward(loss, tape)
 
     h = 1e-5

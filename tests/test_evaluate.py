@@ -169,13 +169,19 @@ def test_corpus_without_a_readable_video_is_a_value_error(corpus, tmp_path):
         evaluate.evaluate_checkpoint(tmp_path / "ckpt", tmp_path / "corpus.jsonl", REQUESTS["greedy"])
 
 
-def test_nan_clip_is_a_logged_partial_error(corpus, tmp_path):
+def _corpus_copy(corpus, tmp_path):
+    """The corpus fixture's records, copied under tmp_path with a checkpoint."""
     data, records = corpus
     _checkpoint(records, tmp_path / "ckpt", eos_bias=0.0)
     (tmp_path / "videos").mkdir()
     for rec in records:
         (tmp_path / rec.video).write_bytes((data / rec.video).read_bytes())
     (tmp_path / "corpus.jsonl").write_bytes((data / "corpus.jsonl").read_bytes())
+    return records
+
+
+def test_nan_clip_is_a_logged_partial_error(corpus, tmp_path):
+    records = _corpus_copy(corpus, tmp_path)
     nan_clip = tmp_path / records[0].video
     raw = bytearray(nan_clip.read_bytes())
     raw[-4:] = struct.pack("<f", float("nan"))  # one NaN pixel in the payload
@@ -185,6 +191,19 @@ def test_nan_clip_is_a_logged_partial_error(corpus, tmp_path):
     assert outcome.partial
     assert [e["id"] for e in outcome.errors] == [records[0].id, records[UNREADABLE].id]
     assert "[0, 1]" in outcome.errors[0]["error"]
+    assert len(outcome.predictions) == len(records) - 2
+
+
+def test_a_clip_without_rows_is_a_logged_partial_error(corpus, tmp_path):
+    records = _corpus_copy(corpus, tmp_path)
+    empty = tmp_path / records[0].video
+    empty.write_bytes(struct.pack("<4sB4I", b"VVID", 1, 24, 0, 16, 3))
+
+    outcome = evaluate.evaluate_checkpoint(tmp_path / "ckpt", tmp_path / "corpus.jsonl", REQUESTS["greedy"])
+    assert outcome.partial
+    assert [e["id"] for e in outcome.errors] == [records[0].id, records[UNREADABLE].id]
+    assert outcome.errors[0]["error"].startswith(f"{empty}: ")
+    assert "empty row, column or channel axis" in outcome.errors[0]["error"]
     assert len(outcome.predictions) == len(records) - 2
 
 

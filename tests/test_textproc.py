@@ -2,7 +2,6 @@
 
 import re
 
-import numpy as np
 import pytest
 
 from vidcap.decoder import DecoderConfig
@@ -51,11 +50,6 @@ def test_vocab_order_and_reserved_ids():
     assert v.words[4:] == ["a", "cat", "dog"]
     assert v.id_of("zebra") == UNK_ID
     assert len(v) == 7 and v.learned_count == 3
-
-
-def test_vocab_min_freq():
-    v = build_vocab(["a dog", "a cat"], min_freq=2)
-    assert v.words[4:] == ["a"]
 
 
 def test_vocab_round_trip(tmp_path):
@@ -155,22 +149,13 @@ def test_concept_labels():
 
 def test_encode_caption_contract():
     v = build_vocab(["a dog runs"])
-    ids, mask = encode_caption(v, "a dog", max_len=20)
-    assert ids.shape == (21,) and mask.shape == (21,)
-    assert ids[0] == v.id_of("a") and ids[1] == v.id_of("dog")
-    assert ids[2] == EOS_ID
-    assert (ids[3:] == PAD_ID).all()
-    assert mask.tolist() == [True] * 3 + [False] * 18
-    assert (ids == EOS_ID).sum() == 1
+    assert encode_caption(v, "a dog", max_len=20) == [v.id_of("a"), v.id_of("dog"), EOS_ID]
 
     # truncation: 25 tokens keep the first 20, then EOS
     long = " ".join(["dog"] * 25)
-    ids, mask = encode_caption(v, long, max_len=20)
-    assert mask.all() and ids[20] == EOS_ID
-    assert (ids[:20] == v.id_of("dog")).all()
+    assert encode_caption(v, long, max_len=20) == [v.id_of("dog")] * 20 + [EOS_ID]
 
-    ids, _ = encode_caption(v, "a zebra runs", max_len=20)
-    assert ids[1] == UNK_ID
+    assert encode_caption(v, "a zebra runs", max_len=20) == [v.id_of("a"), UNK_ID, v.id_of("runs"), EOS_ID]
 
 
 def test_decode_ids_stops_at_eos():

@@ -405,7 +405,7 @@ def test_config_resolution():
     with pytest.raises(ValueError, match="unknown DecoderConfig keys"):
         TrainConfig(decoder={"hiddn": 8}).resolve_decoder(vocab_size=30, concept_dim=16)
     paper = TrainConfig(decoder="paper").resolve_decoder(vocab_size=30, concept_dim=768)
-    assert paper == DecoderConfig.paper(30)
+    assert paper == replace(DecoderConfig.paper(), vocab_size=30)
 
 
 def test_checkpoint_blob_and_stored_adapter_mode(tmp_path):

@@ -8,11 +8,21 @@ import pytest
 from vidcap.video import VideoClip, read_vvid, write_vvid
 
 
-def test_clip_validation():
+def test_clip_validation(tmp_path):
     with pytest.raises(ValueError, match=r"\(T, H, W, C\)"):
         VideoClip(np.zeros((4, 4, 1)))
     with pytest.raises(ValueError, match="empty video"):
         VideoClip(np.zeros((0, 4, 4, 1)))
+    # a clip with no rows, columns or channels has no pixels to select by
+    for i, shape in enumerate([(24, 0, 16, 3), (24, 16, 0, 3), (24, 16, 16, 0)]):
+        for dtype in (np.float64, np.float32):
+            with pytest.raises(ValueError, match="empty row, column or channel axis"):
+                VideoClip(np.zeros(shape, dtype=dtype))
+        p = tmp_path / f"empty{i}.vvid"
+        _raw_vvid(p, np.zeros(shape, dtype=np.float32))
+        with pytest.raises(ValueError, match="empty row, column or channel axis") as err:
+            read_vvid(p)
+        assert str(p) in str(err.value)
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         VideoClip(np.full((1, 2, 2, 1), 1.5))
     with pytest.raises(ValueError, match=r"\[0, 1\]"):

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import NumericError, Tensor
-from .nn import Attention, Embedding, LayerNorm, Linear, Module
+from .nn import MLP_RATIO, Attention, Embedding, LayerNorm, Linear, Module
 from .textproc import EOS_ID
 
 NEG_INF = -1e9
@@ -50,20 +50,18 @@ class DecoderConfig:
     hidden: int = 32
     layers: int = 2
     heads: int = 4
-    mlp_ratio: int = 4
     max_positions: int = 32
     dropout: float = 0.3
     concept_dim: int = 16
-    layer_norm_eps: float = 1e-12
 
     def __post_init__(self):
-        for name in ("vocab_size", "hidden", "layers", "mlp_ratio", "max_positions", "concept_dim", "layer_norm_eps"):
+        for name in ("vocab_size", "hidden", "layers", "max_positions", "concept_dim"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"decoder {name} must be positive, got {getattr(self, name)}")
         if self.heads < 1:
             raise ValueError(f"decoder heads must be at least 1, got {self.heads}")
         if self.hidden % self.heads:
-            raise ValueError("hidden width must divide into heads")
+            raise ValueError(f"decoder hidden width {self.hidden} must divide into {self.heads} heads")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"decoder dropout must be in [0, 1), got {self.dropout}")
 
@@ -83,13 +81,13 @@ class DecoderConfig:
 class _DecoderLayer(Module):
     def __init__(self, rng, cfg: DecoderConfig):
         d = cfg.hidden
-        self.ln1 = LayerNorm(d, cfg.layer_norm_eps)
-        self.self_attn = Attention(rng, d, cfg.heads, qkv_bias=True, dropout=cfg.dropout)
-        self.ln2 = LayerNorm(d, cfg.layer_norm_eps)
-        self.cross_attn = Attention(rng, d, cfg.heads, qkv_bias=True, dropout=cfg.dropout)
-        self.ln3 = LayerNorm(d, cfg.layer_norm_eps)
-        self.fc1 = Linear(rng, d, d * cfg.mlp_ratio)
-        self.fc2 = Linear(rng, d * cfg.mlp_ratio, d)
+        self.ln1 = LayerNorm(d)
+        self.self_attn = Attention(rng, d, cfg.heads, cfg.dropout)
+        self.ln2 = LayerNorm(d)
+        self.cross_attn = Attention(rng, d, cfg.heads, cfg.dropout)
+        self.ln3 = LayerNorm(d)
+        self.fc1 = Linear(rng, d, d * MLP_RATIO)
+        self.fc2 = Linear(rng, d * MLP_RATIO, d)
         self.dropout = cfg.dropout
 
     def __call__(self, x, enc, causal: np.ndarray | None, rng, cache: list | None = None):
@@ -115,7 +113,7 @@ class CaptionDecoder(Module):
         self.pos_emb = Embedding(rng, cfg.max_positions, cfg.hidden)
         self.adapter = Linear(rng, cfg.concept_dim, cfg.hidden) if cfg.concept_dim != cfg.hidden else None
         self.layers = [_DecoderLayer(rng, cfg) for _ in range(cfg.layers)]
-        self.final_norm = LayerNorm(cfg.hidden, cfg.layer_norm_eps)
+        self.final_norm = LayerNorm(cfg.hidden)
         self.out_proj = Linear(rng, cfg.hidden, cfg.vocab_size)
 
     def embed_with_semantic_sos(self, semantic: Tensor, tokens) -> Tensor:

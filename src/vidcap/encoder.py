@@ -25,12 +25,12 @@ back; a merge is the take into (1, 2, 2) windows and the patch partition a
 np.take into patch-sized ones.  Only WindowAttention refuses a window
 larger than its grid.
 
-Every layer draws dropout from the rng it is handed; None is eval mode,
-in which, with no tape active, the encoder feeds plain arrays through the
-layers that training and any taped call feed Tensors.  Each layer's one
-forward runs either, so the tokens are bitwise the same; the choice is
-made once, where VideoEncoder.__call__ wraps the patch projection's input
-in a Tensor only when taped.  ConceptHead.logits likewise takes either.
+The encoder has no dropout and takes no generator.  With no tape active
+it feeds plain arrays through the layers that a taped call feeds Tensors.
+Each layer's one forward runs either, so the tokens are bitwise the same;
+the choice is made once, where VideoEncoder.__call__ wraps the patch
+projection's input in a Tensor only when taped.  ConceptHead.logits
+likewise takes either, and draws its dropout from the rng it is handed.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .nn import Attention, LayerNorm, Linear, Module, normal_param
+from .nn import MLP_RATIO, Attention, LayerNorm, Linear, Module, normal_param
 from .video import VideoClip
 
 NEG_INF = -1e9
@@ -60,16 +60,11 @@ class EncoderConfig:
     heads: tuple[int, ...] = (2, 4)
     embed_dim: int = 16
     token_dim: int = 32
-    mlp_ratio: int = 4
-    qkv_bias: bool = True
-    hidden_dropout: float = 0.0
-    attn_dropout: float = 0.0
-    layer_norm_eps: float = 1e-12
     concept_count: int = 16
     concept_hidden: tuple[int, int] = (48, 96)
 
     def __post_init__(self):
-        for name in ("frames", "embed_dim", "token_dim", "mlp_ratio", "concept_count", "layer_norm_eps"):
+        for name in ("frames", "embed_dim", "token_dim", "concept_count"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"encoder {name} must be positive, got {getattr(self, name)}")
         for name, n, count in (("patch", 3, "three"), ("window", 3, "three"), ("concept_hidden", 2, "two")):
@@ -78,11 +73,9 @@ class EncoderConfig:
                 raise ValueError(f"encoder {name} must be {count} positive integers, got {list(sizes)}")
         if any(h < 1 for h in self.heads):
             raise ValueError(f"encoder heads must be positive, got {list(self.heads)}")
-        for name in ("hidden_dropout", "attn_dropout"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"encoder {name} must be in [0, 1), got {getattr(self, name)}")
         if len(self.depths) != len(self.heads):
-            raise ValueError("depths and heads must pair up stage by stage")
+            raise ValueError(
+                f"encoder depths {list(self.depths)} and heads {list(self.heads)} must pair up stage by stage")
         if not self.depths or any(d < 1 for d in self.depths):
             raise ValueError(f"encoder depths must be one or more positive block counts, got {list(self.depths)}")
         for s, (width, h) in enumerate(zip(self.stage_widths, self.heads)):
@@ -176,14 +169,14 @@ class WindowAttention(Attention):
     """Multi-head self-attention inside the 3D windows it is built for,
     with a learned relative position bias shared across windows."""
 
-    def __init__(self, rng, dim: int, heads: int, window, qkv_bias: bool, attn_dropout: float):
-        super().__init__(rng, dim, heads, qkv_bias, attn_dropout)
+    def __init__(self, rng, dim: int, heads: int, window):
+        super().__init__(rng, dim, heads, 0.0)
         self.window = tuple(window)
         table_len = math.prod(2 * w - 1 for w in window)
         self.bias_table = normal_param(rng, (table_len, heads))
         self.relative_index = _relative_index(window)
 
-    def __call__(self, grid, shift, rng):
+    def __call__(self, grid, shift):
         """(B, t, h, w, dim) grids in and out, windows shifted by shift."""
         b, *dims, c = grid.shape
         if any(w > d for w, d in zip(self.window, dims)):
@@ -192,7 +185,7 @@ class WindowAttention(Attention):
         windows = grid.reshape((b, -1, c)).take(slots, 1)
         table = self.bias_table.data if isinstance(windows, np.ndarray) else self.bias_table
         bias = table.take(self.relative_index, 0).transpose((2, 0, 1))
-        out = super().__call__(windows, windows, bias, mask, rng)
+        out = super().__call__(windows, windows, bias, mask, None)
         return out.reshape((b, -1, c)).take(back, 1)
 
 
@@ -200,32 +193,29 @@ class WindowBlock(Module):
     """Pre-norm block: x + attn(LN(x)) inside (possibly shifted) windows,
     then x + MLP(LN(x))."""
 
-    def __init__(self, rng, dim: int, heads: int, cfg: EncoderConfig):
-        self.ln1 = LayerNorm(dim, cfg.layer_norm_eps)
-        self.attn = WindowAttention(rng, dim, heads, cfg.window, cfg.qkv_bias, cfg.attn_dropout)
-        self.ln2 = LayerNorm(dim, cfg.layer_norm_eps)
-        self.fc1 = Linear(rng, dim, dim * cfg.mlp_ratio)
-        self.fc2 = Linear(rng, dim * cfg.mlp_ratio, dim)
-        self.hidden_dropout = cfg.hidden_dropout
+    def __init__(self, rng, dim: int, heads: int, window):
+        self.ln1 = LayerNorm(dim)
+        self.attn = WindowAttention(rng, dim, heads, window)
+        self.ln2 = LayerNorm(dim)
+        self.fc1 = Linear(rng, dim, dim * MLP_RATIO)
+        self.fc2 = Linear(rng, dim * MLP_RATIO, dim)
 
-    def __call__(self, x, shifted: bool, rng):
+    def __call__(self, x, shifted: bool):
         """(B, t, h, w, C) grids in and out."""
         shift = shift_amounts(x.shape[1:4], self.attn.window, shifted)
-        h = self.attn(self.ln1(x), shift, rng)
-        x = x + ad.dropout(h, self.hidden_dropout, rng)
-        m = self.fc2(ad.gelu(self.fc1(self.ln2(x))))
-        return x + ad.dropout(m, self.hidden_dropout, rng)
+        x = x + self.attn(self.ln1(x), shift)
+        return x + self.fc2(ad.gelu(self.fc1(self.ln2(x))))
 
 
 class Stage(Module):
     """A stage's blocks, alternating plain and shifted windows."""
 
-    def __init__(self, rng, dim: int, heads: int, depth: int, cfg: EncoderConfig):
-        self.blocks = [WindowBlock(rng, dim, heads, cfg) for _ in range(depth)]
+    def __init__(self, rng, dim: int, heads: int, depth: int, window):
+        self.blocks = [WindowBlock(rng, dim, heads, window) for _ in range(depth)]
 
-    def __call__(self, x, rng):
+    def __call__(self, x):
         for i, block in enumerate(self.blocks):
-            x = block(x, shifted=(i % 2 == 1), rng=rng)
+            x = block(x, shifted=(i % 2 == 1))
         return x
 
 
@@ -235,8 +225,8 @@ class PatchMerge(Module):
     are the (1, 2, 2) windows of window_layout, so odd sides are
     edge-replicated."""
 
-    def __init__(self, rng, dim: int, eps: float):
-        self.norm = LayerNorm(4 * dim, eps)
+    def __init__(self, rng, dim: int):
+        self.norm = LayerNorm(4 * dim)
         self.reduce = Linear(rng, 4 * dim, 2 * dim, bias=False)
 
     def __call__(self, x):
@@ -257,11 +247,11 @@ class VideoEncoder(Module):
         self.merges: list[PatchMerge] = []
         widths = cfg.stage_widths
         for s, (width, depth, heads) in enumerate(zip(widths, cfg.depths, cfg.heads)):
-            self.stages.append(Stage(rng, width, heads, depth, cfg))
+            self.stages.append(Stage(rng, width, heads, depth, cfg.window))
             if s + 1 < len(cfg.depths):
-                self.merges.append(PatchMerge(rng, width, cfg.layer_norm_eps))
+                self.merges.append(PatchMerge(rng, width))
         final_width = widths[-1]
-        self.final_norm = LayerNorm(final_width, cfg.layer_norm_eps)
+        self.final_norm = LayerNorm(final_width)
         self.out_proj = Linear(rng, final_width, cfg.token_dim)
 
     def _patches(self, clips: Sequence[VideoClip]) -> np.ndarray:
@@ -278,29 +268,29 @@ class VideoEncoder(Module):
         grid = [-(-d // p) for d, p in zip(dims, self.cfg.patch)]
         return np.asarray(np.take(data.reshape(b, -1, c), slots, axis=1).reshape(b, *grid, -1), dtype=np.float64)
 
-    def __call__(self, clips: Sequence[VideoClip], rng=None) -> Tensor:
+    def __call__(self, clips: Sequence[VideoClip]) -> Tensor:
         """Tokens (B, t, token_dim) for B clips of any shapes, one row per
-        clip in input order, from one pass per shape; in eval mode (no rng)
-        with no tape active, computed on arrays and wrapped once."""
-        taped = rng is not None or ad.tape_active()
+        clip in input order, from one pass per shape; with no tape active,
+        computed on arrays and wrapped once."""
+        taped = ad.tape_active()
         groups: dict[tuple, list[int]] = {}
         for i, clip in enumerate(clips):
             groups.setdefault(clip.data.shape, []).append(i)
         if len(groups) <= 1:  # _patches refuses an empty call
-            x = self._forward(clips, rng, taped)
+            x = self._forward(clips, taped)
         else:
-            parts = [self._forward([clips[i] for i in rows], rng, taped) for rows in groups.values()]
+            parts = [self._forward([clips[i] for i in rows], taped) for rows in groups.values()]
             # concatenated row r is clip order[r], so argsort(order) puts each clip back in place
             order = np.concatenate(list(groups.values()))
             x = ad.concat(parts, 0).take(np.argsort(order), 0)
         return x if taped else Tensor(x)
 
-    def _forward(self, clips: Sequence[VideoClip], rng, taped: bool):
+    def _forward(self, clips: Sequence[VideoClip], taped: bool):
         """One pass over clips of one shape: tokens, a Tensor when taped."""
         x = self._patches(clips)
         x = self.patch_proj(Tensor(x) if taped else x)
         for s, stage in enumerate(self.stages):
-            x = stage(x, rng)
+            x = stage(x)
             if s < len(self.merges):
                 x = self.merges[s](x)
         return self.out_proj(self.final_norm(x).mean(3).mean(2))

@@ -10,7 +10,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .decoder import CaptionDecoder, DecoderConfig, GenerationRequest, Hypothesis, generate
 from .encoder import ConceptHead, EncoderConfig, VideoEncoder
-from .nn import Module
+from .nn import MLP_RATIO, Module
 from .optim import flatten
 from .textproc import config_from_table
 from .video import VideoClip
@@ -23,14 +23,16 @@ class CaptionModel(Module):
     start-of-sequence input, so end-to-end training sends gradient into
     the head both through its own loss and through the captions.  Every
     part takes a leading batch axis; one clip is the batch of one.
-    Callers run the encoder and the concept head directly; every forward
-    draws dropout from the rng it is handed, and None is eval mode, so the
-    model holds nothing that differs between training and inference.
+    Callers run the encoder and the concept head directly; the head and
+    the decoder draw dropout from the rng they are handed (None is eval
+    mode), so the model holds nothing that differs between training and
+    inference.
     """
 
     def __init__(self, enc_cfg: EncoderConfig, dec_cfg: DecoderConfig, seed: int = 0):
         if dec_cfg.concept_dim != enc_cfg.concept_count:
-            raise ValueError("decoder concept width must match the concept head")
+            raise ValueError(
+                f"decoder concept_dim {dec_cfg.concept_dim} must match encoder concept_count {enc_cfg.concept_count}")
         if dec_cfg.hidden != enc_cfg.token_dim:
             raise ValueError(f"decoder hidden {dec_cfg.hidden} must match encoder token_dim {enc_cfg.token_dim}")
         init_rng = np.random.default_rng(seed)
@@ -81,13 +83,27 @@ class CaptionModel(Module):
         return {"encoder": asdict(self.enc_cfg), "decoder": asdict(self.dec_cfg)}
 
 
+# keys that a checkpoint's "model" table may still hold from when they were
+# settings, each with the one value that loads: the one every model now uses
+_RETIRED_KEYS = {
+    EncoderConfig: {"mlp_ratio": MLP_RATIO, "qkv_bias": True, "hidden_dropout": 0.0, "attn_dropout": 0.0,
+                    "layer_norm_eps": 1e-12},
+    DecoderConfig: {"mlp_ratio": MLP_RATIO, "layer_norm_eps": 1e-12, "adapter": "auto"},
+}
+
+
 def model_from_config_blob(blob: dict) -> CaptionModel:
-    """The model of a checkpoint's "model" table.  Its decoder table may hold the
-    removed "adapter" setting: "auto", what every decoder now does, or nothing."""
-    dec = blob["decoder"]
-    if isinstance(dec, dict) and "adapter" in dec:
-        if dec["adapter"] != "auto":
-            raise ValueError(f"checkpoint decoder adapter mode {dec['adapter']!r} is no longer supported")
-        dec = {k: v for k, v in dec.items() if k != "adapter"}
-    enc = config_from_table(EncoderConfig, blob["encoder"], "checkpoint EncoderConfig")
-    return CaptionModel(enc, config_from_table(DecoderConfig, dec, "checkpoint DecoderConfig"))
+    """The model of a checkpoint's "model" table, whose encoder and decoder
+    tables may hold _RETIRED_KEYS at their values."""
+    configs = []
+    for cls, part in ((EncoderConfig, "encoder"), (DecoderConfig, "decoder")):
+        table, what, retired = blob[part], f"checkpoint {cls.__name__}", _RETIRED_KEYS[cls]
+        if isinstance(table, dict):
+            for key, want in retired.items():
+                got = table.get(key, want)
+                # == alone would take false for 0.0 or true for 1
+                if got != want or isinstance(got, bool) != isinstance(want, bool):
+                    raise ValueError(f"{what} key {key!r} is retired and loads only as {want!r}, got {got!r}")
+            table = {k: v for k, v in table.items() if k not in retired}
+        configs.append(config_from_table(cls, table, what))
+    return CaptionModel(*configs)

@@ -10,9 +10,9 @@ are the checkpoint format, so a renamed attribute is a checkpoint format
 change; sorted, they order CaptionModel.flat, the model's parameter vector.
 
 Each layer's forward is written once and tests no types: handed plain
-arrays in eval mode, the autodiff ops it calls return arrays and every
-other line runs as numpy, so the encoder's tape-free forward and the
-decoder's step run the same code as a taped call, with the same bits.
+arrays, the autodiff ops it calls return arrays and every other line runs
+as numpy, so the encoder's tape-free forward and the decoder's step run
+the same code as a taped call, with the same bits.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 
 INIT_STD = 0.02  # normal init range shared by all projections and embeddings
+MLP_RATIO = 4  # feed-forward hidden width per model width, in every block
 
 
 def normal_param(rng: np.random.Generator, shape) -> Tensor:
@@ -56,13 +57,12 @@ class Linear(Module):
 
 
 class LayerNorm(Module):
-    def __init__(self, dim: int, eps: float = 1e-12):
+    def __init__(self, dim: int):
         self.gamma = Tensor(np.ones(dim), requires_grad=True)
         self.beta = Tensor(np.zeros(dim), requires_grad=True)
-        self.eps = eps
 
     def __call__(self, x):
-        return ad.layer_norm(x, self.gamma, self.beta, self.eps)
+        return ad.layer_norm(x, self.gamma, self.beta)
 
 
 class Embedding(Module):
@@ -90,10 +90,10 @@ class Attention(Module):
     optional additive term of the score shape (..., heads, Lq, Lk), which
     an array may reach by broadcasting; mask is an optional additive array
     that broadcasts to (..., Lq, Lk), shared by all heads.  The weights
-    drop out with draws from rng; None is eval mode.
+    drop out at rate dropout with draws from rng; None is eval mode.
     """
 
-    def __init__(self, rng: np.random.Generator, dim: int, heads: int, qkv_bias: bool, dropout: float):
+    def __init__(self, rng: np.random.Generator, dim: int, heads: int, dropout: float):
         if dim % heads:
             raise ValueError("attention width must divide into heads")
         self.dim = dim
@@ -102,10 +102,10 @@ class Attention(Module):
         self._split_tail = (heads, self.head_dim)  # (..., L, dim) -> (..., L, heads, head_dim)
         self.scale = 1.0 / np.sqrt(self.head_dim)
         self.dropout = dropout
-        self.wq = Linear(rng, dim, dim, bias=qkv_bias)
-        self.wk = Linear(rng, dim, dim, bias=qkv_bias)
-        self.wv = Linear(rng, dim, dim, bias=qkv_bias)
-        self.wo = Linear(rng, dim, dim, bias=True)
+        self.wq = Linear(rng, dim, dim)
+        self.wk = Linear(rng, dim, dim)
+        self.wv = Linear(rng, dim, dim)
+        self.wo = Linear(rng, dim, dim)
 
     def keys_values(self, kv_seq):
         """Head-split keys and values of kv_seq, each (..., heads, Lk, head_dim)."""

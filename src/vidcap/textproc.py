@@ -302,16 +302,15 @@ def load_corpus(path: str | Path) -> list[CaptionRecord]:
 
 # the JSON values a config field takes, by the type of its default, and
 # the entries of a list field, by the type of its default's entries; a
-# bool is not a number here, though Python counts it as an int
-_JSON_TYPES = {bool: (bool, "a boolean"), int: (int, "an integer"),
-               float: ((int, float), "a number"), tuple: (list, "a list")}
+# bool is never a number here, though Python counts it as an int
+_JSON_TYPES = {int: (int, "an integer"), float: ((int, float), "a number"), tuple: (list, "a list")}
 
 
 def _check_json_type(value, like, what: str) -> None:
     kind = type(like)
     if kind in _JSON_TYPES:
         accepted, name = _JSON_TYPES[kind]
-        if not isinstance(value, accepted) or isinstance(value, bool) != (kind is bool):
+        if not isinstance(value, accepted) or isinstance(value, bool):
             raise ValueError(f"{what} must be {name}, got {value!r}")
     if kind is tuple:
         for item in value:

@@ -148,7 +148,7 @@ def joint_loss(
     the target ids of clip i, ending in EOS, and labels[i] its multi-hot
     concept vector; every row stays in input order.  Dropout draws from
     rng; None is the dropout-free (eval) loss."""
-    tokens = model.encoder(clips, rng)
+    tokens = model.encoder(clips)
     targets = np.full((len(clips), max(len(c) for c in captions)), PAD_ID, dtype=np.intp)
     for row, ids in enumerate(captions):
         targets[row, : len(ids)] = ids

@@ -192,7 +192,7 @@ def test_03_afs_concentrates_on_motion():
 def test_04_window_attention_oracle():
     window = (2, 2, 2)
     rng = np.random.default_rng(0)
-    attn = WindowAttention(rng, 4, 2, window, qkv_bias=True, attn_dropout=0.0)
+    attn = WindowAttention(rng, 4, 2, window)
     worst = 0.0
     grids = 0
     for t in (2, 4):

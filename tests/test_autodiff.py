@@ -640,8 +640,8 @@ def _layer_forwards():
 
     rng = np.random.default_rng(10)
     cfg = EncoderConfig()
-    attn = Attention(rng, 8, 2, qkv_bias=True, dropout=0.0)
-    block, merge = WindowBlock(rng, 16, 2, cfg), PatchMerge(rng, 16, cfg.layer_norm_eps)
+    attn = Attention(rng, 8, 2, 0.0)
+    block, merge = WindowBlock(rng, 16, 2, cfg.window), PatchMerge(rng, 16)
     head = ConceptHead(cfg, rng)
     dec = _DecoderLayer(rng, DecoderConfig(vocab_size=5, hidden=8, heads=2, dropout=0.0))
     causal = np.triu(np.full((3, 3), -1e9), k=1)
@@ -653,7 +653,7 @@ def _layer_forwards():
         (Linear(rng, 8, 4, bias=False), (2, 3, 8)),
         (LayerNorm(8), (2, 3, 8)),
         (lambda x: attn(x, x, None, causal, None), (2, 3, 8)),
-        (lambda x: block(x, True, None), (2, 4, 4, 4, 16)),
+        (lambda x: block(x, True), (2, 4, 4, 4, 16)),
         (merge, (2, 2, 4, 4, 16)),
         (head.logits, (2, 4, cfg.token_dim)),
         (lambda x: dec(x, enc if isinstance(x, np.ndarray) else Tensor(enc), causal, None), (2, 3, 8)),
@@ -687,9 +687,9 @@ def test_window_block_records_the_same_node_count(shape, shifted, nodes):
     from vidcap.encoder import EncoderConfig, WindowBlock
 
     rng = np.random.default_rng(3)
-    block = WindowBlock(rng, 16, 2, EncoderConfig())
+    block = WindowBlock(rng, 16, 2, EncoderConfig().window)
     with Tape() as tape:
-        block(Tensor(rng.normal(size=shape)), shifted=shifted, rng=None)
+        block(Tensor(rng.normal(size=shape)), shifted=shifted)
     assert len(tape.nodes) == nodes
 
 

@@ -148,8 +148,8 @@ def test_missing_and_invalid_inputs_exit_2(env, tmp_path, capsys):
         ({"lr": "x"}, "training config key 'lr' must be a number"),
         ({"decoder": "big"}, "config must be 'desk', 'paper' or a field table, got 'big'"),
         ({"decoder": {"hidden": 16, "heads": 2}}, "decoder hidden 16 must match encoder token_dim 32"),
-        # eval mode never runs dropout, so only the config refuses a bad rate
-        ({"encoder": {**SMALL_ENCODER, "attn_dropout": 1.5}}, "encoder attn_dropout must be in [0, 1), got 1.5"),
+        # the encoder's dropout rates are fixed at 0, so a train config may not set them
+        ({"encoder": {**SMALL_ENCODER, "attn_dropout": 1.5}}, "unknown EncoderConfig keys: ['attn_dropout']"),
         ({"decoder": {"dropout": -0.1}}, "decoder dropout must be in [0, 1), got -0.1"),
         ({"max_len": 0}, "max_len must be at least 1, got 0"),
         ({"decoder": {"vocab_size": 5}}, "decoder vocab_size 5 is not the vocabulary's"),
@@ -158,6 +158,7 @@ def test_missing_and_invalid_inputs_exit_2(env, tmp_path, capsys):
         ({"lr": float("nan")}, "lr must be finite and positive, got nan"),
         ({"lambda_bce": float("inf")}, "lambda_bce must be finite and non-negative, got inf"),
         ({"clip_norm": float("inf")}, "clip_norm must be finite and positive, got inf"),
+        ({"decoder": {"concept_dim": 16}}, "decoder concept_dim 16 must match encoder concept_count 8"),
     ],
 )
 def test_bad_train_config_exits_2_before_training(env, tmp_path, capsys, config, message):
@@ -181,13 +182,13 @@ def test_bad_train_config_exits_2_before_training(env, tmp_path, capsys, config,
         ({"encoder": {**SMALL_ENCODER, "window": [0, 2, 2]}}, "encoder window must be three positive integers, got [0, 2, 2]"),
         ({"encoder": {**SMALL_ENCODER, "depths": [], "heads": []}}, "encoder depths must be one or more positive block counts, got []"),
         ({"decoder": {"layers": 0}}, "decoder layers must be positive, got 0"),
-        ({"encoder": {**SMALL_ENCODER, "layer_norm_eps": -1}}, "encoder layer_norm_eps must be positive, got -1"),
-        ({"decoder": {"layer_norm_eps": -1}}, "decoder layer_norm_eps must be positive, got -1"),
+        ({"encoder": {**SMALL_ENCODER, "layer_norm_eps": -1}}, "unknown EncoderConfig keys: ['layer_norm_eps']"),
+        ({"decoder": {"layer_norm_eps": -1}}, "unknown DecoderConfig keys: ['layer_norm_eps']"),
         ({"encoder": {**SMALL_ENCODER, "embed_dim": 0}}, "encoder embed_dim must be positive, got 0"),
         ({"encoder": {**SMALL_ENCODER, "token_dim": 0}}, "encoder token_dim must be positive, got 0"),
         ({"decoder": {"hidden": 0}}, "decoder hidden must be positive, got 0"),
-        ({"encoder": {**SMALL_ENCODER, "mlp_ratio": 0}}, "encoder mlp_ratio must be positive, got 0"),
-        ({"decoder": {"mlp_ratio": 0}}, "decoder mlp_ratio must be positive, got 0"),
+        ({"encoder": {**SMALL_ENCODER, "mlp_ratio": 0}}, "unknown EncoderConfig keys: ['mlp_ratio']"),
+        ({"decoder": {"mlp_ratio": 0}}, "unknown DecoderConfig keys: ['mlp_ratio']"),
         ({"encoder": {**SMALL_ENCODER, "frames": 0}}, "encoder frames must be positive, got 0"),
         ({"encoder": {**SMALL_ENCODER, "concept_count": 0}}, "encoder concept_count must be positive, got 0"),
         ({"encoder": {**SMALL_ENCODER, "concept_count": -2}}, "encoder concept_count must be positive, got -2"),
@@ -206,6 +207,11 @@ def test_bad_train_config_exits_2_before_training(env, tmp_path, capsys, config,
         ({"decoder": {"vocab_size": 0}}, "decoder vocab_size must be positive, got 0"),
         ({"decoder": {"max_positions": 0}}, "decoder max_positions must be positive, got 0"),
         ({"decoder": {"concept_dim": 0}}, "decoder concept_dim must be positive, got 0"),
+        ({"decoder": {"heads": 5}}, "decoder hidden width 32 must divide into 5 heads"),
+        (
+            {"encoder": {**SMALL_ENCODER, "depths": [2], "heads": [2, 4]}},
+            "encoder depths [2] and heads [2, 4] must pair up stage by stage",
+        ),
     ],
 )
 def test_zero_heads_patch_or_window_is_a_data_error(env, tmp_path, capsys, config, message):
@@ -255,6 +261,24 @@ def test_caption_refuses_a_stored_adapter_mode(env, tmp_path, capsys):
     assert main(["caption", "--ckpt", str(ckpt), "--video", str(video), "--decode", "greedy"]) == 2
     err = capsys.readouterr().err
     assert "data error" in err and "'linear'" in err
+
+
+@pytest.mark.parametrize(
+    "part, key, value, cls, want",
+    [("encoder", "qkv_bias", False, "EncoderConfig", "True"), ("decoder", "layer_norm_eps", 1e-5, "DecoderConfig", "1e-12")],
+)
+def test_caption_refuses_a_retired_key_at_another_value(env, tmp_path, capsys, part, key, value, cls, want):
+    import shutil
+
+    ckpt = tmp_path / "ckpt"
+    shutil.copytree(env["ckpt"], ckpt)
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    manifest["model"][part][key] = value
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+    video = env["data"] / "videos" / "vid0001.vvid"
+    assert main(["caption", "--ckpt", str(ckpt), "--video", str(video), "--decode", "greedy"]) == 2
+    message = f"data error: {ckpt}: checkpoint {cls} key {key!r} is retired and loads only as {want}, got {value!r}"
+    assert _one_data_error(capsys) == message
 
 
 def _one_data_error(capsys) -> str:

@@ -99,7 +99,7 @@ def _oracle_window_attention(x: np.ndarray, attn: WindowAttention, window, shift
 
 def _impl_window_attention(x: np.ndarray, attn: WindowAttention, window, shifts):
     """The windowed path on a (B, t, h, w, C) batch of grids."""
-    return attn(Tensor(x), shifts, rng=None).data
+    return attn(Tensor(x), shifts).data
 
 
 # The layout before window_layout, kept as a numpy oracle: edge pad, roll,
@@ -204,11 +204,11 @@ def test_padded_grids_match_the_old_layout(dims, window, shifted):
     # forwards bitwise; gradients within 1e-14 of each array's largest
     # entry, since replicated edges now sum in another order
     rng = np.random.default_rng(40)
-    block = WindowBlock(rng, 8, 2, EncoderConfig(window=window))
-    merge = PatchMerge(rng, 8, 1e-12)
+    block = WindowBlock(rng, 8, 2, window)
+    merge = PatchMerge(rng, 8)
     params = [p for _, p in [*block.named_parameters("b"), *merge.named_parameters("m")]]
     x = rng.normal(size=(2, *dims, 8))
-    new = (lambda g: block(g, shifted, None), merge)
+    new = (lambda g: block(g, shifted), merge)
     old = (lambda g: _old_block(block, g, shifted), lambda y: _old_merge(merge, y))
     runs = []
     for run_block, run_merge in (new, old):
@@ -235,7 +235,7 @@ def test_window_attention_matches_bruteforce_oracle():
     window = (2, 2, 2)
     rng = np.random.default_rng(0)
     c, heads = 4, 2
-    attn = WindowAttention(rng, c, heads, window, qkv_bias=True, attn_dropout=0.0)
+    attn = WindowAttention(rng, c, heads, window)
     for t in (2, 4):
         for h in (2, 4, 6):
             for w in (2, 4, 6):
@@ -253,7 +253,7 @@ def test_batched_window_attention_matches_oracle_per_clip():
     window = (2, 2, 2)
     rng = np.random.default_rng(20)
     c, heads = 4, 2
-    attn = WindowAttention(rng, c, heads, window, qkv_bias=True, attn_dropout=0.0)
+    attn = WindowAttention(rng, c, heads, window)
     for dims in ((2, 2, 2), (2, 4, 6), (4, 6, 4)):
         xb = rng.normal(size=(2, *dims, c))
         for shifted in (False, True):
@@ -270,7 +270,7 @@ def test_single_window_no_shift_is_full_attention():
     # one window covering the whole grid, no mask: plain self-attention
     window = (2, 2, 2)
     rng = np.random.default_rng(1)
-    attn = WindowAttention(rng, 6, 3, window, qkv_bias=True, attn_dropout=0.0)
+    attn = WindowAttention(rng, 6, 3, window)
     x = rng.normal(size=(2, 2, 2, 6))
     got = _impl_window_attention(x[None], attn, window, (0, 0, 0))[0]
     want = _oracle_window_attention(x, attn, window, (0, 0, 0))
@@ -313,15 +313,15 @@ def test_shift_mask_matches_exhaustive_labeling():
 
 
 def test_window_larger_than_grid_errors():
-    attn = WindowAttention(np.random.default_rng(0), 4, 2, (2, 2, 2), qkv_bias=True, attn_dropout=0.0)
+    attn = WindowAttention(np.random.default_rng(0), 4, 2, (2, 2, 2))
     with pytest.raises(ValueError, match="larger than grid"):
-        attn(Tensor(np.zeros((1, 1, 2, 2, 4))), (0, 0, 0), None)
+        attn(Tensor(np.zeros((1, 1, 2, 2, 4))), (0, 0, 0))
 
 
 def test_merge_on_a_one_wide_grid():
     # a (t, 1, 1) grid is edge-replicated into all four slots of its merge
     rng = np.random.default_rng(41)
-    merge = PatchMerge(rng, 8, 1e-12)
+    merge = PatchMerge(rng, 8)
     x = rng.normal(size=(2, 3, 1, 1, 8))
     want = merge.reduce(merge.norm(Tensor(np.tile(x, 4)))).data
     assert np.array_equal(merge(Tensor(x)).data, want)
@@ -333,7 +333,7 @@ def test_merge_on_a_one_wide_grid():
 def test_attention_rows_sum_to_one(softmax_outputs):
     rng = np.random.default_rng(2)
     window = (2, 2, 2)
-    attn = WindowAttention(rng, 4, 2, window, qkv_bias=True, attn_dropout=0.0)
+    attn = WindowAttention(rng, 4, 2, window)
     x = rng.normal(size=(1, 2, 4, 4, 4))
     _impl_window_attention(x, attn, window, (0, 2 // 2, 1))
     [probs] = softmax_outputs
@@ -447,7 +447,7 @@ def test_float32_clip_tokens_equal_widened_clip_tokens():
 def test_patch_merge():
     rng = np.random.default_rng(7)
     c = 8
-    merge = PatchMerge(rng, c, eps=1e-12)
+    merge = PatchMerge(rng, c)
 
     grid = Tensor(rng.normal(size=(1, 4, 4, 4, c)))
     out = merge(grid)
@@ -541,7 +541,7 @@ def test_concept_head_matches_hand_forward():
 def test_gradcheck_through_window_block():
     cfg = EncoderConfig(embed_dim=4, depths=(2,), heads=(2,))
     rng = np.random.default_rng(14)
-    block = WindowBlock(rng, 4, 2, cfg)
+    block = WindowBlock(rng, 4, 2, cfg.window)
     x = rng.normal(size=(1, 2, 2, 4, 4))
     mix = rng.normal(size=(1, 2, 2, 4, 4))
 
@@ -550,12 +550,12 @@ def test_gradcheck_through_window_block():
 
     def forward() -> float:
         grid = Tensor(x)
-        out = block(grid, shifted=True, rng=None)
+        out = block(grid, shifted=True)
         return float((out.data * mix).sum())
 
     with Tape() as tape:
         grid = Tensor(x)
-        out = block(grid, shifted=True, rng=None)
+        out = block(grid, shifted=True)
         loss = sum_reduce(ad.mul(out, Tensor(mix)))
         grads = backward(loss, tape)
 
@@ -606,11 +606,11 @@ def test_array_encoder_is_bitwise_the_tensor_path(shape, batch, dtype, softmax_o
 def test_array_block_and_merge_are_bitwise_the_tensor_layers(dims):
     cfg = EncoderConfig()
     rng = np.random.default_rng(61)
-    block, merge = WindowBlock(rng, 16, 2, cfg), PatchMerge(rng, 16, cfg.layer_norm_eps)
+    block, merge = WindowBlock(rng, 16, 2, cfg.window), PatchMerge(rng, 16)
     for batch in (1, 3):
         x = rng.normal(size=(batch, *dims, 16))
         for shifted in (False, True):
-            y = block(x, shifted, None)
+            y = block(x, shifted)
             assert type(y) is np.ndarray
-            assert np.array_equal(y, block(Tensor(x), shifted, None).data), (batch, shifted)
+            assert np.array_equal(y, block(Tensor(x), shifted).data), (batch, shifted)
         assert np.array_equal(merge(x), merge(Tensor(x)).data), batch

@@ -210,7 +210,7 @@ def test_corpus_validation(tmp_path):
         (TrainConfig, {"lr": "x"}, "TrainConfig key 'lr' must be a number"),
         (TrainConfig, {"seed": True}, "TrainConfig key 'seed' must be an integer"),
         (DecoderConfig, {"vocab_size": 9, "hidden": 8.0}, "DecoderConfig key 'hidden' must be an integer"),
-        (EncoderConfig, {"qkv_bias": 1}, "EncoderConfig key 'qkv_bias' must be a boolean"),
+        (DecoderConfig, {"vocab_size": 9, "dropout": False}, "DecoderConfig key 'dropout' must be a number"),
         # a list entry that does not fit the default's entries
         (EncoderConfig, {"heads": ["2", "4"]}, "EncoderConfig key 'heads' entry must be an integer, got '2'"),
     ],

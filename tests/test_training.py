@@ -4,6 +4,7 @@ import functools
 import hashlib
 import json
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -408,6 +409,20 @@ def test_config_resolution():
     assert paper == replace(DecoderConfig.paper(), vocab_size=30)
 
 
+# the keys a checkpoint's model table held while these were settings, at
+# the one value every checkpoint wrote
+_RETIRED = {
+    "encoder": {"mlp_ratio": 4, "qkv_bias": True, "hidden_dropout": 0.0, "attn_dropout": 0.0, "layer_norm_eps": 1e-12},
+    "decoder": {"mlp_ratio": 4, "layer_norm_eps": 1e-12, "adapter": "auto"},
+}
+
+
+def _with_model_keys(ckpt, part: str, keys: dict) -> None:
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    manifest["model"][part].update(keys)
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+
+
 def test_checkpoint_blob_and_stored_adapter_mode(tmp_path):
     model = _small_model(seed=4)
     assert model.decoder.adapter is not None  # concept width 8, hidden 32
@@ -417,21 +432,42 @@ def test_checkpoint_blob_and_stored_adapter_mode(tmp_path):
     assert plain.enc_cfg == model.enc_cfg and plain.dec_cfg == model.dec_cfg
     assert isinstance(plain.enc_cfg.patch, tuple)
 
-    # a manifest written while the adapter mode was a setting
-    manifest = json.loads((ckpt / "manifest.json").read_text())
-    manifest["model"]["decoder"]["adapter"] = "auto"
-    (ckpt / "manifest.json").write_text(json.dumps(manifest))
-    auto, _ = load_checkpoint(ckpt)
-    assert auto.dec_cfg == model.dec_cfg
-    want = dict(plain.named_parameters())
-    got = dict(auto.named_parameters())
-    assert set(got) == set(want)
-    for name, p in got.items():
-        assert p.data.tobytes() == want[name].data.tobytes(), name
+    # a manifest written while the adapter mode and the fixed sizes were settings
+    for part, keys in _RETIRED.items():
+        _with_model_keys(ckpt, part, keys)
+    old, _ = load_checkpoint(ckpt)
+    assert old.enc_cfg == model.enc_cfg and old.dec_cfg == model.dec_cfg
+    assert old.flat.tobytes() == plain.flat.tobytes()
 
-    manifest["model"]["decoder"]["adapter"] = "linear"
-    (ckpt / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(ValueError, match="adapter mode 'linear' is no longer supported"):
+    _with_model_keys(ckpt, "decoder", {"adapter": "linear"})
+    with pytest.raises(
+        ValueError, match=re.escape("checkpoint DecoderConfig key 'adapter' is retired and loads only as 'auto', got 'linear'")
+    ):
+        load_checkpoint(ckpt)
+
+
+@pytest.mark.parametrize(
+    "part, key, value",
+    [
+        ("encoder", "mlp_ratio", 2),
+        ("encoder", "qkv_bias", False),
+        ("encoder", "hidden_dropout", 0.1),
+        ("encoder", "attn_dropout", 0.25),
+        ("encoder", "layer_norm_eps", 1e-5),
+        ("decoder", "mlp_ratio", 8),
+        ("decoder", "layer_norm_eps", 1e-6),
+        # equal under == but of another JSON type
+        ("encoder", "qkv_bias", 1),
+        ("encoder", "attn_dropout", False),
+    ],
+)
+def test_a_retired_key_at_another_value_is_refused_naming_it(tmp_path, part, key, value):
+    ckpt = save_checkpoint(tmp_path / "ck", _small_model())
+    _with_model_keys(ckpt, part, {key: value})
+    cls = "EncoderConfig" if part == "encoder" else "DecoderConfig"
+    want = _RETIRED[part][key]
+    message = f"checkpoint {cls} key {key!r} is retired and loads only as {want!r}, got {value!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
         load_checkpoint(ckpt)
 
 
@@ -441,10 +477,10 @@ def test_checkpoint_blob_and_stored_adapter_mode(tmp_path):
 _PINNED_CONFIGS = [
     ({}, {}, 143, "50434c00b4ac572d43e3f8f8ac4a2b4fba911bcd0b58efe4ffa8e4b95f4f02e9"),
     (
-        {"qkv_bias": False, "concept_count": 32},
+        {"concept_count": 32},
         {"concept_dim": 32},
-        129,
-        "5de6e771b69c5818bf2bffa0538ccca53a8094843187cfae08fe1c8acf92d647",
+        141,
+        "67a318cd1b4fb0bff3f172a70c51b5cf419c52415b66f0e2622b2424db63c80e",
     ),
     (
         {"depths": (2, 2, 2), "heads": (2, 4, 8)},
@@ -561,7 +597,6 @@ def test_joint_loss_draws_dropout_only_from_the_generator_it_is_handed(monkeypat
     # whose every dropout rate is zero
     still = CaptionModel(model.enc_cfg, replace(model.dec_cfg, dropout=0.0))
     monkeypatch.setattr(still.concept_head, "logits", functools.partial(still.concept_head.logits, rate=0.0))
-    assert model.enc_cfg.hidden_dropout == model.enc_cfg.attn_dropout == 0.0
     plain = loss_and_grads(model, None)
     assert plain == loss_and_grads(still, np.random.default_rng(5))
     assert plain[0] != drawn[0]
@@ -583,27 +618,35 @@ def test_the_trained_model_holds_no_generator_and_draws_no_dropout(run):
 
 
 def test_both_phases_draw_dropout_from_one_generator_that_train_keeps(dataset, tmp_path, monkeypatch):
-    # the rates tell the parts apart: encoder 0.2 and 0.25, decoder 0.3,
-    # concept head 0.5 in phase one and 0.1 in phase two
-    calls = []
-    real = vidcap.autodiff.dropout
+    # the rates tell the parts apart: decoder 0.3, concept head 0.5 in
+    # phase one and 0.1 in phase two; the encoder has no dropout
+    calls, encoding = [], [False]
+    real, real_forward = vidcap.autodiff.dropout, VideoEncoder._forward
 
     def recording(a, rate, rng):
-        calls.append((rate, rng))
+        calls.append((rate, rng, encoding[0]))
         return real(a, rate, rng)
 
+    def marked_forward(*args):
+        encoding[0] = True
+        try:
+            return real_forward(*args)
+        finally:
+            encoding[0] = False
+
     monkeypatch.setattr(vidcap.autodiff, "dropout", recording)
-    encoder = {**SMALL_ENCODER, "hidden_dropout": 0.2, "attn_dropout": 0.25}
-    cfg = TrainConfig(encoder=encoder, batch_size=2, pretrain_steps=2, max_steps=2, seed=5)
+    monkeypatch.setattr(VideoEncoder, "_forward", marked_forward)
+    cfg = TrainConfig(encoder=SMALL_ENCODER, batch_size=2, pretrain_steps=2, max_steps=2, seed=5)
     train(cfg, dataset, tmp_path / "out")
-    # the token cache encodes in eval mode before phase one, and every
-    # later call draws
-    first = next(i for i, (_, rng) in enumerate(calls) if rng is not None)
-    assert first > 0 and all(rng is None for _, rng in calls[:first])
-    drawn = calls[first:]
+    # the encoder's attention hands dropout no generator, in the token
+    # cache before phase one and in every joint step, so it draws nothing;
+    # every call outside the encoder draws
+    assert all(rng is None for _, rng, inside in calls if inside)
+    drawn = [(rate, rng) for rate, rng, inside in calls if not inside]
+    assert all(rng is not None for _, rng in drawn)
     assert len({id(rng) for _, rng in drawn}) == 1
     assert [rate for rate, _ in drawn[:4]] == [0.5] * 4
-    assert {rate for rate, _ in drawn[4:]} == {0.2, 0.25, 0.3, 0.1}
+    assert {rate for rate, _ in drawn[4:]} == {0.3, 0.1}
 
 
 def test_pretrain_steps_train_exactly_the_concept_head(dataset, tmp_path, monkeypatch):
